@@ -6,10 +6,9 @@ import (
 )
 
 // LatencyCollector is a sink that histograms end-to-end message latency
-// (Inject to delivery) by traffic class and tenant.
+// (Inject to delivery), overall and by tenant.
 type LatencyCollector struct {
 	All      *stats.Histogram
-	ByClass  map[packet.Class]*stats.Histogram
 	ByTenant map[uint16]*stats.Histogram
 	Bytes    uint64
 	Count    uint64
@@ -22,7 +21,6 @@ type LatencyCollector struct {
 func NewLatencyCollector() *LatencyCollector {
 	return &LatencyCollector{
 		All:      stats.NewHistogram(),
-		ByClass:  make(map[packet.Class]*stats.Histogram),
 		ByTenant: make(map[uint16]*stats.Histogram),
 	}
 }
@@ -31,12 +29,6 @@ func NewLatencyCollector() *LatencyCollector {
 func (c *LatencyCollector) Deliver(msg *packet.Message, now uint64) {
 	lat := float64(now - msg.Inject)
 	c.All.Observe(lat)
-	h := c.ByClass[msg.Class]
-	if h == nil {
-		h = stats.NewHistogram()
-		c.ByClass[msg.Class] = h
-	}
-	h.Observe(lat)
 	ht := c.ByTenant[msg.Tenant]
 	if ht == nil {
 		ht = stats.NewHistogram()
@@ -48,14 +40,6 @@ func (c *LatencyCollector) Deliver(msg *packet.Message, now uint64) {
 	if c.OnDeliver != nil {
 		c.OnDeliver(msg, now)
 	}
-}
-
-// Class returns the histogram for a class (empty histogram when unseen).
-func (c *LatencyCollector) Class(cl packet.Class) *stats.Histogram {
-	if h := c.ByClass[cl]; h != nil {
-		return h
-	}
-	return stats.NewHistogram()
 }
 
 // Tenant returns the histogram for a tenant (empty histogram when unseen).

@@ -4,9 +4,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -102,10 +103,17 @@ func (m *Meter) Mpps(cycles uint64, freqHz float64) float64 {
 // the caller's) and answers percentile queries. Samples are kept exactly;
 // simulations here record at most a few million samples, for which exact
 // percentiles are affordable and simpler to trust than sketches.
+//
+// The samples are kept as a sorted prefix followed by an unsorted tail of
+// those observed since the last query. A query sorts only the tail and
+// merges it into the prefix in place, so with n samples of which k are new
+// it costs O(k log k + n), and O(1) when nothing arrived since the last
+// one. Once the buffers have grown, queries do not allocate.
 type Histogram struct {
-	samples []float64
-	sorted  bool
-	sum     float64
+	samples []float64 // samples[:nsorted] ascending, then the tail
+	nsorted int
+	scratch []float64 // holds the tail during a merge; reused
+	sum     float64   // in observe order, so Mean does not depend on queries
 }
 
 // NewHistogram returns an empty histogram.
@@ -115,7 +123,39 @@ func NewHistogram() *Histogram { return &Histogram{} }
 func (h *Histogram) Observe(v float64) {
 	h.samples = append(h.samples, v)
 	h.sum += v
-	h.sorted = false
+}
+
+// sort folds the unsorted tail into the sorted prefix. Samples order as
+// sort.Float64s orders them: NaNs first, -0 and +0 equal.
+func (h *Histogram) sort() {
+	n, k := len(h.samples), len(h.samples)-h.nsorted
+	if k == 0 {
+		return
+	}
+	tail := h.samples[h.nsorted:]
+	slices.Sort(tail)
+	i := h.nsorted - 1
+	if i < 0 || !cmp.Less(tail[0], h.samples[i]) {
+		// The tail already sorts after the prefix. This also spares a
+		// first query after a long run copying every sample to scratch.
+		h.nsorted = n
+		return
+	}
+	// Merge from the back: the largest remaining element of the prefix
+	// or of the (copied-out) tail goes to the highest free slot. Prefix
+	// elements below the tail's minimum never move.
+	h.scratch = append(h.scratch[:0], tail...)
+	j := k - 1
+	for w := n - 1; j >= 0; w-- {
+		if i >= 0 && cmp.Less(h.scratch[j], h.samples[i]) {
+			h.samples[w] = h.samples[i]
+			i--
+		} else {
+			h.samples[w] = h.scratch[j]
+			j--
+		}
+	}
+	h.nsorted = n
 }
 
 // Count returns the number of samples.
@@ -145,10 +185,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if len(h.samples) == 0 {
 		return 0
 	}
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
+	h.sort()
 	idx := int(math.Ceil(q*float64(len(h.samples)))) - 1
 	if idx < 0 {
 		idx = 0

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -157,6 +158,106 @@ func TestHistogramPropertyQuantiles(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestHistogramPropertyInterleaved: queries interleaved with batches of new
+// samples answer as a fresh nearest-rank computation over every sample so
+// far, so folding each batch into the sorted prefix loses or misplaces
+// nothing. The data has duplicates, negatives, -0 and +0 (equal under ==,
+// as under sort.Float64s).
+func TestHistogramPropertyInterleaved(t *testing.T) {
+	prop := func(raw []int8, batches []uint8, qs []float64) bool {
+		h := NewHistogram()
+		var all []float64
+		next := 0
+		for bi, b := range batches {
+			for n := int(b % 16); n > 0 && next < len(raw); n-- {
+				v := float64(raw[next] % 32)
+				if raw[next] < 0 && v == 0 {
+					v = math.Copysign(0, -1)
+				}
+				next++
+				h.Observe(v)
+				all = append(all, v)
+			}
+			ref := append([]float64(nil), all...)
+			sort.Float64s(ref)
+			ladder := []float64{0, 0.5, 0.99, 1}
+			if len(qs) > 0 {
+				q := math.Abs(qs[bi%len(qs)])
+				if !math.IsNaN(q) && !math.IsInf(q, 0) {
+					ladder = append(ladder, q-math.Floor(q))
+				}
+			}
+			for _, q := range ladder {
+				want := 0.0
+				if len(ref) > 0 {
+					idx := int(math.Ceil(q*float64(len(ref)))) - 1
+					want = ref[max(idx, 0)]
+				}
+				if got := h.Quantile(q); got != want {
+					t.Logf("after %d samples: Quantile(%v) = %v, want %v", len(ref), q, got, want)
+					return false
+				}
+			}
+			if h.Count() != len(all) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestHistogramWarmReadsDoNotAllocate: once a histogram's buffers have
+// grown, observing a barrier's worth of samples and reading percentiles
+// allocates nothing. Capacity is reserved up front so that append growth,
+// the one allocation allowed, cannot happen inside the measured runs.
+func TestHistogramWarmReadsDoNotAllocate(t *testing.T) {
+	h := &Histogram{samples: make([]float64, 0, 8192)}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		h.Observe(float64(rng.Intn(5000)))
+	}
+	barrier := func() {
+		// Values below the prefix's maximum force the merge path.
+		for i := 0; i < 4; i++ {
+			h.Observe(float64(rng.Intn(1000)))
+		}
+		_, _, _ = h.P50(), h.P99(), h.Max()
+	}
+	barrier()
+	if allocs := testing.AllocsPerRun(200, barrier); allocs != 0 {
+		t.Errorf("warm Observe+P50/P99/Max allocated %v times per run, want 0", allocs)
+	}
+}
+
+// BenchmarkHistogramBarrierReads is the read pattern of a NIC snapshot
+// taken at every barrier of a long run: one op grows a histogram to 10^5
+// latency samples, appending a barrier's worth (300) before each
+// P50/P99/Max read.
+func BenchmarkHistogramBarrierReads(b *testing.B) {
+	const total, perBarrier = 100_000, 300
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]float64, total)
+	for i := range vals {
+		vals[i] = math.Round(200 + 100*rng.ExpFloat64())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := NewHistogram()
+		for lo := 0; lo < total; lo += perBarrier {
+			for _, v := range vals[lo:min(lo+perBarrier, total)] {
+				h.Observe(v)
+			}
+			sinkF = h.P50() + h.P99() + h.Max()
+		}
+	}
+}
+
+var sinkF float64
 
 func TestTableFormatting(t *testing.T) {
 	tb := NewTable("Line-rate", "# Eth Ports", "PPS")
