@@ -6,8 +6,8 @@
 // msgs/s (ticked oracle or event engine) drops likewise, when the
 // rack-scale fleet run's aggregate fleet_msgs_per_s drops likewise, or
 // when a contractually allocation-free hot path starts allocating.
-// Deliberately skipped worker sweeps (single-CPU hosts, or a baseline
-// written with benchkernel -skip-worker-sweep) are noted, not failed.
+// Multi-shard fleet entries measured on a host with a different core
+// count are noted, not failed.
 //
 // Benchmark throughput is hardware-dependent: a baseline committed from
 // one machine is only directly comparable on similar hardware. When a

@@ -2,12 +2,9 @@
 // performance on the canonical PANIC NIC and writes the results to a JSON
 // file (BENCH_kernel.json by default):
 //
-//   - a worker sweep under a saturating two-tenant workload (parallel Eval),
-//     reporting simulated cycles/s, delivered msgs/s, and speedup vs one
-//     worker (skippable with -skip-worker-sweep; auto-skipped on a
-//     single-CPU host, where parallel Eval only measures synchronization
-//     overhead);
-//   - a saturated kernel-mode pair: the same single-worker workload under
+//   - a saturating two-tenant run, reporting simulated cycles/s, delivered
+//     msgs/s, and the RMT flow-cache hit rate;
+//   - a saturated kernel-mode pair: the same workload under
 //     the ticked oracle loop and the event-driven engine, back to back, so
 //     the recorded speedup_vs_ticked isolates the event engine from host
 //     speed;
@@ -18,7 +15,7 @@
 //   - the zero-alloc hot paths' steady-state allocations per operation.
 //
 // The host's CPU count and GOMAXPROCS are recorded alongside the numbers:
-// parallel-Eval speedup requires real cores, while the fast-forward speedup
+// fleet shard speedup requires real cores, while the fast-forward speedup
 // is algorithmic and shows up even on one core.
 //
 // The committed output is the baseline cmd/benchgate compares against.
@@ -27,7 +24,7 @@
 //
 //	benchkernel [-cycles N] [-lowload-cycles N] [-fleet-cycles N]
 //	            [-o BENCH_kernel.json] [-cpuprofile FILE] [-memprofile FILE]
-//	            [-ablation] [-fleet-only] [-skip-worker-sweep]
+//	            [-ablation] [-fleet-only]
 package main
 
 import (
@@ -49,7 +46,6 @@ func main() {
 	ablation := flag.Bool("ablation", false, "also run the hot-path ablation sweep (flow cache / bucket queue off)")
 	fleetCycles := flag.Uint64("fleet-cycles", 200_000, "simulated cycles per rack-scale fleet run (0 skips the fleet stage)")
 	fleetOnly := flag.Bool("fleet-only", false, "run only the fleet stage (the CI fleet-smoke artifact)")
-	skipSweep := flag.Bool("skip-worker-sweep", false, "measure only the single-worker saturating entry (auto-enabled on a single-CPU host)")
 	flag.Parse()
 
 	if *cpuProfile != "" {
@@ -77,12 +73,11 @@ func main() {
 		})
 	} else {
 		rep = benchmeas.Measure(benchmeas.Config{
-			Cycles:          *cycles,
-			LowLoadCycles:   *lowCycles,
-			FleetCycles:     *fleetCycles,
-			Ablation:        *ablation,
-			SkipWorkerSweep: *skipSweep,
-			Log:             os.Stdout,
+			Cycles:        *cycles,
+			LowLoadCycles: *lowCycles,
+			FleetCycles:   *fleetCycles,
+			Ablation:      *ablation,
+			Log:           os.Stdout,
 		})
 	}
 

@@ -69,8 +69,8 @@ func runRange(start uint64, n int, cycles uint64, plant bool, out string, budget
 		s := chaos.Generate(seed, cycles)
 		s.Plant = plant
 		if verbose {
-			fmt.Printf("seed %d: tenants=%d requests=%d queuecap=%d replicas=%d workers=%d ff=%v nocache=%v heapq=%v scoped=%v events=%d\n",
-				seed, s.Tenants, s.Requests, s.QueueCap, s.Replicas, s.Workers,
+			fmt.Printf("seed %d: tenants=%d requests=%d queuecap=%d replicas=%d ff=%v nocache=%v heapq=%v scoped=%v events=%d\n",
+				seed, s.Tenants, s.Requests, s.QueueCap, s.Replicas,
 				s.FastForward, s.NoFlowCache, s.HeapSchedQueue, s.TenantScoped, len(s.Plan.Events))
 		}
 		fail := chaos.Run(s)

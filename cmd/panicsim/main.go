@@ -11,7 +11,7 @@
 //	panicsim -arch panic -cycles 2000000 -rate 20 -wan 0.3
 //	panicsim -arch manycore -cores 16
 //	panicsim -arch panic -mesh 8 -width 128 -pipelines 2
-//	panicsim -arch panic -workers 4 -fastforward -rate 0.5
+//	panicsim -arch panic -fastforward -rate 0.5
 package main
 
 import (
@@ -40,7 +40,6 @@ var (
 	health        *bool
 	ipsecReplicas *int
 	dmaReplicas   *int
-	workers       *int
 	fastForward   *bool
 	tracePath     *string
 	traceSample   *int
@@ -76,7 +75,6 @@ func main() {
 	health = flag.Bool("health", false, "enable the self-healing health monitor (panic only)")
 	ipsecReplicas = flag.Int("ipsec-replicas", 0, "total IPSec engine instances (panic only)")
 	dmaReplicas = flag.Int("dma-replicas", 0, "total RX-DMA engine instances (panic only)")
-	workers = flag.Int("workers", 0, "Eval-phase worker goroutines (0 = sequential; panic only)")
 	fastForward = flag.Bool("fastforward", false, "skip provably idle cycles (panic only)")
 	tracePath = flag.String("trace", "", "write a Chrome trace_event / Perfetto JSON trace to this file (panic only)")
 	traceSample = flag.Int("trace-sample", 1, "trace one message in N (1 = all; panic only)")
@@ -223,7 +221,6 @@ func buildPanicConfig(freq, line float64, meshK, width, pipelines int, seed uint
 	}
 	cfg.IPSecReplicas = *ipsecReplicas
 	cfg.DMAReplicas = *dmaReplicas
-	cfg.Workers = *workers
 	cfg.FastForward = *fastForward
 	cfg.NoFlowCache = *noFlowCache
 	cfg.HeapSchedQueue = *heapQueue

@@ -19,37 +19,38 @@ import (
 	"github.com/panic-nic/panic/internal/workload"
 )
 
-// WorkerResult is one saturating-load run at a fixed worker count.
+// WorkerResult is one saturating-load run. Workers is always 1: every
+// kernel runs on one goroutine, and the field only keeps the committed
+// baseline's entry matching.
 type WorkerResult struct {
 	Workers    int     `json:"workers"`
 	SimCycles  uint64  `json:"sim_cycles"`
 	WallSec    float64 `json:"wall_sec"`
 	CyclesPerS float64 `json:"sim_cycles_per_sec"`
 	MsgsPerS   float64 `json:"msgs_per_sec"`
-	Speedup    float64 `json:"speedup_vs_1_worker"`
 	// CacheHitRate is the RMT flow-cache hit rate over the run (0 when the
 	// cache is disabled or the field predates the cache).
 	CacheHitRate float64 `json:"flow_cache_hit_rate,omitempty"`
 }
 
-// AblationResult is one single-worker saturating run with a hot-path
-// optimization disabled, quantifying that optimization's contribution.
-// Ablations are informational: Compare never gates on them.
+// AblationResult is one saturating run with a hot-path optimization
+// disabled, quantifying that optimization's contribution. Ablations are
+// informational: Compare never gates on them.
 type AblationResult struct {
 	Name       string  `json:"name"`
 	CyclesPerS float64 `json:"sim_cycles_per_sec"`
 	MsgsPerS   float64 `json:"msgs_per_sec"`
 	// VsDefault is this run's msgs/s as a fraction of the default
-	// (everything enabled) single-worker run.
+	// (everything enabled) run.
 	VsDefault float64 `json:"throughput_vs_default"`
 }
 
-// EventModeResult is one single-worker saturating run with the kernel
-// loop pinned: the ticked oracle (every Ticker every cycle) or the
-// event-driven engine (per-component wake scheduling, the default). The
-// two runs execute back to back in one process on one host, so their
-// ratio — SpeedupVsTicked on the event entry — isolates the event
-// engine's contribution from host speed, unlike the absolute rates.
+// EventModeResult is one saturating run with the kernel loop pinned: the
+// ticked oracle (every Ticker every cycle) or the event-driven engine
+// (per-component wake scheduling, the default). The two runs execute back
+// to back in one process on one host, so their ratio — SpeedupVsTicked on
+// the event entry — isolates the event engine's contribution from host
+// speed, unlike the absolute rates.
 type EventModeResult struct {
 	Mode            string  `json:"mode"` // "ticked" or "event"
 	SimCycles       uint64  `json:"sim_cycles"`
@@ -96,24 +97,19 @@ type Report struct {
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Note       string `json:"note"`
-	// WorkerSweepSkipped records that the multi-worker saturating entries
-	// were deliberately not measured (the -skip-worker-sweep flag, or a
-	// single-CPU host where parallel Eval only measures synchronization
-	// overhead). Compare treats the missing entries as valid instead of
-	// failing the gate.
-	WorkerSweepSkipped bool              `json:"worker_sweep_skipped,omitempty"`
-	Saturating         []WorkerResult    `json:"saturating_worker_sweep"`
-	EventMode          []EventModeResult `json:"saturated_event_mode,omitempty"`
-	Ablations          []AblationResult  `json:"ablation_single_worker,omitempty"`
-	LowLoad            []FFResult        `json:"low_load_fast_forward"`
-	BestFFSpeedup      float64           `json:"best_ff_speedup"`
-	Fleet              []FleetResult     `json:"fleet,omitempty"`
-	ZeroAlloc          []AllocResult     `json:"zero_alloc_paths,omitempty"`
+	// Saturating holds the one saturating run.
+	Saturating    []WorkerResult    `json:"saturating_worker_sweep"`
+	EventMode     []EventModeResult `json:"saturated_event_mode,omitempty"`
+	Ablations     []AblationResult  `json:"ablation_single_worker,omitempty"`
+	LowLoad       []FFResult        `json:"low_load_fast_forward"`
+	BestFFSpeedup float64           `json:"best_ff_speedup"`
+	Fleet         []FleetResult     `json:"fleet,omitempty"`
+	ZeroAlloc     []AllocResult     `json:"zero_alloc_paths,omitempty"`
 }
 
 // Config parameterizes Measure.
 type Config struct {
-	// Cycles is the simulated horizon of each saturating worker-sweep run.
+	// Cycles is the simulated horizon of each saturating run.
 	Cycles uint64
 	// LowLoadCycles is the horizon of each fast-forward run.
 	LowLoadCycles uint64
@@ -124,11 +120,8 @@ type Config struct {
 	// hot-path optimization (RMT flow cache, bucketed scheduler queue)
 	// individually disabled, quantifying each one's contribution.
 	Ablation bool
-	// SkipWorkerSweep restricts the saturating sweep to the single-worker
-	// run. Measure also auto-skips the multi-worker entries on a
-	// single-CPU host, where they could only measure synchronization
-	// overhead; either way the report records the skip so the gate knows
-	// the entries are absent on purpose.
+	// SkipWorkerSweep is ignored: there is no worker sweep any more. It is
+	// kept only because a caller outside this module still sets it.
 	SkipWorkerSweep bool
 	// Log receives progress lines (nil = silent).
 	Log io.Writer
@@ -144,9 +137,8 @@ func (c Config) logf(format string, args ...any) {
 // fraction of line rate per source. noCache, heapQueue, and ticked are the
 // hot-path ablation knobs (all false = the default fast configuration:
 // flow cache on, calendar queue, event-driven kernel loop).
-func buildNIC(workers int, fastForward bool, load float64, noCache, heapQueue, ticked bool) *core.NIC {
+func buildNIC(fastForward bool, load float64, noCache, heapQueue, ticked bool) *core.NIC {
 	cfg := core.DefaultConfig()
-	cfg.Workers = workers
 	cfg.FastForward = fastForward
 	cfg.NoFlowCache = noCache
 	cfg.HeapSchedQueue = heapQueue
@@ -166,22 +158,20 @@ func buildNIC(workers int, fastForward bool, load float64, noCache, heapQueue, t
 	return core.NewNIC(cfg, srcs)
 }
 
-// Measure runs the full benchmark suite: the saturating worker sweep, the
-// low-load fast-forward pair, and the zero-alloc hot-path checks.
+// Measure runs the full benchmark suite: the saturating run, the saturated
+// kernel-loop pair, the optional ablations, the low-load fast-forward pair,
+// the optional fleet runs, and the zero-alloc hot-path checks.
 func Measure(cfg Config) Report {
 	rep := Report{
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Note: "parallel-Eval speedup scales with physical cores " +
-			"(workers>1 on a single-core host only adds synchronization " +
-			"overhead); fast-forward speedup is algorithmic and " +
-			"core-count independent",
+		Note: "fleet shard speedup scales with physical cores; " +
+			"fast-forward speedup is algorithmic and core-count independent",
 	}
 
-	// satRun is one timed saturating run; the returned WorkerResult still
-	// needs its Speedup filled in by the caller.
-	satRun := func(w int, noCache, heapQueue, ticked bool) WorkerResult {
-		nic := buildNIC(w, false, 0.9, noCache, heapQueue, ticked)
+	// satRun is one timed saturating run.
+	satRun := func(noCache, heapQueue, ticked bool) WorkerResult {
+		nic := buildNIC(false, 0.9, noCache, heapQueue, ticked)
 		nic.Run(2_000) // warm-up: fill the pipeline
 		before := nic.WireLat.Count + nic.HostLat.Count
 		start := time.Now()
@@ -191,7 +181,7 @@ func Measure(cfg Config) Report {
 		hit := nic.FlowCacheStats().HitRate()
 		nic.Close()
 		return WorkerResult{
-			Workers:      w,
+			Workers:      1,
 			SimCycles:    cfg.Cycles,
 			WallSec:      wall,
 			CyclesPerS:   float64(cfg.Cycles) / wall,
@@ -200,29 +190,12 @@ func Measure(cfg Config) Report {
 		}
 	}
 
-	sweep := []int{1, 2, 4, 8}
-	if cfg.SkipWorkerSweep || runtime.NumCPU() == 1 {
-		sweep = sweep[:1]
-		rep.WorkerSweepSkipped = true
-		if cfg.SkipWorkerSweep {
-			cfg.logf("worker sweep skipped (-skip-worker-sweep): only the single-worker entry is measured\n")
-		} else {
-			cfg.logf("worker sweep skipped: single-CPU host, parallel Eval would only measure synchronization overhead\n")
-		}
-	}
-	var base WorkerResult
-	for _, w := range sweep {
-		r := satRun(w, false, false, false)
-		if w == 1 {
-			base = r
-		}
-		r.Speedup = r.CyclesPerS / base.CyclesPerS
-		rep.Saturating = append(rep.Saturating, r)
-		cfg.logf("saturating workers=%d: %.0f simcycles/s, %.0f msgs/s (%.2fx, cache hit %.1f%%)\n",
-			w, r.CyclesPerS, r.MsgsPerS, r.Speedup, 100*r.CacheHitRate)
-	}
+	sat := satRun(false, false, false)
+	rep.Saturating = []WorkerResult{sat}
+	cfg.logf("saturating: %.0f simcycles/s, %.0f msgs/s (cache hit %.1f%%)\n",
+		sat.CyclesPerS, sat.MsgsPerS, 100*sat.CacheHitRate)
 
-	// Saturated event mode: the same single-worker workload with the
+	// Saturated event mode: the same saturating workload with the
 	// kernel loop pinned ticked and event, interleaved best-of-3 in this
 	// process — single runs on a noisy shared host drift more than the two
 	// loops differ, so the pair ratio needs the same treatment the
@@ -232,7 +205,7 @@ func Measure(cfg Config) Report {
 	best := make(map[string]WorkerResult, 2)
 	for trial := 0; trial < 3; trial++ {
 		for _, mode := range []string{"ticked", "event"} {
-			r := satRun(1, false, false, mode == "ticked")
+			r := satRun(false, false, mode == "ticked")
 			if b, ok := best[mode]; !ok || r.MsgsPerS > b.MsgsPerS {
 				best[mode] = r
 			}
@@ -255,8 +228,8 @@ func Measure(cfg Config) Report {
 	}
 
 	if cfg.Ablation {
-		// Re-measure the default as the reference: the sweep's workers=1
-		// run was the process's first (cold caches, unfaulted pages), and
+		// Re-measure the default as the reference: the saturating run
+		// was the process's first (cold caches, unfaulted pages), and
 		// comparing ablations against it would systematically flatter them.
 		ablations := []struct {
 			name                       string
@@ -270,7 +243,7 @@ func Measure(cfg Config) Report {
 		}
 		var ref float64
 		for _, a := range ablations {
-			r := satRun(1, a.noCache, a.heapQueue, a.ticked)
+			r := satRun(a.noCache, a.heapQueue, a.ticked)
 			if a.name == "default" {
 				ref = r.MsgsPerS
 			}
@@ -288,7 +261,7 @@ func Measure(cfg Config) Report {
 
 	var stepRate float64
 	for _, ff := range []bool{false, true} {
-		nic := buildNIC(0, ff, 0.001, false, false, false)
+		nic := buildNIC(ff, 0.001, false, false, false)
 		start := time.Now()
 		nic.Run(cfg.LowLoadCycles)
 		wall := time.Since(start).Seconds()
@@ -422,14 +395,12 @@ func (r Report) WriteFile(path string) error {
 //     dropped measurement cannot pass the gate).
 //
 // When the baseline was committed from a host with a different core count
-// or GOMAXPROCS, the multi-worker saturating entries are skipped instead
-// of compared — parallel speedup is a property of the host's physical
-// cores, so those numbers are not comparable across machines — and a note
-// says so. The same applies when either report recorded a deliberately
-// skipped worker sweep (worker_sweep_skipped: the -skip-worker-sweep flag
-// or a single-CPU host). The single-worker entry, the saturated
-// event-mode pair, the fast-forward pair, and the zero-alloc contracts
-// remain host-independent and are always gated.
+// or GOMAXPROCS, the multi-shard fleet entries are skipped instead of
+// compared — shard speedup is a property of the host's physical cores, so
+// those numbers are not comparable across machines — and a note says so.
+// The saturating entry, the saturated event-mode pair, the fast-forward
+// pair, the 1-shard fleet entry, and the zero-alloc contracts are always
+// gated.
 //
 // Entries present only in the fresh report are ignored: adding coverage is
 // never a regression.
@@ -439,19 +410,11 @@ func Compare(baseline, fresh Report, tolerance float64) (bad, notes []string) {
 	if hostMismatch {
 		notes = append(notes, fmt.Sprintf(
 			"host mismatch: baseline measured with num_cpu=%d gomaxprocs=%d, this host has num_cpu=%d gomaxprocs=%d; "+
-				"skipping multi-worker scaling comparisons (worker speedup tracks physical cores)",
+				"skipping multi-shard fleet comparisons (shard speedup tracks physical cores)",
 			baseline.NumCPU, baseline.GOMAXPROCS, fresh.NumCPU, fresh.GOMAXPROCS))
-	}
-	skipMulti := hostMismatch
-	if fresh.WorkerSweepSkipped && !skipMulti {
-		skipMulti = true
-		notes = append(notes, "fresh run skipped the multi-worker sweep; only the single-worker saturating entry is gated")
 	}
 
 	for _, b := range baseline.Saturating {
-		if skipMulti && b.Workers > 1 {
-			continue
-		}
 		found := false
 		for _, f := range fresh.Saturating {
 			if f.Workers != b.Workers {
@@ -510,8 +473,7 @@ func Compare(baseline, fresh Report, tolerance float64) (bad, notes []string) {
 
 	for _, b := range baseline.Fleet {
 		if hostMismatch && b.Shards > 1 {
-			// Shard speedup tracks physical cores exactly like worker
-			// speedup; the 1-shard fleet entry stays comparable.
+			// The 1-shard fleet entry stays comparable.
 			continue
 		}
 		found := false

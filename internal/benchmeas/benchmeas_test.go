@@ -10,8 +10,7 @@ func sampleReport() Report {
 	return Report{
 		NumCPU: 1, GOMAXPROCS: 1,
 		Saturating: []WorkerResult{
-			{Workers: 1, CyclesPerS: 50_000, MsgsPerS: 4000, Speedup: 1},
-			{Workers: 8, CyclesPerS: 40_000, MsgsPerS: 3200, Speedup: 0.8},
+			{Workers: 1, CyclesPerS: 50_000, MsgsPerS: 4000},
 		},
 		EventMode: []EventModeResult{
 			{Mode: "ticked", CyclesPerS: 50_000, MsgsPerS: 4000, SpeedupVsTicked: 1},
@@ -20,6 +19,10 @@ func sampleReport() Report {
 		LowLoad: []FFResult{
 			{FastForward: false, CyclesPerS: 60_000},
 			{FastForward: true, CyclesPerS: 900_000, Speedup: 15},
+		},
+		Fleet: []FleetResult{
+			{NICs: 4, Shards: 1, FleetMsgsPerS: 10_000},
+			{NICs: 4, Shards: 4, FleetMsgsPerS: 20_000},
 		},
 		ZeroAlloc: []AllocResult{
 			{Name: "tile-hot-path-untraced", AllocsPerOp: 0},
@@ -34,20 +37,20 @@ func TestCompareWithinToleranceFasterAndExtra(t *testing.T) {
 	// measurement: all fine at 25% tolerance.
 	fresh.Saturating[0].CyclesPerS = 40_000
 	fresh.LowLoad[1].CyclesPerS = 2_000_000
-	fresh.Saturating = append(fresh.Saturating, WorkerResult{Workers: 16, CyclesPerS: 1})
+	fresh.Fleet = append(fresh.Fleet, FleetResult{NICs: 8, Shards: 2, FleetMsgsPerS: 1})
 	if bad, _ := Compare(base, fresh, 0.25); len(bad) != 0 {
 		t.Errorf("violations = %v, want none", bad)
 	}
 }
 
-func TestCompareSkipsWorkerScalingOnHostMismatch(t *testing.T) {
+func TestCompareSkipsShardScalingOnHostMismatch(t *testing.T) {
 	base := sampleReport()
 	fresh := sampleReport()
 	fresh.NumCPU = 8
 	fresh.GOMAXPROCS = 8
-	// Multi-worker entry tanks (a different host scales differently) and is
-	// even missing at workers=8 — both must be ignored under a mismatch.
-	fresh.Saturating = fresh.Saturating[:1]
+	// The multi-shard fleet entry is missing (a different host scales
+	// differently): it must be ignored under a mismatch.
+	fresh.Fleet = fresh.Fleet[:1]
 	bad, notes := Compare(base, fresh, 0.25)
 	if len(bad) != 0 {
 		t.Errorf("violations = %v, want none under host mismatch", bad)
@@ -55,24 +58,24 @@ func TestCompareSkipsWorkerScalingOnHostMismatch(t *testing.T) {
 	if len(notes) != 1 || !strings.Contains(notes[0], "host mismatch") {
 		t.Errorf("notes = %v, want one host-mismatch note", notes)
 	}
-	// The single-worker entry is still gated.
-	fresh.Saturating[0].CyclesPerS = 10_000
+	// The 1-shard entry is still gated.
+	fresh.Fleet[0].FleetMsgsPerS = 5_000
 	bad, _ = Compare(base, fresh, 0.25)
-	if len(bad) != 1 || !strings.Contains(bad[0], "workers=1") {
-		t.Errorf("violations = %v, want one workers=1 regression", bad)
+	if len(bad) != 1 || !strings.Contains(bad[0], "shards=1") {
+		t.Errorf("violations = %v, want one shards=1 regression", bad)
 	}
 }
 
 func TestCompareFlagsThroughputRegression(t *testing.T) {
 	base := sampleReport()
 	fresh := sampleReport()
-	fresh.Saturating[1].CyclesPerS = 25_000 // -37.5% vs 40k baseline
+	fresh.Saturating[0].CyclesPerS = 30_000 // -40% vs 50k baseline
 	fresh.LowLoad[1].CyclesPerS = 500_000   // -44% vs 900k baseline
 	bad, _ := Compare(base, fresh, 0.25)
 	if len(bad) != 2 {
 		t.Fatalf("violations = %v, want 2", bad)
 	}
-	if !strings.Contains(bad[0], "workers=8") || !strings.Contains(bad[1], "fastforward=true") {
+	if !strings.Contains(bad[0], "workers=1") || !strings.Contains(bad[1], "fastforward=true") {
 		t.Errorf("violations = %v", bad)
 	}
 }
@@ -94,28 +97,6 @@ func TestCompareGatesSaturatedEventMode(t *testing.T) {
 	}
 }
 
-func TestCompareHonorsSkippedWorkerSweep(t *testing.T) {
-	base := sampleReport()
-	fresh := sampleReport()
-	// Same host, but the fresh run skipped the sweep (-skip-worker-sweep or
-	// a single-CPU box): the absent multi-worker entries are legitimate.
-	fresh.WorkerSweepSkipped = true
-	fresh.Saturating = fresh.Saturating[:1]
-	bad, notes := Compare(base, fresh, 0.25)
-	if len(bad) != 0 {
-		t.Errorf("violations = %v, want none for a recorded sweep skip", bad)
-	}
-	if len(notes) != 1 || !strings.Contains(notes[0], "skipped the multi-worker sweep") {
-		t.Errorf("notes = %v, want one sweep-skip note", notes)
-	}
-	// The single-worker entry stays gated.
-	fresh.Saturating[0].CyclesPerS = 10_000
-	bad, _ = Compare(base, fresh, 0.25)
-	if len(bad) != 1 || !strings.Contains(bad[0], "workers=1") {
-		t.Errorf("violations = %v, want one workers=1 regression", bad)
-	}
-}
-
 func TestCompareFlagsNewAllocations(t *testing.T) {
 	base := sampleReport()
 	fresh := sampleReport()
@@ -133,7 +114,7 @@ func TestCompareFlagsNewAllocations(t *testing.T) {
 func TestCompareFlagsMissingMeasurements(t *testing.T) {
 	base := sampleReport()
 	fresh := sampleReport()
-	fresh.Saturating = fresh.Saturating[:1]
+	fresh.Saturating = nil
 	fresh.LowLoad = fresh.LowLoad[:1]
 	fresh.ZeroAlloc = nil
 	bad, _ := Compare(base, fresh, 0.25)
@@ -160,8 +141,8 @@ func TestReportRoundTripsThroughDisk(t *testing.T) {
 	if bad, _ := Compare(want, got, 0); len(bad) != 0 {
 		t.Errorf("round-tripped report fails its own gate: %v", bad)
 	}
-	if got.Saturating[1].CyclesPerS != want.Saturating[1].CyclesPerS {
-		t.Errorf("round trip lost data: %+v", got.Saturating[1])
+	if got.Fleet[1] != want.Fleet[1] {
+		t.Errorf("round trip lost data: %+v", got.Fleet[1])
 	}
 }
 

@@ -17,7 +17,6 @@ func fleetScenario() Scenario {
 	s.TorLatency = 64
 	s.Shards = 3
 	s.Tenants = 3
-	s.Workers = 0
 	s.MigrateTenant = 1
 	s.MigrateCycle = 12_000
 	s.MigrateTo = 1 // tenant 1's client NIC: traffic goes NIC-local after the move

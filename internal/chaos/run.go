@@ -78,7 +78,6 @@ func buildFleet(s Scenario) *fleet.Fleet {
 	cfg := core.DefaultConfig()
 	cfg.Seed = s.Seed
 	cfg.QueueCap = s.QueueCap
-	cfg.Workers = s.Workers
 	cfg.FastForward = s.FastForward
 	cfg.NoFlowCache = s.NoFlowCache
 	cfg.HeapSchedQueue = s.HeapSchedQueue
@@ -138,7 +137,6 @@ func buildNIC(s Scenario) *core.NIC {
 	cfg := core.DefaultConfig()
 	cfg.Seed = s.Seed
 	cfg.QueueCap = s.QueueCap
-	cfg.Workers = s.Workers
 	cfg.FastForward = s.FastForward
 	cfg.NoFlowCache = s.NoFlowCache
 	cfg.HeapSchedQueue = s.HeapSchedQueue

@@ -31,8 +31,6 @@ type Scenario struct {
 	QueueCap int
 	// Replicas is the total IPSec instance count (1 = primary only).
 	Replicas int
-	// Workers is the kernel Eval worker-pool size (0 = sequential).
-	Workers int
 	// FastForward, NoFlowCache, and HeapSchedQueue are the ablation knobs;
 	// results must be invariant-clean under any combination.
 	FastForward    bool
@@ -80,18 +78,18 @@ func Generate(seed, cycles uint64) Scenario {
 	// steering rewrites they trigger.
 	base := cycles / 100
 	s := Scenario{
-		Seed:           seed,
-		Cycles:         cycles,
-		Tenants:        1 + rng.Intn(3),
-		Requests:       base + uint64(rng.Intn(int(base))),
-		QueueCap:       []int{64, 128, 256}[rng.Intn(3)],
-		Replicas:       1 + rng.Intn(2),
-		Workers:        []int{0, 2, 4}[rng.Intn(3)],
-		FastForward:    rng.Bool(0.3),
-		NoFlowCache:    rng.Bool(0.2),
-		HeapSchedQueue: rng.Bool(0.2),
-		TenantScoped:   rng.Bool(0.5),
+		Seed:     seed,
+		Cycles:   cycles,
+		Tenants:  1 + rng.Intn(3),
+		Requests: base + uint64(rng.Intn(int(base))),
+		QueueCap: []int{64, 128, 256}[rng.Intn(3)],
+		Replicas: 1 + rng.Intn(2),
 	}
+	rng.Intn(3) // the retired worker-count draw: keeps every seed's other fields unchanged
+	s.FastForward = rng.Bool(0.3)
+	s.NoFlowCache = rng.Bool(0.2)
+	s.HeapSchedQueue = rng.Bool(0.2)
+	s.TenantScoped = rng.Bool(0.5)
 	tenants := make([]uint16, s.Tenants)
 	for i := range tenants {
 		tenants[i] = uint16(i + 1)
@@ -121,7 +119,6 @@ func (s Scenario) String() string {
 	fmt.Fprintf(&b, "requests %d\n", s.Requests)
 	fmt.Fprintf(&b, "queuecap %d\n", s.QueueCap)
 	fmt.Fprintf(&b, "replicas %d\n", s.Replicas)
-	fmt.Fprintf(&b, "workers %d\n", s.Workers)
 	fmt.Fprintf(&b, "fastforward %v\n", s.FastForward)
 	fmt.Fprintf(&b, "noflowcache %v\n", s.NoFlowCache)
 	fmt.Fprintf(&b, "heapq %v\n", s.HeapSchedQueue)
@@ -223,8 +220,6 @@ func (s *Scenario) setField(key, val string) error {
 		err = i(&s.QueueCap)
 	case "replicas":
 		err = i(&s.Replicas)
-	case "workers":
-		err = i(&s.Workers)
 	case "fastforward":
 		err = b(&s.FastForward)
 	case "noflowcache":
@@ -268,8 +263,6 @@ func (s Scenario) validate() error {
 		return fmt.Errorf("chaos: queuecap %d (want >= 1)", s.QueueCap)
 	case s.Replicas < 1 || s.Replicas > 5:
 		return fmt.Errorf("chaos: replicas %d out of range [1,5]", s.Replicas)
-	case s.Workers < 0:
-		return fmt.Errorf("chaos: negative workers")
 	case s.Fleet < 0 || s.Fleet > 8:
 		return fmt.Errorf("chaos: fleet %d out of range [0,8]", s.Fleet)
 	case s.Shards < 0:

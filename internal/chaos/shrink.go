@@ -79,7 +79,6 @@ func Shrink(s Scenario, orig *Failure, budget int) (Scenario, int) {
 	// Pass 5: strip ablation knobs back to the boring defaults so the
 	// reproducer is as vanilla as the bug allows.
 	knobs := []func(*Scenario){
-		func(c *Scenario) { c.Workers = 0 },
 		func(c *Scenario) { c.FastForward = false },
 		func(c *Scenario) { c.HeapSchedQueue = false },
 		func(c *Scenario) { c.Replicas = 1 },

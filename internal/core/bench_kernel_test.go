@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/panic-nic/panic/internal/engine"
@@ -12,9 +11,8 @@ import (
 // benchNIC assembles the benchmark NIC: the canonical two-port
 // configuration under a saturating two-tenant mix, so the Eval phase has
 // work on every tile each cycle.
-func benchNIC(workers int, fastForward bool, load float64, pool *packet.MessagePool) *NIC {
+func benchNIC(fastForward bool, load float64, pool *packet.MessagePool) *NIC {
 	cfg := DefaultConfig()
-	cfg.Workers = workers
 	cfg.FastForward = fastForward
 	return NewNIC(cfg, benchSources(load, pool))
 }
@@ -38,30 +36,26 @@ func benchSources(load float64, pool *packet.MessagePool) []engine.Source {
 }
 
 // BenchmarkKernelThroughput measures simulated cycles per wall-second and
-// delivered messages per wall-second at several Eval worker counts over a
-// saturating workload. Run with -benchmem to see the allocation diet.
+// delivered messages per wall-second over a saturating workload. Run with
+// -benchmem to see the allocation diet.
 func BenchmarkKernelThroughput(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			nic := benchNIC(workers, false, 0.9, nil)
-			defer nic.Close()
-			nic.Run(2_000) // warm caches and fill the pipeline
-			before := nic.WireLat.Count + nic.HostLat.Count
-			b.ResetTimer()
-			nic.Run(uint64(b.N))
-			b.StopTimer()
-			delivered := nic.WireLat.Count + nic.HostLat.Count - before
-			sec := b.Elapsed().Seconds()
-			if sec > 0 {
-				b.ReportMetric(float64(b.N)/sec, "simcycles/s")
-				b.ReportMetric(float64(delivered)/sec, "msgs/s")
-			}
-		})
+	nic := benchNIC(false, 0.9, nil)
+	defer nic.Close()
+	nic.Run(2_000) // warm caches and fill the pipeline
+	before := nic.WireLat.Count + nic.HostLat.Count
+	b.ResetTimer()
+	nic.Run(uint64(b.N))
+	b.StopTimer()
+	delivered := nic.WireLat.Count + nic.HostLat.Count - before
+	sec := b.Elapsed().Seconds()
+	if sec > 0 {
+		b.ReportMetric(float64(b.N)/sec, "simcycles/s")
+		b.ReportMetric(float64(delivered)/sec, "msgs/s")
 	}
 }
 
 // BenchmarkKernelSaturatedMode pits the event-driven kernel against the
-// ticked oracle on the identical workers-1 saturating assembly. The pair
+// ticked oracle on the identical saturating assembly. The pair
 // is measured in one process on one host, so the msgs/s ratio between the
 // two sub-benchmarks is the event engine's speedup — the number the
 // saturated_event_mode stage in BENCH_kernel.json records and benchgate
@@ -70,7 +64,6 @@ func BenchmarkKernelSaturatedMode(b *testing.B) {
 	for _, mode := range []string{"ticked", "event"} {
 		b.Run(mode, func(b *testing.B) {
 			cfg := DefaultConfig()
-			cfg.Workers = 1
 			cfg.NoEventEngine = mode == "ticked"
 			nic := NewNIC(cfg, benchSources(0.9, nil))
 			defer nic.Close()
@@ -89,12 +82,12 @@ func BenchmarkKernelSaturatedMode(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelThroughputPooled is the workers-1 saturating run with the
+// BenchmarkKernelThroughputPooled is the saturating run with the
 // message pool wired from wire egress back to the bulk generator — the
 // -benchmem comparison point for the allocation diet.
 func BenchmarkKernelThroughputPooled(b *testing.B) {
 	pool := packet.NewMessagePool()
-	nic := benchNIC(1, false, 0.9, pool)
+	nic := benchNIC(false, 0.9, pool)
 	defer nic.Close()
 	recycle := func(m *packet.Message, _ uint64) {
 		if m.Tenant == 2 {
@@ -124,7 +117,7 @@ func BenchmarkKernelLowLoadFastForward(b *testing.B) {
 			name = "fastforward"
 		}
 		b.Run(name, func(b *testing.B) {
-			nic := benchNIC(0, ff, 0.001, nil)
+			nic := benchNIC(ff, 0.001, nil)
 			defer nic.Close()
 			b.ResetTimer()
 			nic.Run(uint64(b.N))

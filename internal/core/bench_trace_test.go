@@ -9,7 +9,7 @@ import (
 	"github.com/panic-nic/panic/internal/workload"
 )
 
-// benchTraceNIC is benchNIC's single-worker saturating configuration with
+// benchTraceNIC is benchNIC's saturating configuration with
 // an optional tracer attached. An uncapped MaxSpans would hold every span
 // of a long -benchtime run, so the cap stays at the default and Dropped
 // absorbs the tail; span emission cost is identical either way.

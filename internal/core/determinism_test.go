@@ -18,7 +18,6 @@ import (
 // engine shows up here as a fingerprint divergence.
 type detCase struct {
 	name        string
-	workers     int
 	fastForward bool
 	noFlowCache bool
 	heapQueue   bool
@@ -26,25 +25,25 @@ type detCase struct {
 }
 
 var detCases = []detCase{
-	// The reference: sequential ticked oracle. Everything below must
-	// reproduce its fingerprint byte for byte.
-	{name: "ticked-sequential", ticked: true},
-	// Ticked oracle across the worker/fast-forward axis.
-	{name: "ticked-workers2", ticked: true, workers: 2},
-	{name: "ticked-workers8", ticked: true, workers: 8},
-	{name: "ticked-sequential+ff", ticked: true, fastForward: true},
-	{name: "ticked-workers8+ff", ticked: true, workers: 8, fastForward: true},
-	{name: "ticked-workers8+ff+nocache+heapq", ticked: true, workers: 8, fastForward: true, noFlowCache: true, heapQueue: true},
+	// The reference: the ticked oracle. Everything below must reproduce
+	// its fingerprint byte for byte.
+	{name: "ticked", ticked: true},
+	{name: "ticked+ff", ticked: true, fastForward: true},
+	{name: "ticked+ff+nocache+heapq", ticked: true, fastForward: true, noFlowCache: true, heapQueue: true},
 	// Event engine (the default) across the same axes.
-	{name: "event-sequential"},
-	{name: "event-workers2", workers: 2},
-	{name: "event-workers8", workers: 8},
-	{name: "event-sequential+ff", fastForward: true},
-	{name: "event-workers8+ff", workers: 8, fastForward: true},
-	{name: "event-sequential+nocache", noFlowCache: true},
-	{name: "event-workers8+nocache", workers: 8, noFlowCache: true},
-	{name: "event-sequential+heapq", heapQueue: true},
-	{name: "event-workers8+ff+nocache+heapq", workers: 8, fastForward: true, noFlowCache: true, heapQueue: true},
+	{name: "event"},
+	{name: "event+ff", fastForward: true},
+	{name: "event+nocache", noFlowCache: true},
+	{name: "event+heapq", heapQueue: true},
+	{name: "event+ff+nocache+heapq", fastForward: true, noFlowCache: true, heapQueue: true},
+}
+
+// apply sets the case's kernel mode and ablation knobs on cfg.
+func (c detCase) apply(cfg *Config) {
+	cfg.FastForward = c.fastForward
+	cfg.NoFlowCache = c.noFlowCache
+	cfg.HeapSchedQueue = c.heapQueue
+	cfg.NoEventEngine = c.ticked
 }
 
 // detRun builds a NIC in the given mode over a seeded two-port traffic mix
@@ -52,11 +51,7 @@ var detCases = []detCase{
 // returns the fingerprint.
 func detRun(c detCase, horizon uint64) string {
 	cfg := DefaultConfig()
-	cfg.Workers = c.workers
-	cfg.FastForward = c.fastForward
-	cfg.NoFlowCache = c.noFlowCache
-	cfg.HeapSchedQueue = c.heapQueue
-	cfg.NoEventEngine = c.ticked
+	c.apply(&cfg)
 	cfg.IPSecReplicas = 2
 	cfg.Health = DefaultHealthConfig()
 	cfg.FaultPlan = (&fault.Plan{}).
@@ -83,9 +78,8 @@ func detRun(c detCase, horizon uint64) string {
 
 // TestCrossKernelDeterminism is the core acceptance test: the same seeded
 // workload and fault plan must produce byte-identical statistics, event
-// logs, and final cycle counts under the sequential kernel, parallel
-// kernels, fast-forwarding kernels, and — the newest axis — the
-// event-driven loop against the ticked oracle.
+// logs, and final cycle counts under the event-driven loop and the ticked
+// oracle, with fast-forward and the hot-path ablation knobs on or off.
 func TestCrossKernelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-mode NIC runs are slow")
@@ -96,22 +90,6 @@ func TestCrossKernelDeterminism(t *testing.T) {
 		got := detRun(c, horizon)
 		if got != want {
 			t.Errorf("mode %s diverged from the ticked oracle:\n%s", c.name, diffLines(want, got))
-		}
-	}
-}
-
-// TestCrossKernelDeterminismRepeatable re-runs one parallel mode to catch
-// scheduling-dependent flakiness (a racy model tends to flicker between
-// runs even when it happens to match once).
-func TestCrossKernelDeterminismRepeatable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-mode NIC runs are slow")
-	}
-	const horizon = 60_000
-	first := detRun(detCase{name: "workers4", workers: 4}, horizon)
-	for i := 0; i < 2; i++ {
-		if again := detRun(detCase{name: "workers4", workers: 4}, horizon); again != first {
-			t.Fatalf("workers=4 run %d diverged from its first run:\n%s", i+2, diffLines(first, again))
 		}
 	}
 }
@@ -131,7 +109,7 @@ func diffLines(want, got string) string {
 			g = gl[i]
 		}
 		if w != g {
-			out += fmt.Sprintf("line %d:\n  sequential: %q\n  this mode:  %q\n", i+1, w, g)
+			out += fmt.Sprintf("line %d:\n  reference: %q\n  this mode: %q\n", i+1, w, g)
 			n++
 			if n >= 8 {
 				out += "  ...\n"

@@ -209,7 +209,7 @@ type watch struct {
 // sim.Ticker and must be registered with RegisterSerial, after every tile:
 // each check samples the cycle's final state, and its probes and recovery
 // actions read and rewrite state owned by many tiles (steering tables,
-// queue resets), which must never run concurrently with the Eval shards;
+// queue resets), which must not interleave with the cycle's Eval ticks;
 // NewNIC does this. All recovery actions go through the same control
 // interfaces real hardware exposes: RMT table rewrites, route-table binds,
 // and tile resets.

@@ -24,8 +24,7 @@ const (
 // 16 Gbps bottleneck link (128 B per 64-cycle period at 500 MHz ≈ 8 Gbps).
 func isoCfg(c detCase) Config {
 	cfg := DefaultConfig()
-	cfg.Workers = c.workers
-	cfg.FastForward = c.fastForward
+	c.apply(&cfg)
 	cfg.PCIeGbps = 16
 	cfg.QueueCap = 128
 	cfg.DMAJitter = 100
@@ -58,9 +57,9 @@ func TestTenantIsolationVictimP99Bounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full NIC runs are slow")
 	}
-	seq := detCases[0]
-	solo := isoRun(seq, false)
-	contended := isoRun(seq, true)
+	ev := detCase{name: "event"}
+	solo := isoRun(ev, false)
+	contended := isoRun(ev, true)
 
 	soloH := solo.HostLat.Tenant(1)
 	contH := contended.HostLat.Tenant(1)
@@ -97,8 +96,8 @@ func TestTenantIsolationVictimP99Bounded(t *testing.T) {
 
 // TestTenantIsolationCrossKernelDeterminism requires the contended
 // multi-tenant run — weighted-LSTF credit state, per-tenant tallies, and
-// tenant latency histograms included — to be byte-identical across the
-// sequential, parallel, and fast-forwarding kernels.
+// tenant latency histograms included — to be byte-identical across every
+// mode in detCases.
 func TestTenantIsolationCrossKernelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-mode NIC runs are slow")
@@ -110,7 +109,7 @@ func TestTenantIsolationCrossKernelDeterminism(t *testing.T) {
 	want := fp(detCases[0])
 	for _, c := range detCases[1:] {
 		if got := fp(c); got != want {
-			t.Errorf("mode %s diverged from sequential:\n%s", c.name, diffLines(want, got))
+			t.Errorf("mode %s diverged from the ticked oracle:\n%s", c.name, diffLines(want, got))
 		}
 	}
 }

@@ -126,10 +126,6 @@ type Config struct {
 	// and fires in deterministic (port, delivery) order. Nil costs
 	// nothing.
 	RackTap func(m *packet.Message, now uint64) bool
-	// Workers is the kernel's Eval worker-pool size: 0 or 1 runs the
-	// classic sequential loop; N > 1 shards the Eval phase across N
-	// goroutines. The simulation result is bit-identical either way.
-	Workers int
 	// FastForward lets the kernel jump the clock over provably idle cycles
 	// (every component quiescent, no event due). Off by default.
 	FastForward bool
@@ -249,7 +245,6 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 		Drops:   &stats.Counter{},
 	}
 	b := NewBuilder(cfg.FreqHz, cfg.Mesh, cfg.Seed)
-	b.Kernel.SetWorkers(cfg.Workers)
 	b.Kernel.SetFastForward(cfg.FastForward)
 	b.Kernel.SetEventDriven(!cfg.NoEventEngine)
 	b.Tracer = cfg.Tracer
@@ -258,9 +253,8 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 	n.Program = BuildProgram(cfg.Program)
 	n.Host = NewKVSHost(cfg.HostCycles, cfg.HostValueBytes)
 
-	// The drop counter is shared by every tile but atomic: increments
-	// commute, so concurrent Eval shards reach the same final count as
-	// sequential ticking.
+	// The drop counter is shared by every tile: increments commute, so the
+	// final count does not depend on tick order.
 	dropSink := engine.SinkFunc(func(*packet.Message, uint64) { n.Drops.Inc() })
 	// Terminal-sink Deliver spans share one buffer: StagedSink targets run
 	// during the sequential Commit phase, so the single writer rule holds.
@@ -318,7 +312,7 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 	// collector is shared by every port, so each MAC writes through its own
 	// StagedSink, registered right after its tile: deliveries buffer
 	// privately during Eval and flush at Commit in tile order, keeping the
-	// collector identical across worker counts.
+	// collector independent of tick order.
 	for p := 0; p < cfg.Ports; p++ {
 		var src engine.Source
 		if p < len(sources) {
@@ -352,8 +346,8 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 	for i := 0; i < cfg.RMTPipelines; i++ {
 		pipe := rmt.NewPipeline(n.Program, 1, 1)
 		if !cfg.NoFlowCache {
-			// Each pipeline gets a private cache (no shared mutable state
-			// under the parallel kernel); verdicts are identical either way.
+			// Each pipeline gets a private cache (no mutable state shared
+			// between pipelines); verdicts are identical either way.
 			pipe.EnableFlowCache()
 		}
 		b.PlaceRMT(AddrRMTBase+packet.Addr(i), rmtX, rmtY(i), pipe, common,
@@ -511,8 +505,8 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 		}
 		// Registered serial, after every tile: each check samples the
 		// cycle's final state, and its probes and table rewrites touch
-		// state owned by many tiles, so it must never run concurrently
-		// with the Eval shards.
+		// state owned by many tiles, so it must run after every Eval-phase
+		// tick of the cycle.
 		b.Kernel.RegisterSerial(mon)
 		n.Monitor = mon
 	}
@@ -598,9 +592,10 @@ func (n *NIC) Run(cycles uint64) { n.Builder.Kernel.Run(cycles) }
 // Now returns the current cycle.
 func (n *NIC) Now() uint64 { return n.Builder.Kernel.Now() }
 
-// Close releases the kernel's worker pool (a no-op for sequential runs).
-// The NIC remains usable; a later Run restarts the pool on demand.
-func (n *NIC) Close() { n.Builder.Kernel.Shutdown() }
+// Close is a no-op: a NIC's kernel runs on its caller's goroutine and holds
+// nothing to release. It stays so that callers tearing down a NIC and a
+// Fleet (whose Close stops shard goroutines) can treat them alike.
+func (n *NIC) Close() {}
 
 // RunQuiet runs until no message has been delivered or dropped for
 // idleWindow cycles, or until maxCycles elapse. It reports whether the NIC

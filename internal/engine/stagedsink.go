@@ -1,22 +1,21 @@
 package engine
 
 import (
-	"sync/atomic"
-
 	"github.com/panic-nic/panic/internal/packet"
 	"github.com/panic-nic/panic/internal/sim"
 )
 
-// StagedSink decouples a producing tile from a shared Sink so tiles can
-// Eval in parallel: Deliver calls made during Eval are buffered privately
-// and flushed to the wrapped target during the kernel's Commit phase.
+// StagedSink decouples a producing tile from a shared Sink so the target
+// never observes same-cycle deliveries in tick order: Deliver calls made
+// during Eval are buffered privately and flushed to the wrapped target
+// during the kernel's Commit phase.
 //
 // Determinism: give each producing tile its OWN StagedSink and register it
 // with the kernel immediately after that tile. Commit runs in registration
 // order, so the shared target observes deliveries in exactly the order a
 // sequential kernel would have produced them — the flush order IS the tick
-// order. Two tiles sharing one StagedSink would race on the buffer; two
-// StagedSinks registered out of tile order would reorder deliveries.
+// order. Two tiles sharing one StagedSink would interleave in tick order;
+// two StagedSinks registered out of tile order would reorder deliveries.
 //
 // Timestamps pass through untouched: a producer delivering with a future
 // timestamp (e.g. DMA host-latency completions) reaches the target with
@@ -26,8 +25,8 @@ type StagedSink struct {
 	buf    []stagedDelivery
 	// dirty points at ownDirty until the kernel redirects it into its
 	// contiguous flag arena (sim.DirtyRedirector).
-	dirty    *atomic.Bool
-	ownDirty atomic.Bool
+	dirty    *bool
+	ownDirty bool
 	wake     sim.Poker
 }
 
@@ -53,9 +52,7 @@ func (s *StagedSink) SetWaker(p sim.Poker) { s.wake = p }
 // Deliver implements Sink: the delivery is buffered until Commit.
 func (s *StagedSink) Deliver(msg *packet.Message, now uint64) {
 	s.buf = append(s.buf, stagedDelivery{msg: msg, now: now})
-	if !s.dirty.Load() {
-		s.dirty.Store(true)
-	}
+	*s.dirty = true
 }
 
 // Commit implements sim.Committer: buffered deliveries reach the target in
@@ -73,10 +70,10 @@ func (s *StagedSink) Commit() {
 }
 
 // DirtyFlag implements sim.DirtyCommitter.
-func (s *StagedSink) DirtyFlag() *atomic.Bool { return s.dirty }
+func (s *StagedSink) DirtyFlag() *bool { return s.dirty }
 
 // RedirectDirty implements sim.DirtyRedirector.
-func (s *StagedSink) RedirectDirty(p *atomic.Bool) {
-	p.Store(s.dirty.Load())
+func (s *StagedSink) RedirectDirty(p *bool) {
+	*p = *s.dirty
 	s.dirty = p
 }

@@ -86,9 +86,8 @@ func TestFleetDeterminismMatrix(t *testing.T) {
 	const nics = 4
 	const horizon = 40_000
 
-	run := func(shards, workers int, ff, ticked bool) string {
+	run := func(shards int, ff, ticked bool) string {
 		cfg := rackConfig(nics, shards)
-		cfg.NIC.Workers = workers
 		cfg.NIC.FastForward = ff
 		cfg.NIC.NoEventEngine = ticked
 		cfg.Trace = true
@@ -106,33 +105,30 @@ func TestFleetDeterminismMatrix(t *testing.T) {
 		return f.Fingerprint()
 	}
 
-	// The reference is the fully sequential 1-shard rack on the ticked
-	// oracle; every event-engine combination must reproduce it exactly.
-	want := run(1, 0, false, true)
+	// The reference is the 1-shard rack on the ticked oracle; every
+	// other combination must reproduce it exactly.
+	want := run(1, false, true)
 	if !strings.Contains(want, "migrate tenant=1") || !strings.Contains(want, "migrate tenant=5") {
 		t.Fatalf("oplog missing migrations:\n%.400s", want)
 	}
 	cases := []struct {
-		name    string
-		shards  int
-		workers int
-		ff      bool
-		ticked  bool
+		name   string
+		shards int
+		ff     bool
+		ticked bool
 	}{
-		{"event-shards1", 1, 0, false, false},
-		{"event-shards2", 2, 0, false, false},
-		{"event-shards4", 4, 0, false, false},
-		{"ticked-shards4", 4, 0, false, true},
-		{"event-shards1+workers2", 1, 2, false, false},
-		{"event-shards4+workers2", 4, 2, false, false},
-		{"event-shards2+ff", 2, 0, true, false},
-		{"ticked-shards2+ff", 2, 0, true, true},
-		{"event-shards4+workers2+ff", 4, 2, true, false},
+		{"event-shards1", 1, false, false},
+		{"event-shards2", 2, false, false},
+		{"event-shards4", 4, false, false},
+		{"ticked-shards4", 4, false, true},
+		{"event-shards2+ff", 2, true, false},
+		{"ticked-shards2+ff", 2, true, true},
+		{"event-shards4+ff", 4, true, false},
 	}
 	for _, c := range cases {
-		got := run(c.shards, c.workers, c.ff, c.ticked)
+		got := run(c.shards, c.ff, c.ticked)
 		if got != want {
-			t.Errorf("%s diverged from the sequential ticked 1-shard run:\n%s", c.name, firstDiff(want, got))
+			t.Errorf("%s diverged from the ticked 1-shard run:\n%s", c.name, firstDiff(want, got))
 		}
 	}
 }

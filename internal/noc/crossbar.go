@@ -28,10 +28,11 @@ type CrossbarConfig struct {
 // in one arbitration step. Each output accepts one message at a time,
 // serialized at flit width; each input feeds one output at a time.
 //
-// The crossbar Evals as a single unit (srcBusy couples all outputs), but
-// its callers may run in parallel: Inject touches only the caller's own
-// injection queue and per-node counter, and the cycle number is published
-// by Begin before Eval starts, so no Inject races with crossbar state.
+// The crossbar Evals as a single unit (srcBusy couples all outputs), and
+// its callers may tick before or after it: Inject touches only the
+// caller's own injection queue and per-node counter, and the cycle number
+// is published by Begin before Eval starts, so no Inject observes
+// same-cycle crossbar state.
 type Crossbar struct {
 	cfg      CrossbarConfig
 	injQ     []*sim.FIFO[injEntry]
@@ -142,7 +143,7 @@ func (c *Crossbar) ResetStats() {
 }
 
 // Begin implements sim.Preparer: it publishes the cycle number before Eval
-// so concurrent injectors timestamp against a stable value.
+// so injectors timestamp against a stable value whatever the tick order.
 func (c *Crossbar) Begin(cycle uint64) { c.now = cycle }
 
 // NextWork implements sim.Quiescer. The crossbar reports busy while any

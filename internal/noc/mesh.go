@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"github.com/panic-nic/panic/internal/packet"
 	"github.com/panic-nic/panic/internal/sim"
@@ -52,14 +51,13 @@ func DefaultMeshConfig() MeshConfig {
 }
 
 // Mesh is a 2D mesh of wormhole routers. It implements Fabric, sim.Ticker,
-// sim.Preparer (publishing the cycle before Eval), sim.Parallelizable (one
-// shard per router, so a parallel kernel spreads the mesh across workers),
-// and sim.Quiescer (reporting idleness for fast-forward); RegisterWith
-// attaches it and all its staged queues to a kernel.
+// sim.Preparer (publishing the cycle before Eval), and sim.Quiescer
+// (reporting idleness for fast-forward); RegisterWith attaches it and all
+// its staged queues to a kernel.
 //
 // All statistics are accumulated per router — each router's local port is
 // owned by exactly one tile, so injection/ejection counters have a single
-// writer even under a parallel kernel — and summed on demand by Stats.
+// writer — and summed on demand by Stats.
 type Mesh struct {
 	cfg     MeshConfig
 	vcs     int
@@ -123,11 +121,11 @@ type router struct {
 	// (zero value = healthy). Local ports cannot fault.
 	linkFault [numPorts]LinkFault
 	// stats are this router's counters. injected/ejected are written by
-	// the local tile (single writer); the rest by the router's own shard.
+	// the local tile (single writer); the rest by the router's own tick.
 	stats routerStats
 	// tb is this router's trace buffer (nil when tracing is off). One
-	// buffer per router keeps span emission single-writer under the
-	// parallel kernel's one-shard-per-router partitioning.
+	// buffer per router keeps the drained span stream independent of the
+	// order routers and tiles tick in.
 	tb *trace.Buffer
 
 	// Event-mode liveness. A router whose tick moves no flit changes no
@@ -135,23 +133,19 @@ type router struct {
 	// only mutate on a send), so it can sleep until one of its inputs,
 	// credits, or faults changes — each such edge pokes it. active means
 	// the last tick moved a flit (stay awake); poked is the level-
-	// triggered external wake, consumed into live by Mesh.Begin
-	// (sequentially, so shard timing cannot affect liveness); faultWake is
+	// triggered external wake, consumed into live by Mesh.Begin (before
+	// Eval, so tick order cannot affect liveness); faultWake is
 	// the next cycle a PassEveryN-limited output with a waiting candidate
 	// opens (0 = none): fault windows open by the clock, not by a poke.
 	active    bool
 	live      bool
-	poked     atomic.Bool
+	poked     bool
 	faultWake uint64
 }
 
 // poke marks the router live for the next cycle (or the current one if
 // called from a start-of-cycle event, before Begin samples the flags).
-func (r *router) poke() {
-	if !r.poked.Load() {
-		r.poked.Store(true)
-	}
-}
+func (r *router) poke() { r.poked = true }
 
 // headState is one input lane's cached head flit for the current tick.
 type headState struct {
@@ -361,9 +355,9 @@ func (m *Mesh) wakeTile(node NodeID) {
 }
 
 // AttachTracer gives every router its own trace buffer, so hop and
-// transit spans can be emitted from the parallel Eval phase without
-// cross-shard writes. Buffers are created in router-ID order, which fixes
-// their drain order at commit and keeps trace output deterministic.
+// transit spans emitted during Eval do not interleave in tick order.
+// Buffers are created in router-ID order, which fixes their drain order at
+// commit and keeps trace output deterministic.
 func (m *Mesh) AttachTracer(tr *trace.Tracer) {
 	if tr == nil {
 		return
@@ -489,10 +483,10 @@ func (m *Mesh) ResetStats() {
 
 // Begin implements sim.Preparer: the cycle number is published before Eval
 // so routers and injecting tiles read a stable value however the Eval
-// phase is ordered or sharded. Under an event-driven kernel Begin also
-// fixes each router's liveness for the cycle — pokes are consumed here,
-// sequentially, so the set of routers that tick can never depend on Eval
-// shard timing. A poke landing later in this cycle keeps the mesh awake
+// phase is ordered. Under an event-driven kernel Begin also fixes each
+// router's liveness for the cycle — pokes are consumed here, before Eval,
+// so the set of routers that tick can never depend on tick order. A poke
+// landing later in this cycle keeps the mesh awake
 // (EndCycle sees the flag) and is consumed by the next Begin.
 func (m *Mesh) Begin(cycle uint64) {
 	m.now = cycle
@@ -504,8 +498,8 @@ func (m *Mesh) Begin(cycle uint64) {
 	m.tickAll = false
 	for _, r := range m.routers {
 		live := tickAll || r.active || (r.faultWake != 0 && cycle >= r.faultWake)
-		if r.poked.Load() {
-			r.poked.Store(false)
+		if r.poked {
+			r.poked = false
 			live = true
 		}
 		r.live = live
@@ -531,20 +525,6 @@ func (m *Mesh) Tick(cycle uint64) {
 	}
 }
 
-// ParallelShards implements sim.Parallelizable: one shard per router.
-func (m *Mesh) ParallelShards() int { return len(m.routers) }
-
-// TickShard implements sim.Parallelizable. Routers only read committed
-// state from their neighbors' queues and stage writes into them, so shards
-// are order-independent (the package contract for Tickers).
-func (m *Mesh) TickShard(cycle uint64, shard int) {
-	r := m.routers[shard]
-	if m.eventOn && !r.live {
-		return
-	}
-	r.tick()
-}
-
 // EndCycle implements sim.EventAware. The mesh must tick next cycle while
 // any router is active or has a pending poke; otherwise the earliest
 // fault-window opening (if any) bounds the sleep, and with none the mesh
@@ -553,7 +533,7 @@ func (m *Mesh) TickShard(cycle uint64, shard int) {
 func (m *Mesh) EndCycle(cycle uint64) uint64 {
 	wake := uint64(sim.WakeNever)
 	for _, r := range m.routers {
-		if r.active || r.poked.Load() {
+		if r.active || r.poked {
 			return cycle + 1
 		}
 		// A parked eject queue keeps the mesh awake even though no router

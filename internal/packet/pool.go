@@ -14,8 +14,8 @@ import "sync"
 // produce byte-identical messages, so pooling never affects simulation
 // results (only the allocator).
 //
-// The pool is mutex-guarded: under a parallel Eval phase several tiles may
-// Get concurrently. Which caller wins a recycled shell is therefore
+// The pool is mutex-guarded, so one pool may serve kernels on different
+// goroutines (fleet shards). Which caller wins a recycled shell is then
 // scheduling-dependent, which is safe precisely because of the rule above.
 type MessagePool struct {
 	mu   sync.Mutex

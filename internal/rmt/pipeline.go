@@ -235,7 +235,7 @@ func NewPipeline(prog *Program, parserCycles, deparserCycles int) *Pipeline {
 // flowcache.go). Verdicts and register state are byte-identical with the
 // cache on or off; only the Go-side cost of the table walk changes. The
 // cache is private to this pipeline, so pipelines sharing a Program (and
-// its registers) stay race-free under the parallel kernel.
+// its registers) never see each other's cached decisions.
 func (p *Pipeline) EnableFlowCache() { p.cache = newFlowCache() }
 
 // FlowCacheEnabled reports whether the pipeline has a flow cache.

@@ -48,11 +48,11 @@ func mustEnqueue(t *testing.T, s *Server, name string, barrier uint64, fn func(*
 // barrier 4, edit the RMT program at barrier 6, inject a fault plan at
 // barrier 8, then run to a fixed horizon. Returns (summary+tenant report,
 // oplog JSON, Chrome trace JSON).
-func reloadScenario(t *testing.T, workers int, fastForward bool) (string, string, string) {
+func reloadScenario(t *testing.T, ticked, fastForward bool) (string, string, string) {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Seed = 7
-	cfg.Workers = workers
+	cfg.NoEventEngine = ticked
 	cfg.FastForward = fastForward
 	cfg.IPSecReplicas = 2
 	cfg.TenantWeights = map[uint16]uint64{1: 1, 2: 1}
@@ -118,28 +118,25 @@ func reloadScenario(t *testing.T, workers int, fastForward bool) (string, string
 
 // TestHotReloadDeterminism is the serve plane's acceptance test: the same
 // barrier-pinned reload sequence must produce byte-identical stats,
-// oplog, and exported trace across the sequential kernel, 2- and 8-worker
-// parallel kernels, and fast-forward — because every mutation lands at
-// cycle barrier*quantum regardless of how the kernel covers the cycles in
-// between.
+// oplog, and exported trace across the ticked and event-driven kernel
+// loops, each with and without fast-forward — because every mutation
+// lands at cycle barrier*quantum regardless of how the kernel covers the
+// cycles in between.
 func TestHotReloadDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-mode NIC runs are slow")
 	}
 	type mode struct {
-		name    string
-		workers int
-		ff      bool
+		name       string
+		ticked, ff bool
 	}
 	modes := []mode{
-		{"sequential", 0, false},
-		{"sequential+ff", 0, true},
-		{"2-workers", 2, false},
-		{"2-workers+ff", 2, true},
-		{"8-workers", 8, false},
-		{"8-workers+ff", 8, true},
+		{"ticked", true, false},
+		{"ticked+ff", true, true},
+		{"event", false, false},
+		{"event+ff", false, true},
 	}
-	wantFP, wantOplog, wantTrace := reloadScenario(t, modes[0].workers, modes[0].ff)
+	wantFP, wantOplog, wantTrace := reloadScenario(t, modes[0].ticked, modes[0].ff)
 	if !strings.Contains(wantFP, "host deliveries") {
 		t.Fatalf("summary looks empty:\n%s", wantFP)
 	}
@@ -150,15 +147,15 @@ func TestHotReloadDeterminism(t *testing.T) {
 		t.Fatalf("oplog missing scheduled ops:\n%s", wantOplog)
 	}
 	for _, m := range modes[1:] {
-		fp, oplog, tr := reloadScenario(t, m.workers, m.ff)
+		fp, oplog, tr := reloadScenario(t, m.ticked, m.ff)
 		if fp != wantFP {
-			t.Errorf("mode %s: stats diverged from sequential:\nwant:\n%s\ngot:\n%s", m.name, wantFP, fp)
+			t.Errorf("mode %s: stats diverged from the ticked oracle:\nwant:\n%s\ngot:\n%s", m.name, wantFP, fp)
 		}
 		if oplog != wantOplog {
 			t.Errorf("mode %s: oplog diverged:\nwant: %s\ngot:  %s", m.name, wantOplog, oplog)
 		}
 		if tr != wantTrace {
-			t.Errorf("mode %s: exported trace diverged from sequential (%d vs %d bytes)", m.name, len(tr), len(wantTrace))
+			t.Errorf("mode %s: exported trace diverged from the ticked oracle (%d vs %d bytes)", m.name, len(tr), len(wantTrace))
 		}
 	}
 }

@@ -9,8 +9,9 @@
 // calls. Because Run(n) always advances the clock by exactly n cycles
 // (fast-forwarded or stepped), barrier k sits at cycle k*quantum in every
 // kernel mode, so an operation pinned to a barrier lands on the same cycle
-// whether the kernel is sequential, parallel, or skipping idle cycles —
-// which is what keeps a live-reconfigured run bit-identical to a replay.
+// whether the kernel ticks every component, only the woken ones, or skips
+// idle cycles — which is what keeps a live-reconfigured run bit-identical
+// to a replay.
 //
 // Observability: the server is built to be watched. GET /statz returns the
 // latest published core.StatsSnapshot extended with barrier position,

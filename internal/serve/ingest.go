@@ -23,9 +23,9 @@ type IngestStats struct {
 // open-loop KVS streams. It implements engine.ArrivalSource so idle-cycle
 // fast-forward keeps working while the port waits for work.
 //
-// Concurrency: Poll and NextArrival run inside kernel cycles on the one
-// worker evaluating the port's MAC; admitBatch, admitStream, and Stats run
-// on the serve loop goroutine strictly between Run calls. No two of these
+// Concurrency: Poll and NextArrival run inside kernel cycles, when the
+// port's MAC ticks; admitBatch, admitStream, and Stats run on the serve
+// loop goroutine strictly between Run calls. No two of these
 // ever overlap, so the type needs no locks — and reporting "exhausted" to
 // the kernel is safe because admission only happens at barriers, after
 // which the MAC re-queries the source.

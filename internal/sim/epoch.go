@@ -9,13 +9,14 @@ import "sync"
 // long as no state crosses between kernels except at the barriers (and
 // the epoch never exceeds the minimum inter-kernel latency, so a message
 // emitted inside one epoch cannot be due before the next begins), the
-// combined simulation is deterministic for ANY shard count — unlike the
-// per-cycle parallel Eval inside one kernel, shards here synchronize once
-// per epoch, so this is the axis that scales on real cores.
+// combined simulation is deterministic for ANY shard count. Shards
+// synchronize once per epoch rather than once per cycle, which is why this
+// is the simulator's only host parallelism: each kernel runs on one
+// goroutine.
 //
 // Kernel i runs on shard i % shards; shard 0 executes on the caller's
 // goroutine, so shards <= 1 degenerates to a plain sequential loop with
-// no goroutines and no channel traffic. Worker goroutines are persistent
+// no goroutines and no channel traffic. Shard goroutines are persistent
 // across epochs (started on first Run, released by Shutdown) because
 // epochs are short — often tens of cycles — and per-epoch goroutine
 // spawning would dominate.
@@ -24,7 +25,7 @@ type EpochSet struct {
 	shards  int
 
 	started bool
-	start   []chan uint64 // per worker shard (index 1..shards-1)
+	start   []chan uint64 // per goroutine shard (index 1..shards-1)
 	wg      sync.WaitGroup
 }
 
@@ -84,17 +85,15 @@ func (e *EpochSet) Run(cycles uint64) {
 	e.wg.Wait()
 }
 
-// Shutdown releases the shard goroutines (and each kernel's own worker
-// pool). The set remains usable; a later Run restarts everything.
+// Shutdown releases the shard goroutines. The set remains usable; a later
+// Run restarts them.
 func (e *EpochSet) Shutdown() {
-	if e.started {
-		for s := 1; s < e.shards; s++ {
-			close(e.start[s])
-		}
-		e.start = nil
-		e.started = false
+	if !e.started {
+		return
 	}
-	for _, k := range e.kernels {
-		k.Shutdown()
+	for s := 1; s < e.shards; s++ {
+		close(e.start[s])
 	}
+	e.start = nil
+	e.started = false
 }

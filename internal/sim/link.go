@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Reg is a single-producer single-consumer staged register: a value written
 // during Eval becomes readable only after Commit, modeling a flow-controlled
@@ -21,20 +18,16 @@ type Reg[T any] struct {
 	// dirty points at ownDirty until the kernel redirects it into its
 	// contiguous flag arena (see DirtyRedirector); nil on a zero register
 	// until the first mark.
-	dirty    *atomic.Bool
-	ownDirty atomic.Bool
+	dirty    *bool
+	ownDirty bool
 }
 
 // mark raises the dirty flag, resolving the zero register's unset pointer.
 func (r *Reg[T]) mark() {
-	d := r.dirty
-	if d == nil {
-		d = &r.ownDirty
-		r.dirty = d
+	if r.dirty == nil {
+		r.dirty = &r.ownDirty
 	}
-	if !d.Load() {
-		d.Store(true)
-	}
+	*r.dirty = true
 }
 
 // CanSend reports whether the register can accept a write this cycle.
@@ -86,7 +79,7 @@ func (r *Reg[T]) Commit() {
 // cleared by the kernel after Commit. A clean register's Commit is a
 // provable no-op: with no send or receive since the last commit, either
 // nothing is staged or the committed slot is still occupied.
-func (r *Reg[T]) DirtyFlag() *atomic.Bool {
+func (r *Reg[T]) DirtyFlag() *bool {
 	if r.dirty == nil {
 		r.dirty = &r.ownDirty
 	}
@@ -94,8 +87,8 @@ func (r *Reg[T]) DirtyFlag() *atomic.Bool {
 }
 
 // RedirectDirty implements DirtyRedirector.
-func (r *Reg[T]) RedirectDirty(p *atomic.Bool) {
-	p.Store(r.DirtyFlag().Load())
+func (r *Reg[T]) RedirectDirty(p *bool) {
+	*p = *r.DirtyFlag()
 	r.dirty = p
 }
 
@@ -120,8 +113,8 @@ type FIFO[T any] struct {
 	cap     int
 	// dirty points at ownDirty until the kernel redirects it into its
 	// contiguous flag arena (see DirtyRedirector).
-	dirty    *atomic.Bool
-	ownDirty atomic.Bool
+	dirty    *bool
+	ownDirty bool
 }
 
 // NewFIFO returns a FIFO with the given capacity. Capacity must be positive.
@@ -167,20 +160,17 @@ func (f *FIFO[T]) Push(v T) {
 	}
 	f.buf[f.idx(f.n+f.staged)] = v
 	f.staged++
-	if !f.dirty.Load() {
-		f.dirty.Store(true)
-	}
+	*f.dirty = true
 }
 
 // DirtyFlag implements DirtyCommitter: any Push or Pop since the last
-// commit raises the flag (set from Eval shards, hence atomic); the kernel
-// clears it after calling Commit. A clean FIFO's Commit is a provable
-// no-op: nothing staged, nothing popped.
-func (f *FIFO[T]) DirtyFlag() *atomic.Bool { return f.dirty }
+// commit raises the flag; the kernel clears it after calling Commit. A
+// clean FIFO's Commit is a provable no-op: nothing staged, nothing popped.
+func (f *FIFO[T]) DirtyFlag() *bool { return f.dirty }
 
 // RedirectDirty implements DirtyRedirector.
-func (f *FIFO[T]) RedirectDirty(p *atomic.Bool) {
-	p.Store(f.dirty.Load())
+func (f *FIFO[T]) RedirectDirty(p *bool) {
+	*p = *f.dirty
 	f.dirty = p
 }
 
@@ -204,9 +194,7 @@ func (f *FIFO[T]) Pop() T {
 	}
 	v := f.buf[f.idx(f.nPopped)]
 	f.nPopped++
-	if !f.dirty.Load() {
-		f.dirty.Store(true)
-	}
+	*f.dirty = true
 	return v
 }
 

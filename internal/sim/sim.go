@@ -5,18 +5,16 @@
 // these phases:
 //
 //  1. Events: callbacks scheduled with At/After run, in (cycle, seq) order.
-//  2. Begin: registered Preparers observe the new cycle (cheap, sequential;
-//     used to publish the cycle number to state shared read-only in Eval).
+//  2. Begin: registered Preparers observe the new cycle (used to publish
+//     the cycle number to state shared read-only in Eval).
 //  3. Eval: every registered Ticker observes the state committed at the end
-//     of the previous cycle and stages its outputs. With Workers > 1 the
-//     tickers are sharded across a persistent worker pool; because Eval
-//     never observes same-cycle writes, the result is bit-identical to the
-//     sequential order by construction.
+//     of the previous cycle and stages its outputs.
 //  4. Serial: Tickers registered with RegisterSerial run one by one in
 //     registration order — the escape hatch for control-plane components
 //     that read or rewrite state shared across many tiles (e.g. a health
-//     monitor rewriting steering tables) and therefore must not run
-//     concurrently with the Eval shards.
+//     monitor rewriting steering tables) and therefore must run after
+//     every Eval tick, where their unstaged writes cannot depend on tick
+//     order.
 //  5. Commit: every registered Committer makes the staged writes visible,
 //     in registration order.
 //
@@ -24,6 +22,9 @@
 // independent of the order in which components are ticked, which makes the
 // simulation deterministic and lets hardware models be written as if all
 // components evaluated in parallel, exactly like synchronous digital logic.
+// The kernel itself runs on one goroutine: a per-cycle barrier costs more
+// than a cycle of Eval, so host parallelism lives one level up, in
+// EpochSet's shards of whole kernels.
 //
 // When every registered Ticker also implements Quiescer, Run and RunUntil
 // can fast-forward the clock over provably idle cycles (see Quiescer).
@@ -31,8 +32,8 @@
 // Observability rides on the same phase structure: internal/trace's Tracer
 // is a Committer registered last, so per-component span buffers filled
 // during Eval (single writer each) drain into one deterministic stream
-// after every other commit of the cycle — byte-identical across worker
-// counts and with fast-forward on or off, because skipped cycles run no
+// after every other commit of the cycle — byte-identical across kernel
+// loops and with fast-forward on or off, because skipped cycles run no
 // phases and so can emit nothing.
 package sim
 
@@ -40,7 +41,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync/atomic"
 )
 
 // Ticker is a synchronous component evaluated once per cycle.
@@ -61,24 +61,10 @@ type Committer interface {
 
 // Preparer is an optional component hook that runs sequentially at the start
 // of every cycle, before Eval. It exists so a component can publish the
-// cycle number (or other broadcast state) that its shards and neighboring
-// tickers then read without racing the component's own Tick.
+// cycle number (or other broadcast state) that neighboring tickers then
+// read regardless of whether they tick before or after the component.
 type Preparer interface {
 	Begin(cycle uint64)
-}
-
-// Parallelizable is an optional refinement of Ticker for components that are
-// internally a collection of independent sub-machines (e.g. a mesh of
-// routers). When the kernel runs with Workers > 1 it calls TickShard for
-// each shard instead of Tick, letting one registered component spread over
-// several workers. Shards must be mutually order-independent, exactly like
-// separate Tickers.
-type Parallelizable interface {
-	Ticker
-	// ParallelShards returns the number of independent shards (>= 1).
-	ParallelShards() int
-	// TickShard evaluates one shard for the cycle.
-	TickShard(cycle uint64, shard int)
 }
 
 // TickFunc adapts a function to the Ticker interface.
@@ -91,11 +77,6 @@ func (f TickFunc) Tick(cycle uint64) { f(cycle) }
 type KernelConfig struct {
 	// Freq is the clock frequency.
 	Freq Frequency
-	// Workers is the Eval worker-pool size. 0 or 1 runs the classic
-	// sequential loop; N > 1 shards Tickers (and Parallelizable shards)
-	// across N goroutines with a barrier before the Serial and Commit
-	// phases.
-	Workers int
 	// FastForward lets Run/RunUntil jump the clock over cycles in which no
 	// registered component has work. It only ever engages when every
 	// registered Ticker implements Quiescer; otherwise it is inert.
@@ -123,9 +104,6 @@ type Kernel struct {
 	events       eventList
 	stopped      bool
 
-	workers     int
-	pool        *workerPool
-	poolStale   bool
 	fastForward bool
 	skipped     uint64
 
@@ -134,16 +112,16 @@ type Kernel struct {
 	// in both kernel modes. DirtyRedirector flags live in dirtySlots, the
 	// kernel-owned contiguous arena, so the per-cycle scan stays in a few
 	// cache lines.
-	commitFlags []*atomic.Bool
+	commitFlags []*bool
 	dirtySlots  dirtyArena
 
 	// Event-driven mode state; the four slices parallel tickers.
 	eventDriven bool
-	wakeAt      []uint64       // next cycle each ticker must run (0 = now)
-	aware       []EventAware   // nil for tickers without deferred sync
-	pokes       []*atomic.Bool // level-triggered external wake requests
-	liveNow     []bool         // sampled once per cycle before Eval
-	tickerIdx   map[any]int    // component -> index, for PokerFor
+	wakeAt      []uint64     // next cycle each ticker must run (0 = now)
+	aware       []EventAware // nil for tickers without deferred sync
+	pokes       []*bool      // level-triggered external wake requests
+	liveNow     []bool       // sampled once per cycle before Eval
+	tickerIdx   map[any]int  // component -> index, for PokerFor
 	// wakeAllNext forces every ticker live for one cycle. Raised on entry
 	// to Run/RunUntil and when event mode switches on, it makes state
 	// mutated from outside the kernel (between runs, from tests, by fleet
@@ -161,8 +139,7 @@ type Kernel struct {
 	obsDue []func(now uint64) uint64
 }
 
-// NewKernel returns a sequential kernel whose clock runs at the given
-// frequency.
+// NewKernel returns a kernel whose clock runs at the given frequency.
 func NewKernel(freq Frequency) *Kernel {
 	return NewKernelWithConfig(KernelConfig{Freq: freq})
 }
@@ -170,7 +147,6 @@ func NewKernel(freq Frequency) *Kernel {
 // NewKernelWithConfig returns a kernel with the given configuration.
 func NewKernelWithConfig(cfg KernelConfig) *Kernel {
 	k := &Kernel{clock: Clock{freq: cfg.Freq}, tickerIdx: make(map[any]int)}
-	k.SetWorkers(cfg.Workers)
 	k.fastForward = cfg.FastForward
 	k.SetEventDriven(cfg.EventDriven)
 	if cfg.EventCap > 0 {
@@ -185,24 +161,6 @@ func (k *Kernel) Clock() *Clock { return &k.clock }
 // Now returns the current cycle.
 func (k *Kernel) Now() uint64 { return k.clock.cycle }
 
-// SetWorkers sets the Eval worker count; it takes effect on the next Step.
-// 0 or 1 selects the sequential loop. Counts above 1 require every shared
-// mutation between Tickers to be staged (the package contract) — the
-// simulation result is bit-identical to the sequential order.
-func (k *Kernel) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n == k.workers {
-		return
-	}
-	k.workers = n
-	k.poolStale = true
-}
-
-// Workers returns the configured Eval worker count (0 or 1 = sequential).
-func (k *Kernel) Workers() int { return k.workers }
-
 // SetFastForward enables or disables idle-cycle fast-forward for Run and
 // RunUntil. It only ever engages when every registered Ticker implements
 // Quiescer.
@@ -215,19 +173,8 @@ func (k *Kernel) FastForwardEnabled() bool { return k.fastForward }
 // skipped cycle is one the kernel proved no component would act in.
 func (k *Kernel) SkippedCycles() uint64 { return k.skipped }
 
-// Shutdown releases the worker pool's goroutines. It is safe to call on a
-// sequential kernel and the kernel remains usable afterwards (a later Step
-// with Workers > 1 restarts the pool).
-func (k *Kernel) Shutdown() {
-	if k.pool != nil {
-		k.pool.stop()
-		k.pool = nil
-		k.poolStale = true
-	}
-}
-
 // register adds one component to the given ticker slice (returned updated)
-// and the committer/preparer/quiescer lists. Parallel (non-serial) tickers
+// and the committer/preparer/quiescer lists. Eval-phase (non-serial) tickers
 // additionally get event-mode bookkeeping: a wake slot, a poke flag, and an
 // index for PokerFor. wakeAt starts at 0 so a fresh component always runs
 // on its first cycle and declares its own schedule.
@@ -250,7 +197,7 @@ func (k *Kernel) register(c any, tickers []Ticker, serial bool) []Ticker {
 			k.wakeAt = append(k.wakeAt, 0)
 			a, _ := c.(EventAware)
 			k.aware = append(k.aware, a)
-			k.pokes = append(k.pokes, new(atomic.Bool))
+			k.pokes = append(k.pokes, new(bool))
 			k.liveNow = append(k.liveNow, false)
 		}
 	}
@@ -260,7 +207,7 @@ func (k *Kernel) register(c any, tickers []Ticker, serial bool) []Ticker {
 	}
 	if cm, isC := c.(Committer); isC {
 		k.committers = append(k.committers, cm)
-		var flag *atomic.Bool
+		var flag *bool
 		if dr, isR := c.(DirtyRedirector); isR {
 			flag = k.dirtySlots.alloc()
 			dr.RedirectDirty(flag)
@@ -268,7 +215,7 @@ func (k *Kernel) register(c any, tickers []Ticker, serial bool) []Ticker {
 			flag = dc.DirtyFlag()
 		}
 		if flag != nil {
-			flag.Store(true) // commit once before the first skip
+			*flag = true // commit once before the first skip
 		}
 		k.commitFlags = append(k.commitFlags, flag)
 		ok = true
@@ -276,7 +223,6 @@ func (k *Kernel) register(c any, tickers []Ticker, serial bool) []Ticker {
 	if !ok {
 		panic(fmt.Sprintf("sim: Register(%T): neither Ticker, Preparer, nor Committer", c))
 	}
-	k.poolStale = true
 	return tickers
 }
 
@@ -289,9 +235,9 @@ func (k *Kernel) Register(components ...any) {
 	}
 }
 
-// RegisterSerial adds components whose Tick must not run concurrently with
-// other Tickers: they run after the Eval phase, one by one, in registration
-// order. Use it for control-plane components that read or mutate state
+// RegisterSerial adds components whose Tick must run after every other
+// Ticker of the cycle: they run after the Eval phase, one by one, in
+// registration order. Use it for control-plane components that read or mutate state
 // owned by many tiles (steering tables, cross-tile health probes). Serial
 // tickers are never skipped by the event-driven loop.
 func (k *Kernel) RegisterSerial(components ...any) {
@@ -385,12 +331,7 @@ func (k *Kernel) Step() {
 	for _, p := range k.preparers {
 		p.Begin(cycle)
 	}
-	if k.workers > 1 {
-		if k.poolStale || k.pool == nil {
-			k.rebuildPool()
-		}
-		k.pool.tick(cycle)
-	} else if k.eventDriven {
+	if k.eventDriven {
 		for i, t := range k.tickers {
 			if k.liveNow[i] {
 				t.Tick(cycle)
@@ -406,11 +347,11 @@ func (k *Kernel) Step() {
 	}
 	for i, c := range k.committers {
 		if f := k.commitFlags[i]; f != nil {
-			if !f.Load() {
+			if !*f {
 				continue
 			}
 			c.Commit()
-			f.Store(false)
+			*f = false
 			continue
 		}
 		c.Commit()

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // WakeNever is the EndCycle return value meaning "I have no self-scheduled
 // work: do not tick me again until something pokes me."
@@ -50,13 +47,12 @@ type EventAware interface {
 // DirtyCommitter is an optional refinement of Committer for staged state
 // that can prove its Commit is a no-op. The flag is raised by any staging
 // operation since the last commit and cleared by the kernel after calling
-// Commit; while it is down the kernel skips the call entirely. It must be
-// an atomic because staging happens on Eval worker goroutines. This is a
+// Commit; while it is down the kernel skips the call entirely. This is a
 // pure optimization, active in both kernel modes: a clean committer's
 // Commit must be provably side-effect free.
 type DirtyCommitter interface {
 	Committer
-	DirtyFlag() *atomic.Bool
+	DirtyFlag() *bool
 }
 
 // DirtyRedirector is an optional refinement of DirtyCommitter for
@@ -69,7 +65,7 @@ type DirtyCommitter interface {
 // slot exclusively afterwards.
 type DirtyRedirector interface {
 	DirtyCommitter
-	RedirectDirty(*atomic.Bool)
+	RedirectDirty(*bool)
 }
 
 // dirtyArena hands out kernel-owned dirty-flag slots with stable addresses
@@ -77,15 +73,15 @@ type DirtyRedirector interface {
 // hold the pointer forever). Slots for committers registered together are
 // adjacent, which is the whole point: the commit scan walks them linearly.
 type dirtyArena struct {
-	chunks [][]atomic.Bool
+	chunks [][]bool
 	used   int
 }
 
 const dirtyChunk = 512
 
-func (a *dirtyArena) alloc() *atomic.Bool {
+func (a *dirtyArena) alloc() *bool {
 	if len(a.chunks) == 0 || a.used == dirtyChunk {
-		a.chunks = append(a.chunks, make([]atomic.Bool, dirtyChunk))
+		a.chunks = append(a.chunks, make([]bool, dirtyChunk))
 		a.used = 0
 	}
 	p := &a.chunks[len(a.chunks)-1][a.used]
@@ -97,17 +93,14 @@ func (a *dirtyArena) alloc() *atomic.Bool {
 // level-triggered flags, not queued messages: any number of pokes during a
 // cycle mean "tick on the next cycle" (or this cycle, when poked by a
 // start-of-cycle event callback). The zero Poker is a no-op, so wiring can
-// be unconditional.
-//
-// Poke is safe to call from Eval shards, event callbacks, and Commit. The
-// load-before-store keeps the hot already-poked case read-only; concurrent
-// Stores of `true` are idempotent.
-type Poker struct{ f *atomic.Bool }
+// be unconditional. Poke may be called from Eval, event callbacks, and
+// Commit alike.
+type Poker struct{ f *bool }
 
 // Poke marks the component as having pending external input.
 func (p Poker) Poke() {
-	if p.f != nil && !p.f.Load() {
-		p.f.Store(true)
+	if p.f != nil {
+		*p.f = true
 	}
 }
 
@@ -137,7 +130,7 @@ func (k *Kernel) EventDriven() bool { return k.eventDriven }
 func (k *Kernel) PokerFor(c any) Poker {
 	idx, ok := k.tickerIdx[c]
 	if !ok {
-		panic("sim: PokerFor on a component not registered as a parallel Ticker")
+		panic("sim: PokerFor on a component not registered as an Eval-phase Ticker")
 	}
 	return Poker{f: k.pokes[idx]}
 }
@@ -169,8 +162,8 @@ func (k *Kernel) sampleLiveness(cycle uint64) {
 	}
 	for i := range k.liveNow {
 		live := wakeAll || k.wakeAt[i] <= cycle
-		if k.pokes[i].Load() {
-			k.pokes[i].Store(false)
+		if *k.pokes[i] {
+			*k.pokes[i] = false
 			live = true
 		}
 		k.liveNow[i] = live
@@ -186,7 +179,7 @@ func (k *Kernel) sampleLiveness(cycle uint64) {
 // diverge from the oracle.
 func (k *Kernel) endCycle(cycle uint64) {
 	for i := range k.liveNow {
-		poked := k.pokes[i].Load()
+		poked := *k.pokes[i]
 		if !k.liveNow[i] && !poked {
 			continue
 		}
@@ -262,7 +255,7 @@ func (k *Kernel) skipIdleEvent(end uint64) {
 		}
 	}
 	for i, t := range k.tickers {
-		if k.pokes[i].Load() {
+		if *k.pokes[i] {
 			return
 		}
 		w := k.wakeAt[i]

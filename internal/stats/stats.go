@@ -9,26 +9,24 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync/atomic"
 )
 
-// Counter is a monotonically increasing event count. Increments are atomic
-// so a counter may be shared by components that Eval in parallel: addition
-// commutes, so the end-of-cycle value is identical to sequential ticking
-// regardless of increment interleaving. Reads are meant for between-cycle
-// reporting, not mid-Eval decisions.
+// Counter is a monotonically increasing event count. A counter may be
+// shared by several components of one kernel: addition commutes, so the
+// end-of-cycle value does not depend on tick order. Reads are meant for
+// between-cycle reporting, not mid-Eval decisions.
 type Counter struct {
-	n atomic.Uint64
+	n uint64
 }
 
 // Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n.Add(d) }
+func (c *Counter) Add(d uint64) { c.n += d }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.n.Add(1) }
+func (c *Counter) Inc() { c.n++ }
 
 // Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n.Load() }
+func (c *Counter) Value() uint64 { return c.n }
 
 // Gauge tracks a running mean of sampled values (e.g. queue occupancy).
 type Gauge struct {

@@ -12,21 +12,21 @@
 //
 // # Determinism contract
 //
-// The kernel may run its Eval phase on a worker pool (sim.Kernel
-// SetWorkers), so instrumented components cannot write into one shared
-// stream without racing. Instead, every emitting component owns a private
-// Buffer (one per tile, one per mesh router, one per sequential-phase
-// group such as the staged terminal sinks or the control plane), obtained
-// from the Tracer at assembly time. During a cycle each component appends
+// The kernel's contract is that tick order within a cycle is unobservable,
+// so instrumented components cannot append to one shared stream in tick
+// order. Instead, every emitting component owns a private Buffer (one per
+// tile, one per mesh router, one per sequential-phase group such as the
+// staged terminal sinks or the control plane), obtained from the Tracer at
+// assembly time. During a cycle each component appends
 // spans only to its own buffer — single writer, program order. The Tracer
 // itself is a sim.Committer registered LAST on the kernel: at the Commit
 // phase, after every staged sink has flushed, it drains all buffers into
 // the master span stream in buffer-creation order. Creation order is fixed
-// by NIC assembly, so the resulting stream is byte-identical across
-// sequential, 2-worker, and N-worker kernels, with idle-cycle fast-forward
-// on or off (skipped cycles run no phases and can emit nothing — a
-// component with a non-empty buffer is never quiescent, because it emitted
-// while doing work).
+// by NIC assembly, so the resulting stream is byte-identical across the
+// ticked and event-driven kernel loops, with idle-cycle fast-forward on or
+// off (skipped cycles run no phases and can emit nothing — a component
+// with a non-empty buffer is never quiescent, because it emitted while
+// doing work).
 //
 // # Cost contract
 //
