@@ -24,7 +24,7 @@
 //
 //	benchkernel [-cycles N] [-lowload-cycles N] [-fleet-cycles N]
 //	            [-o BENCH_kernel.json] [-cpuprofile FILE] [-memprofile FILE]
-//	            [-ablation] [-fleet-only]
+//	            [-fleet-only]
 package main
 
 import (
@@ -43,7 +43,6 @@ func main() {
 	out := flag.String("o", "BENCH_kernel.json", "output JSON path")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the measurement runs to `file`")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the runs to `file`")
-	ablation := flag.Bool("ablation", false, "also run the hot-path ablation sweep (flow cache / bucket queue off)")
 	fleetCycles := flag.Uint64("fleet-cycles", 200_000, "simulated cycles per rack-scale fleet run (0 skips the fleet stage)")
 	fleetOnly := flag.Bool("fleet-only", false, "run only the fleet stage (the CI fleet-smoke artifact)")
 	flag.Parse()
@@ -76,7 +75,6 @@ func main() {
 			Cycles:        *cycles,
 			LowLoadCycles: *lowCycles,
 			FleetCycles:   *fleetCycles,
-			Ablation:      *ablation,
 			Log:           os.Stdout,
 		})
 	}

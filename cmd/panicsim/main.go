@@ -45,8 +45,6 @@ var (
 	traceSample   *int
 	tenantsN      *int
 	tenantWeights *string
-	noFlowCache   *bool
-	heapQueue     *bool
 	noEventEngine *bool
 	serveMode     *bool
 	listenAddr    *string
@@ -80,8 +78,6 @@ func main() {
 	traceSample = flag.Int("trace-sample", 1, "trace one message in N (1 = all; panic only)")
 	tenantsN = flag.Int("tenants", 1, "number of tenants in the generated mix; -rate is split evenly across them")
 	tenantWeights = flag.String("tenant-weights", "", "comma-separated scheduler weights for tenants 1..N, e.g. 4,1 (enables weighted-LSTF; panic only)")
-	noFlowCache = flag.Bool("no-flowcache", false, "disable the RMT flow cache (bit-identical ablation; panic only)")
-	heapQueue = flag.Bool("heap-queue", false, "use the heap scheduling queue instead of the calendar queue (bit-identical ablation; panic only)")
 	noEventEngine = flag.Bool("no-event-engine", false, "run the ticked oracle kernel loop instead of the event-driven one (bit-identical ablation; panic only)")
 	serveMode = flag.Bool("serve", false, "run as a long-lived HTTP control/ingest service instead of a batch run (panic only)")
 	listenAddr = flag.String("listen", "127.0.0.1:8070", "serve mode listen address")
@@ -222,8 +218,6 @@ func buildPanicConfig(freq, line float64, meshK, width, pipelines int, seed uint
 	cfg.IPSecReplicas = *ipsecReplicas
 	cfg.DMAReplicas = *dmaReplicas
 	cfg.FastForward = *fastForward
-	cfg.NoFlowCache = *noFlowCache
-	cfg.HeapSchedQueue = *heapQueue
 	cfg.NoEventEngine = *noEventEngine
 	if *tenantsN > 1 {
 		for i := 0; i < *tenantsN; i++ {

@@ -96,10 +96,11 @@ func allocsPerOp(runs int, fn func()) float64 {
 	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
 }
 
-// schedQueueAllocs measures the calendar queue's rotation: a resident
+// schedQueueAllocs measures the scheduling queue's rotation: a resident
 // population cycles through ever-increasing ranks, which is the slack
 // scheduler's steady state (ranks grow with the cycle counter forever, so
-// the bucket window keeps advancing).
+// every push lands at the worst end of the sorted slice and shifts the
+// residents).
 func schedQueueAllocs() float64 {
 	q := sched.NewQueue(16, sched.Backpressure)
 	for i := 0; i < 8; i++ {
@@ -114,7 +115,7 @@ func schedQueueAllocs() float64 {
 		q.Push(m, rank)
 		rank++
 	}
-	for i := 0; i < 4096; i++ { // settle bucket and overflow-heap growth
+	for i := 0; i < 4096; i++ { // settle the entry slice's growth
 		fn()
 	}
 	return allocsPerOp(4096, fn)
@@ -194,7 +195,7 @@ func flowCacheHitAllocs() float64 {
 
 // MeasureAllocs samples the allocation rate of the hot paths whose cost
 // contract is zero allocations per operation: the tile service loop, the
-// calendar scheduling queue, the mesh router tick, and the RMT flow-cache
+// scheduling queue, the mesh router tick, and the RMT flow-cache
 // hit path.
 func MeasureAllocs() []AllocResult {
 	cases := []struct {

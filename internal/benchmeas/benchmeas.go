@@ -29,20 +29,8 @@ type WorkerResult struct {
 	CyclesPerS float64 `json:"sim_cycles_per_sec"`
 	MsgsPerS   float64 `json:"msgs_per_sec"`
 	// CacheHitRate is the RMT flow-cache hit rate over the run (0 when the
-	// cache is disabled or the field predates the cache).
+	// field predates the cache).
 	CacheHitRate float64 `json:"flow_cache_hit_rate,omitempty"`
-}
-
-// AblationResult is one saturating run with a hot-path optimization
-// disabled, quantifying that optimization's contribution. Ablations are
-// informational: Compare never gates on them.
-type AblationResult struct {
-	Name       string  `json:"name"`
-	CyclesPerS float64 `json:"sim_cycles_per_sec"`
-	MsgsPerS   float64 `json:"msgs_per_sec"`
-	// VsDefault is this run's msgs/s as a fraction of the default
-	// (everything enabled) run.
-	VsDefault float64 `json:"throughput_vs_default"`
 }
 
 // EventModeResult is one saturating run with the kernel loop pinned: the
@@ -100,7 +88,6 @@ type Report struct {
 	// Saturating holds the one saturating run.
 	Saturating    []WorkerResult    `json:"saturating_worker_sweep"`
 	EventMode     []EventModeResult `json:"saturated_event_mode,omitempty"`
-	Ablations     []AblationResult  `json:"ablation_single_worker,omitempty"`
 	LowLoad       []FFResult        `json:"low_load_fast_forward"`
 	BestFFSpeedup float64           `json:"best_ff_speedup"`
 	Fleet         []FleetResult     `json:"fleet,omitempty"`
@@ -116,10 +103,6 @@ type Config struct {
 	// FleetCycles is the horizon of each rack-scale fleet run (0 skips the
 	// fleet stage).
 	FleetCycles uint64
-	// Ablation additionally measures the saturating run with each loaded
-	// hot-path optimization (RMT flow cache, bucketed scheduler queue)
-	// individually disabled, quantifying each one's contribution.
-	Ablation bool
 	// SkipWorkerSweep is ignored: there is no worker sweep any more. It is
 	// kept only because a caller outside this module still sets it.
 	SkipWorkerSweep bool
@@ -134,14 +117,11 @@ func (c Config) logf(format string, args ...any) {
 }
 
 // buildNIC assembles the canonical two-tenant benchmark NIC at the given
-// fraction of line rate per source. noCache, heapQueue, and ticked are the
-// hot-path ablation knobs (all false = the default fast configuration:
-// flow cache on, calendar queue, event-driven kernel loop).
-func buildNIC(fastForward bool, load float64, noCache, heapQueue, ticked bool) *core.NIC {
+// fraction of line rate per source, on the ticked oracle kernel loop or the
+// event-driven one (the default).
+func buildNIC(fastForward bool, load float64, ticked bool) *core.NIC {
 	cfg := core.DefaultConfig()
 	cfg.FastForward = fastForward
-	cfg.NoFlowCache = noCache
-	cfg.HeapSchedQueue = heapQueue
 	cfg.NoEventEngine = ticked
 	srcs := []engine.Source{
 		workload.NewKVSStream(workload.KVSTenantConfig{
@@ -159,8 +139,8 @@ func buildNIC(fastForward bool, load float64, noCache, heapQueue, ticked bool) *
 }
 
 // Measure runs the full benchmark suite: the saturating run, the saturated
-// kernel-loop pair, the optional ablations, the low-load fast-forward pair,
-// the optional fleet runs, and the zero-alloc hot-path checks.
+// kernel-loop pair, the low-load fast-forward pair, the optional fleet
+// runs, and the zero-alloc hot-path checks.
 func Measure(cfg Config) Report {
 	rep := Report{
 		NumCPU:     runtime.NumCPU(),
@@ -170,8 +150,8 @@ func Measure(cfg Config) Report {
 	}
 
 	// satRun is one timed saturating run.
-	satRun := func(noCache, heapQueue, ticked bool) WorkerResult {
-		nic := buildNIC(false, 0.9, noCache, heapQueue, ticked)
+	satRun := func(ticked bool) WorkerResult {
+		nic := buildNIC(false, 0.9, ticked)
 		nic.Run(2_000) // warm-up: fill the pipeline
 		before := nic.WireLat.Count + nic.HostLat.Count
 		start := time.Now()
@@ -190,7 +170,7 @@ func Measure(cfg Config) Report {
 		}
 	}
 
-	sat := satRun(false, false, false)
+	sat := satRun(false)
 	rep.Saturating = []WorkerResult{sat}
 	cfg.logf("saturating: %.0f simcycles/s, %.0f msgs/s (cache hit %.1f%%)\n",
 		sat.CyclesPerS, sat.MsgsPerS, 100*sat.CacheHitRate)
@@ -205,7 +185,7 @@ func Measure(cfg Config) Report {
 	best := make(map[string]WorkerResult, 2)
 	for trial := 0; trial < 3; trial++ {
 		for _, mode := range []string{"ticked", "event"} {
-			r := satRun(false, false, mode == "ticked")
+			r := satRun(mode == "ticked")
 			if b, ok := best[mode]; !ok || r.MsgsPerS > b.MsgsPerS {
 				best[mode] = r
 			}
@@ -227,41 +207,9 @@ func Measure(cfg Config) Report {
 			mode, er.CyclesPerS, er.MsgsPerS, er.SpeedupVsTicked)
 	}
 
-	if cfg.Ablation {
-		// Re-measure the default as the reference: the saturating run
-		// was the process's first (cold caches, unfaulted pages), and
-		// comparing ablations against it would systematically flatter them.
-		ablations := []struct {
-			name                       string
-			noCache, heapQueue, ticked bool
-		}{
-			{"default", false, false, false},
-			{"no-flow-cache", true, false, false},
-			{"heap-sched-queue", false, true, false},
-			{"ticked-kernel", false, false, true},
-			{"no-flow-cache+heap-sched-queue", true, true, false},
-		}
-		var ref float64
-		for _, a := range ablations {
-			r := satRun(a.noCache, a.heapQueue, a.ticked)
-			if a.name == "default" {
-				ref = r.MsgsPerS
-			}
-			ar := AblationResult{
-				Name:       a.name,
-				CyclesPerS: r.CyclesPerS,
-				MsgsPerS:   r.MsgsPerS,
-				VsDefault:  r.MsgsPerS / ref,
-			}
-			rep.Ablations = append(rep.Ablations, ar)
-			cfg.logf("ablation %s: %.0f simcycles/s, %.0f msgs/s (%.2fx of default)\n",
-				a.name, ar.CyclesPerS, ar.MsgsPerS, ar.VsDefault)
-		}
-	}
-
 	var stepRate float64
 	for _, ff := range []bool{false, true} {
-		nic := buildNIC(ff, 0.001, false, false, false)
+		nic := buildNIC(ff, 0.001, false)
 		start := time.Now()
 		nic.Run(cfg.LowLoadCycles)
 		wall := time.Since(start).Seconds()

@@ -45,6 +45,7 @@ func TestParseScenarioErrors(t *testing.T) {
 		{"seed x\n", "bad seed value"},
 		{"seed 1\ncycles 20000\ntenants 1\nrequests 10\nqueuecap 64\nreplicas 1\nplan:\nat 5 explode 34\n", "line 8"},
 		{"seed 1\ncycles 20000\nworkers 2\nplan:\n", `line 3: unknown key "workers"`},
+		{"seed 1\ncycles 20000\nheapq true\nplan:\n", `line 3: unknown key "heapq"`},
 		{"seed 1\ncycles 10\nplan:\n", "cycles 10 too short"},
 	} {
 		_, err := ParseScenario(strings.NewReader(tc.in))

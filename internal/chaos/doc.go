@@ -1,6 +1,6 @@
 // Package chaos is the seeded chaos/soak harness: it composes
 // random-but-deterministic fault plans, tenant mixes, workloads, and
-// ablation knobs (flow cache, queue backing, fast-forward) into
+// configuration knobs (fast-forward, queue capacity, replicas) into
 // short scenarios, runs each with the runtime invariant monitor armed
 // (internal/invariant), and on a violation shrinks the scenario to a
 // minimal reproducer serialized as a replayable text file.

@@ -79,8 +79,6 @@ func buildFleet(s Scenario) *fleet.Fleet {
 	cfg.Seed = s.Seed
 	cfg.QueueCap = s.QueueCap
 	cfg.FastForward = s.FastForward
-	cfg.NoFlowCache = s.NoFlowCache
-	cfg.HeapSchedQueue = s.HeapSchedQueue
 	cfg.IPSecReplicas = s.Replicas
 	cfg.Health = core.DefaultHealthConfig()
 	if s.TenantScoped {
@@ -138,8 +136,6 @@ func buildNIC(s Scenario) *core.NIC {
 	cfg.Seed = s.Seed
 	cfg.QueueCap = s.QueueCap
 	cfg.FastForward = s.FastForward
-	cfg.NoFlowCache = s.NoFlowCache
-	cfg.HeapSchedQueue = s.HeapSchedQueue
 	cfg.IPSecReplicas = s.Replicas
 	cfg.Health = core.DefaultHealthConfig()
 	if s.TenantScoped {

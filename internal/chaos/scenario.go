@@ -31,11 +31,9 @@ type Scenario struct {
 	QueueCap int
 	// Replicas is the total IPSec instance count (1 = primary only).
 	Replicas int
-	// FastForward, NoFlowCache, and HeapSchedQueue are the ablation knobs;
-	// results must be invariant-clean under any combination.
-	FastForward    bool
-	NoFlowCache    bool
-	HeapSchedQueue bool
+	// FastForward lets the kernel skip idle cycles; results must be
+	// invariant-clean either way.
+	FastForward bool
 	// TenantScoped declares a tenant fault domain on the KVS cache engine
 	// (tenant 1 only), so cache faults exercise the tenant-scoped failover
 	// path (RewriteEngineTenant) instead of whole-engine rewrites.
@@ -87,8 +85,8 @@ func Generate(seed, cycles uint64) Scenario {
 	}
 	rng.Intn(3) // the retired worker-count draw: keeps every seed's other fields unchanged
 	s.FastForward = rng.Bool(0.3)
-	s.NoFlowCache = rng.Bool(0.2)
-	s.HeapSchedQueue = rng.Bool(0.2)
+	rng.Bool(0.2) // the retired flow-cache draw: keeps every seed's other fields unchanged
+	rng.Bool(0.2) // the retired queue-backing draw, likewise
 	s.TenantScoped = rng.Bool(0.5)
 	tenants := make([]uint16, s.Tenants)
 	for i := range tenants {
@@ -120,8 +118,6 @@ func (s Scenario) String() string {
 	fmt.Fprintf(&b, "queuecap %d\n", s.QueueCap)
 	fmt.Fprintf(&b, "replicas %d\n", s.Replicas)
 	fmt.Fprintf(&b, "fastforward %v\n", s.FastForward)
-	fmt.Fprintf(&b, "noflowcache %v\n", s.NoFlowCache)
-	fmt.Fprintf(&b, "heapq %v\n", s.HeapSchedQueue)
 	fmt.Fprintf(&b, "tenantscoped %v\n", s.TenantScoped)
 	fmt.Fprintf(&b, "plant %v\n", s.Plant)
 	fmt.Fprintf(&b, "fleet %d\n", s.Fleet)
@@ -222,10 +218,6 @@ func (s *Scenario) setField(key, val string) error {
 		err = i(&s.Replicas)
 	case "fastforward":
 		err = b(&s.FastForward)
-	case "noflowcache":
-		err = b(&s.NoFlowCache)
-	case "heapq":
-		err = b(&s.HeapSchedQueue)
 	case "tenantscoped":
 		err = b(&s.TenantScoped)
 	case "plant":

@@ -5,10 +5,10 @@ import "github.com/panic-nic/panic/internal/fault"
 // Shrink minimizes a failing scenario to a smaller one that still fails
 // the same invariant check, by re-running candidates: drop fault events
 // one at a time, shorten the horizon, reduce tenants and requests, and
-// strip ablation knobs. budget caps the number of candidate runs (each is
-// a full simulation); the original failure's check name anchors the search
-// so shrinking never wanders onto a different bug. It returns the minimal
-// scenario and the number of runs spent.
+// reset fast-forward and the replica count. budget caps the number of
+// candidate runs (each is a full simulation); the original failure's check
+// name anchors the search so shrinking never wanders onto a different bug.
+// It returns the minimal scenario and the number of runs spent.
 func Shrink(s Scenario, orig *Failure, budget int) (Scenario, int) {
 	runs := 0
 	fails := func(c Scenario) bool {
@@ -76,11 +76,10 @@ func Shrink(s Scenario, orig *Failure, budget int) (Scenario, int) {
 		s = c
 	}
 
-	// Pass 5: strip ablation knobs back to the boring defaults so the
+	// Pass 5: reset the remaining knobs to the boring defaults so the
 	// reproducer is as vanilla as the bug allows.
 	knobs := []func(*Scenario){
 		func(c *Scenario) { c.FastForward = false },
-		func(c *Scenario) { c.HeapSchedQueue = false },
 		func(c *Scenario) { c.Replicas = 1 },
 	}
 	for _, strip := range knobs {

@@ -9,18 +9,14 @@ import (
 	"github.com/panic-nic/panic/internal/workload"
 )
 
-// detCase is one kernel execution mode under test. The hot-path ablation
-// knobs (flow cache, calendar queue) ride the same matrix: disabling them
-// must not move a single statistic, in any kernel mode. The third axis is
-// the kernel loop itself: `ticked` runs the every-Ticker-every-cycle
-// oracle instead of the event-driven loaded path, and the two must be
-// byte-identical in every combination — a missed wakeup in the event
-// engine shows up here as a fingerprint divergence.
+// detCase is one kernel execution mode under test: `ticked` runs the
+// every-Ticker-every-cycle oracle instead of the event-driven loaded path,
+// and the two must be byte-identical with fast-forward on or off — a
+// missed wakeup in the event engine shows up here as a fingerprint
+// divergence.
 type detCase struct {
 	name        string
 	fastForward bool
-	noFlowCache bool
-	heapQueue   bool
 	ticked      bool
 }
 
@@ -29,20 +25,14 @@ var detCases = []detCase{
 	// its fingerprint byte for byte.
 	{name: "ticked", ticked: true},
 	{name: "ticked+ff", ticked: true, fastForward: true},
-	{name: "ticked+ff+nocache+heapq", ticked: true, fastForward: true, noFlowCache: true, heapQueue: true},
-	// Event engine (the default) across the same axes.
+	// Event engine (the default) across the same axis.
 	{name: "event"},
 	{name: "event+ff", fastForward: true},
-	{name: "event+nocache", noFlowCache: true},
-	{name: "event+heapq", heapQueue: true},
-	{name: "event+ff+nocache+heapq", fastForward: true, noFlowCache: true, heapQueue: true},
 }
 
-// apply sets the case's kernel mode and ablation knobs on cfg.
+// apply sets the case's kernel mode on cfg.
 func (c detCase) apply(cfg *Config) {
 	cfg.FastForward = c.fastForward
-	cfg.NoFlowCache = c.noFlowCache
-	cfg.HeapSchedQueue = c.heapQueue
 	cfg.NoEventEngine = c.ticked
 }
 
@@ -79,7 +69,7 @@ func detRun(c detCase, horizon uint64) string {
 // TestCrossKernelDeterminism is the core acceptance test: the same seeded
 // workload and fault plan must produce byte-identical statistics, event
 // logs, and final cycle counts under the event-driven loop and the ticked
-// oracle, with fast-forward and the hot-path ablation knobs on or off.
+// oracle, with fast-forward on or off.
 func TestCrossKernelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-mode NIC runs are slow")

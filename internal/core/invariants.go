@@ -27,19 +27,17 @@ func (n *NIC) wireInvariants() {
 
 	// Flow-cache coherence: sample cache hits and re-execute them against
 	// the full RMT walk; any field-level divergence is a stale cache.
-	if !n.Cfg.NoFlowCache {
-		for _, r := range b.RMTs {
-			r.Pipeline().EnableShadowCheck(shadowCheckEvery)
-		}
-		m.AddCheck("flow-cache-coherence", func(uint64) error {
-			for i, r := range b.RMTs {
-				if _, mismatches, first := r.Pipeline().ShadowCheckStats(); mismatches > 0 {
-					return fmt.Errorf("rmt pipeline %d: %d shadow mismatches; first: %s", i, mismatches, first)
-				}
-			}
-			return nil
-		})
+	for _, r := range b.RMTs {
+		r.Pipeline().EnableShadowCheck(shadowCheckEvery)
 	}
+	m.AddCheck("flow-cache-coherence", func(uint64) error {
+		for i, r := range b.RMTs {
+			if _, mismatches, first := r.Pipeline().ShadowCheckStats(); mismatches > 0 {
+				return fmt.Errorf("rmt pipeline %d: %d shadow mismatches; first: %s", i, mismatches, first)
+			}
+		}
+		return nil
+	})
 
 	// Message conservation, per tile and per tenant: every tile's custody
 	// ledger (in = out + resident) plus its scheduling queue's push/pop

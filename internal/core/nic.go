@@ -99,15 +99,6 @@ type Config struct {
 	// staged sinks flush. Nil costs nothing on the hot path.
 	Tracer *trace.Tracer
 	Seed   uint64
-	// NoFlowCache disables the RMT pipelines' per-flow decision caches
-	// (the ablation baseline: every message pays the full Go-side parse
-	// and table walk). Simulation results are bit-identical either way —
-	// the cache replays verdicts and register side effects exactly.
-	NoFlowCache bool
-	// HeapSchedQueue backs every scheduling queue with the reference
-	// container/heap PIFO instead of the bucketed calendar queue (the
-	// scheduler ablation baseline; decisions are identical).
-	HeapSchedQueue bool
 	// Invariants, when non-nil, arms the runtime invariant monitor: every
 	// sampling interval the kernel's end-of-cycle barrier audits message
 	// conservation (per tile and per tenant), queue and credit bounds,
@@ -273,7 +264,6 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 	common := func(c *engine.TileConfig) {
 		c.QueueCap = cfg.QueueCap
 		c.Policy = cfg.Policy
-		c.HeapSchedQueue = cfg.HeapSchedQueue
 		c.Rank = cfg.Rank
 		if c.Rank == nil && len(cfg.TenantWeights) > 0 {
 			// Each tile gets its own credit state; the instance is retained
@@ -345,11 +335,9 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 	}
 	for i := 0; i < cfg.RMTPipelines; i++ {
 		pipe := rmt.NewPipeline(n.Program, 1, 1)
-		if !cfg.NoFlowCache {
-			// Each pipeline gets a private cache (no mutable state shared
-			// between pipelines); verdicts are identical either way.
-			pipe.EnableFlowCache()
-		}
+		// Each pipeline gets a private cache (no mutable state shared
+		// between pipelines); verdicts are identical to the full walk.
+		pipe.EnableFlowCache()
 		b.PlaceRMT(AddrRMTBase+packet.Addr(i), rmtX, rmtY(i), pipe, common,
 			func(c *engine.TileConfig) { c.Rank = nil }) // FIFO admission
 	}
@@ -636,8 +624,7 @@ func (n *NIC) RMTStats() engine.RMTStats {
 	return s
 }
 
-// FlowCacheStats sums the RMT pipelines' flow-cache counters (all zero
-// when Cfg.NoFlowCache).
+// FlowCacheStats sums the RMT pipelines' flow-cache counters.
 func (n *NIC) FlowCacheStats() rmt.FlowCacheStats {
 	var s rmt.FlowCacheStats
 	for _, t := range n.Builder.RMTs {

@@ -43,10 +43,10 @@ func traceRun(c detCase, horizon uint64, sample uint64) (string, string) {
 }
 
 // TestTraceDeterminism is the observability layer's acceptance test: the
-// exported trace must be byte-identical across every mode in detCases that
-// keeps the flow cache — per-component buffers drained in creation order
-// make tick order invisible, and skipped idle cycles run no phases so they
-// can emit nothing.
+// exported trace must be byte-identical across every mode in detCases —
+// per-component buffers drained in creation order make tick order
+// invisible, and skipped idle cycles run no phases so they can emit
+// nothing.
 func TestTraceDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-mode NIC runs are slow")
@@ -60,9 +60,6 @@ func TestTraceDeterminism(t *testing.T) {
 		t.Errorf("trace missing control spans despite fault plan + health monitor")
 	}
 	for _, c := range detCases[1:] {
-		if c.noFlowCache {
-			continue // RMT spans record flow-cache hits: this ablation changes the trace by design
-		}
 		gotTrace, gotFP := traceRun(c, horizon, 1)
 		if gotFP != wantFP {
 			t.Errorf("mode %s: NIC fingerprint diverged:\n%s", c.name, diffLines(wantFP, gotFP))

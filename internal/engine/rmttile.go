@@ -83,7 +83,7 @@ func NewRMTTile(cfg TileConfig, pipe *rmt.Pipeline, fab noc.Fabric, routes *Rout
 		pipe:   pipe,
 		fab:    fab,
 		routes: routes,
-		queue:  cfg.newQueue(),
+		queue:  sched.NewQueue(cfg.QueueCap, cfg.Policy),
 		rank:   rank,
 		outbox: make([]resolvedOut, 0, 8),
 	}

@@ -40,18 +40,6 @@ type TileConfig struct {
 	// depth and slack, service occupancy, fabric injections, and drops.
 	// Nil disables tracing at zero cost on the hot path.
 	Trace *trace.Buffer
-	// HeapSchedQueue backs the scheduling queue with the reference
-	// container/heap PIFO instead of the bucketed calendar queue — the
-	// ablation baseline. Decisions are identical; only speed differs.
-	HeapSchedQueue bool
-}
-
-// newQueue builds the tile's scheduling queue per the ablation knob.
-func (c *TileConfig) newQueue() *sched.Queue {
-	if c.HeapSchedQueue {
-		return sched.NewHeapQueue(c.QueueCap, c.Policy)
-	}
-	return sched.NewQueue(c.QueueCap, c.Policy)
 }
 
 // TileStats are one tile's counters.
@@ -219,7 +207,7 @@ func NewTile(cfg TileConfig, eng Engine, fab noc.Fabric, routes *RouteTable, rng
 		eng:    eng,
 		fab:    fab,
 		routes: routes,
-		queue:  cfg.newQueue(),
+		queue:  sched.NewQueue(cfg.QueueCap, cfg.Policy),
 		rank:   rank,
 		ctx:    Ctx{RNG: rng, Addr: cfg.Addr},
 		// Pre-size the send-side buffers: outbox and delay-list churn is

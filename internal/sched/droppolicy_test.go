@@ -224,25 +224,18 @@ func (r *refQueue) peekRank() (uint64, bool) {
 // with the same randomized operation stream — including the extreme rank
 // spreads real rankers produce (wLSTF's exhausted penalty 1<<20, strict
 // priority's level<<48) — and demands identical decisions throughout.
+// Capacities span 1–16, where overflow is constant, and the 64–256 depths
+// the shipped configurations use, where inserts and evictions shift long
+// runs of entries.
 func TestQueueDifferentialVsReference(t *testing.T) {
-	impls := []struct {
-		name string
-		make func(int, Policy) *Queue
-	}{
-		{"bucketed", NewQueue},
-		{"heap", NewHeapQueue},
-	}
-	for _, impl := range impls {
-		t.Run(impl.name, func(t *testing.T) { diffTest(t, impl.make) })
-	}
-}
-
-func diffTest(t *testing.T, mk func(int, Policy) *Queue) {
 	for _, policy := range []Policy{Backpressure, DropLowestPriority} {
-		for seed := int64(0); seed < 20; seed++ {
+		for seed := int64(0); seed < 26; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			capacity := 1 + rng.Intn(16)
-			q := mk(capacity, policy)
+			if seed >= 20 { // the shipped depths, each twice
+				capacity = []int{64, 128, 256}[seed%3]
+			}
+			q := NewQueue(capacity, policy)
 			ref := &refQueue{cap: capacity, policy: policy}
 			id := uint64(0)
 			for op := 0; op < 2000; op++ {
@@ -286,6 +279,9 @@ func diffTest(t *testing.T, mk func(int, Policy) *Queue) {
 				if q.Len() != len(ref.entries) {
 					t.Fatalf("policy=%v seed=%d op=%d: Len() = %d, reference %d",
 						policy, seed, op, q.Len(), len(ref.entries))
+				}
+				if err := q.Audit(); err != nil {
+					t.Fatalf("policy=%v seed=%d op=%d: %v", policy, seed, op, err)
 				}
 			}
 		}

@@ -9,10 +9,10 @@
 // scheduling algorithms (the paper cites Universal Packet Scheduling and
 // the PIFO line of work). Rank = arrival + slack implements
 // least-slack-time-first; rank = arrival implements FIFO; rank = class
-// implements strict priority. The queue is backed by a bitmap calendar
-// queue (O(1) push/peek/pop over the live rank window, exact-ordering
-// fallback outside it — see bucketq.go), mirroring how hardware PIFOs
-// achieve constant-time scheduling decisions.
+// implements strict priority. The queue is one slice kept sorted
+// worst-first, so the head is the tail: pop is O(1) and push is a binary
+// search plus a memmove over at most the queue's capacity (64–256 entries
+// in every shipped configuration).
 //
 // Admission is a policy decision the paper leaves open (§6): Backpressure
 // never drops (the queue fills and the fabric stalls — lossless), while
@@ -28,8 +28,9 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
+	"sort"
 
 	"github.com/panic-nic/panic/internal/packet"
 )
@@ -69,17 +70,15 @@ type PushResult struct {
 	Dropped *packet.Message
 }
 
-// Queue is one engine's scheduling queue. The ordering structure behind it
-// is a hierarchical-bitmap calendar queue (see bucketq.go) giving O(1)
-// push/peek/pop for the clustered ranks real rank functions emit, with
-// exact-ordering heaps absorbing outliers; NewHeapQueue builds the same
-// queue over the reference container/heap implementation for ablation
-// runs. Both produce bit-identical scheduling decisions.
+// Queue is one engine's scheduling queue. Entries live in one slice sorted
+// worst-first by (rank, seq): the best-ranked, oldest entry is the last
+// element, so Peek and Pop read the tail, and the lossy policy's eviction
+// victim is the first droppable entry from the front.
 type Queue struct {
-	p      pifo
-	cap    int
-	policy Policy
-	seq    uint64
+	entries []entry // sorted by (rank, seq) descending
+	cap     int
+	policy  Policy
+	seq     uint64
 
 	// Stats. evicted counts resident messages removed by lossy overflow
 	// (the Dropped result of a winning push); self-drops shed before
@@ -90,43 +89,31 @@ type Queue struct {
 	highWater                      int
 }
 
-// NewQueue builds a queue with the given capacity and overflow policy,
-// backed by the bucketed calendar queue.
+// NewQueue builds a queue with the given capacity and overflow policy.
+// The entry slice grows by append rather than being sized to capacity
+// up front: capacities can come from untrusted scenario files.
 func NewQueue(capacity int, policy Policy) *Queue {
 	if capacity < 1 {
 		panic(fmt.Sprintf("sched: queue capacity %d", capacity))
 	}
-	return &Queue{p: &bucketQueue{}, cap: capacity, policy: policy}
-}
-
-// NewHeapQueue builds a queue backed by the reference container/heap
-// implementation — the ablation baseline for the calendar queue, kept so
-// cmd/benchkernel -ablation can quantify the bucketed queue's contribution
-// against scheduling decisions that are identical by construction.
-func NewHeapQueue(capacity int, policy Policy) *Queue {
-	if capacity < 1 {
-		panic(fmt.Sprintf("sched: queue capacity %d", capacity))
-	}
-	return &Queue{p: &heapPifo{}, cap: capacity, policy: policy}
+	return &Queue{cap: capacity, policy: policy}
 }
 
 // Len returns the current occupancy.
-func (q *Queue) Len() int { return q.p.size() }
+func (q *Queue) Len() int { return len(q.entries) }
 
 // Cap returns the capacity.
 func (q *Queue) Cap() int { return q.cap }
 
 // Full reports whether the queue is at capacity.
-func (q *Queue) Full() bool { return q.p.size() >= q.cap }
+func (q *Queue) Full() bool { return len(q.entries) >= q.cap }
 
 // Push inserts a message with the given rank (lower = served sooner).
 // Equal ranks are served in arrival order.
 func (q *Queue) Push(msg *packet.Message, rank uint64) PushResult {
 	if !q.Full() {
-		q.seq++
-		q.p.insert(entry{msg: msg, rank: rank, seq: q.seq})
-		q.pushed++
-		if n := q.p.size(); n > q.highWater {
+		q.insert(msg, rank)
+		if n := len(q.entries); n > q.highWater {
 			q.highWater = n
 		}
 		return PushResult{Accepted: true}
@@ -136,8 +123,8 @@ func (q *Queue) Push(msg *packet.Message, rank uint64) PushResult {
 		return PushResult{}
 	}
 	// Lossy: evict the worst droppable occupant if the newcomer beats it.
-	w, loc, ok := q.p.worstDroppable()
-	if !ok {
+	i := q.worstDroppable()
+	if i < 0 {
 		// Everything resident is lossless; the newcomer itself is shed
 		// unless it is lossless too, in which case the push is refused
 		// and the caller must stall.
@@ -148,46 +135,69 @@ func (q *Queue) Push(msg *packet.Message, rank uint64) PushResult {
 		q.drops++
 		return PushResult{Accepted: true, Dropped: msg}
 	}
+	w := q.entries[i]
 	newcomerLoses := rank > w.rank || (rank == w.rank && !msg.Lossless())
 	if newcomerLoses && !msg.Lossless() {
 		q.drops++
 		return PushResult{Accepted: true, Dropped: msg}
 	}
-	q.p.removeAt(loc)
-	q.seq++
-	q.p.insert(entry{msg: msg, rank: rank, seq: q.seq})
-	q.pushed++
+	q.entries = slices.Delete(q.entries, i, i+1)
+	q.insert(msg, rank)
 	q.drops++
 	q.evicted++
 	return PushResult{Accepted: true, Dropped: w.msg}
 }
 
+// insert places a new entry at its sorted position. Its seq is the largest
+// present, so it sorts after every entry of a higher rank and before every
+// entry of an equal or lower rank.
+func (q *Queue) insert(msg *packet.Message, rank uint64) {
+	q.seq++
+	i := sort.Search(len(q.entries), func(i int) bool { return q.entries[i].rank <= rank })
+	q.entries = slices.Insert(q.entries, i, entry{msg: msg, rank: rank, seq: q.seq})
+	q.pushed++
+}
+
+// worstDroppable returns the index of the entry the lossy overflow policy
+// evicts — the worst-ranked droppable entry, ties to the youngest — or -1
+// when every resident message is lossless. The slice is sorted worst-first,
+// so that is the first entry that is not lossless.
+func (q *Queue) worstDroppable() int {
+	for i, e := range q.entries {
+		if !e.msg.Lossless() {
+			return i
+		}
+	}
+	return -1
+}
+
 // Peek returns the best-ranked message without removing it.
 func (q *Queue) Peek() (*packet.Message, bool) {
-	e, ok := q.p.peekMin()
-	if !ok {
+	if len(q.entries) == 0 {
 		return nil, false
 	}
-	return e.msg, true
+	return q.entries[len(q.entries)-1].msg, true
 }
 
 // PeekRank returns the best rank present.
 func (q *Queue) PeekRank() (uint64, bool) {
-	e, ok := q.p.peekMin()
-	if !ok {
+	if len(q.entries) == 0 {
 		return 0, false
 	}
-	return e.rank, true
+	return q.entries[len(q.entries)-1].rank, true
 }
 
 // Pop removes and returns the best-ranked message.
 func (q *Queue) Pop() (*packet.Message, bool) {
-	e, ok := q.p.popMin()
-	if !ok {
+	n := len(q.entries)
+	if n == 0 {
 		return nil, false
 	}
+	msg := q.entries[n-1].msg
+	q.entries[n-1] = entry{} // drop the message reference
+	q.entries = q.entries[:n-1]
 	q.popped++
-	return e.msg, true
+	return msg, true
 }
 
 // Stats returns (pushed, popped, dropped, rejected, high-water mark).
@@ -202,14 +212,17 @@ func (q *Queue) Evicted() uint64 { return q.evicted }
 // It exists for occupancy audits (per-tenant conservation); scheduling
 // order comes only from Pop.
 func (q *Queue) Each(fn func(msg *packet.Message, rank uint64)) {
-	q.p.each(func(e entry) { fn(e.msg, e.rank) })
+	for _, e := range q.entries {
+		fn(e.msg, e.rank)
+	}
 }
 
 // Audit checks the queue's internal conservation and bound invariants:
 // occupancy equals pushed − popped − evicted, occupancy and the high-water
-// mark never exceed capacity. It returns the first violation found.
+// mark never exceed capacity, and the entries are in scheduling order. It
+// returns the first violation found.
 func (q *Queue) Audit() error {
-	n := uint64(q.p.size())
+	n := uint64(len(q.entries))
 	if want := q.pushed - q.popped - q.evicted; n != want {
 		return fmt.Errorf("sched: occupancy %d != pushed %d - popped %d - evicted %d",
 			n, q.pushed, q.popped, q.evicted)
@@ -220,12 +233,13 @@ func (q *Queue) Audit() error {
 	if q.highWater > q.cap {
 		return fmt.Errorf("sched: high-water %d exceeds capacity %d", q.highWater, q.cap)
 	}
-	// The iterator must agree with size(): a desynced bitmap or stale
-	// bucket head would silently corrupt scheduling order.
-	var visited uint64
-	q.p.each(func(entry) { visited++ })
-	if visited != n {
-		return fmt.Errorf("sched: iterator visited %d entries, size reports %d", visited, n)
+	// Scheduling order is the slice order: a misplaced entry would
+	// silently serve messages out of (rank, seq) order.
+	for i := 1; i < len(q.entries); i++ {
+		if a, b := q.entries[i-1], q.entries[i]; a.rank < b.rank || (a.rank == b.rank && a.seq < b.seq) {
+			return fmt.Errorf("sched: entry %d (rank %d, seq %d) sorts after entry %d (rank %d, seq %d)",
+				i-1, a.rank, a.seq, i, b.rank, b.seq)
+		}
 	}
 	return nil
 }
@@ -234,76 +248,4 @@ type entry struct {
 	msg  *packet.Message
 	rank uint64
 	seq  uint64
-}
-
-// heapPifo is the original container/heap pifo, retained as the ablation
-// baseline behind NewHeapQueue. Its heap.Push boxes each entry through
-// interface{}, so unlike the calendar queue it allocates per push.
-type heapPifo struct{ h entryHeap }
-
-func (p *heapPifo) size() int      { return len(p.h) }
-func (p *heapPifo) insert(e entry) { heap.Push(&p.h, e) }
-
-func (p *heapPifo) peekMin() (entry, bool) {
-	if len(p.h) == 0 {
-		return entry{}, false
-	}
-	return p.h[0], true
-}
-
-func (p *heapPifo) popMin() (entry, bool) {
-	if len(p.h) == 0 {
-		return entry{}, false
-	}
-	return heap.Pop(&p.h).(entry), true
-}
-
-// worstDroppable returns the highest-rank droppable entry; ties prefer the
-// youngest (largest seq), so older traffic survives.
-func (p *heapPifo) worstDroppable() (entry, dropLoc, bool) {
-	worst := -1
-	for i, e := range p.h {
-		if e.msg.Lossless() {
-			continue
-		}
-		if worst < 0 || e.rank > p.h[worst].rank ||
-			(e.rank == p.h[worst].rank && e.seq > p.h[worst].seq) {
-			worst = i
-		}
-	}
-	if worst < 0 {
-		return entry{}, dropLoc{}, false
-	}
-	return p.h[worst], dropLoc{idx: worst}, true
-}
-
-func (p *heapPifo) removeAt(loc dropLoc) { heap.Remove(&p.h, loc.idx) }
-
-func (p *heapPifo) each(fn func(e entry)) {
-	for _, e := range p.h {
-		fn(e)
-	}
-}
-
-type entryHeap []entry
-
-func (h entryHeap) Len() int { return len(h) }
-
-func (h entryHeap) Less(i, j int) bool {
-	if h[i].rank != h[j].rank {
-		return h[i].rank < h[j].rank
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h entryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *entryHeap) Push(x any) { *h = append(*h, x.(entry)) }
-
-func (h *entryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
 }

@@ -298,3 +298,42 @@ func TestPropertyLosslessNeverDropped(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestQueueWarmAllocs: once the entry slice has grown to its working depth,
+// neither the served path (a push at an ever-later rank, then a pop) nor a
+// winning push into a full DropLowestPriority queue (evict the worst entry,
+// insert the newcomer) allocates.
+func TestQueueWarmAllocs(t *testing.T) {
+	msg := bulkMsg(1)
+	q := NewQueue(256, Backpressure)
+	for i := 0; i < 128; i++ {
+		q.Push(msg, uint64(i))
+	}
+	rank := uint64(128)
+	rotate := func() {
+		q.Push(msg, rank)
+		rank++
+		if _, ok := q.Pop(); !ok {
+			t.Fatal("queue drained")
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, rotate); allocs != 0 {
+		t.Errorf("warm Push+Pop allocates %v times per run, want 0", allocs)
+	}
+
+	lossy := NewQueue(256, DropLowestPriority)
+	for i := 0; i < 256; i++ {
+		lossy.Push(bulkMsg(uint64(i)), uint64(1<<20+i))
+	}
+	rank = 1 << 20
+	evict := func() {
+		rank--
+		evicted := lossy.Evicted()
+		if res := lossy.Push(msg, rank); !res.Accepted || lossy.Evicted() != evicted+1 {
+			t.Fatalf("push at rank %d did not evict a resident: %+v", rank, res)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, evict); allocs != 0 {
+		t.Errorf("warm winning push into a full lossy queue allocates %v times per run, want 0", allocs)
+	}
+}
