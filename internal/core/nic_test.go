@@ -18,6 +18,18 @@ func kvsSource(count uint64, getRatio, wanShare float64, seed uint64) *workload.
 	})
 }
 
+// TestNICCommitterCount pins the Commit phase's fixed per-cycle cost. The
+// mesh commits its own lanes, so with tracing off the canonical NIC's
+// kernel visits only the mesh and the three staged sinks (two wire ports
+// and the DMA engine's host sink).
+func TestNICCommitterCount(t *testing.T) {
+	nic := NewNIC(DefaultConfig(), nil)
+	defer nic.Close()
+	if n := nic.Builder.Kernel.Committers(); n > 4 {
+		t.Fatalf("canonical NIC registers %d committers, want at most 4", n)
+	}
+}
+
 func TestNICEndToEndGetMissServedByHost(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Trace = true

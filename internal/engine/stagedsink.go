@@ -23,11 +23,8 @@ import (
 type StagedSink struct {
 	target Sink
 	buf    []stagedDelivery
-	// dirty points at ownDirty until the kernel redirects it into its
-	// contiguous flag arena (sim.DirtyRedirector).
-	dirty    *bool
-	ownDirty bool
-	wake     sim.Poker
+	dirty  bool
+	wake   sim.Poker
 }
 
 type stagedDelivery struct {
@@ -38,9 +35,7 @@ type stagedDelivery struct {
 // NewStagedSink wraps target. The caller must register the result with the
 // kernel (it implements sim.Committer) adjacent to its producing tile.
 func NewStagedSink(target Sink) *StagedSink {
-	s := &StagedSink{target: target, buf: make([]stagedDelivery, 0, 8)}
-	s.dirty = &s.ownDirty
-	return s
+	return &StagedSink{target: target, buf: make([]stagedDelivery, 0, 8)}
 }
 
 // SetWaker wires the poker of the tile whose engine the wrapped target
@@ -52,7 +47,7 @@ func (s *StagedSink) SetWaker(p sim.Poker) { s.wake = p }
 // Deliver implements Sink: the delivery is buffered until Commit.
 func (s *StagedSink) Deliver(msg *packet.Message, now uint64) {
 	s.buf = append(s.buf, stagedDelivery{msg: msg, now: now})
-	*s.dirty = true
+	s.dirty = true
 }
 
 // Commit implements sim.Committer: buffered deliveries reach the target in
@@ -70,10 +65,4 @@ func (s *StagedSink) Commit() {
 }
 
 // DirtyFlag implements sim.DirtyCommitter.
-func (s *StagedSink) DirtyFlag() *bool { return s.dirty }
-
-// RedirectDirty implements sim.DirtyRedirector.
-func (s *StagedSink) RedirectDirty(p *bool) {
-	*p = *s.dirty
-	s.dirty = p
-}
+func (s *StagedSink) DirtyFlag() *bool { return &s.dirty }

@@ -22,18 +22,14 @@ func (m *Mesh) InFlight() uint64 {
 // cross-check "every tile emission is a mesh injection" holds over whole
 // runs: sum of tile Emitted counters == in, sum of tile Ejected counters
 // == out.
-func (m *Mesh) OccCounts() (in, out uint64) {
-	for _, r := range m.routers {
-		in += r.stats.occIn
-		out += r.stats.occOut
-	}
-	return in, out
-}
+func (m *Mesh) OccCounts() (in, out uint64) { return m.occIn, m.occOut }
 
 // AuditConservation checks message custody inside the fabric and returns
 // the first violation found:
 //
 //   - occIn >= occOut globally (a message cannot leave before it entered);
+//   - the per-router ejection counters sum to the mesh total, and the
+//     eject queues hold exactly the mesh's parked count;
 //   - per router, delivered − occOut == eject-queue occupancy (every
 //     assembled message is either parked awaiting its tile or already
 //     ejected) — skipped after ResetStats, which zeroes delivered;
@@ -48,10 +44,11 @@ func (m *Mesh) OccCounts() (in, out uint64) {
 // Call it only between cycles (e.g. from sim.Kernel.ObserveCycleEnd);
 // mid-cycle the staged FIFO state makes Len undefined.
 func (m *Mesh) AuditConservation() error {
-	var in, out, buffered uint64
+	in, out := m.occIn, m.occOut
+	var routerOut, buffered, parked uint64
 	for _, r := range m.routers {
-		in += r.stats.occIn
-		out += r.stats.occOut
+		routerOut += r.stats.occOut
+		parked += uint64(r.ejectQ.Len())
 		if !m.statsReset && r.stats.delivered-r.stats.occOut != uint64(r.ejectQ.Len()) {
 			return fmt.Errorf("noc: router %d delivered %d - ejected %d != eject queue occupancy %d",
 				r.id, r.stats.delivered, r.stats.occOut, r.ejectQ.Len())
@@ -65,6 +62,12 @@ func (m *Mesh) AuditConservation() error {
 				buffered++
 			}
 		}
+	}
+	if routerOut != out {
+		return fmt.Errorf("noc: routers ejected %d messages, mesh total is %d", routerOut, out)
+	}
+	if parked != uint64(m.parked) {
+		return fmt.Errorf("noc: eject queues hold %d messages, mesh parked count is %d", parked, m.parked)
 	}
 	if in < out {
 		return fmt.Errorf("noc: ejected %d messages but only %d were injected", out, in)

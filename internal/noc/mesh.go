@@ -51,13 +51,13 @@ func DefaultMeshConfig() MeshConfig {
 }
 
 // Mesh is a 2D mesh of wormhole routers. It implements Fabric, sim.Ticker,
-// sim.Preparer (publishing the cycle before Eval), and sim.Quiescer
-// (reporting idleness for fast-forward); RegisterWith attaches it and all
-// its staged queues to a kernel.
+// sim.Preparer (publishing the cycle before Eval), sim.Committer (for all
+// of its staged lanes), and sim.Quiescer (reporting idleness for
+// fast-forward); RegisterWith attaches it to a kernel.
 //
-// All statistics are accumulated per router — each router's local port is
-// owned by exactly one tile, so injection/ejection counters have a single
-// writer — and summed on demand by Stats.
+// Statistics are accumulated per router and summed on demand by Stats;
+// the totals read every cycle (occupancy, parked ejections, installed
+// faults) are kept at mesh level.
 type Mesh struct {
 	cfg     MeshConfig
 	vcs     int
@@ -66,18 +66,38 @@ type Mesh struct {
 	// statsReset records that ResetStats zeroed the delivered counters,
 	// which disarms the delivered-vs-ejected audit (occIn/occOut survive).
 	statsReset bool
+	// occIn and occOut count every message ever injected into / ejected
+	// from the mesh and are never reset: their difference is the in-flight
+	// message count, which the fast-forward quiescence check uses. parked
+	// counts messages pushed into eject queues and not yet taken by
+	// TryEject; faults counts installed (non-clean) link faults.
+	occIn, occOut uint64
+	parked        int
+	faults        int
+
+	// The mesh is the only Committer of its lanes. A lane joins its
+	// type's list on the push or pop that finds it clean, so each appears
+	// at most once per cycle, and Commit commits exactly the listed lanes.
+	// Lists are pre-sized to every lane the mesh owns and never grow.
+	dirtyFlit  []*sim.FIFO[Flit]
+	dirtyInj   []*sim.FIFO[injEntry]
+	dirtyEject []*sim.FIFO[*packet.Message]
 
 	// Event-mode state (see sim.EventAware). eventOn mirrors the kernel's
 	// mode each cycle; selfPoke raises the mesh's kernel-level wake flag
 	// when a tile or control plane touches mesh state from outside a mesh
 	// tick; tileWake[node] wakes the local tile when the mesh hands it an
 	// arrival or returns an injection credit; tickAll forces every router
-	// live for one cycle (the kernel's wake-all contract).
+	// live for one cycle (the kernel's wake-all contract). woken collects
+	// the routers poked for the next cycle (each at most once); Begin
+	// swaps it into live, the routers an event-mode Tick runs.
 	k        *sim.Kernel
 	eventOn  bool
 	selfPoke sim.Poker
 	tileWake []sim.Poker
 	tickAll  bool
+	live     []*router
+	woken    []*router
 }
 
 // injEntry is a message waiting at a local injection port.
@@ -120,8 +140,8 @@ type router struct {
 	// linkFault[o] is the injected fault on the outgoing link at port o
 	// (zero value = healthy). Local ports cannot fault.
 	linkFault [numPorts]LinkFault
-	// stats are this router's counters. injected/ejected are written by
-	// the local tile (single writer); the rest by the router's own tick.
+	// stats are this router's counters. injected/occOut are written by
+	// the local tile; the rest by the router's own tick.
 	stats routerStats
 	// tb is this router's trace buffer (nil when tracing is off). One
 	// buffer per router keeps the drained span stream independent of the
@@ -131,21 +151,43 @@ type router struct {
 	// Event-mode liveness. A router whose tick moves no flit changes no
 	// state at all (round-robin pointers, holders, assembly, and counters
 	// only mutate on a send), so it can sleep until one of its inputs,
-	// credits, or faults changes — each such edge pokes it. active means
-	// the last tick moved a flit (stay awake); poked is the level-
-	// triggered external wake, consumed into live by Mesh.Begin (before
-	// Eval, so tick order cannot affect liveness); faultWake is
-	// the next cycle a PassEveryN-limited output with a waiting candidate
-	// opens (0 = none): fault windows open by the clock, not by a poke.
-	active    bool
-	live      bool
-	poked     bool
+	// credits, or faults changes — each such edge pokes it, and a tick
+	// that moved a flit pokes the router itself. queued means the router
+	// is on the mesh's woken list; faultWake is the next cycle a
+	// PassEveryN-limited output with a waiting candidate opens (0 = none):
+	// fault windows open by the clock, not by a poke.
+	queued    bool
 	faultWake uint64
 }
 
-// poke marks the router live for the next cycle (or the current one if
-// called from a start-of-cycle event, before Begin samples the flags).
-func (r *router) poke() { r.poked = true }
+// poke puts the router on the mesh's worklist for the next cycle (or the
+// current one if called from a start-of-cycle event, before Begin swaps
+// the list in). A router already queued is not queued twice.
+func (r *router) poke() {
+	if !r.queued {
+		r.queued = true
+		r.m.woken = append(r.m.woken, r)
+	}
+}
+
+// track puts lane f on its dirty list if this is the first push or pop
+// since its last commit. Call it before the push or pop, which raises the
+// lane's dirty flag.
+func track[T any](list *[]*sim.FIFO[T], f *sim.FIFO[T]) {
+	if !*f.DirtyFlag() {
+		*list = append(*list, f)
+	}
+}
+
+// commitLanes commits and cleans every listed lane and returns the
+// emptied list.
+func commitLanes[T any](list []*sim.FIFO[T]) []*sim.FIFO[T] {
+	for _, f := range list {
+		f.Commit()
+		*f.DirtyFlag() = false
+	}
+	return list[:0]
+}
 
 // headState is one input lane's cached head flit for the current tick.
 type headState struct {
@@ -153,13 +195,11 @@ type headState struct {
 	ok bool
 }
 
-// routerStats are one router's contribution to the mesh totals. occIn and
-// occOut count every message ever injected at / ejected from this router
-// and are never reset: summed over all routers their difference is the
-// in-flight message count, which the fast-forward quiescence check uses.
+// routerStats are one router's contribution to the mesh totals. occOut
+// counts every message ever ejected from this router and is never reset;
+// the custody audit checks it against the eject queue and the mesh total.
 type routerStats struct {
 	injected     uint64
-	occIn        uint64
 	occOut       uint64
 	delivered    uint64
 	flitHops     uint64
@@ -292,6 +332,11 @@ func NewMesh(cfg MeshConfig) *Mesh {
 		}
 		m.routers[id] = r
 	}
+	m.dirtyFlit = make([]*sim.FIFO[Flit], 0, n*(numPorts-1)*vcs)
+	m.dirtyInj = make([]*sim.FIFO[injEntry], 0, n*vcs)
+	m.dirtyEject = make([]*sim.FIFO[*packet.Message], 0, n)
+	m.live = make([]*router, 0, n)
+	m.woken = make([]*router, 0, n)
 	for _, r := range m.routers {
 		r.nextPort = make([]uint8, n)
 		for dst := range r.nextPort {
@@ -315,25 +360,15 @@ func NewMesh(cfg MeshConfig) *Mesh {
 	return m
 }
 
-// RegisterWith attaches the mesh and its staged state to a kernel. The mesh
-// keeps the kernel handle so each cycle's Begin can mirror the kernel's
-// event mode, and wires its own kernel-level poker for wakes originating
-// outside mesh ticks (Inject, TryEject, SetLinkFault).
+// RegisterWith attaches the mesh to a kernel. Its staged lanes are not
+// registered: the mesh commits them itself. The mesh keeps the kernel
+// handle so each cycle's Begin can mirror the kernel's event mode, and
+// wires its own kernel-level poker for wakes originating outside mesh
+// ticks (Inject, TryEject, SetLinkFault).
 func (m *Mesh) RegisterWith(k *sim.Kernel) {
 	k.Register(m)
 	m.k = k
 	m.selfPoke = k.PokerFor(m)
-	for _, r := range m.routers {
-		for p := portNorth; p < numPorts; p++ {
-			for _, f := range r.in[p] {
-				k.Register(f)
-			}
-		}
-		for v := range r.inj.lanes {
-			k.Register(r.inj.lanes[v].q)
-		}
-		k.Register(r.ejectQ)
-	}
 }
 
 // SetNodeWaker wires the poker that wakes the tile attached at node when
@@ -405,9 +440,11 @@ func (m *Mesh) Inject(src, dst NodeID, msg *packet.Message) {
 		panic(fmt.Sprintf("noc: Inject to invalid node %d", dst))
 	}
 	r := m.routers[src]
-	r.inj.lanes[r.inj.vcFor(dst)].q.Push(injEntry{msg: msg, dst: dst, flits: m.FlitsFor(msg), enqued: m.now})
+	q := r.inj.lanes[r.inj.vcFor(dst)].q
+	track(&m.dirtyInj, q)
+	q.Push(injEntry{msg: msg, dst: dst, flits: m.FlitsFor(msg), enqued: m.now})
 	r.stats.injected++
-	r.stats.occIn++
+	m.occIn++
 	// The staged entry commits at end of cycle; the router must look then.
 	r.poke()
 	m.selfPoke.Poke()
@@ -420,10 +457,13 @@ func (m *Mesh) TryEject(node NodeID) (*packet.Message, bool) {
 		return nil, false
 	}
 	r.stats.occOut++
+	m.occOut++
+	m.parked--
 	// The freed eject slot may unblock a head flit the router reserved
 	// against; the credit lands at commit, so the router looks next cycle.
 	r.poke()
 	m.selfPoke.Poke()
+	track(&m.dirtyEject, r.ejectQ)
 	return r.ejectQ.Pop(), true
 }
 
@@ -448,7 +488,13 @@ func (m *Mesh) portToward(from, to NodeID) int {
 // SetLinkFault installs (or, with the zero LinkFault, lifts) a fault on
 // the directional link from -> to. The nodes must be adjacent.
 func (m *Mesh) SetLinkFault(from, to NodeID, f LinkFault) {
-	m.routers[from].linkFault[m.portToward(from, to)] = f
+	lf := &m.routers[from].linkFault[m.portToward(from, to)]
+	if lf.Clean() && !f.Clean() {
+		m.faults++
+	} else if !lf.Clean() && f.Clean() {
+		m.faults--
+	}
+	*lf = f
 	// Lifting a fault can unblock a sleeping router's waiting candidate.
 	m.routers[from].poke()
 	m.selfPoke.Poke()
@@ -477,46 +523,51 @@ func (m *Mesh) Stats() Stats {
 func (m *Mesh) ResetStats() {
 	m.statsReset = true
 	for _, r := range m.routers {
-		r.stats = routerStats{occIn: r.stats.occIn, occOut: r.stats.occOut}
+		r.stats = routerStats{occOut: r.stats.occOut}
 	}
 }
 
 // Begin implements sim.Preparer: the cycle number is published before Eval
 // so routers and injecting tiles read a stable value however the Eval
-// phase is ordered. Under an event-driven kernel Begin also fixes each
-// router's liveness for the cycle — pokes are consumed here, before Eval,
-// so the set of routers that tick can never depend on tick order. A poke
-// landing later in this cycle keeps the mesh awake
-// (EndCycle sees the flag) and is consumed by the next Begin.
+// phase is ordered. Begin also fixes the cycle's router worklist — pokes
+// are consumed here, before Eval, so the set of routers that tick can
+// never depend on tick order. A poke landing later in this cycle keeps
+// the mesh awake (EndCycle sees the woken list) and is consumed by the
+// next Begin. Timed fault-window wakes are scanned for only while a link
+// fault is installed.
 func (m *Mesh) Begin(cycle uint64) {
 	m.now = cycle
 	m.eventOn = m.k != nil && m.k.EventDriven()
-	if !m.eventOn {
-		return
-	}
-	tickAll := m.tickAll
-	m.tickAll = false
-	for _, r := range m.routers {
-		live := tickAll || r.active || (r.faultWake != 0 && cycle >= r.faultWake)
-		if r.poked {
-			r.poked = false
-			live = true
+	if m.tickAll {
+		m.tickAll = false
+		for _, r := range m.routers {
+			r.poke()
 		}
-		r.live = live
+	}
+	if m.faults > 0 {
+		for _, r := range m.routers {
+			if r.faultWake != 0 && cycle >= r.faultWake {
+				r.poke()
+			}
+		}
+	}
+	m.live, m.woken = m.woken, m.live[:0]
+	for _, r := range m.live {
+		r.queued = false
 	}
 }
 
-// WakeAll implements sim.BulkWaker: the next Begin marks every router live.
+// WakeAll implements sim.BulkWaker: the next Begin queues every router.
 func (m *Mesh) WakeAll() { m.tickAll = true }
 
-// Tick implements sim.Ticker: one cycle of every router.
+// Tick implements sim.Ticker: one cycle of every router on the worklist
+// (event mode) or of every router (ticked mode). Router ticks within a
+// cycle are order-independent, so the worklist's order does not matter.
 func (m *Mesh) Tick(cycle uint64) {
 	m.now = cycle
 	if m.eventOn {
-		for _, r := range m.routers {
-			if r.live {
-				r.tick()
-			}
+		for _, r := range m.live {
+			r.tick()
 		}
 		return
 	}
@@ -525,26 +576,33 @@ func (m *Mesh) Tick(cycle uint64) {
 	}
 }
 
+// Commit implements sim.Committer: every lane pushed or popped this cycle
+// makes its staged state visible. Lanes commit independently, so the
+// lists' order does not matter.
+func (m *Mesh) Commit() {
+	m.dirtyFlit = commitLanes(m.dirtyFlit)
+	m.dirtyInj = commitLanes(m.dirtyInj)
+	m.dirtyEject = commitLanes(m.dirtyEject)
+}
+
 // EndCycle implements sim.EventAware. The mesh must tick next cycle while
-// any router is active or has a pending poke; otherwise the earliest
-// fault-window opening (if any) bounds the sleep, and with none the mesh
-// sleeps until poked. Nothing is deferred while asleep — an inactive,
-// unpoked router's tick would change no state — so SyncTo is a no-op.
+// any router is queued — it moved a flit or was poked — or a message is
+// parked in an eject queue: the waiting tile cannot see the arrival in its
+// own NextWork, so the mesh must be the component that pins the cycle
+// live, exactly as NextWork does for the ticked loop's skip. Otherwise the
+// earliest fault-window opening (if any) bounds the sleep, and with none
+// the mesh sleeps until poked. Nothing is deferred while asleep — an
+// unqueued router's tick would change no state — so SyncTo is a no-op.
 func (m *Mesh) EndCycle(cycle uint64) uint64 {
+	if len(m.woken) > 0 || m.parked > 0 {
+		return cycle + 1
+	}
 	wake := uint64(sim.WakeNever)
-	for _, r := range m.routers {
-		if r.active || r.poked {
-			return cycle + 1
-		}
-		// A parked eject queue keeps the mesh awake even though no router
-		// moves: the waiting tile cannot see the arrival in its own
-		// NextWork, so the mesh must be the component that pins the cycle
-		// live, exactly as NextWork does for the ticked loop's skip.
-		if r.ejectQ.Len() > 0 {
-			return cycle + 1
-		}
-		if r.faultWake != 0 && r.faultWake < wake {
-			wake = r.faultWake
+	if m.faults > 0 {
+		for _, r := range m.routers {
+			if r.faultWake != 0 && r.faultWake < wake {
+				wake = r.faultWake
+			}
 		}
 	}
 	return wake
@@ -560,12 +618,7 @@ func (m *Mesh) SyncTo(cycle uint64) {}
 // tile) the mesh vetoes the skip, covering tiles' blindness to pending
 // arrivals.
 func (m *Mesh) NextWork(now uint64) (uint64, bool) {
-	var in, out uint64
-	for _, r := range m.routers {
-		in += r.stats.occIn
-		out += r.stats.occOut
-	}
-	if in != out {
+	if m.occIn != m.occOut {
 		return now, false
 	}
 	return 0, true
@@ -581,14 +634,16 @@ func (r *router) peekIn(p, vc int) (Flit, bool) {
 
 func (r *router) popIn(p, vc int) {
 	if p == portLocal {
-		if !r.inj.lanes[vc].valid {
+		if l := &r.inj.lanes[vc]; !l.valid {
 			// This pop drains the lane's message queue, returning an
 			// injection credit to the local tile at commit.
 			r.m.wakeTile(r.id)
+			track(&r.m.dirtyInj, l.q)
 		}
 		r.inj.pop(vc)
 		return
 	}
+	track(&r.m.dirtyFlit, r.in[p][vc])
 	r.in[p][vc].Pop()
 	// The freed buffer slot is an upstream credit at commit: the neighbor
 	// feeding this port may have a flit waiting on it.
@@ -655,7 +710,9 @@ func (r *router) deliver(o int, f Flit) {
 		if f.Tail {
 			msg := a.msg
 			a.msg = nil
+			track(&r.m.dirtyEject, r.ejectQ)
 			r.ejectQ.Push(msg)
+			r.m.parked++
 			r.m.wakeTile(r.id) // arrival visible to the tile at commit
 			r.stats.delivered++
 			r.stats.totalLatency += r.m.now - a.enqued
@@ -681,7 +738,9 @@ func (r *router) deliver(o int, f Flit) {
 			Tenant: f.Msg.Tenant,
 		})
 	}
-	r.neighbor[o].in[oppositePort[o]][f.VC].Push(f)
+	in := r.neighbor[o].in[oppositePort[o]][f.VC]
+	track(&r.m.dirtyFlit, in)
+	in.Push(f)
 	r.neighbor[o].poke() // the flit is the neighbor's input next cycle
 	r.stats.flitHops++
 }
@@ -766,7 +825,6 @@ func (r *router) tick() {
 		}
 	}
 	if inputs == 0 {
-		r.active = false
 		return
 	}
 	// Streaming fast path: every live lane is mid-wormhole (no head flit
@@ -795,7 +853,9 @@ func (r *router) tick() {
 					moved = true
 				}
 			}
-			r.active = moved
+			if moved {
+				r.poke()
+			}
 			return
 		}
 	}
@@ -894,6 +954,8 @@ func (r *router) tick() {
 	// the idle early-return applies to a fully blocked router too:
 	// round-robin state, holders, assembly, and stats only mutate on a
 	// send), so the router sleeps until an input, credit, or fault edge
-	// pokes it.
-	r.active = moved
+	// pokes it. One that moved a flit stays on the worklist.
+	if moved {
+		r.poke()
+	}
 }

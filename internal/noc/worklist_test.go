@@ -1,0 +1,240 @@
+package noc
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/panic-nic/panic/internal/sim"
+)
+
+// delivery is one message handed to a tile: when, where, and which.
+type delivery struct {
+	cycle uint64
+	node  NodeID
+	id    uint64
+}
+
+// churnTraffic injects bursts of random traffic at random cycles and polls
+// every eject queue every cycle, taking a parked message only when a hash
+// of (cycle, node) says so: in odd 500-cycle phases the consumer is slow,
+// eject queues fill, backpressure reaches the sources, and routers fall
+// asleep with parked entries. Like a tile, churnTraffic cannot see parked
+// arrivals in its own NextWork, so under fast-forward only the mesh keeps
+// those cycles stepped.
+type churnTraffic struct {
+	m         *Mesh
+	rng       *sim.RNG
+	nextBurst uint64
+	lastBurst uint64
+	nextID    uint64
+	log       []delivery
+}
+
+func (d *churnTraffic) Tick(cycle uint64) {
+	drainPct := uint64(90)
+	if cycle/500%2 == 1 {
+		drainPct = 3
+	}
+	for n := 0; n < d.m.Nodes(); n++ {
+		node := NodeID(n)
+		h := cycle*uint64(d.m.Nodes()) + uint64(n)
+		h ^= h >> 33
+		h *= 0xff51afd7ed558ccd
+		h ^= h >> 33
+		if h%100 < drainPct {
+			if msg, ok := d.m.TryEject(node); ok {
+				d.log = append(d.log, delivery{cycle, node, msg.ID})
+			}
+		}
+	}
+	if cycle < d.nextBurst || d.nextBurst >= d.lastBurst {
+		return
+	}
+	for n := 0; n < d.m.Nodes(); n++ {
+		node := NodeID(n)
+		dst := NodeID(d.rng.Intn(d.m.Nodes()))
+		size := 1 + d.rng.Intn(120)
+		if d.rng.Bool(0.4) && d.m.CanInject(node, dst) {
+			d.nextID++
+			msg := testMsg(size)
+			msg.ID = d.nextID
+			d.m.Inject(node, dst, msg)
+		}
+	}
+	// Gaps are short most of the time, with quiet stretches in which only
+	// a fault-gated router may still have work.
+	gap := 1 + d.rng.Intn(12)
+	if d.rng.Bool(0.1) {
+		gap += 100 + d.rng.Intn(200)
+	}
+	d.nextBurst = cycle + uint64(gap)
+}
+
+// NextWork implements sim.Quiescer: the only self-scheduled work
+// is its next burst.
+func (d *churnTraffic) NextWork(now uint64) (uint64, bool) {
+	if d.nextBurst >= d.lastBurst {
+		return 0, true
+	}
+	return max(d.nextBurst, now), false
+}
+
+// runChurn runs a churnTraffic on a 4x4 mesh with fast-forward on, under
+// the ticked or the event-driven kernel. A pass-every-3 link fault is
+// installed and lifted mid-run, and a severed link is cut and healed. It
+// returns the delivery sequence and the final Stats.
+func runChurn(t *testing.T, vcs int, seed uint64, eventDriven bool) ([]delivery, Stats) {
+	t.Helper()
+	cfg := DefaultMeshConfig()
+	cfg.Width, cfg.Height = 4, 4
+	cfg.VirtualChannels = vcs
+	cfg.EjectDepth = 3
+	m := NewMesh(cfg)
+	k := sim.NewKernelWithConfig(sim.KernelConfig{Freq: sim.GHz, FastForward: true, EventDriven: eventDriven})
+	m.RegisterWith(k)
+	d := &churnTraffic{m: m, rng: sim.NewRNG(seed), lastBurst: 7000}
+	k.Register(d)
+	a, b := m.NodeAt(1, 1), m.NodeAt(2, 1)
+	c, e := m.NodeAt(2, 2), m.NodeAt(2, 3)
+	k.At(1200, func() { m.SetLinkFault(a, b, LinkFault{PassEveryN: 3}) })
+	k.At(2600, func() { m.SetLinkFault(c, e, LinkFault{Severed: true}) })
+	k.At(3300, func() { m.SetLinkFault(c, e, LinkFault{}) })
+	k.At(4100, func() { m.SetLinkFault(a, b, LinkFault{}) })
+	k.Run(4000)
+	k.Run(5000) // a Run boundary mid-traffic exercises the wake-all cycle
+	if err := m.AuditConservation(); err != nil {
+		t.Fatal(err)
+	}
+	if m.InFlight() != 0 {
+		t.Fatalf("%d messages still in flight at the end", m.InFlight())
+	}
+	return d.log, m.Stats()
+}
+
+// TestEventMeshMatchesTickedUnderChurn is the mesh's lost-commit and
+// lost-wakeup check: a lane pushed or popped but never committed, or a
+// router left asleep with work to do, changes when messages come out, so
+// the event-driven kernel's delivery sequence and Stats would diverge from
+// the ticked oracle's.
+func TestEventMeshMatchesTickedUnderChurn(t *testing.T) {
+	for _, vcs := range []int{1, 2} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("vcs%d/seed%d", vcs, seed), func(t *testing.T) {
+				wantLog, wantStats := runChurn(t, vcs, seed, false)
+				gotLog, gotStats := runChurn(t, vcs, seed, true)
+				if gotStats != wantStats {
+					t.Fatalf("event Stats %+v, ticked %+v", gotStats, wantStats)
+				}
+				if uint64(len(wantLog)) != wantStats.Delivered || wantStats.Delivered < 100 {
+					t.Fatalf("ticked run delivered %d (log %d): too little traffic to compare",
+						wantStats.Delivered, len(wantLog))
+				}
+				if len(gotLog) != len(wantLog) {
+					t.Fatalf("event run handed out %d messages, ticked %d", len(gotLog), len(wantLog))
+				}
+				for i := range wantLog {
+					if gotLog[i] != wantLog[i] {
+						t.Fatalf("delivery %d: event %+v, ticked %+v", i, gotLog[i], wantLog[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// checkLanesClean fails unless every lane of the mesh is committed: no
+// dirty list holds a lane and no lane's dirty flag is up. A flag left up
+// would mark a lane that was touched without being listed, which Commit
+// then never reaches.
+func checkLanesClean(t *testing.T, m *Mesh) {
+	t.Helper()
+	if n := len(m.dirtyFlit) + len(m.dirtyInj) + len(m.dirtyEject); n != 0 {
+		t.Fatalf("%d lanes still listed after Commit", n)
+	}
+	for _, r := range m.routers {
+		for p := range r.in {
+			for v, f := range r.in[p] {
+				if *f.DirtyFlag() {
+					t.Fatalf("router %d input (%d, %d) dirty after Commit", r.id, p, v)
+				}
+			}
+		}
+		for v := range r.inj.lanes {
+			if *r.inj.lanes[v].q.DirtyFlag() {
+				t.Fatalf("router %d injection lane %d dirty after Commit", r.id, v)
+			}
+		}
+		if *r.ejectQ.DirtyFlag() {
+			t.Fatalf("router %d eject queue dirty after Commit", r.id)
+		}
+	}
+}
+
+// TestMeshCommitsTouchedLanesOnly steps an event-driven mesh cycle by
+// cycle. An idle cycle touches no lane; an Inject into a sleeping router
+// and a TryEject, both made outside any router tick, are committed in the
+// cycle they happen.
+func TestMeshCommitsTouchedLanesOnly(t *testing.T) {
+	m, k := newTestMesh(3, 3)
+	k.SetEventDriven(true)
+	src, dst := m.NodeAt(0, 0), m.NodeAt(2, 2)
+	inject, eject := false, false
+	k.Register(sim.TickFunc(func(uint64) {
+		if inject {
+			m.Inject(src, dst, testMsg(8))
+			inject = false
+		}
+		if eject {
+			if _, ok := m.TryEject(dst); !ok {
+				t.Fatal("nothing to eject")
+			}
+			eject = false
+		}
+	}))
+	// A serial ticker runs after Eval and before Commit: it sees how many
+	// lanes the cycle touched.
+	var touched int
+	k.RegisterSerial(sim.TickFunc(func(uint64) {
+		touched = len(m.dirtyFlit) + len(m.dirtyInj) + len(m.dirtyEject)
+	}))
+	k.Run(10)
+
+	k.Step()
+	if touched != 0 {
+		t.Fatalf("idle cycle touched %d lanes", touched)
+	}
+	checkLanesClean(t, m)
+
+	if m.routers[src].queued {
+		t.Fatal("source router queued on an idle mesh")
+	}
+	inject = true
+	k.Step()
+	if touched != 1 || m.routers[src].inj.lanes[0].q.Len() != 1 {
+		t.Fatalf("Inject into a sleeping router: %d lanes touched, want 1 committed", touched)
+	}
+	checkLanesClean(t, m)
+
+	for i := 0; !m.HasEjectable(dst); i++ {
+		if i == 100 {
+			t.Fatal("message never arrived")
+		}
+		k.Step()
+		checkLanesClean(t, m)
+	}
+	for i := 0; i < 3; i++ {
+		k.Step() // routers fall asleep; the parked message keeps the mesh awake
+	}
+	eject = true
+	k.Step()
+	if touched != 1 || m.routers[dst].ejectQ.Pending() != 0 {
+		t.Fatalf("TryEject: %d lanes touched, eject queue holds %d after Commit, want 1 and 0",
+			touched, m.routers[dst].ejectQ.Pending())
+	}
+	checkLanesClean(t, m)
+	for _, r := range m.routers {
+		if r.queued && r.id != dst {
+			t.Fatalf("router %d still queued after the mesh drained", r.id)
+		}
+	}
+}

@@ -15,19 +15,7 @@ import "fmt"
 type Reg[T any] struct {
 	cur, next     T
 	curOK, nextOK bool
-	// dirty points at ownDirty until the kernel redirects it into its
-	// contiguous flag arena (see DirtyRedirector); nil on a zero register
-	// until the first mark.
-	dirty    *bool
-	ownDirty bool
-}
-
-// mark raises the dirty flag, resolving the zero register's unset pointer.
-func (r *Reg[T]) mark() {
-	if r.dirty == nil {
-		r.dirty = &r.ownDirty
-	}
-	*r.dirty = true
+	dirty         bool
 }
 
 // CanSend reports whether the register can accept a write this cycle.
@@ -41,7 +29,7 @@ func (r *Reg[T]) Send(v T) {
 	}
 	r.next = v
 	r.nextOK = true
-	r.mark()
+	r.dirty = true
 }
 
 // CanRecv reports whether a committed value is available.
@@ -59,7 +47,7 @@ func (r *Reg[T]) Recv() T {
 	var zero T
 	v := r.cur
 	r.cur = zero
-	r.mark()
+	r.dirty = true
 	return v
 }
 
@@ -79,18 +67,7 @@ func (r *Reg[T]) Commit() {
 // cleared by the kernel after Commit. A clean register's Commit is a
 // provable no-op: with no send or receive since the last commit, either
 // nothing is staged or the committed slot is still occupied.
-func (r *Reg[T]) DirtyFlag() *bool {
-	if r.dirty == nil {
-		r.dirty = &r.ownDirty
-	}
-	return r.dirty
-}
-
-// RedirectDirty implements DirtyRedirector.
-func (r *Reg[T]) RedirectDirty(p *bool) {
-	*p = *r.DirtyFlag()
-	r.dirty = p
-}
+func (r *Reg[T]) DirtyFlag() *bool { return &r.dirty }
 
 // FIFO is a single-producer single-consumer staged bounded queue: pushes
 // become visible and pops take effect only at Commit, so within a cycle the
@@ -111,10 +88,7 @@ type FIFO[T any] struct {
 	staged  int // pushes staged this cycle, stored after the committed run
 	nPopped int
 	cap     int
-	// dirty points at ownDirty until the kernel redirects it into its
-	// contiguous flag arena (see DirtyRedirector).
-	dirty    *bool
-	ownDirty bool
+	dirty   bool
 }
 
 // NewFIFO returns a FIFO with the given capacity. Capacity must be positive.
@@ -122,9 +96,7 @@ func NewFIFO[T any](capacity int) *FIFO[T] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: NewFIFO capacity %d", capacity))
 	}
-	f := &FIFO[T]{buf: make([]T, capacity), cap: capacity}
-	f.dirty = &f.ownDirty
-	return f
+	return &FIFO[T]{buf: make([]T, capacity), cap: capacity}
 }
 
 // idx maps a logical offset from head to a ring index. Offsets never exceed
@@ -160,19 +132,14 @@ func (f *FIFO[T]) Push(v T) {
 	}
 	f.buf[f.idx(f.n+f.staged)] = v
 	f.staged++
-	*f.dirty = true
+	f.dirty = true
 }
 
 // DirtyFlag implements DirtyCommitter: any Push or Pop since the last
-// commit raises the flag; the kernel clears it after calling Commit. A
-// clean FIFO's Commit is a provable no-op: nothing staged, nothing popped.
-func (f *FIFO[T]) DirtyFlag() *bool { return f.dirty }
-
-// RedirectDirty implements DirtyRedirector.
-func (f *FIFO[T]) RedirectDirty(p *bool) {
-	*p = *f.dirty
-	f.dirty = p
-}
+// commit raises the flag; whoever commits the FIFO (the kernel, or an
+// owner committing its own lanes) clears it after calling Commit. A clean
+// FIFO's Commit is a provable no-op: nothing staged, nothing popped.
+func (f *FIFO[T]) DirtyFlag() *bool { return &f.dirty }
 
 // CanPop reports whether a committed value is available this cycle.
 func (f *FIFO[T]) CanPop() bool { return f.nPopped < f.n }
@@ -194,7 +161,7 @@ func (f *FIFO[T]) Pop() T {
 	}
 	v := f.buf[f.idx(f.nPopped)]
 	f.nPopped++
-	*f.dirty = true
+	f.dirty = true
 	return v
 }
 

@@ -109,11 +109,8 @@ type Kernel struct {
 
 	// commitFlags parallels committers: non-nil entries are DirtyCommitter
 	// flags letting the Commit phase skip provably clean committers. Active
-	// in both kernel modes. DirtyRedirector flags live in dirtySlots, the
-	// kernel-owned contiguous arena, so the per-cycle scan stays in a few
-	// cache lines.
+	// in both kernel modes.
 	commitFlags []*bool
-	dirtySlots  dirtyArena
 
 	// Event-driven mode state; the four slices parallel tickers.
 	eventDriven bool
@@ -173,6 +170,10 @@ func (k *Kernel) FastForwardEnabled() bool { return k.fastForward }
 // skipped cycle is one the kernel proved no component would act in.
 func (k *Kernel) SkippedCycles() uint64 { return k.skipped }
 
+// Committers returns how many components the Commit phase visits each
+// stepped cycle.
+func (k *Kernel) Committers() int { return len(k.committers) }
+
 // register adds one component to the given ticker slice (returned updated)
 // and the committer/preparer/quiescer lists. Eval-phase (non-serial) tickers
 // additionally get event-mode bookkeeping: a wake slot, a poke flag, and an
@@ -208,10 +209,7 @@ func (k *Kernel) register(c any, tickers []Ticker, serial bool) []Ticker {
 	if cm, isC := c.(Committer); isC {
 		k.committers = append(k.committers, cm)
 		var flag *bool
-		if dr, isR := c.(DirtyRedirector); isR {
-			flag = k.dirtySlots.alloc()
-			dr.RedirectDirty(flag)
-		} else if dc, isD := c.(DirtyCommitter); isD {
+		if dc, isD := c.(DirtyCommitter); isD {
 			flag = dc.DirtyFlag()
 		}
 		if flag != nil {

@@ -55,40 +55,6 @@ type DirtyCommitter interface {
 	DirtyFlag() *bool
 }
 
-// DirtyRedirector is an optional refinement of DirtyCommitter for
-// components that can re-home their dirty flag. At registration the kernel
-// moves each such flag into a contiguous arena it owns: the Commit phase
-// then scans a handful of cache lines instead of touching every clean
-// committer's own line once per cycle — with hundreds of staged FIFOs that
-// scan is otherwise a measurable slice of the saturated hot path. The
-// component must copy its current flag value into the new slot and use the
-// slot exclusively afterwards.
-type DirtyRedirector interface {
-	DirtyCommitter
-	RedirectDirty(*bool)
-}
-
-// dirtyArena hands out kernel-owned dirty-flag slots with stable addresses
-// (fixed-size chunks are never reallocated, so redirected components can
-// hold the pointer forever). Slots for committers registered together are
-// adjacent, which is the whole point: the commit scan walks them linearly.
-type dirtyArena struct {
-	chunks [][]bool
-	used   int
-}
-
-const dirtyChunk = 512
-
-func (a *dirtyArena) alloc() *bool {
-	if len(a.chunks) == 0 || a.used == dirtyChunk {
-		a.chunks = append(a.chunks, make([]bool, dirtyChunk))
-		a.used = 0
-	}
-	p := &a.chunks[len(a.chunks)-1][a.used]
-	a.used++
-	return p
-}
-
 // Poker wakes one registered component of an event-driven kernel. Pokes are
 // level-triggered flags, not queued messages: any number of pokes during a
 // cycle mean "tick on the next cycle" (or this cycle, when poked by a
