@@ -4,8 +4,10 @@
 // matched measurement's simulated-cycles/s throughput drops more than the
 // tolerance below the baseline, when the saturated kernel-mode pair's
 // msgs/s (ticked oracle or event engine) drops likewise, when the
-// rack-scale fleet run's aggregate fleet_msgs_per_s drops likewise, or
-// when a contractually allocation-free hot path starts allocating.
+// rack-scale fleet run's aggregate fleet_msgs_per_s drops likewise, when
+// a contractually allocation-free hot path starts allocating, or when the
+// canonical NIC's heap allocations per delivered message rise above the
+// baseline's count.
 // Multi-shard fleet entries measured on a host with a different core
 // count are noted, not failed.
 //
@@ -84,6 +86,9 @@ func main() {
 			"or set BENCHGATE_SKIP=1 for known-noisy runners")
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: pass (%d measurements within %.0f%% of %s)\n",
-		len(base.Saturating)+len(base.EventMode)+len(base.LowLoad)+len(base.Fleet)+len(base.ZeroAlloc), 100**tolerance, *baseline)
+	n := len(base.Saturating) + len(base.EventMode) + len(base.LowLoad) + len(base.Fleet) + len(base.ZeroAlloc)
+	if base.MsgAllocs != nil {
+		n++
+	}
+	fmt.Printf("benchgate: pass (%d measurements within %.0f%% of %s)\n", n, 100**tolerance, *baseline)
 }

@@ -12,7 +12,8 @@
 //     reporting effective simulated cycles/s and the skip ratio;
 //   - a rack-scale fleet run (4 NICs joined by the modeled ToR) at 1 and 4
 //     shards, reporting aggregate fleet msgs/s and shard speedup;
-//   - the zero-alloc hot paths' steady-state allocations per operation.
+//   - the zero-alloc hot paths' steady-state allocations per operation;
+//   - the canonical NIC's heap allocations per delivered message.
 //
 // The host's CPU count and GOMAXPROCS are recorded alongside the numbers:
 // fleet shard speedup requires real cores, while the fast-forward speedup

@@ -193,6 +193,52 @@ func flowCacheHitAllocs() float64 {
 	return allocsPerOp(2048, run)
 }
 
+// MsgAllocResult is the canonical saturated NIC's heap allocation count
+// per delivered message: Allocs heap objects over SimCycles simulated
+// cycles after warm-up, in which Delivered messages reached the host or
+// the wire. The simulation is deterministic and runs on one goroutine, so
+// the figure repeats from run to run and on any host with the same Go
+// release, up to the runtime's own background allocations (see
+// msgAllocSlack).
+type MsgAllocResult struct {
+	SimCycles    uint64  `json:"sim_cycles"`
+	Delivered    uint64  `json:"delivered"`
+	Allocs       uint64  `json:"allocs"`
+	AllocsPerMsg float64 `json:"allocs_per_msg"`
+}
+
+// msgAllocCycles is the window MeasureMsgAllocs counts over, and
+// msgAllocSlack the rise Compare forgives: the Go runtime's own background
+// allocations move the figure by about 0.001 between runs.
+const (
+	msgAllocCycles = 100_000
+	msgAllocSlack  = 0.01
+)
+
+// MeasureMsgAllocs counts heap allocations per delivered message on the
+// canonical saturated NIC (the saturating run's system) over cycles
+// simulated cycles.
+func MeasureMsgAllocs(cycles uint64) MsgAllocResult {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	nic := buildNIC(false, 0.9, false)
+	nic.Run(20_000) // fill the pipelines and the pool
+	runtime.GC()
+	before := nic.WireLat.Count + nic.HostLat.Count
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	nic.Run(cycles)
+	runtime.ReadMemStats(&m1)
+	r := MsgAllocResult{
+		SimCycles: cycles,
+		Delivered: nic.WireLat.Count + nic.HostLat.Count - before,
+		Allocs:    m1.Mallocs - m0.Mallocs,
+	}
+	if r.Delivered > 0 {
+		r.AllocsPerMsg = float64(r.Allocs) / float64(r.Delivered)
+	}
+	return r
+}
+
 // MeasureAllocs samples the allocation rate of the hot paths whose cost
 // contract is zero allocations per operation: the tile service loop, the
 // scheduling queue, the mesh router tick, and the RMT flow-cache

@@ -92,6 +92,8 @@ type Report struct {
 	BestFFSpeedup float64           `json:"best_ff_speedup"`
 	Fleet         []FleetResult     `json:"fleet,omitempty"`
 	ZeroAlloc     []AllocResult     `json:"zero_alloc_paths,omitempty"`
+	// MsgAllocs is the canonical NIC's allocations per delivered message.
+	MsgAllocs *MsgAllocResult `json:"canonical_nic_allocs,omitempty"`
 }
 
 // Config parameterizes Measure.
@@ -242,6 +244,10 @@ func Measure(cfg Config) Report {
 		rep.ZeroAlloc = append(rep.ZeroAlloc, a)
 		cfg.logf("zero-alloc path %s: %.2f allocs/op\n", a.Name, a.AllocsPerOp)
 	}
+	ma := MeasureMsgAllocs(msgAllocCycles)
+	rep.MsgAllocs = &ma
+	cfg.logf("canonical NIC: %.2f allocs per delivered message (%d allocs, %d messages)\n",
+		ma.AllocsPerMsg, ma.Allocs, ma.Delivered)
 	return rep
 }
 
@@ -457,6 +463,17 @@ func Compare(baseline, fresh Report, tolerance float64) (bad, notes []string) {
 		}
 		if !found {
 			bad = append(bad, fmt.Sprintf("zero-alloc path %s: missing from fresh run", b.Name))
+		}
+	}
+
+	if b := baseline.MsgAllocs; b != nil {
+		switch f := fresh.MsgAllocs; {
+		case f == nil:
+			bad = append(bad, "canonical NIC allocs per message: missing from fresh run")
+		case f.AllocsPerMsg > b.AllocsPerMsg+msgAllocSlack:
+			bad = append(bad, fmt.Sprintf(
+				"canonical NIC: %.2f allocs per delivered message vs baseline %.2f (the count is exact; any rise is a regression)",
+				f.AllocsPerMsg, b.AllocsPerMsg))
 		}
 	}
 	return bad, notes

@@ -27,6 +27,7 @@ func sampleReport() Report {
 		ZeroAlloc: []AllocResult{
 			{Name: "tile-hot-path-untraced", AllocsPerOp: 0},
 		},
+		MsgAllocs: &MsgAllocResult{AllocsPerMsg: 6.38},
 	}
 }
 
@@ -108,6 +109,25 @@ func TestCompareFlagsNewAllocations(t *testing.T) {
 	// The reverse — baseline allocates, fresh doesn't — is an improvement.
 	if bad, _ := Compare(fresh, base, 0.25); len(bad) != 0 {
 		t.Errorf("improvement flagged: %v", bad)
+	}
+
+	// The canonical NIC's allocs per message may not rise past the
+	// runtime's noise, and may not go missing.
+	for _, c := range []struct {
+		fresh *MsgAllocResult
+		want  string
+	}{
+		{&MsgAllocResult{AllocsPerMsg: 6.385}, ""},
+		{&MsgAllocResult{AllocsPerMsg: 5}, ""},
+		{&MsgAllocResult{AllocsPerMsg: 6.5}, "allocs per delivered message"},
+		{nil, "missing"},
+	} {
+		fresh := sampleReport()
+		fresh.MsgAllocs = c.fresh
+		bad, _ := Compare(sampleReport(), fresh, 0.25)
+		if (c.want == "") != (len(bad) == 0) || (c.want != "" && !strings.Contains(bad[0], c.want)) {
+			t.Errorf("fresh %+v: violations = %v, want %q", c.fresh, bad, c.want)
+		}
 	}
 }
 

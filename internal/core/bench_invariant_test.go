@@ -29,7 +29,7 @@ func BenchmarkInvariantOverhead(b *testing.B) {
 			cfg.TenantWeights = map[uint16]uint64{1: 3, 2: 1}
 			cfg.Health = DefaultHealthConfig()
 			cfg.Invariants = c.inv
-			nic := NewNIC(cfg, benchSources(0.9, nil))
+			nic := NewNIC(cfg, benchSources(0.9))
 			defer nic.Close()
 			nic.Run(2_000) // warm caches and fill the pipeline
 			before := nic.WireLat.Count + nic.HostLat.Count
@@ -72,7 +72,7 @@ func TestInvariantOverheadBound(t *testing.T) {
 		cfg.TenantWeights = map[uint16]uint64{1: 3, 2: 1}
 		cfg.Health = DefaultHealthConfig()
 		cfg.Invariants = inv
-		nic := NewNIC(cfg, benchSources(0.9, nil))
+		nic := NewNIC(cfg, benchSources(0.9))
 		nic.Run(2_000)
 		return nic
 	}

@@ -85,6 +85,9 @@ type Builder struct {
 	Routes *engine.RouteTable
 	rng    *sim.RNG
 	used   map[noc.NodeID]bool
+	// pool is the message pool every placed tile builds from and
+	// releases to (see packet.MessagePool).
+	pool *packet.MessagePool
 
 	// Tracer, when set before placements, gives every placed tile a
 	// private trace buffer (nil = tracing off, zero cost).
@@ -105,6 +108,7 @@ func NewBuilder(freqHz float64, meshCfg noc.MeshConfig, seed uint64) *Builder {
 		Routes: engine.NewRouteTable(),
 		rng:    sim.NewRNG(seed),
 		used:   make(map[noc.NodeID]bool),
+		pool:   packet.NewMessagePool(),
 	}
 }
 
@@ -143,6 +147,7 @@ func (b *Builder) PlaceTile(addr packet.Addr, x, y int, eng engine.Engine, opts 
 	}
 	cfg.Trace = b.traceBuf(addr)
 	t := engine.NewTile(cfg, eng, b.Mesh, b.Routes, b.rng.Fork())
+	t.UsePool(b.pool)
 	b.Kernel.Register(t)
 	// Event-engine wiring, valid in both kernel modes: the mesh pokes the
 	// tile about deliveries and injection credits, and the tile may sleep
@@ -164,6 +169,7 @@ func (b *Builder) PlaceRMT(addr packet.Addr, x, y int, pipe *rmt.Pipeline, opts 
 	}
 	cfg.Trace = b.traceBuf(addr)
 	t := engine.NewRMTTile(cfg, pipe, b.Mesh, b.Routes)
+	t.UsePool(b.pool)
 	b.Kernel.Register(t)
 	b.Mesh.SetNodeWaker(node, b.Kernel.PokerFor(t))
 	t.EnableEventSleep()

@@ -13,7 +13,8 @@ type LatencyCollector struct {
 	Bytes    uint64
 	Count    uint64
 	// OnDeliver, when set, observes every delivered message (tracing,
-	// examples, tests).
+	// examples, tests). The observer may keep what it sees: a NIC does not
+	// release messages delivered to a collector that has one.
 	OnDeliver func(msg *packet.Message, now uint64)
 }
 
@@ -27,6 +28,7 @@ func NewLatencyCollector() *LatencyCollector {
 
 // Deliver implements engine.Sink.
 func (c *LatencyCollector) Deliver(msg *packet.Message, now uint64) {
+	msg.AssertLive()
 	lat := float64(now - msg.Inject)
 	c.All.Observe(lat)
 	ht := c.ByTenant[msg.Tenant]

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"container/heap"
-
-	"github.com/panic-nic/panic/internal/packet"
-)
+import "github.com/panic-nic/panic/internal/packet"
 
 // KVSHost models the host-side key-value store behind the DMA engine: the
 // authoritative store that serves cache misses and absorbs SETs. It
@@ -23,6 +19,7 @@ type KVSHost struct {
 	SoftCryptoCycles uint64
 
 	store map[uint64]uint32
+	pool  *packet.MessagePool
 	// txq holds responses waiting for the TX-DMA engine, ordered by the
 	// cycle the host software finishes producing them.
 	txq hostTxQueue
@@ -37,26 +34,54 @@ type hostTxItem struct {
 	seq   uint64
 }
 
+// hostTxQueue is a binary min-heap on (ready, seq). It is typed rather
+// than a container/heap, whose interface boxes every pushed and popped item.
 type hostTxQueue struct {
 	items []hostTxItem
 	seq   uint64
 }
 
-func (q hostTxQueue) Len() int { return len(q.items) }
-func (q hostTxQueue) Less(i, j int) bool {
+func (q *hostTxQueue) less(i, j int) bool {
 	if q.items[i].ready != q.items[j].ready {
 		return q.items[i].ready < q.items[j].ready
 	}
 	return q.items[i].seq < q.items[j].seq
 }
-func (q hostTxQueue) Swap(i, j int) { q.items[i], q.items[j] = q.items[j], q.items[i] }
-func (q *hostTxQueue) Push(x any)   { q.items = append(q.items, x.(hostTxItem)) }
-func (q *hostTxQueue) Pop() any {
-	old := q.items
-	n := len(old)
-	it := old[n-1]
-	q.items = old[:n-1]
-	return it
+
+func (q *hostTxQueue) push(msg *packet.Message, ready uint64) {
+	q.seq++
+	q.items = append(q.items, hostTxItem{msg: msg, ready: ready, seq: q.seq})
+	for i := len(q.items) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q.items[i], q.items[parent] = q.items[parent], q.items[i]
+		i = parent
+	}
+}
+
+func (q *hostTxQueue) pop() *packet.Message {
+	msg := q.items[0].msg
+	last := len(q.items) - 1
+	q.items[0] = q.items[last]
+	q.items[last] = hostTxItem{}
+	q.items = q.items[:last]
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < last && q.less(l, least) {
+			least = l
+		}
+		if r < last && q.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q.items[i], q.items[least] = q.items[least], q.items[i]
+		i = least
+	}
+	return msg
 }
 
 // NewKVSHost builds the host model.
@@ -68,6 +93,11 @@ func NewKVSHost(serviceCycles uint64, defaultValueBytes uint32) *KVSHost {
 		store:             make(map[uint64]uint32),
 	}
 }
+
+// UsePool makes the host build its responses from the given pool (the NIC
+// it sits behind hands over its own). Without one every response is
+// freshly allocated; they are byte-identical either way.
+func (h *KVSHost) UsePool(p *packet.MessagePool) { h.pool = p }
 
 // Respond implements engine.HostResponder. A request that arrives still
 // encrypted (ESP with stashed plaintext — the punt-to-host degraded mode)
@@ -114,20 +144,19 @@ func (h *KVSHost) reply(req *packet.Message, pkt *packet.Packet, k *packet.KVS, 
 	reqEth := pkt.Layer(packet.LayerTypeEthernet).(*packet.Ethernet)
 	reqIP := pkt.Layer(packet.LayerTypeIPv4).(*packet.IPv4)
 	reqUDP := pkt.Layer(packet.LayerTypeUDP).(*packet.UDP)
-	return &packet.Message{
-		ID:      req.ID,
-		TraceID: req.TraceID,
-		Tenant:  req.Tenant,
-		Class:   req.Class,
-		Inject:  req.Inject,
-		Port:    req.Port,
-		Pkt: packet.NewPacket(int(vlen),
-			&packet.Ethernet{Dst: reqEth.Src, Src: reqEth.Dst, EtherType: packet.EtherTypeIPv4},
-			&packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: reqIP.Dst, Dst: reqIP.Src},
-			&packet.UDP{SrcPort: reqUDP.DstPort, DstPort: reqUDP.SrcPort},
-			&packet.KVS{Op: op, Tenant: k.Tenant, Key: k.Key, ValueLen: vlen},
-		),
-	}
+	resp := h.pool.KVS(int(vlen),
+		packet.Ethernet{Dst: reqEth.Src, Src: reqEth.Dst, EtherType: packet.EtherTypeIPv4},
+		packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: reqIP.Dst, Dst: reqIP.Src},
+		packet.UDP{SrcPort: reqUDP.DstPort, DstPort: reqUDP.SrcPort},
+		packet.KVS{Op: op, Tenant: k.Tenant, Key: k.Key, ValueLen: vlen},
+	)
+	resp.ID = req.ID
+	resp.TraceID = req.TraceID
+	resp.Tenant = req.Tenant
+	resp.Class = req.Class
+	resp.Inject = req.Inject
+	resp.Port = req.Port
+	return resp
 }
 
 // Absorb implements engine.Sink-style delivery for the split RX/TX DMA
@@ -138,15 +167,13 @@ func (h *KVSHost) Absorb(msg *packet.Message, now uint64) {
 	if !ok {
 		return
 	}
-	h.txq.seq++
-	heap.Push(&h.txq, hostTxItem{msg: resp, ready: now + delay, seq: h.txq.seq})
+	h.txq.push(resp, now+delay)
 }
 
 // EnqueueTx queues an arbitrary host transmission (e.g. a large TCP send
 // for the LSO engine) for the TX-DMA engine to fetch at the given cycle.
 func (h *KVSHost) EnqueueTx(msg *packet.Message, ready uint64) {
-	h.txq.seq++
-	heap.Push(&h.txq, hostTxItem{msg: msg, ready: ready, seq: h.txq.seq})
+	h.txq.push(msg, ready)
 }
 
 // Poll implements engine.Source: the TX-DMA engine fetches responses whose
@@ -155,7 +182,7 @@ func (h *KVSHost) Poll(now uint64) *packet.Message {
 	if len(h.txq.items) == 0 || h.txq.items[0].ready > now {
 		return nil
 	}
-	return heap.Pop(&h.txq).(hostTxItem).msg
+	return h.txq.pop()
 }
 
 // NextArrival implements engine.ArrivalSource: the earliest cycle at which

@@ -243,10 +243,30 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 	n.Builder = b
 	n.Program = BuildProgram(cfg.Program)
 	n.Host = NewKVSHost(cfg.HostCycles, cfg.HostValueBytes)
+	// One message pool serves the whole NIC: its sources, engines and host
+	// build messages from it, and every terminal point below releases to
+	// it.
+	pool := b.pool
+	n.Host.UsePool(pool)
+	for _, src := range sources {
+		if pu, ok := src.(poolUser); ok {
+			pu.UsePool(pool)
+		}
+	}
 
 	// The drop counter is shared by every tile: increments commute, so the
 	// final count does not depend on tick order.
-	dropSink := engine.SinkFunc(func(*packet.Message, uint64) { n.Drops.Inc() })
+	dropSink := engine.SinkFunc(func(m *packet.Message, _ uint64) {
+		n.Drops.Inc()
+		pool.Put(m)
+	})
+	// A collector with an OnDeliver observer keeps its messages: the
+	// observer may retain what it sees.
+	release := func(c *LatencyCollector, m *packet.Message) {
+		if c.OnDeliver == nil {
+			pool.Put(m)
+		}
+	}
 	// Terminal-sink Deliver spans share one buffer: StagedSink targets run
 	// during the sequential Commit phase, so the single writer rule holds.
 	var sinksBuf *trace.Buffer
@@ -312,7 +332,10 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 		// the fleet's ToR path is in flight in the rack, not delivered
 		// here, so it emits no local Deliver span and never reaches the
 		// wire collector.
-		var wireTarget engine.Sink = wrapSink(n.WireLat, sinkWire)
+		var wireTarget engine.Sink = wrapSink(engine.SinkFunc(func(m *packet.Message, now uint64) {
+			n.WireLat.Deliver(m, now)
+			release(n.WireLat, m)
+		}), sinkWire)
 		if cfg.RackTap != nil {
 			wireTarget = tapSink{tap: cfg.RackTap, inner: wireTarget}
 		}
@@ -348,6 +371,7 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 	hostSink := engine.SinkFunc(func(m *packet.Message, now uint64) {
 		n.HostLat.Deliver(m, now)
 		n.Host.Absorb(m, now)
+		release(n.HostLat, m)
 	})
 	dmaSink := engine.NewStagedSink(wrapSink(hostSink, sinkHost))
 	n.DMA = engine.NewDMAEngine(engine.DMAConfig{
@@ -520,6 +544,11 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 	return n
 }
 
+// poolUser is a source that builds its messages from a pool.
+type poolUser interface {
+	UsePool(p *packet.MessagePool)
+}
+
 // Terminal sink indices for LocSink span locations.
 const (
 	sinkHost uint32 = 0
@@ -620,6 +649,7 @@ func (n *NIC) RMTStats() engine.RMTStats {
 		s.Unrouted += ts.Unrouted
 		s.StallCycles += ts.StallCycles
 		s.QueueDropped += ts.QueueDropped
+		s.Refused += ts.Refused
 	}
 	return s
 }
@@ -655,6 +685,7 @@ func (n *NIC) Summary(cycles uint64) string {
 	t.AddRow("wire deliveries", n.WireLat.Count)
 	t.AddRow("sched drops", n.Drops.Value())
 	rmtStats := n.RMTStats()
+	t.AddRow("rmt drops", rmtStats.Dropped+rmtStats.QueueDropped+rmtStats.Refused)
 	t.AddRow("rmt passes", rmtStats.Accepted)
 	if fc := n.FlowCacheStats(); fc.Hits+fc.Misses+fc.NegHits > 0 {
 		t.AddRow("rmt flow-cache hit rate", fmt.Sprintf("%.1f%%", fc.HitRate()*100))

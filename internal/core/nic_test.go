@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/panic-nic/panic/internal/engine"
@@ -286,5 +288,70 @@ func TestNICSummaryRenders(t *testing.T) {
 	s := nic.Summary(nic.Now())
 	if len(s) == 0 {
 		t.Fatal("empty summary")
+	}
+}
+
+// TestNICSummaryAccountsForEveryFrame: once the NIC drains, the summary's
+// delivery and drop rows add up to the received frames. Minimum-size frames
+// at 50 Gbps per port overrun the RMT queues, so the rmt drops row must
+// carry the sheds no scheduling-queue counter sees.
+func TestNICSummaryAccountsForEveryFrame(t *testing.T) {
+	cfg := DefaultConfig()
+	srcs := make([]engine.Source, 2)
+	for p := range srcs {
+		srcs[p] = workload.NewFixedStream(workload.FixedStreamConfig{
+			FrameBytes: 64, RateGbps: 50, FreqHz: cfg.FreqHz, Poisson: true,
+			Tenant: uint16(p + 1), Class: packet.ClassBulk, Count: 3000, Seed: uint64(p) + 1,
+		})
+	}
+	nic := NewNIC(cfg, srcs)
+	if !nic.RunQuiet(5000, 5_000_000) {
+		t.Fatal("did not drain")
+	}
+	rows := make(map[string]uint64)
+	for _, line := range strings.Split(nic.Summary(nic.Now()), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 2 {
+			continue
+		}
+		if v, err := strconv.ParseUint(f[len(f)-1], 10, 64); err == nil {
+			rows[strings.Join(f[:len(f)-1], " ")] = v
+		}
+	}
+	if rows["rx packets"] != 6000 {
+		t.Fatalf("rx packets = %d, want 6000", rows["rx packets"])
+	}
+	if rows["rmt drops"] == 0 {
+		t.Fatal("minimum-size frames at 50 Gbps per port shed nothing at the RMT queues")
+	}
+	out := rows["host deliveries"] + rows["wire deliveries"] + rows["sched drops"] + rows["rmt drops"]
+	if out != rows["rx packets"] {
+		t.Errorf("host %d + wire %d + sched drops %d + rmt drops %d = %d, want rx packets %d",
+			rows["host deliveries"], rows["wire deliveries"], rows["sched drops"], rows["rmt drops"],
+			out, rows["rx packets"])
+	}
+}
+
+// TestObservedMessagesAreNotRecycled: a collector with an OnDeliver
+// observer keeps its messages out of the pool, because the observer may
+// retain them. Were they recycled, later deliveries would hand the
+// observer the same shells again.
+func TestObservedMessagesAreNotRecycled(t *testing.T) {
+	nic := NewNIC(DefaultConfig(), benchSources(0.9))
+	seen := make(map[*packet.Message]bool)
+	observe := func(m *packet.Message, _ uint64) {
+		if seen[m] {
+			t.Fatalf("message %d delivered to an observer in a recycled shell", m.ID)
+		}
+		seen[m] = true
+	}
+	nic.WireLat.OnDeliver = observe
+	nic.HostLat.OnDeliver = observe
+	nic.Run(30_000)
+	if len(seen) < 1000 {
+		t.Fatalf("only %d deliveries observed", len(seen))
+	}
+	for m := range seen {
+		m.AssertLive()
 	}
 }

@@ -49,6 +49,7 @@ type DMAEngine struct {
 	hostSink     Sink
 	responder    HostResponder
 	bitsPerCycle float64
+	outs         outBuf
 
 	reads, writes, hostDeliveries uint64
 }
@@ -90,83 +91,67 @@ func (d *DMAEngine) latency(ctx *Ctx) uint64 {
 	return l
 }
 
-// Process implements Engine.
+// Process implements Engine. DMA requests are consumed: each is answered
+// by a completion built from the pool, and the request is released.
 func (d *DMAEngine) Process(ctx *Ctx, msg *packet.Message) []Out {
 	if l := msg.Pkt.Layer(packet.LayerTypeDMA); l != nil {
-		req := l.(*packet.DMA)
+		req := *l.(*packet.DMA)
+		var op packet.DMAOp
+		payload := 0
 		switch req.Op {
 		case packet.DMARead:
 			d.reads++
-			compl := &packet.Message{
-				ID:      msg.ID,
-				TraceID: msg.TraceID,
-				Tenant:  msg.Tenant,
-				Class:   packet.ClassControl,
-				Port:    -1,
-				Inject:  ctx.Now,
-				Pkt: packet.NewPacket(int(req.Len),
-					&packet.Ethernet{EtherType: packet.EtherTypeDMA},
-					&packet.DMA{Op: packet.DMAReadCompl, Requester: req.Requester,
-						Len: req.Len, HostAddr: req.HostAddr},
-				),
-			}
-			return []Out{{Msg: compl, To: req.Requester, Delay: d.latency(ctx)}}
+			op, payload = packet.DMAReadCompl, int(req.Len)
 		case packet.DMAWrite:
 			d.writes++
-			if req.Requester == packet.AddrInvalid {
-				return nil
-			}
-			ack := &packet.Message{
-				ID:      msg.ID,
-				TraceID: msg.TraceID,
-				Tenant:  msg.Tenant,
-				Class:   packet.ClassControl,
-				Port:    -1,
-				Inject:  ctx.Now,
-				Pkt: packet.NewPacket(0,
-					&packet.Ethernet{EtherType: packet.EtherTypeDMA},
-					&packet.DMA{Op: packet.DMAWriteCompl, Requester: req.Requester,
-						Len: req.Len, HostAddr: req.HostAddr},
-				),
-			}
-			return []Out{{Msg: ack, To: req.Requester, Delay: d.latency(ctx)}}
-		default:
-			// Completions addressed to the DMA engine are a routing bug;
-			// drop them visibly in traces by consuming.
+			op = packet.DMAWriteCompl
+		}
+		if op == 0 || req.Requester == packet.AddrInvalid {
+			// Unacknowledged writes end here; completions addressed to
+			// the DMA engine are a routing bug, dropped by consuming.
+			ctx.Pool.Put(msg)
 			return nil
 		}
+		compl := newControl(ctx, msg, payload, packet.DMA{Op: op, Requester: req.Requester,
+			Len: req.Len, HostAddr: req.HostAddr})
+		ctx.Pool.Put(msg)
+		return d.outs.one(Out{Msg: compl, To: req.Requester, Delay: d.latency(ctx)})
 	}
 
 	// An ordinary packet whose chain ends here: deliver to host memory.
-	// The host observes the data after the PCIe write latency.
+	// The host observes the data after the PCIe write latency. The host
+	// sink owns the message from here on, so the notify and the response
+	// are built before it can be released.
 	d.hostDeliveries++
 	arrival := ctx.Now + d.latency(ctx)
 	msg.Done = arrival
-	d.hostSink.Deliver(msg, arrival)
-	var outs []Out
+	d.outs = d.outs[:0]
 	if d.cfg.NotifyAddr != packet.AddrInvalid {
-		notify := &packet.Message{
-			ID:      msg.ID,
-			TraceID: msg.TraceID,
-			Tenant:  msg.Tenant,
-			Class:   packet.ClassControl,
-			Port:    -1,
-			Inject:  ctx.Now,
-			Pkt: packet.NewPacket(0,
-				&packet.Ethernet{EtherType: packet.EtherTypeDMA},
-				&packet.DMA{Op: packet.DMAWriteCompl, Requester: d.cfg.NotifyAddr,
-					Len: uint32(msg.WireLen())},
-			),
-		}
-		outs = append(outs, Out{Msg: notify, To: d.cfg.NotifyAddr, Delay: d.latency(ctx)})
+		notify := newControl(ctx, msg, 0, packet.DMA{Op: packet.DMAWriteCompl,
+			Requester: d.cfg.NotifyAddr, Len: uint32(msg.WireLen())})
+		d.outs = append(d.outs, Out{Msg: notify, To: d.cfg.NotifyAddr, Delay: d.latency(ctx)})
 	}
 	if d.responder != nil {
 		if resp, delay, ok := d.responder.Respond(msg, ctx.Now); ok {
 			resp.Port = -1
-			outs = append(outs, Out{Msg: resp, Delay: delay})
+			d.outs = append(d.outs, Out{Msg: resp, Delay: delay})
 		}
 	}
-	return outs
+	d.hostSink.Deliver(msg, arrival)
+	return d.outs
+}
+
+// newControl builds a control-class DMA message on behalf of msg: a
+// request, completion or notification that shares msg's identity.
+func newControl(ctx *Ctx, msg *packet.Message, payload int, hdr packet.DMA) *packet.Message {
+	m := ctx.Pool.DMA(payload, packet.Ethernet{EtherType: packet.EtherTypeDMA}, hdr)
+	m.ID = msg.ID
+	m.TraceID = msg.TraceID
+	m.Tenant = msg.Tenant
+	m.Class = packet.ClassControl
+	m.Port = -1
+	m.Inject = ctx.Now
+	return m
 }
 
 // Counts returns (reads, writes, host deliveries).
@@ -216,8 +201,10 @@ func (p *PCIeEngine) ServiceCycles(*packet.Message) uint64 {
 	return p.cfg.InterruptCycles
 }
 
-// Process implements Engine: count notifications, fire on threshold.
+// Process implements Engine: count notifications, fire on threshold. The
+// notification is consumed.
 func (p *PCIeEngine) Process(ctx *Ctx, msg *packet.Message) []Out {
+	ctx.Pool.Put(msg)
 	p.notified++
 	if p.pendingN == 0 {
 		p.pendingAt = ctx.Now

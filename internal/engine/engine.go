@@ -32,6 +32,10 @@ type Ctx struct {
 	RNG *sim.RNG
 	// Addr is the tile's logical address.
 	Addr packet.Addr
+	// Pool is the NIC's message pool (nil outside a NIC). Engines build
+	// the messages they create from it and release to it every message
+	// they consume (see packet.MessagePool for the ownership rule).
+	Pool *packet.MessagePool
 }
 
 // Out is a message an engine wants to send.
@@ -56,7 +60,8 @@ type Engine interface {
 	ServiceCycles(msg *packet.Message) uint64
 	// Process runs when service completes. It may transform msg, emit it
 	// onward, emit new messages, or consume it (return no Out carrying
-	// it).
+	// it, and release it to ctx.Pool). The returned slice is only read
+	// until the next call, so engines return one reused buffer.
 	Process(ctx *Ctx, msg *packet.Message) []Out
 }
 
@@ -104,7 +109,9 @@ type IdleReporter interface {
 }
 
 // Sink receives messages leaving the simulated NIC (host delivery, wire
-// transmission). Implementations record latency and throughput.
+// transmission). Implementations record latency and throughput. A sink at
+// a terminal point owns what it receives and releases it to the NIC's
+// pool (see packet.MessagePool).
 type Sink interface {
 	Deliver(msg *packet.Message, now uint64)
 }
@@ -120,3 +127,12 @@ type NullSink struct{}
 
 // Deliver implements Sink.
 func (NullSink) Deliver(*packet.Message, uint64) {}
+
+// outBuf is the reused slice an engine returns from Process or Generate.
+type outBuf []Out
+
+// one refills the buffer with the single Out o and returns it.
+func (b *outBuf) one(o Out) []Out {
+	*b = append((*b)[:0], o)
+	return *b
+}

@@ -26,7 +26,8 @@ type IPSecConfig struct {
 // modeled per-byte latency. What the paper's claims depend on — service
 // time, chaining, reinjection — is preserved exactly.
 type IPSecEngine struct {
-	cfg IPSecConfig
+	cfg  IPSecConfig
+	outs outBuf
 
 	decrypted, encrypted uint64
 }
@@ -59,7 +60,7 @@ func (e *IPSecEngine) Process(ctx *Ctx, msg *packet.Message) []Out {
 	} else {
 		e.encrypt(msg)
 	}
-	return []Out{{Msg: msg}}
+	return e.outs.one(Out{Msg: msg})
 }
 
 func (e *IPSecEngine) decrypt(msg *packet.Message) {
@@ -117,10 +118,10 @@ func (e *IPSecEngine) encrypt(msg *packet.Message) {
 	}
 	ciphertext := inner.WireLen() - eth.HeaderLen() + (ESPOverheadBytes - 20 - 8)
 	msg.Inner = inner
-	msg.Pkt = packet.NewPacket(ciphertext,
-		&eth,
-		&packet.IPv4{TTL: 64, Protocol: packet.ProtoESP, Src: outerSrc, Dst: outerDst},
-		&packet.ESP{SPI: 1, Seq: uint32(msg.ID)},
+	msg.Pkt = packet.ESPPacket(ciphertext,
+		eth,
+		packet.IPv4{TTL: 64, Protocol: packet.ProtoESP, Src: outerSrc, Dst: outerDst},
+		packet.ESP{SPI: 1, Seq: uint32(msg.ID)},
 	)
 	if chain != nil {
 		msg.InsertChain(&packet.Chain{Cursor: chain.Cursor, Flags: chain.Flags, Hops: chain.Hops})

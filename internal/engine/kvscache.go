@@ -23,6 +23,7 @@ type KVSCacheConfig struct {
 type KVSCacheEngine struct {
 	cfg   KVSCacheConfig
 	cache *lruCache
+	outs  outBuf
 
 	hits, misses, sets uint64
 }
@@ -51,7 +52,7 @@ func (e *KVSCacheEngine) Process(ctx *Ctx, msg *packet.Message) []Out {
 	l := msg.Pkt.Layer(packet.LayerTypeKVS)
 	if l == nil {
 		// Not a KVS message: pass through along the chain.
-		return []Out{{Msg: msg}}
+		return e.outs.one(Out{Msg: msg})
 	}
 	kvs := l.(*packet.KVS)
 	switch kvs.Op {
@@ -69,19 +70,16 @@ func (e *KVSCacheEngine) Process(ctx *Ctx, msg *packet.Message) []Out {
 				}
 			}
 			msg.Pkt.Serialize()
-			return []Out{{Msg: msg, To: e.cfg.RDMAAddr}}
+			return e.outs.one(Out{Msg: msg, To: e.cfg.RDMAAddr})
 		}
 		e.misses++
 		kvs.Flags |= packet.KVSFlagMiss
 		msg.Pkt.Serialize()
-		return []Out{{Msg: msg}}
 	case packet.KVSSet:
 		e.sets++
 		e.cache.Put(kvs.Key, kvs.ValueLen)
-		return []Out{{Msg: msg}}
-	default:
-		return []Out{{Msg: msg}}
 	}
+	return e.outs.one(Out{Msg: msg})
 }
 
 // Warm pre-populates the cache (test and experiment setup).
@@ -116,6 +114,7 @@ type RDMAEngine struct {
 	cfg     RDMAConfig
 	pending map[uint64]*packet.Message
 	nextTag uint64
+	outs    outBuf
 
 	issued, replies uint64
 }
@@ -142,52 +141,43 @@ func (e *RDMAEngine) ServiceCycles(*packet.Message) uint64 {
 	return e.cfg.IssueCycles
 }
 
-// Process implements Engine.
+// Process implements Engine. A read completion is consumed, and so is the
+// request it answers once the reply is built.
 func (e *RDMAEngine) Process(ctx *Ctx, msg *packet.Message) []Out {
 	if l := msg.Pkt.Layer(packet.LayerTypeDMA); l != nil {
 		d := l.(*packet.DMA)
-		if d.Op != packet.DMAReadCompl {
-			return nil
-		}
 		orig, ok := e.pending[d.HostAddr]
-		if !ok {
+		if d.Op != packet.DMAReadCompl || !ok {
+			ctx.Pool.Put(msg)
 			return nil
 		}
 		delete(e.pending, d.HostAddr)
 		e.replies++
-		return []Out{{Msg: e.buildReply(ctx, orig, d.Len)}}
+		reply := e.buildReply(ctx, orig, d.Len)
+		ctx.Pool.Put(orig)
+		ctx.Pool.Put(msg)
+		return e.outs.one(Out{Msg: reply})
 	}
 
 	kvsLayer := msg.Pkt.Layer(packet.LayerTypeKVS)
 	if kvsLayer == nil {
+		ctx.Pool.Put(msg)
 		return nil
 	}
+	k := kvsLayer.(*packet.KVS)
 	if len(e.pending) >= e.cfg.MaxOutstanding {
 		// Saturated: shed back along the chain (to the host path) so the
 		// request is still served, just without CPU bypass.
-		k := kvsLayer.(*packet.KVS)
 		k.Flags |= packet.KVSFlagMiss
 		msg.Pkt.Serialize()
-		return []Out{{Msg: msg}}
+		return e.outs.one(Out{Msg: msg})
 	}
-	k := kvsLayer.(*packet.KVS)
 	e.nextTag++
 	tag := e.nextTag
 	e.pending[tag] = msg
 	e.issued++
-	read := &packet.Message{
-		ID:      msg.ID,
-		TraceID: msg.TraceID,
-		Tenant:  msg.Tenant,
-		Class:   packet.ClassControl,
-		Port:    -1,
-		Inject:  ctx.Now,
-		Pkt: packet.NewPacket(0,
-			&packet.Ethernet{EtherType: packet.EtherTypeDMA},
-			&packet.DMA{Op: packet.DMARead, Requester: ctx.Addr, Len: k.ValueLen, HostAddr: tag},
-		),
-	}
-	return []Out{{Msg: read, To: e.cfg.DMAAddr}}
+	read := newControl(ctx, msg, 0, packet.DMA{Op: packet.DMARead, Requester: ctx.Addr, Len: k.ValueLen, HostAddr: tag})
+	return e.outs.one(Out{Msg: read, To: e.cfg.DMAAddr})
 }
 
 // buildReply constructs the GET response from the original request:
@@ -199,20 +189,18 @@ func (e *RDMAEngine) buildReply(ctx *Ctx, req *packet.Message, valueLen uint32) 
 	reqIP := req.Pkt.Layer(packet.LayerTypeIPv4).(*packet.IPv4)
 	reqUDP := req.Pkt.Layer(packet.LayerTypeUDP).(*packet.UDP)
 	reqKVS := req.Pkt.Layer(packet.LayerTypeKVS).(*packet.KVS)
-	resp := &packet.Message{
-		ID:      req.ID,
-		TraceID: req.TraceID,
-		Tenant:  req.Tenant,
-		Class:   req.Class,
-		Port:    req.Port, // reply leaves through the arrival port
-		Inject:  req.Inject,
-		Pkt: packet.NewPacket(int(valueLen),
-			&packet.Ethernet{Dst: reqEth.Src, Src: reqEth.Dst, EtherType: packet.EtherTypeIPv4},
-			&packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: reqIP.Dst, Dst: reqIP.Src},
-			&packet.UDP{SrcPort: reqUDP.DstPort, DstPort: reqUDP.SrcPort},
-			&packet.KVS{Op: packet.KVSGetResp, Tenant: reqKVS.Tenant, Key: reqKVS.Key, ValueLen: valueLen},
-		),
-	}
+	resp := ctx.Pool.KVS(int(valueLen),
+		packet.Ethernet{Dst: reqEth.Src, Src: reqEth.Dst, EtherType: packet.EtherTypeIPv4},
+		packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: reqIP.Dst, Dst: reqIP.Src},
+		packet.UDP{SrcPort: reqUDP.DstPort, DstPort: reqUDP.SrcPort},
+		packet.KVS{Op: packet.KVSGetResp, Tenant: reqKVS.Tenant, Key: reqKVS.Key, ValueLen: valueLen},
+	)
+	resp.ID = req.ID
+	resp.TraceID = req.TraceID
+	resp.Tenant = req.Tenant
+	resp.Class = req.Class
+	resp.Port = req.Port // reply leaves through the arrival port
+	resp.Inject = req.Inject
 	return resp
 }
 

@@ -31,6 +31,7 @@ type EthernetMAC struct {
 	maxTokens    float64
 	waiting      *packet.Message
 	traceSeq     uint64
+	outs         outBuf
 
 	rx, tx       uint64
 	rxBits       uint64
@@ -90,12 +91,12 @@ func (m *EthernetMAC) Generate(ctx *Ctx) []Out {
 	if m.tokens > m.maxTokens {
 		m.tokens = m.maxTokens
 	}
-	var outs []Out
+	m.outs = m.outs[:0]
 	for {
 		if m.waiting == nil {
 			m.waiting = m.src.Poll(ctx.Now)
 			if m.waiting == nil {
-				return outs
+				return m.outs
 			}
 			m.waiting.Port = m.cfg.Port
 			m.waiting.Inject = ctx.Now
@@ -116,12 +117,12 @@ func (m *EthernetMAC) Generate(ctx *Ctx) []Out {
 		}
 		if m.tokens < need {
 			m.rxStallCount++
-			return outs
+			return m.outs
 		}
 		m.tokens -= bits
 		m.rx++
 		m.rxBits += uint64(bits)
-		outs = append(outs, Out{Msg: m.waiting})
+		m.outs = append(m.outs, Out{Msg: m.waiting})
 		m.waiting = nil
 	}
 }

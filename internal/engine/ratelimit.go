@@ -29,6 +29,7 @@ type RateLimiterEngine struct {
 	cfg    RateLimiterConfig
 	limits map[uint16]float64 // tenant -> bits/cycle
 	bucket map[uint16]*tokenBucket
+	outs   outBuf
 
 	conformed, delayed uint64
 }
@@ -143,7 +144,7 @@ func (e *RateLimiterEngine) Process(ctx *Ctx, msg *packet.Message) []Out {
 			b.tokens = 0
 		}
 	}
-	return []Out{{Msg: msg}}
+	return e.outs.one(Out{Msg: msg})
 }
 
 // Counts returns (messages passed immediately, messages delayed).

@@ -23,6 +23,9 @@ type RMTTile struct {
 	routes *RouteTable
 	queue  *sched.Queue
 	rank   sched.RankFunc
+	// pool receives every message the tile sheds: queue drops, refusals,
+	// program drops and unrouted outputs reach no sink.
+	pool *packet.MessagePool
 
 	// outbox drains from outHead with amortized compaction, mirroring
 	// Tile's scheme (a standing backlog must not pay a per-cycle copy).
@@ -88,6 +91,9 @@ func NewRMTTile(cfg TileConfig, pipe *rmt.Pipeline, fab noc.Fabric, routes *Rout
 		outbox: make([]resolvedOut, 0, 8),
 	}
 }
+
+// UsePool hands the tile the NIC's message pool.
+func (t *RMTTile) UsePool(p *packet.MessagePool) { t.pool = p }
 
 // Name identifies the tile.
 func (t *RMTTile) Name() string { return fmt.Sprintf("rmt@%d", t.cfg.Addr) }
@@ -232,6 +238,7 @@ func (t *RMTTile) Tick(cycle uint64) {
 					Tenant: res.Msg.Tenant,
 				})
 			}
+			t.pool.Put(res.Msg)
 		}
 		// 3. Admit one message per cycle.
 		if t.pipe.CanAccept() {
@@ -269,6 +276,7 @@ func (t *RMTTile) Tick(cycle uint64) {
 			break
 		}
 		t.stats.Ejected++
+		msg.AssertLive()
 		slack := uint32(0)
 		if c := msg.Chain(); c != nil {
 			if hop, hok := c.Current(); hok && hop.Engine == t.cfg.Addr {
@@ -283,6 +291,7 @@ func (t *RMTTile) Tick(cycle uint64) {
 		res := t.queue.Push(msg, rank)
 		if !res.Accepted {
 			t.stats.Refused++
+			t.pool.Put(msg)
 			continue
 		}
 		if res.Accepted && res.Dropped != msg && t.cfg.Trace.Want(msg.TraceID) {
@@ -304,6 +313,7 @@ func (t *RMTTile) Tick(cycle uint64) {
 					Tenant: res.Dropped.Tenant,
 				})
 			}
+			t.pool.Put(res.Dropped)
 		}
 	}
 }
@@ -359,6 +369,7 @@ func (t *RMTTile) route(msg *packet.Message) {
 	c := msg.Chain()
 	if c == nil {
 		t.stats.Unrouted++
+		t.pool.Put(msg)
 		return
 	}
 	hop, ok := c.Current()
@@ -368,6 +379,7 @@ func (t *RMTTile) route(msg *packet.Message) {
 	}
 	if !ok {
 		t.stats.Unrouted++
+		t.pool.Put(msg)
 		return
 	}
 	t.outbox = append(t.outbox, resolvedOut{msg: msg, dst: t.routes.Lookup(hop.Engine)})

@@ -16,6 +16,7 @@ type ByteRateEngine struct {
 	setupCycles   uint64
 	transform     func(ctx *Ctx, msg *packet.Message)
 	processed     uint64
+	outs          outBuf
 }
 
 // NewByteRateEngine builds a streaming engine. transform may be nil
@@ -39,7 +40,7 @@ func (e *ByteRateEngine) Process(ctx *Ctx, msg *packet.Message) []Out {
 	if e.transform != nil {
 		e.transform(ctx, msg)
 	}
-	return []Out{{Msg: msg}}
+	return e.outs.one(Out{Msg: msg})
 }
 
 // Processed returns the message count.
@@ -102,6 +103,7 @@ type CPUCoreEngine struct {
 	perByteNano float64 // additional cycles per byte of payload touched
 	handler     func(ctx *Ctx, msg *packet.Message) []Out
 	processed   uint64
+	outs        outBuf
 }
 
 // NewCPUCoreEngine builds a core. handler nil forwards along the chain.
@@ -127,7 +129,7 @@ func (e *CPUCoreEngine) Process(ctx *Ctx, msg *packet.Message) []Out {
 	if e.handler != nil {
 		return e.handler(ctx, msg)
 	}
-	return []Out{{Msg: msg}}
+	return e.outs.one(Out{Msg: msg})
 }
 
 // Processed returns the packet count.

@@ -46,6 +46,7 @@ func (s *StagedSink) SetWaker(p sim.Poker) { s.wake = p }
 
 // Deliver implements Sink: the delivery is buffered until Commit.
 func (s *StagedSink) Deliver(msg *packet.Message, now uint64) {
+	msg.AssertLive()
 	s.buf = append(s.buf, stagedDelivery{msg: msg, now: now})
 	s.dirty = true
 }
@@ -58,6 +59,7 @@ func (s *StagedSink) Commit() {
 	}
 	s.wake.Poke()
 	for i := range s.buf {
+		s.buf[i].msg.AssertLive()
 		s.target.Deliver(s.buf[i].msg, s.buf[i].now)
 		s.buf[i].msg = nil
 	}

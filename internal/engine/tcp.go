@@ -25,7 +25,8 @@ type LSOConfig struct {
 // chained through further offloads (checksum, encryption) like any other
 // message.
 type LSOEngine struct {
-	cfg LSOConfig
+	cfg  LSOConfig
+	outs outBuf
 
 	sends, segments uint64
 }
@@ -53,7 +54,7 @@ func (e *LSOEngine) ServiceCycles(msg *packet.Message) uint64 {
 func (e *LSOEngine) Process(ctx *Ctx, msg *packet.Message) []Out {
 	tcpLayer := msg.Pkt.Layer(packet.LayerTypeTCP)
 	if tcpLayer == nil || msg.Pkt.PayloadLen <= e.cfg.MSS {
-		return []Out{{Msg: msg}}
+		return e.outs.one(Out{Msg: msg})
 	}
 	e.sends++
 	tcp := tcpLayer.(*packet.TCP)
@@ -65,7 +66,7 @@ func (e *LSOEngine) Process(ctx *Ctx, msg *packet.Message) []Out {
 	}
 
 	total := msg.Pkt.PayloadLen
-	var outs []Out
+	e.outs = e.outs[:0]
 	seq := tcp.Seq
 	for off := 0; off < total; off += e.cfg.MSS {
 		size := e.cfg.MSS
@@ -103,9 +104,12 @@ func (e *LSOEngine) Process(ctx *Ctx, msg *packet.Message) []Out {
 		}
 		seq += uint32(size)
 		e.segments++
-		outs = append(outs, Out{Msg: seg})
+		e.outs = append(e.outs, Out{Msg: seg})
 	}
-	return outs
+	// The large send is consumed: every segment carries copies of its
+	// headers.
+	ctx.Pool.Put(msg)
+	return e.outs
 }
 
 // Counts returns (large sends, segments emitted).

@@ -150,7 +150,9 @@ type Tile struct {
 	// tenants maps tenant ID to its tally; entries are created lazily on
 	// first sight of a tenant, so steady-state traffic never allocates.
 	tenants map[uint16]*TenantTally
-	// DropSink, when set, receives messages shed by the queue.
+	// DropSink, when set, receives messages shed by the queue or by
+	// injected faults, and owns them; without one the tile releases them
+	// to its pool.
 	DropSink Sink
 
 	// Injected fault condition (zero = healthy) and the deterministic
@@ -216,6 +218,10 @@ func NewTile(cfg TileConfig, eng Engine, fab noc.Fabric, routes *RouteTable, rng
 		pending: make([]delayedOut, 0, 8),
 	}
 }
+
+// UsePool hands the tile, and through its Ctx the engine, the NIC's
+// message pool.
+func (t *Tile) UsePool(p *packet.MessagePool) { t.ctx.Pool = p }
 
 // Name returns the engine name.
 func (t *Tile) Name() string { return t.eng.Name() }
@@ -577,6 +583,7 @@ func (t *Tile) Tick(cycle uint64) {
 
 // admit pushes an arrived message into the scheduling queue.
 func (t *Tile) admit(msg *packet.Message, cycle uint64) {
+	msg.AssertLive()
 	if t.shedFaulted(msg, cycle) {
 		return
 	}
@@ -591,6 +598,7 @@ func (t *Tile) admit(msg *packet.Message, cycle uint64) {
 		// Lossless arrival refused by a full lossy queue whose residents
 		// are all lossless too: the message is lost (see TileStats.Refused).
 		t.stats.Refused++
+		t.ctx.Pool.Put(msg)
 		return
 	}
 	if res.Dropped == msg {
@@ -619,10 +627,18 @@ func (t *Tile) admit(msg *packet.Message, cycle uint64) {
 				Tenant: res.Dropped.Tenant,
 			})
 		}
-		if t.DropSink != nil {
-			t.DropSink.Deliver(res.Dropped, cycle)
-		}
+		t.discard(res.Dropped, cycle)
 	}
+}
+
+// discard hands a shed message to the DropSink, or releases it when the
+// tile has none.
+func (t *Tile) discard(msg *packet.Message, cycle uint64) {
+	if t.DropSink != nil {
+		t.DropSink.Deliver(msg, cycle)
+		return
+	}
+	t.ctx.Pool.Put(msg)
 }
 
 // chainSlack returns the slack the RMT program stamped for this engine's

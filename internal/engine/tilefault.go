@@ -144,9 +144,7 @@ func (t *Tile) shedFaulted(msg *packet.Message, cycle uint64) bool {
 			ta.Dropped++
 			ta.Rejected++
 			t.traceShed(msg, cycle, trace.DropCorrupt)
-			if t.DropSink != nil {
-				t.DropSink.Deliver(msg, cycle)
-			}
+			t.discard(msg, cycle)
 			return true
 		}
 	}
@@ -162,9 +160,7 @@ func (t *Tile) shedFaulted(msg *packet.Message, cycle uint64) bool {
 			ta.Dropped++
 			ta.Rejected++
 			t.traceShed(msg, cycle, trace.DropFault)
-			if t.DropSink != nil {
-				t.DropSink.Deliver(msg, cycle)
-			}
+			t.discard(msg, cycle)
 			return true
 		}
 	}

@@ -19,6 +19,7 @@ type TxDMAEngine struct {
 	maxTokens    float64
 	waiting      *packet.Message
 	fetched      uint64
+	outs         outBuf
 }
 
 // NewTxDMAEngine builds the engine. src is polled for host transmissions
@@ -37,8 +38,11 @@ func (t *TxDMAEngine) Name() string { return "txdma" }
 // in one cycle (nothing should target the TX engine).
 func (t *TxDMAEngine) ServiceCycles(*packet.Message) uint64 { return 1 }
 
-// Process implements Engine.
-func (t *TxDMAEngine) Process(*Ctx, *packet.Message) []Out { return nil }
+// Process implements Engine: a stray message is consumed.
+func (t *TxDMAEngine) Process(ctx *Ctx, msg *packet.Message) []Out {
+	ctx.Pool.Put(msg)
+	return nil
+}
 
 // Generate implements Generator: fetch host transmissions at PCIe rate.
 func (t *TxDMAEngine) Generate(ctx *Ctx) []Out {
@@ -49,12 +53,12 @@ func (t *TxDMAEngine) Generate(ctx *Ctx) []Out {
 	if t.tokens > t.maxTokens {
 		t.tokens = t.maxTokens
 	}
-	var outs []Out
+	t.outs = t.outs[:0]
 	for {
 		if t.waiting == nil {
 			t.waiting = t.src.Poll(ctx.Now)
 			if t.waiting == nil {
-				return outs
+				return t.outs
 			}
 		}
 		bits := float64(t.waiting.WireLen() * 8)
@@ -66,11 +70,11 @@ func (t *TxDMAEngine) Generate(ctx *Ctx) []Out {
 			need = t.maxTokens
 		}
 		if t.tokens < need {
-			return outs
+			return t.outs
 		}
 		t.tokens -= bits
 		t.fetched++
-		outs = append(outs, Out{Msg: t.waiting})
+		t.outs = append(t.outs, Out{Msg: t.waiting})
 		t.waiting = nil
 	}
 }

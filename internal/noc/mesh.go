@@ -439,6 +439,7 @@ func (m *Mesh) Inject(src, dst NodeID, msg *packet.Message) {
 	if int(dst) < 0 || int(dst) >= len(m.routers) {
 		panic(fmt.Sprintf("noc: Inject to invalid node %d", dst))
 	}
+	msg.AssertLive()
 	r := m.routers[src]
 	q := r.inj.lanes[r.inj.vcFor(dst)].q
 	track(&m.dirtyInj, q)

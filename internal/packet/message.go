@@ -52,6 +52,9 @@ type Message struct {
 	// scheduling and accounting.
 	Tenant uint16
 	Class  Class
+	// released marks a message its holder released to a MessagePool; only
+	// poolcheck builds set it.
+	released bool
 	// Port is the Ethernet port index the message arrived on (or will
 	// leave from), -1 for NIC-internal messages.
 	Port int
@@ -112,7 +115,8 @@ func (m *Message) String() string {
 
 // InsertChain inserts a chain shim header directly after the Ethernet
 // header, taking over the Ethernet EtherType, and reserializes the packet.
-// It panics if the packet has no Ethernet layer or already has a chain.
+// The layer stack shifts in place when it has room. It panics if the
+// packet has no Ethernet layer or already has a chain.
 func (m *Message) InsertChain(c *Chain) {
 	if m.Pkt.Has(LayerTypeChain) {
 		panic("packet: InsertChain on packet that already has a chain")
@@ -123,26 +127,62 @@ func (m *Message) InsertChain(c *Chain) {
 	}
 	c.InnerType = eth.EtherType
 	eth.EtherType = EtherTypeChain
-	layers := make([]Layer, 0, len(m.Pkt.Layers)+1)
-	layers = append(layers, eth, c)
-	layers = append(layers, m.Pkt.Layers[1:]...)
+	layers := append(m.Pkt.Layers, nil)
+	copy(layers[2:], layers[1:])
+	layers[1] = c
 	m.Pkt.Layers = layers
 	m.Pkt.Serialize()
 }
 
+// InsertChainHops inserts a chain shim carrying flags and a copy of hops,
+// with its cursor at the first hop (see InsertChain). It reuses the chain
+// header, and its hop buffer, that the packet last shed.
+func (m *Message) InsertChainHops(flags uint8, hops []Hop) {
+	c := m.Pkt.spare
+	m.Pkt.spare = nil
+	if c == nil {
+		s := &spareChain{}
+		s.chain.Hops = s.hops[:0]
+		c = &s.chain
+	}
+	c.Cursor = 0
+	c.Flags = flags
+	c.Hops = append(c.Hops[:0], hops...)
+	m.InsertChain(c)
+}
+
+// spareChain allocates a chain header together with room for the hops of
+// the canonical steering program's chains.
+type spareChain struct {
+	chain Chain
+	hops  [4]Hop
+}
+
 // StripChain removes the chain shim header (the deparse step when a message
 // finally leaves the NIC through an Ethernet port) and reserializes. It is
-// a no-op for packets without a chain.
+// a no-op for packets without a chain. The removed header stays with the
+// packet as its spare for InsertChainHops.
 func (m *Message) StripChain() {
-	c := m.Chain()
-	if c == nil {
-		return
+	if c := m.Pkt.removeChain(); c != nil {
+		m.Pkt.spare = c
+		m.Pkt.Serialize()
 	}
-	eth := m.Pkt.Layers[0].(*Ethernet)
-	eth.EtherType = c.InnerType
-	layers := make([]Layer, 0, len(m.Pkt.Layers)-1)
-	layers = append(layers, eth)
-	layers = append(layers, m.Pkt.Layers[2:]...)
-	m.Pkt.Layers = layers
-	m.Pkt.Serialize()
+}
+
+// removeChain takes the chain shim out of the layer stack in place,
+// restoring the Ethernet EtherType, and returns it (nil when absent). Buf
+// is left stale.
+func (p *Packet) removeChain() *Chain {
+	if len(p.Layers) < 2 {
+		return nil
+	}
+	c, ok := p.Layers[1].(*Chain)
+	if !ok {
+		return nil
+	}
+	p.Layers[0].(*Ethernet).EtherType = c.InnerType
+	n := copy(p.Layers[1:], p.Layers[2:])
+	p.Layers[1+n] = nil
+	p.Layers = p.Layers[:1+n]
+	return c
 }

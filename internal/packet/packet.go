@@ -93,6 +93,9 @@ type Packet struct {
 	// PayloadLen is the virtual payload size in bytes (bytes on the wire
 	// after the last decoded header).
 	PayloadLen int
+	// spare is a chain header the packet shed, kept for reuse by
+	// InsertChainHops; it is not part of the packet.
+	spare *Chain
 }
 
 // WireLen returns the total on-wire size in bytes: headers plus virtual

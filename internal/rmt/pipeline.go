@@ -172,8 +172,9 @@ func (p *Program) Process(msg *packet.Message, now uint64) (Result, error) {
 
 // deparse writes the action results back into the packet: the offload
 // chain (and its flags) becomes the chain shim header, replacing any
-// existing one. The chain slice is copied, so callers (including the flow
-// cache's replay path) may retain theirs.
+// existing one or reusing the one a recycled shell shed. The chain slice is
+// copied, so callers (including the flow cache's replay path) may retain
+// theirs.
 func (p *Program) deparse(msg *packet.Message, chain []packet.Hop, flags uint8) {
 	if len(chain) == 0 {
 		return
@@ -194,9 +195,7 @@ func (p *Program) deparse(msg *packet.Message, chain []packet.Hop, flags uint8) 
 		msg.Pkt.Serialize()
 		return
 	}
-	hops := make([]packet.Hop, len(chain))
-	copy(hops, chain)
-	msg.InsertChain(&packet.Chain{Flags: flags, Hops: hops})
+	msg.InsertChainHops(flags, chain)
 }
 
 // Pipeline is the timed model of one RMT engine's pipeline: it accepts at

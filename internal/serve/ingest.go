@@ -34,6 +34,7 @@ type IngestSource struct {
 	batches []*workload.TraceSource
 	streams []*workload.KVSStream
 	stats   IngestStats
+	pool    *packet.MessagePool
 }
 
 var (
@@ -59,16 +60,23 @@ func AsEngineSources(ports []*IngestSource) []engine.Source {
 	return out
 }
 
+// UsePool makes every batch and stream admitted to the port from now on
+// build its messages from the given pool (the NIC's own).
+func (g *IngestSource) UsePool(p *packet.MessagePool) { g.pool = p }
+
 // admitBatch appends a trace batch. Records must already carry absolute
 // cycles (rebased to the admission barrier) and be monotone.
 func (g *IngestSource) admitBatch(records []workload.TraceRecord) {
-	g.batches = append(g.batches, workload.NewTraceSource(records))
+	b := workload.NewTraceSource(records)
+	b.UsePool(g.pool)
+	g.batches = append(g.batches, b)
 	g.stats.BatchesAccepted++
 	g.stats.RecordsAccepted += uint64(len(records))
 }
 
 // admitStream adds a bounded open-loop stream.
 func (g *IngestSource) admitStream(s *workload.KVSStream) {
+	s.UsePool(g.pool)
 	g.streams = append(g.streams, s)
 	g.stats.StreamsAccepted++
 }

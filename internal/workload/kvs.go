@@ -92,19 +92,16 @@ func (s *KVSStream) Poll(now uint64) *packet.Message {
 		vlen = s.cfg.ValueBytes
 		payload = int(vlen)
 	}
-	inner := packet.NewPacket(payload,
-		&packet.Ethernet{Dst: packet.MAC{2, 0, 0, 0, 0, 2}, Src: packet.MAC{2, 0, 0, 0, 0, 1}, EtherType: packet.EtherTypeIPv4},
-		&packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP,
+	m := s.pool.KVS(payload,
+		packet.Ethernet{Dst: packet.MAC{2, 0, 0, 0, 0, 2}, Src: packet.MAC{2, 0, 0, 0, 0, 1}, EtherType: packet.EtherTypeIPv4},
+		packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP,
 			Src: packet.IP4{10, s.cfg.ClientNet, byte(s.cfg.Tenant >> 8), byte(s.cfg.Tenant)}, Dst: packet.IP4{10, 255, 0, 2}},
-		&packet.UDP{SrcPort: 5000 + s.cfg.Tenant, DstPort: packet.KVSPort},
-		&packet.KVS{Op: op, Tenant: s.cfg.Tenant, Key: key, ValueLen: vlen},
+		packet.UDP{SrcPort: 5000 + s.cfg.Tenant, DstPort: packet.KVSPort},
+		packet.KVS{Op: op, Tenant: s.cfg.Tenant, Key: key, ValueLen: vlen},
 	)
-	m := &packet.Message{
-		ID:     s.nextID,
-		Tenant: s.cfg.Tenant,
-		Class:  s.cfg.Class,
-		Pkt:    inner,
-	}
+	m.ID = s.nextID
+	m.Tenant = s.cfg.Tenant
+	m.Class = s.cfg.Class
 	if s.rng.Float64() < s.cfg.WANShare {
 		wrapESP(m)
 	}
@@ -126,10 +123,10 @@ func wrapESP(m *packet.Message) {
 	}
 	m.Inner = inner
 	ciphertext := inner.WireLen() - 14 + 12
-	m.Pkt = packet.NewPacket(ciphertext,
-		&packet.Ethernet{Dst: packet.MAC{2, 0, 0, 0, 0, 2}, Src: packet.MAC{2, 0, 0, 0, 0, 3}, EtherType: packet.EtherTypeIPv4},
-		&packet.IPv4{TTL: 60, Protocol: packet.ProtoESP, Src: src, Dst: dst},
-		&packet.ESP{SPI: uint32(m.Tenant) + 1, Seq: uint32(m.ID)},
+	m.Pkt = packet.ESPPacket(ciphertext,
+		packet.Ethernet{Dst: packet.MAC{2, 0, 0, 0, 0, 2}, Src: packet.MAC{2, 0, 0, 0, 0, 3}, EtherType: packet.EtherTypeIPv4},
+		packet.IPv4{TTL: 60, Protocol: packet.ProtoESP, Src: src, Dst: dst},
+		packet.ESP{SPI: uint32(m.Tenant) + 1, Seq: uint32(m.ID)},
 	)
 }
 

@@ -36,6 +36,20 @@ func (m *Merge) Poll(now uint64) *packet.Message {
 	return nil
 }
 
+// poolUser is a source that builds its messages from a pool.
+type poolUser interface {
+	UsePool(p *packet.MessagePool)
+}
+
+// UsePool hands the pool to every child that builds messages.
+func (m *Merge) UsePool(p *packet.MessagePool) {
+	for _, s := range m.srcs {
+		if pu, ok := s.(poolUser); ok {
+			pu.UsePool(p)
+		}
+	}
+}
+
 // arrivalReporter mirrors engine.ArrivalSource locally (same import-cycle
 // dodge as Source above).
 type arrivalReporter interface {
@@ -149,6 +163,9 @@ func NewTenantMix(freqHz float64, specs []TenantSpec, seed uint64) *TenantMix {
 // Poll implements engine.Source.
 func (m *TenantMix) Poll(now uint64) *packet.Message { return m.merged.Poll(now) }
 
+// UsePool hands the pool to every tenant's stream.
+func (m *TenantMix) UsePool(p *packet.MessagePool) { m.merged.UsePool(p) }
+
 // NextArrival implements engine.ArrivalSource.
 func (m *TenantMix) NextArrival(now uint64) (uint64, bool) { return m.merged.NextArrival(now) }
 
@@ -212,6 +229,9 @@ func NewIsolationMix(freqHz, latencyGbps, bulkGbps float64, bulkFrameBytes int, 
 
 // Poll implements engine.Source.
 func (m *IsolationMix) Poll(now uint64) *packet.Message { return m.merged.Poll(now) }
+
+// UsePool hands the pool to both tenants' streams.
+func (m *IsolationMix) UsePool(p *packet.MessagePool) { m.merged.UsePool(p) }
 
 // NextArrival implements engine.ArrivalSource.
 func (m *IsolationMix) NextArrival(now uint64) (uint64, bool) { return m.merged.NextArrival(now) }

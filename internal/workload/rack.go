@@ -68,6 +68,9 @@ func (s *RackKVSStream) Poll(now uint64) *packet.Message {
 	return m
 }
 
+// UsePool hands the pool to the wrapped stream.
+func (s *RackKVSStream) UsePool(p *packet.MessagePool) { s.inner.UsePool(p) }
+
 // NextArrival implements engine.ArrivalSource.
 func (s *RackKVSStream) NextArrival(now uint64) (uint64, bool) {
 	return s.inner.NextArrival(now)

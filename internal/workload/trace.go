@@ -109,12 +109,17 @@ type TraceSource struct {
 	records []TraceRecord
 	next    int
 	id      uint64
+	pool    *packet.MessagePool
 }
 
 // NewTraceSource builds a replay source.
 func NewTraceSource(records []TraceRecord) *TraceSource {
 	return &TraceSource{records: records}
 }
+
+// UsePool makes the replay build its messages from the given pool (see
+// FixedStream.UsePool).
+func (s *TraceSource) UsePool(p *packet.MessagePool) { s.pool = p }
 
 // Remaining returns the number of unreplayed records.
 func (s *TraceSource) Remaining() int { return len(s.records) - s.next }
@@ -144,18 +149,16 @@ func (s *TraceSource) Poll(now uint64) *packet.Message {
 	if r.Op == packet.KVSSet || r.Op == packet.KVSGetResp {
 		payload = int(r.ValueLen)
 	}
-	m := &packet.Message{
-		ID:     s.id,
-		Tenant: r.Tenant,
-		Class:  r.Class,
-		Pkt: packet.NewPacket(payload,
-			&packet.Ethernet{Dst: packet.MAC{2, 0, 0, 0, 0, 2}, Src: packet.MAC{2, 0, 0, 0, 0, 1}, EtherType: packet.EtherTypeIPv4},
-			&packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP,
-				Src: packet.IP4{10, r.ClientNet, byte(r.Tenant >> 8), byte(r.Tenant)}, Dst: packet.IP4{10, 255, 0, 2}},
-			&packet.UDP{SrcPort: 5000 + r.Tenant, DstPort: packet.KVSPort},
-			&packet.KVS{Op: r.Op, Tenant: r.Tenant, Key: r.Key, ValueLen: r.ValueLen},
-		),
-	}
+	m := s.pool.KVS(payload,
+		packet.Ethernet{Dst: packet.MAC{2, 0, 0, 0, 0, 2}, Src: packet.MAC{2, 0, 0, 0, 0, 1}, EtherType: packet.EtherTypeIPv4},
+		packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP,
+			Src: packet.IP4{10, r.ClientNet, byte(r.Tenant >> 8), byte(r.Tenant)}, Dst: packet.IP4{10, 255, 0, 2}},
+		packet.UDP{SrcPort: 5000 + r.Tenant, DstPort: packet.KVSPort},
+		packet.KVS{Op: r.Op, Tenant: r.Tenant, Key: r.Key, ValueLen: r.ValueLen},
+	)
+	m.ID = s.id
+	m.Tenant = r.Tenant
+	m.Class = r.Class
 	if r.WAN {
 		wrapESP(m)
 	}

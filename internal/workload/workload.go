@@ -49,7 +49,8 @@ func IntervalFor(frameBytes int, rateGbps, freqHz float64) float64 {
 	return wireBits / bitsPerCycle
 }
 
-// base holds common generator state: an arrival clock and a count limit.
+// base holds common generator state: an arrival clock, a count limit, and
+// the pool messages are built from.
 type base struct {
 	rng     *sim.RNG
 	arrival Arrival
@@ -57,7 +58,13 @@ type base struct {
 	count   uint64
 	limit   uint64 // 0 = unlimited
 	nextID  uint64
+	pool    *packet.MessagePool
 }
+
+// UsePool makes the generator build its messages from the given pool (the
+// NIC it feeds hands over its own). Without one every message is freshly
+// allocated; the messages are byte-identical either way.
+func (b *base) UsePool(p *packet.MessagePool) { b.pool = p }
 
 func newBase(seed uint64, arrival Arrival, limit uint64) base {
 	return base{rng: sim.NewRNG(seed), arrival: arrival, limit: limit}
@@ -109,7 +116,6 @@ type FixedStream struct {
 	tenant     uint16
 	class      packet.Class
 	dstIP      packet.IP4
-	pool       *packet.MessagePool
 }
 
 // FixedStreamConfig parameterizes a FixedStream.
@@ -127,10 +133,6 @@ type FixedStreamConfig struct {
 	// Count bounds the stream (0 = unlimited).
 	Count uint64
 	Seed  uint64
-	// Pool, when set, recycles message shells: Poll reuses shells the
-	// consumer has Put back instead of allocating. The recycled and fresh
-	// paths produce byte-identical messages.
-	Pool *packet.MessagePool
 }
 
 // NewFixedStream builds the stream.
@@ -152,7 +154,6 @@ func NewFixedStream(cfg FixedStreamConfig) *FixedStream {
 		tenant:     cfg.Tenant,
 		class:      cfg.Class,
 		dstIP:      packet.IP4{10, 0, 0, 2},
-		pool:       cfg.Pool,
 	}
 }
 
@@ -166,53 +167,13 @@ func (s *FixedStream) Poll(now uint64) *packet.Message {
 	if payload < 0 {
 		payload = 0
 	}
-	eth := packet.Ethernet{Dst: packet.MAC{2, 0, 0, 0, 0, 2}, Src: packet.MAC{2, 0, 0, 0, 0, 1}, EtherType: packet.EtherTypeIPv4}
-	ip := packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: packet.IP4{10, 0, 0, 1}, Dst: s.dstIP}
-	udp := packet.UDP{SrcPort: uint16(4000 + s.tenant), DstPort: 9}
-	if s.pool != nil {
-		if m := s.pool.Get(); m != nil {
-			// Salvage the shell's eth/ip/udp layer structs and serialization
-			// buffer even when the pipeline left shims (e.g. a chain header)
-			// in the stack; a shell missing any of the three falls through
-			// to fresh allocation. The rebuilt message is byte-identical to
-			// the fresh path, so pooling never affects simulation results.
-			if m.Pkt != nil {
-				var re *packet.Ethernet
-				var ri *packet.IPv4
-				var ru *packet.UDP
-				for _, l := range m.Pkt.Layers {
-					switch v := l.(type) {
-					case *packet.Ethernet:
-						if re == nil {
-							re = v
-						}
-					case *packet.IPv4:
-						if ri == nil {
-							ri = v
-						}
-					case *packet.UDP:
-						if ru == nil {
-							ru = v
-						}
-					}
-				}
-				if re != nil && ri != nil && ru != nil {
-					*re, *ri, *ru = eth, ip, udp
-					m.Pkt.Layers = append(m.Pkt.Layers[:0], re, ri, ru)
-					m.Pkt.PayloadLen = payload
-					m.Pkt.Serialize()
-					m.ID = s.nextID
-					m.Tenant = s.tenant
-					m.Class = s.class
-					return m
-				}
-			}
-		}
-	}
-	return &packet.Message{
-		ID:     s.nextID,
-		Tenant: s.tenant,
-		Class:  s.class,
-		Pkt:    packet.NewPacket(payload, &eth, &ip, &udp),
-	}
+	m := s.pool.UDP(payload,
+		packet.Ethernet{Dst: packet.MAC{2, 0, 0, 0, 0, 2}, Src: packet.MAC{2, 0, 0, 0, 0, 1}, EtherType: packet.EtherTypeIPv4},
+		packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: packet.IP4{10, 0, 0, 1}, Dst: s.dstIP},
+		packet.UDP{SrcPort: uint16(4000 + s.tenant), DstPort: 9},
+	)
+	m.ID = s.nextID
+	m.Tenant = s.tenant
+	m.Class = s.class
+	return m
 }

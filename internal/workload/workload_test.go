@@ -3,9 +3,12 @@ package workload
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"github.com/panic-nic/panic/internal/core"
+	"github.com/panic-nic/panic/internal/engine"
 	"github.com/panic-nic/panic/internal/packet"
 	"github.com/panic-nic/panic/internal/sim"
 )
@@ -270,50 +273,191 @@ func TestPropertyZipfInRange(t *testing.T) {
 	}
 }
 
-// TestFixedStreamPoolIdentical drives two identical streams — one fresh,
-// one recycling shells through a MessagePool — and checks every emitted
-// message is byte-identical, including shells the "pipeline" reshaped with
-// a chain shim before returning them.
+// TestFixedStreamPoolIdentical drives every producer that builds messages
+// from a MessagePool twice in lockstep — once allocating every message,
+// once recycling shells — and checks each pooled message is identical to
+// its fresh twin, before and after the NIC-style reshaping (a chain shim
+// written by the RMT deparser, stripped again at wire egress) that
+// precedes its release. Recycled shells therefore include ones that
+// carried a chain and ones that shed it.
 func TestFixedStreamPoolIdentical(t *testing.T) {
-	mk := func(pool *packet.MessagePool) *FixedStream {
-		return NewFixedStream(FixedStreamConfig{
-			FrameBytes: 128, RateGbps: 50, FreqHz: 500e6,
-			Tenant: 9, Class: packet.ClassBulk, Seed: 42, Pool: pool,
+	const n = 2000 // past the poolcheck quarantine, so both builds recycle
+	kvsCfg := KVSTenantConfig{
+		Tenant: 3, Class: packet.ClassLatency, RateGbps: 20, FreqHz: 500e6,
+		Keys: 64, GetRatio: 0.6, WANShare: 0.5, ValueBytes: 200, Seed: 7,
+	}
+	records := Record(NewKVSStream(kvsCfg), 100_000)
+	// poller turns a source into a producer that returns its next message.
+	poller := func(src Source) func() *packet.Message {
+		now := uint64(0)
+		return func() *packet.Message {
+			for {
+				if m := src.Poll(now); m != nil {
+					return m
+				}
+				if now++; now > 1e6 {
+					t.Fatal("source ran dry")
+				}
+			}
+		}
+	}
+	// kvsGet is a chainless GET request, the input the engines answer.
+	kvsGet := func(i int) *packet.Message {
+		return &packet.Message{ID: uint64(i), TraceID: uint64(i) << 8, Tenant: 2, Class: packet.ClassLatency,
+			Port: 1, Inject: uint64(i),
+			Pkt: packet.NewPacket(0,
+				&packet.Ethernet{Dst: packet.MAC{2, 0, 0, 0, 0, 2}, Src: packet.MAC{2, 0, 0, 0, 0, 1}, EtherType: packet.EtherTypeIPv4},
+				&packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: packet.IP4{10, 1, 0, 2}, Dst: packet.IP4{10, 255, 0, 2}},
+				&packet.UDP{SrcPort: 5002, DstPort: packet.KVSPort},
+				&packet.KVS{Op: packet.KVSGet, Tenant: 2, Key: uint64(i % 17), ValueLen: uint32(64 + i%5)}),
+		}
+	}
+	producers := []struct {
+		name string
+		// mk returns a producer whose messages come from pool (nil: fresh).
+		mk func(pool *packet.MessagePool) func() *packet.Message
+	}{
+		{"FixedStream", func(pool *packet.MessagePool) func() *packet.Message {
+			s := NewFixedStream(FixedStreamConfig{
+				FrameBytes: 128, RateGbps: 50, FreqHz: 500e6, Poisson: true,
+				Tenant: 9, Class: packet.ClassBulk, Seed: 42,
+			})
+			s.UsePool(pool)
+			return poller(s)
+		}},
+		{"KVSStream", func(pool *packet.MessagePool) func() *packet.Message {
+			s := NewKVSStream(kvsCfg)
+			s.UsePool(pool)
+			return poller(s)
+		}},
+		{"TraceSource", func(pool *packet.MessagePool) func() *packet.Message {
+			s := NewTraceSource(records)
+			s.UsePool(pool)
+			return poller(s)
+		}},
+		{"DMACompletion", func(pool *packet.MessagePool) func() *packet.Message {
+			dma := engine.NewDMAEngine(engine.DMAConfig{PCIeGbps: 64, FreqHz: 500e6, BaseLatencyCycles: 10, JitterCycles: 5}, nil, nil)
+			ctx := &engine.Ctx{RNG: sim.NewRNG(3), Pool: pool}
+			i := 0
+			return func() *packet.Message {
+				i++
+				op := packet.DMARead
+				if i%3 == 0 {
+					op = packet.DMAWrite
+				}
+				req := &packet.Message{ID: uint64(i), TraceID: uint64(i), Tenant: 4,
+					Pkt: packet.NewPacket(0, &packet.Ethernet{EtherType: packet.EtherTypeDMA},
+						&packet.DMA{Op: op, Requester: 36, Len: uint32(i), HostAddr: uint64(i) * 64})}
+				ctx.Now = uint64(i)
+				return dma.Process(ctx, req)[0].Msg
+			}
+		}},
+		{"DMANotify", func(pool *packet.MessagePool) func() *packet.Message {
+			dma := engine.NewDMAEngine(engine.DMAConfig{PCIeGbps: 64, FreqHz: 500e6, BaseLatencyCycles: 10, NotifyAddr: 33}, nil, nil)
+			ctx := &engine.Ctx{RNG: sim.NewRNG(3), Pool: pool}
+			i := 0
+			return func() *packet.Message {
+				i++
+				ctx.Now = uint64(i)
+				return dma.Process(ctx, kvsGet(i))[0].Msg
+			}
+		}},
+		{"HostReply", func(pool *packet.MessagePool) func() *packet.Message {
+			h := core.NewKVSHost(100, 512)
+			h.UsePool(pool)
+			i := 0
+			return func() *packet.Message {
+				i++
+				req := kvsGet(i)
+				if i%4 == 0 {
+					req.Pkt.Layers[3].(*packet.KVS).Op = packet.KVSSet
+					req.Pkt.Serialize()
+				}
+				resp, _, ok := h.Respond(req, uint64(i))
+				if !ok {
+					t.Fatal("host did not answer a KVS request")
+				}
+				return resp
+			}
+		}},
+		{"RDMAReply", func(pool *packet.MessagePool) func() *packet.Message {
+			rdma := engine.NewRDMAEngine(engine.RDMAConfig{DMAAddr: 32})
+			ctx := &engine.Ctx{Addr: 36, Pool: pool}
+			i := 0
+			return func() *packet.Message {
+				i++
+				ctx.Now = uint64(i)
+				read := rdma.Process(ctx, kvsGet(i))[0].Msg
+				d := read.Pkt.Layer(packet.LayerTypeDMA).(*packet.DMA)
+				compl := &packet.Message{ID: read.ID, Pkt: packet.NewPacket(int(d.Len),
+					&packet.Ethernet{EtherType: packet.EtherTypeDMA},
+					&packet.DMA{Op: packet.DMAReadCompl, Requester: 36, Len: d.Len, HostAddr: d.HostAddr})}
+				pool.Put(read)
+				return rdma.Process(ctx, compl)[0].Msg
+			}
+		}},
+	}
+	for _, pr := range producers {
+		t.Run(pr.name, func(t *testing.T) {
+			pool := packet.NewMessagePool()
+			fresh, pooled := pr.mk(nil), pr.mk(pool)
+			released := make(map[*packet.Message]bool)
+			reuses := 0
+			for i := 0; i < n; i++ {
+				a, b := fresh(), pooled()
+				if released[b] {
+					reuses++
+				}
+				requireSameMessage(t, i, a, b)
+				// Reshape both twins the way the NIC would, then release
+				// the pooled one.
+				for _, m := range []*packet.Message{a, b} {
+					m.Inject, m.Done, m.EnqueuedAt, m.Deadline = 11, 22, 33, 44
+					m.Trace = append(m.Trace, packet.Visit{Engine: 5})
+					m.Needs = []string{"dma"}
+					if i%2 == 0 {
+						m.InsertChainHops(packet.ChainFlagLossless, []packet.Hop{{Engine: 7, Slack: uint32(i)}, {Engine: 32}})
+						if i%3 == 0 {
+							m.StripChain()
+						}
+					}
+				}
+				requireSameMessage(t, i, a, b)
+				pool.Put(b)
+				released[b] = true
+			}
+			if reuses == 0 {
+				t.Fatal("no message came from a recycled shell")
+			}
 		})
 	}
-	pool := packet.NewMessagePool()
-	fresh := mk(nil)
-	pooled := mk(pool)
-	reuses := 0
-	for cycle := uint64(0); cycle < 2000; cycle++ {
-		a := fresh.Poll(cycle)
-		b := pooled.Poll(cycle)
-		if (a == nil) != (b == nil) {
-			t.Fatalf("cycle %d: fresh=%v pooled=%v", cycle, a != nil, b != nil)
+}
+
+// requireSameMessage fails unless a and b are identical in every field a
+// simulation can observe.
+func requireSameMessage(t *testing.T, i int, a, b *packet.Message) {
+	t.Helper()
+	desc := func(m *packet.Message) packet.Message {
+		c := *m
+		c.Pkt, c.Inner = nil, nil
+		if len(c.Trace) == 0 {
+			c.Trace = nil
 		}
-		if a == nil {
+		return c
+	}
+	if da, db := desc(a), desc(b); !reflect.DeepEqual(da, db) {
+		t.Fatalf("message %d: descriptors diverged:\n fresh  %+v\n pooled %+v", i, da, db)
+	}
+	for _, p := range [][2]*packet.Packet{{a.Pkt, b.Pkt}, {a.Inner, b.Inner}} {
+		pa, pb := p[0], p[1]
+		if (pa == nil) != (pb == nil) {
+			t.Fatalf("message %d: packet presence diverged", i)
+		}
+		if pa == nil {
 			continue
 		}
-		if pool.Len() == 0 && cycle > 0 {
-			reuses++ // b just consumed a recycled shell
+		if !bytes.Equal(pa.Buf, pb.Buf) || pa.PayloadLen != pb.PayloadLen || !reflect.DeepEqual(pa.Layers, pb.Layers) {
+			t.Fatalf("message %d: packets diverged:\n fresh  %s %x\n pooled %s %x", i, pa, pa.Buf, pb, pb.Buf)
 		}
-		if a.ID != b.ID || a.Tenant != b.Tenant || a.Class != b.Class {
-			t.Fatalf("cycle %d: metadata diverged: %+v vs %+v", cycle, a, b)
-		}
-		if !bytes.Equal(a.Pkt.Buf, b.Pkt.Buf) || a.Pkt.PayloadLen != b.Pkt.PayloadLen {
-			t.Fatalf("cycle %d: wire bytes diverged:\n fresh  %x\n pooled %x", cycle, a.Pkt.Buf, b.Pkt.Buf)
-		}
-		// Reshape the shell the way the NIC pipeline does (chain shim after
-		// Ethernet) before recycling, so the salvage path is exercised.
-		b.Pkt.Layers = []packet.Layer{
-			b.Pkt.Layers[0],
-			&packet.Chain{InnerType: packet.EtherTypeIPv4, Hops: []packet.Hop{{Engine: 7}}},
-			b.Pkt.Layers[1],
-			b.Pkt.Layers[2],
-		}
-		pool.Put(b)
-	}
-	if reuses == 0 {
-		t.Fatal("pool path never reused a shell")
 	}
 }
