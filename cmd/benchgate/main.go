@@ -2,9 +2,8 @@
 // cmd/benchkernel measurement suite and compares the fresh numbers against
 // the committed baseline (BENCH_kernel.json). The gate fails when any
 // matched measurement's simulated-cycles/s throughput drops more than the
-// tolerance below the baseline, when the saturated kernel-mode pair's
-// msgs/s (ticked oracle or event engine) drops likewise, when the
-// rack-scale fleet run's aggregate fleet_msgs_per_s drops likewise, when
+// tolerance below the baseline, when the saturating run's msgs/s drops
+// likewise, when the rack-scale fleet run's aggregate fleet_msgs_per_s drops likewise, when
 // a contractually allocation-free hot path starts allocating, or when the
 // canonical NIC's heap allocations per delivered message rise above the
 // baseline's count.
@@ -86,7 +85,7 @@ func main() {
 			"or set BENCHGATE_SKIP=1 for known-noisy runners")
 		os.Exit(1)
 	}
-	n := len(base.Saturating) + len(base.EventMode) + len(base.LowLoad) + len(base.Fleet) + len(base.ZeroAlloc)
+	n := len(base.Saturating) + len(base.LowLoad) + len(base.Fleet) + len(base.ZeroAlloc)
 	if base.MsgAllocs != nil {
 		n++
 	}

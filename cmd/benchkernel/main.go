@@ -1,23 +1,19 @@
-// Command benchkernel measures the simulation kernel's execution-mode
-// performance on the canonical PANIC NIC and writes the results to a JSON
-// file (BENCH_kernel.json by default):
+// Command benchkernel measures the simulation kernel's performance on the
+// canonical PANIC NIC and writes the results to a JSON file
+// (BENCH_kernel.json by default):
 //
-//   - a saturating two-tenant run, reporting simulated cycles/s, delivered
-//     msgs/s, and the RMT flow-cache hit rate;
-//   - a saturated kernel-mode pair: the same workload under
-//     the ticked oracle loop and the event-driven engine, back to back, so
-//     the recorded speedup_vs_ticked isolates the event engine from host
-//     speed;
-//   - a low-load latency-curve run with idle-cycle fast-forward off and on,
-//     reporting effective simulated cycles/s and the skip ratio;
+//   - a saturating two-tenant run (the best of three), reporting simulated
+//     cycles/s, delivered msgs/s, and the RMT flow-cache hit rate;
+//   - a low-load latency-curve run, reporting effective simulated
+//     cycles/s and how many cycles the kernel skipped;
 //   - a rack-scale fleet run (4 NICs joined by the modeled ToR) at 1 and 4
 //     shards, reporting aggregate fleet msgs/s and shard speedup;
 //   - the zero-alloc hot paths' steady-state allocations per operation;
 //   - the canonical NIC's heap allocations per delivered message.
 //
 // The host's CPU count and GOMAXPROCS are recorded alongside the numbers:
-// fleet shard speedup requires real cores, while the fast-forward speedup
-// is algorithmic and shows up even on one core.
+// fleet shard speedup requires real cores, while the skipped cycles are
+// algorithmic and show up even on one core.
 //
 // The committed output is the baseline cmd/benchgate compares against.
 //

@@ -1,6 +1,6 @@
 // Command chaos is the seeded chaos/soak harness: it generates
 // random-but-deterministic scenarios (fault plans, tenant mixes,
-// workloads, fast-forward), runs each with the runtime invariant
+// workloads, replicas), runs each with the runtime invariant
 // monitor armed, and on a violation shrinks the scenario to a minimal
 // reproducer written as a replayable scenario file (see ROBUSTNESS.md).
 //
@@ -69,9 +69,9 @@ func runRange(start uint64, n int, cycles uint64, plant bool, out string, budget
 		s := chaos.Generate(seed, cycles)
 		s.Plant = plant
 		if verbose {
-			fmt.Printf("seed %d: tenants=%d requests=%d queuecap=%d replicas=%d ff=%v scoped=%v events=%d\n",
+			fmt.Printf("seed %d: tenants=%d requests=%d queuecap=%d replicas=%d scoped=%v events=%d\n",
 				seed, s.Tenants, s.Requests, s.QueueCap, s.Replicas,
-				s.FastForward, s.TenantScoped, len(s.Plan.Events))
+				s.TenantScoped, len(s.Plan.Events))
 		}
 		fail := chaos.Run(s)
 		if fail == nil {

@@ -11,7 +11,7 @@
 //	panicsim -arch panic -cycles 2000000 -rate 20 -wan 0.3
 //	panicsim -arch manycore -cores 16
 //	panicsim -arch panic -mesh 8 -width 128 -pipelines 2
-//	panicsim -arch panic -fastforward -rate 0.5
+//	panicsim -arch panic -rate 0.5
 package main
 
 import (
@@ -40,12 +40,10 @@ var (
 	health        *bool
 	ipsecReplicas *int
 	dmaReplicas   *int
-	fastForward   *bool
 	tracePath     *string
 	traceSample   *int
 	tenantsN      *int
 	tenantWeights *string
-	noEventEngine *bool
 	serveMode     *bool
 	listenAddr    *string
 	serveQuantum  *uint64
@@ -73,12 +71,10 @@ func main() {
 	health = flag.Bool("health", false, "enable the self-healing health monitor (panic only)")
 	ipsecReplicas = flag.Int("ipsec-replicas", 0, "total IPSec engine instances (panic only)")
 	dmaReplicas = flag.Int("dma-replicas", 0, "total RX-DMA engine instances (panic only)")
-	fastForward = flag.Bool("fastforward", false, "skip provably idle cycles (panic only)")
 	tracePath = flag.String("trace", "", "write a Chrome trace_event / Perfetto JSON trace to this file (panic only)")
 	traceSample = flag.Int("trace-sample", 1, "trace one message in N (1 = all; panic only)")
 	tenantsN = flag.Int("tenants", 1, "number of tenants in the generated mix; -rate is split evenly across them")
 	tenantWeights = flag.String("tenant-weights", "", "comma-separated scheduler weights for tenants 1..N, e.g. 4,1 (enables weighted-LSTF; panic only)")
-	noEventEngine = flag.Bool("no-event-engine", false, "run the ticked oracle kernel loop instead of the event-driven one (bit-identical ablation; panic only)")
 	serveMode = flag.Bool("serve", false, "run as a long-lived HTTP control/ingest service instead of a batch run (panic only)")
 	listenAddr = flag.String("listen", "127.0.0.1:8070", "serve mode listen address")
 	serveQuantum = flag.Uint64("serve-quantum", 8192, "serve mode barrier quantum: cycles between reconfiguration points")
@@ -217,8 +213,6 @@ func buildPanicConfig(freq, line float64, meshK, width, pipelines int, seed uint
 	}
 	cfg.IPSecReplicas = *ipsecReplicas
 	cfg.DMAReplicas = *dmaReplicas
-	cfg.FastForward = *fastForward
-	cfg.NoEventEngine = *noEventEngine
 	if *tenantsN > 1 {
 		for i := 0; i < *tenantsN; i++ {
 			cfg.Tenants = append(cfg.Tenants, uint16(i+1))

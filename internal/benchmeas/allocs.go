@@ -220,7 +220,7 @@ const (
 // simulated cycles.
 func MeasureMsgAllocs(cycles uint64) MsgAllocResult {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	nic := buildNIC(false, 0.9, false)
+	nic := buildNIC(0.9)
 	nic.Run(20_000) // fill the pipelines and the pool
 	runtime.GC()
 	before := nic.WireLat.Count + nic.HostLat.Count

@@ -33,29 +33,15 @@ type WorkerResult struct {
 	CacheHitRate float64 `json:"flow_cache_hit_rate,omitempty"`
 }
 
-// EventModeResult is one saturating run with the kernel loop pinned: the
-// ticked oracle (every Ticker every cycle) or the event-driven engine
-// (per-component wake scheduling, the default). The two runs execute back
-// to back in one process on one host, so their ratio — SpeedupVsTicked on
-// the event entry — isolates the event engine's contribution from host
-// speed, unlike the absolute rates.
-type EventModeResult struct {
-	Mode            string  `json:"mode"` // "ticked" or "event"
-	SimCycles       uint64  `json:"sim_cycles"`
-	WallSec         float64 `json:"wall_sec"`
-	CyclesPerS      float64 `json:"sim_cycles_per_sec"`
-	MsgsPerS        float64 `json:"msgs_per_sec"`
-	SpeedupVsTicked float64 `json:"speedup_vs_ticked"`
-}
-
-// FFResult is one low-load run with fast-forward off or on.
+// FFResult is the low-load run, where the kernel skips most cycles.
+// FastForward is always true: the kernel has no other loop, and the field
+// only keeps the committed baseline's entry matching.
 type FFResult struct {
 	FastForward bool    `json:"fast_forward"`
 	SimCycles   uint64  `json:"sim_cycles"`
 	Skipped     uint64  `json:"skipped_cycles"`
 	WallSec     float64 `json:"wall_sec"`
 	CyclesPerS  float64 `json:"sim_cycles_per_sec"`
-	Speedup     float64 `json:"speedup_vs_stepping"`
 }
 
 // FleetResult is one rack-scale run: NICs PANIC instances joined by the
@@ -85,13 +71,11 @@ type Report struct {
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Note       string `json:"note"`
-	// Saturating holds the one saturating run.
-	Saturating    []WorkerResult    `json:"saturating_worker_sweep"`
-	EventMode     []EventModeResult `json:"saturated_event_mode,omitempty"`
-	LowLoad       []FFResult        `json:"low_load_fast_forward"`
-	BestFFSpeedup float64           `json:"best_ff_speedup"`
-	Fleet         []FleetResult     `json:"fleet,omitempty"`
-	ZeroAlloc     []AllocResult     `json:"zero_alloc_paths,omitempty"`
+	// Saturating holds the saturating run (the best of three).
+	Saturating []WorkerResult `json:"saturating_worker_sweep"`
+	LowLoad    []FFResult     `json:"low_load_fast_forward"`
+	Fleet      []FleetResult  `json:"fleet,omitempty"`
+	ZeroAlloc  []AllocResult  `json:"zero_alloc_paths,omitempty"`
 	// MsgAllocs is the canonical NIC's allocations per delivered message.
 	MsgAllocs *MsgAllocResult `json:"canonical_nic_allocs,omitempty"`
 }
@@ -100,7 +84,7 @@ type Report struct {
 type Config struct {
 	// Cycles is the simulated horizon of each saturating run.
 	Cycles uint64
-	// LowLoadCycles is the horizon of each fast-forward run.
+	// LowLoadCycles is the horizon of the low-load run.
 	LowLoadCycles uint64
 	// FleetCycles is the horizon of each rack-scale fleet run (0 skips the
 	// fleet stage).
@@ -119,12 +103,9 @@ func (c Config) logf(format string, args ...any) {
 }
 
 // buildNIC assembles the canonical two-tenant benchmark NIC at the given
-// fraction of line rate per source, on the ticked oracle kernel loop or the
-// event-driven one (the default).
-func buildNIC(fastForward bool, load float64, ticked bool) *core.NIC {
+// fraction of line rate per source.
+func buildNIC(load float64) *core.NIC {
 	cfg := core.DefaultConfig()
-	cfg.FastForward = fastForward
-	cfg.NoEventEngine = ticked
 	srcs := []engine.Source{
 		workload.NewKVSStream(workload.KVSTenantConfig{
 			Tenant: 1, Class: packet.ClassLatency,
@@ -140,20 +121,21 @@ func buildNIC(fastForward bool, load float64, ticked bool) *core.NIC {
 	return core.NewNIC(cfg, srcs)
 }
 
-// Measure runs the full benchmark suite: the saturating run, the saturated
-// kernel-loop pair, the low-load fast-forward pair, the optional fleet
-// runs, and the zero-alloc hot-path checks.
+// Measure runs the full benchmark suite: the saturating run, the low-load
+// run, the optional fleet runs, and the zero-alloc hot-path checks.
 func Measure(cfg Config) Report {
 	rep := Report{
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Note: "fleet shard speedup scales with physical cores; " +
-			"fast-forward speedup is algorithmic and core-count independent",
+			"skipped cycles are algorithmic and core-count independent",
 	}
 
-	// satRun is one timed saturating run.
-	satRun := func(ticked bool) WorkerResult {
-		nic := buildNIC(false, 0.9, ticked)
+	// The saturating run is the best of three by msgs/s: single runs on a
+	// noisy shared host drift more than the gate's tolerance allows for.
+	var sat WorkerResult
+	for trial := 0; trial < 3; trial++ {
+		nic := buildNIC(0.9)
 		nic.Run(2_000) // warm-up: fill the pipeline
 		before := nic.WireLat.Count + nic.HostLat.Count
 		start := time.Now()
@@ -162,79 +144,36 @@ func Measure(cfg Config) Report {
 		delivered := nic.WireLat.Count + nic.HostLat.Count - before
 		hit := nic.FlowCacheStats().HitRate()
 		nic.Close()
-		return WorkerResult{
+		if r := (WorkerResult{
 			Workers:      1,
 			SimCycles:    cfg.Cycles,
 			WallSec:      wall,
 			CyclesPerS:   float64(cfg.Cycles) / wall,
 			MsgsPerS:     float64(delivered) / wall,
 			CacheHitRate: hit,
+		}); r.MsgsPerS > sat.MsgsPerS {
+			sat = r
 		}
 	}
-
-	sat := satRun(false)
 	rep.Saturating = []WorkerResult{sat}
-	cfg.logf("saturating: %.0f simcycles/s, %.0f msgs/s (cache hit %.1f%%)\n",
+	cfg.logf("saturating: %.0f simcycles/s, %.0f msgs/s (best of 3, cache hit %.1f%%)\n",
 		sat.CyclesPerS, sat.MsgsPerS, 100*sat.CacheHitRate)
 
-	// Saturated event mode: the same saturating workload with the
-	// kernel loop pinned ticked and event, interleaved best-of-3 in this
-	// process — single runs on a noisy shared host drift more than the two
-	// loops differ, so the pair ratio needs the same treatment the
-	// invariant-overhead gate uses. The event entry's speedup_vs_ticked is
-	// the event engine's isolated contribution; its absolute msgs/s is the
-	// headline the gate guards.
-	best := make(map[string]WorkerResult, 2)
-	for trial := 0; trial < 3; trial++ {
-		for _, mode := range []string{"ticked", "event"} {
-			r := satRun(mode == "ticked")
-			if b, ok := best[mode]; !ok || r.MsgsPerS > b.MsgsPerS {
-				best[mode] = r
-			}
-		}
+	nic := buildNIC(0.001)
+	start := time.Now()
+	nic.Run(cfg.LowLoadCycles)
+	wall := time.Since(start).Seconds()
+	low := FFResult{
+		FastForward: true,
+		SimCycles:   cfg.LowLoadCycles,
+		Skipped:     nic.Builder.Kernel.SkippedCycles(),
+		WallSec:     wall,
+		CyclesPerS:  float64(cfg.LowLoadCycles) / wall,
 	}
-	tickedBase := best["ticked"]
-	for _, mode := range []string{"ticked", "event"} {
-		r := best[mode]
-		er := EventModeResult{
-			Mode:            mode,
-			SimCycles:       r.SimCycles,
-			WallSec:         r.WallSec,
-			CyclesPerS:      r.CyclesPerS,
-			MsgsPerS:        r.MsgsPerS,
-			SpeedupVsTicked: r.MsgsPerS / tickedBase.MsgsPerS,
-		}
-		rep.EventMode = append(rep.EventMode, er)
-		cfg.logf("saturated %s kernel: %.0f simcycles/s, %.0f msgs/s (best of 3, %.2fx vs ticked)\n",
-			mode, er.CyclesPerS, er.MsgsPerS, er.SpeedupVsTicked)
-	}
-
-	var stepRate float64
-	for _, ff := range []bool{false, true} {
-		nic := buildNIC(ff, 0.001, false)
-		start := time.Now()
-		nic.Run(cfg.LowLoadCycles)
-		wall := time.Since(start).Seconds()
-		skipped := nic.Builder.Kernel.SkippedCycles()
-		nic.Close()
-		r := FFResult{
-			FastForward: ff,
-			SimCycles:   cfg.LowLoadCycles,
-			Skipped:     skipped,
-			WallSec:     wall,
-			CyclesPerS:  float64(cfg.LowLoadCycles) / wall,
-		}
-		if !ff {
-			stepRate = r.CyclesPerS
-		}
-		r.Speedup = r.CyclesPerS / stepRate
-		rep.LowLoad = append(rep.LowLoad, r)
-		if r.Speedup > rep.BestFFSpeedup {
-			rep.BestFFSpeedup = r.Speedup
-		}
-		cfg.logf("low-load fastforward=%v: %.0f simcycles/s, %d skipped (%.2fx)\n",
-			ff, r.CyclesPerS, skipped, r.Speedup)
-	}
+	nic.Close()
+	rep.LowLoad = []FFResult{low}
+	cfg.logf("low-load: %.0f simcycles/s, %d of %d cycles skipped\n",
+		low.CyclesPerS, low.Skipped, low.SimCycles)
 
 	if cfg.FleetCycles > 0 {
 		rep.Fleet = MeasureFleet(cfg)
@@ -341,9 +280,9 @@ func (r Report) WriteFile(path string) error {
 // Compare checks a fresh report against a baseline and returns one line
 // per violation (empty = gate passes) plus informational notes:
 //
-//   - a matched saturating or fast-forward entry whose simulated-cycles/s
+//   - a matched saturating or low-load entry whose simulated-cycles/s
 //     throughput fell more than tolerance (a fraction, e.g. 0.25) below
-//     the baseline;
+//     the baseline, or a saturating entry whose msgs/s fell likewise;
 //   - a matched zero-alloc path that allocated where the baseline did not;
 //   - a baseline entry with no counterpart in the fresh report (a silently
 //     dropped measurement cannot pass the gate).
@@ -352,9 +291,8 @@ func (r Report) WriteFile(path string) error {
 // or GOMAXPROCS, the multi-shard fleet entries are skipped instead of
 // compared — shard speedup is a property of the host's physical cores, so
 // those numbers are not comparable across machines — and a note says so.
-// The saturating entry, the saturated event-mode pair, the fast-forward
-// pair, the 1-shard fleet entry, and the zero-alloc contracts are always
-// gated.
+// The saturating entry, the low-load entry, the 1-shard fleet entry, and
+// the zero-alloc contracts are always gated.
 //
 // Entries present only in the fresh report are ignored: adding coverage is
 // never a regression.
@@ -381,28 +319,15 @@ func Compare(baseline, fresh Report, tolerance float64) (bad, notes []string) {
 					b.Workers, f.CyclesPerS, b.CyclesPerS,
 					100*(1-f.CyclesPerS/b.CyclesPerS), 100*tolerance))
 			}
-		}
-		if !found {
-			bad = append(bad, fmt.Sprintf("saturating workers=%d: missing from fresh run", b.Workers))
-		}
-	}
-
-	for _, b := range baseline.EventMode {
-		found := false
-		for _, f := range fresh.EventMode {
-			if f.Mode != b.Mode {
-				continue
-			}
-			found = true
 			if f.MsgsPerS < b.MsgsPerS*floor {
 				bad = append(bad, fmt.Sprintf(
-					"saturated %s kernel: %.0f msgs/s vs baseline %.0f (-%.0f%%, tolerance %.0f%%)",
-					b.Mode, f.MsgsPerS, b.MsgsPerS,
+					"saturating workers=%d: %.0f msgs/s vs baseline %.0f (-%.0f%%, tolerance %.0f%%)",
+					b.Workers, f.MsgsPerS, b.MsgsPerS,
 					100*(1-f.MsgsPerS/b.MsgsPerS), 100*tolerance))
 			}
 		}
 		if !found {
-			bad = append(bad, fmt.Sprintf("saturated %s kernel: missing from fresh run", b.Mode))
+			bad = append(bad, fmt.Sprintf("saturating workers=%d: missing from fresh run", b.Workers))
 		}
 	}
 

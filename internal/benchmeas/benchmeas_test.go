@@ -12,13 +12,8 @@ func sampleReport() Report {
 		Saturating: []WorkerResult{
 			{Workers: 1, CyclesPerS: 50_000, MsgsPerS: 4000},
 		},
-		EventMode: []EventModeResult{
-			{Mode: "ticked", CyclesPerS: 50_000, MsgsPerS: 4000, SpeedupVsTicked: 1},
-			{Mode: "event", CyclesPerS: 100_000, MsgsPerS: 8000, SpeedupVsTicked: 2},
-		},
 		LowLoad: []FFResult{
-			{FastForward: false, CyclesPerS: 60_000},
-			{FastForward: true, CyclesPerS: 900_000, Speedup: 15},
+			{FastForward: true, CyclesPerS: 900_000},
 		},
 		Fleet: []FleetResult{
 			{NICs: 4, Shards: 1, FleetMsgsPerS: 10_000},
@@ -37,7 +32,8 @@ func TestCompareWithinToleranceFasterAndExtra(t *testing.T) {
 	// 20% slower on one entry, faster on another, plus an extra fresh-only
 	// measurement: all fine at 25% tolerance.
 	fresh.Saturating[0].CyclesPerS = 40_000
-	fresh.LowLoad[1].CyclesPerS = 2_000_000
+	fresh.Saturating[0].MsgsPerS = 3200
+	fresh.LowLoad[0].CyclesPerS = 2_000_000
 	fresh.Fleet = append(fresh.Fleet, FleetResult{NICs: 8, Shards: 2, FleetMsgsPerS: 1})
 	if bad, _ := Compare(base, fresh, 0.25); len(bad) != 0 {
 		t.Errorf("violations = %v, want none", bad)
@@ -71,7 +67,7 @@ func TestCompareFlagsThroughputRegression(t *testing.T) {
 	base := sampleReport()
 	fresh := sampleReport()
 	fresh.Saturating[0].CyclesPerS = 30_000 // -40% vs 50k baseline
-	fresh.LowLoad[1].CyclesPerS = 500_000   // -44% vs 900k baseline
+	fresh.LowLoad[0].CyclesPerS = 500_000   // -44% vs 900k baseline
 	bad, _ := Compare(base, fresh, 0.25)
 	if len(bad) != 2 {
 		t.Fatalf("violations = %v, want 2", bad)
@@ -81,20 +77,18 @@ func TestCompareFlagsThroughputRegression(t *testing.T) {
 	}
 }
 
-func TestCompareGatesSaturatedEventMode(t *testing.T) {
+func TestCompareGatesSaturatedMsgsPerS(t *testing.T) {
 	base := sampleReport()
 	fresh := sampleReport()
-	fresh.EventMode[1].MsgsPerS = 5000 // -37.5% vs the event baseline's 8000
+	fresh.Saturating[0].MsgsPerS = 2500 // -37.5% vs the baseline's 4000
 	bad, _ := Compare(base, fresh, 0.25)
-	if len(bad) != 1 || !strings.Contains(bad[0], "saturated event kernel") {
-		t.Fatalf("violations = %v, want one saturated-event regression", bad)
+	if len(bad) != 1 || !strings.Contains(bad[0], "saturating workers=1") || !strings.Contains(bad[0], "msgs/s") {
+		t.Fatalf("violations = %v, want one saturated msgs/s regression", bad)
 	}
-	// A dropped mode entry cannot pass the gate either.
-	fresh = sampleReport()
-	fresh.EventMode = fresh.EventMode[:1]
-	bad, _ = Compare(base, fresh, 0.25)
-	if len(bad) != 1 || !strings.Contains(bad[0], "missing") {
-		t.Fatalf("violations = %v, want one missing-event-mode line", bad)
+	// 20% fewer msgs/s is within the 25% tolerance.
+	fresh.Saturating[0].MsgsPerS = 3200
+	if bad, _ := Compare(base, fresh, 0.25); len(bad) != 0 {
+		t.Fatalf("violations = %v, want none at -20%%", bad)
 	}
 }
 
@@ -135,7 +129,7 @@ func TestCompareFlagsMissingMeasurements(t *testing.T) {
 	base := sampleReport()
 	fresh := sampleReport()
 	fresh.Saturating = nil
-	fresh.LowLoad = fresh.LowLoad[:1]
+	fresh.LowLoad = nil
 	fresh.ZeroAlloc = nil
 	bad, _ := Compare(base, fresh, 0.25)
 	if len(bad) != 3 {

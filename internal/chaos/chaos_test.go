@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -52,6 +53,20 @@ func TestParseScenarioErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("input %q: error = %v, want mention of %q", tc.in, err, tc.want)
 		}
+	}
+}
+
+// TestParseScenarioRejectsRetiredKey: a replay file naming the retired
+// fastforward knob fails with a structured error carrying the key and its
+// line, rather than as an unknown key.
+func TestParseScenarioRejectsRetiredKey(t *testing.T) {
+	_, err := ParseScenario(strings.NewReader("seed 1\ncycles 20000\nfastforward true\nplan:\n"))
+	var re *RetiredKeyError
+	if !errors.As(err, &re) || re.Key != "fastforward" || re.Line != 3 {
+		t.Fatalf("error = %v, want a RetiredKeyError for fastforward on line 3", err)
+	}
+	if !strings.Contains(err.Error(), `line 3: key "fastforward" is retired`) {
+		t.Errorf("error text %q does not name the key and line", err)
 	}
 }
 

@@ -25,7 +25,7 @@ func FuzzScenarioRoundTrip(f *testing.F) {
 	fleetSeed.MigrateTo = 3
 	f.Add(fleetSeed.String())
 	f.Add("seed 1\ncycles 20000\ntenants 1\nrequests 10\nqueuecap 64\nreplicas 1\n" +
-		"fastforward true\ntenantscoped true\nplant true\nplan:\n")
+		"tenantscoped true\nplant true\nplan:\n")
 	f.Add("seed 1\ncycles 20000\ntenants 2\nrequests 10\nqueuecap 64\nreplicas 1\n" +
 		"fleet 2\ntorlatency 32\nshards 2\nmigratetenant 2\nmigratecycle 5000\nmigrateto 1\nplan:\n")
 

@@ -78,7 +78,6 @@ func buildFleet(s Scenario) *fleet.Fleet {
 	cfg := core.DefaultConfig()
 	cfg.Seed = s.Seed
 	cfg.QueueCap = s.QueueCap
-	cfg.FastForward = s.FastForward
 	cfg.IPSecReplicas = s.Replicas
 	cfg.Health = core.DefaultHealthConfig()
 	if s.TenantScoped {
@@ -135,7 +134,6 @@ func buildNIC(s Scenario) *core.NIC {
 	cfg := core.DefaultConfig()
 	cfg.Seed = s.Seed
 	cfg.QueueCap = s.QueueCap
-	cfg.FastForward = s.FastForward
 	cfg.IPSecReplicas = s.Replicas
 	cfg.Health = core.DefaultHealthConfig()
 	if s.TenantScoped {

@@ -31,9 +31,6 @@ type Scenario struct {
 	QueueCap int
 	// Replicas is the total IPSec instance count (1 = primary only).
 	Replicas int
-	// FastForward lets the kernel skip idle cycles; results must be
-	// invariant-clean either way.
-	FastForward bool
 	// TenantScoped declares a tenant fault domain on the KVS cache engine
 	// (tenant 1 only), so cache faults exercise the tenant-scoped failover
 	// path (RewriteEngineTenant) instead of whole-engine rewrites.
@@ -83,9 +80,9 @@ func Generate(seed, cycles uint64) Scenario {
 		QueueCap: []int{64, 128, 256}[rng.Intn(3)],
 		Replicas: 1 + rng.Intn(2),
 	}
-	rng.Intn(3) // the retired worker-count draw: keeps every seed's other fields unchanged
-	s.FastForward = rng.Bool(0.3)
-	rng.Bool(0.2) // the retired flow-cache draw: keeps every seed's other fields unchanged
+	rng.Intn(3)   // the retired worker-count draw: keeps every seed's other fields unchanged
+	rng.Bool(0.3) // the retired fast-forward draw, likewise
+	rng.Bool(0.2) // the retired flow-cache draw, likewise
 	rng.Bool(0.2) // the retired queue-backing draw, likewise
 	s.TenantScoped = rng.Bool(0.5)
 	tenants := make([]uint16, s.Tenants)
@@ -117,7 +114,6 @@ func (s Scenario) String() string {
 	fmt.Fprintf(&b, "requests %d\n", s.Requests)
 	fmt.Fprintf(&b, "queuecap %d\n", s.QueueCap)
 	fmt.Fprintf(&b, "replicas %d\n", s.Replicas)
-	fmt.Fprintf(&b, "fastforward %v\n", s.FastForward)
 	fmt.Fprintf(&b, "tenantscoped %v\n", s.TenantScoped)
 	fmt.Fprintf(&b, "plant %v\n", s.Plant)
 	fmt.Fprintf(&b, "fleet %d\n", s.Fleet)
@@ -133,10 +129,28 @@ func (s Scenario) String() string {
 	return b.String()
 }
 
+// RetiredKeyError is ParseScenario's error for a line whose key names a
+// knob that no longer exists, as in a replay file written before the
+// knob's removal.
+type RetiredKeyError struct {
+	Line int    // 1-based line number
+	Key  string // the retired key
+}
+
+func (e *RetiredKeyError) Error() string {
+	return fmt.Sprintf("chaos: line %d: key %q is retired (%s); delete the line", e.Line, e.Key, retiredKeys[e.Key])
+}
+
+// retiredKeys maps each retired scenario key to why it went.
+var retiredKeys = map[string]string{
+	"fastforward": "the kernel always skips idle cycles",
+}
+
 // ParseScenario reads the text scenario format: `key value` lines, then a
 // `plan:` marker, then fault-plan lines (see fault.ParsePlan). Engine
 // names from core.EngineAddrs resolve in the plan section. Errors carry
-// the offending 1-based line number.
+// the offending 1-based line number; a retired key fails with a
+// *RetiredKeyError.
 func ParseScenario(r io.Reader) (Scenario, error) {
 	var s Scenario
 	sc := bufio.NewScanner(r)
@@ -162,6 +176,9 @@ func ParseScenario(r io.Reader) (Scenario, error) {
 		f := strings.Fields(line)
 		if len(f) != 2 {
 			return s, fmt.Errorf("chaos: line %d: want %q, got %q", lineNo, "key value", line)
+		}
+		if _, ok := retiredKeys[f[0]]; ok {
+			return s, &RetiredKeyError{Line: lineNo, Key: f[0]}
 		}
 		if err := s.setField(f[0], f[1]); err != nil {
 			return s, fmt.Errorf("chaos: line %d: %v", lineNo, err)
@@ -216,8 +233,6 @@ func (s *Scenario) setField(key, val string) error {
 		err = i(&s.QueueCap)
 	case "replicas":
 		err = i(&s.Replicas)
-	case "fastforward":
-		err = b(&s.FastForward)
 	case "tenantscoped":
 		err = b(&s.TenantScoped)
 	case "plant":

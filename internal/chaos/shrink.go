@@ -5,9 +5,9 @@ import "github.com/panic-nic/panic/internal/fault"
 // Shrink minimizes a failing scenario to a smaller one that still fails
 // the same invariant check, by re-running candidates: drop fault events
 // one at a time, shorten the horizon, reduce tenants and requests, and
-// reset fast-forward and the replica count. budget caps the number of
-// candidate runs (each is a full simulation); the original failure's check
-// name anchors the search so shrinking never wanders onto a different bug.
+// reset the replica count. budget caps the number of candidate runs (each
+// is a full simulation); the original failure's check name anchors the
+// search so shrinking never wanders onto a different bug.
 // It returns the minimal scenario and the number of runs spent.
 func Shrink(s Scenario, orig *Failure, budget int) (Scenario, int) {
 	runs := 0
@@ -76,15 +76,10 @@ func Shrink(s Scenario, orig *Failure, budget int) (Scenario, int) {
 		s = c
 	}
 
-	// Pass 5: reset the remaining knobs to the boring defaults so the
+	// Pass 5: reset the replica count to the boring default so the
 	// reproducer is as vanilla as the bug allows.
-	knobs := []func(*Scenario){
-		func(c *Scenario) { c.FastForward = false },
-		func(c *Scenario) { c.Replicas = 1 },
-	}
-	for _, strip := range knobs {
-		c := s
-		strip(&c)
+	if c := s; c.Replicas != 1 {
+		c.Replicas = 1
 		if fails(c) {
 			s = c
 		}

@@ -149,9 +149,9 @@ func (b *Builder) PlaceTile(addr packet.Addr, x, y int, eng engine.Engine, opts 
 	t := engine.NewTile(cfg, eng, b.Mesh, b.Routes, b.rng.Fork())
 	t.UsePool(b.pool)
 	b.Kernel.Register(t)
-	// Event-engine wiring, valid in both kernel modes: the mesh pokes the
-	// tile about deliveries and injection credits, and the tile may sleep
-	// between its self-scheduled wake cycles.
+	// Liveness wiring: the mesh pokes the tile about deliveries and
+	// injection credits, and the tile may sleep between its self-scheduled
+	// wake cycles.
 	poke := b.Kernel.PokerFor(t)
 	b.Mesh.SetNodeWaker(node, poke)
 	t.EnableEventSleep(poke, b.Kernel.Clock())

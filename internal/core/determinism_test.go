@@ -9,46 +9,43 @@ import (
 	"github.com/panic-nic/panic/internal/workload"
 )
 
-// detCase is one kernel execution mode under test: `ticked` runs the
-// every-Ticker-every-cycle oracle instead of the event-driven loaded path,
-// and the two must be byte-identical with fast-forward on or off — a
-// missed wakeup in the event engine shows up here as a fingerprint
-// divergence.
+// detCase is one kernel loop under test: the reference stepper, which
+// ticks every Eval ticker every cycle and skips none, or the kernel as it
+// runs in production. The two must be byte-identical — a missed wakeup or
+// an unreconciled sleep shows up here as a fingerprint divergence.
 type detCase struct {
-	name        string
-	fastForward bool
-	ticked      bool
+	name      string
+	reference bool
 }
 
 var detCases = []detCase{
-	// The reference: the ticked oracle. Everything below must reproduce
-	// its fingerprint byte for byte.
-	{name: "ticked", ticked: true},
-	{name: "ticked+ff", ticked: true, fastForward: true},
-	// Event engine (the default) across the same axis.
-	{name: "event"},
-	{name: "event+ff", fastForward: true},
+	// The reference. The kernel must reproduce its fingerprint byte for
+	// byte.
+	{name: "reference", reference: true},
+	{name: "kernel"},
 }
 
-// apply sets the case's kernel mode on cfg.
-func (c detCase) apply(cfg *Config) {
-	cfg.FastForward = c.fastForward
-	cfg.NoEventEngine = c.ticked
+// newNIC builds a NIC on the case's loop.
+func (c detCase) newNIC(cfg Config, srcs []engine.Source) *NIC {
+	nic := NewNIC(cfg, srcs)
+	if c.reference {
+		nic.UseReference()
+	}
+	return nic
 }
 
-// detRun builds a NIC in the given mode over a seeded two-port traffic mix
+// detRun builds a NIC on the given loop over a seeded two-port traffic mix
 // with a fault plan and health monitoring, runs it to a fixed horizon, and
 // returns the fingerprint.
 func detRun(c detCase, horizon uint64) string {
 	cfg := DefaultConfig()
-	c.apply(&cfg)
 	cfg.IPSecReplicas = 2
 	cfg.Health = DefaultHealthConfig()
 	cfg.FaultPlan = (&fault.Plan{}).
 		Add(fault.Event{At: 1000, Kind: fault.Wedge, Engine: AddrIPSec, For: 30_000}).
 		Add(fault.Event{At: 2500, Kind: fault.FlakeDrop, Engine: AddrKVSCache, EveryN: 7, For: 20_000})
 	// Two ports: a mixed GET/SET partly-WAN stream and a latency/bulk
-	// blend, both bounded so the run drains and fast-forward has real idle
+	// blend, both bounded so the run drains and the kernel has a real idle
 	// tail to skip.
 	srcs := []engine.Source{
 		kvsSource(60, 0.8, 0.5, 7),
@@ -60,7 +57,7 @@ func detRun(c detCase, horizon uint64) string {
 			}),
 		),
 	}
-	nic := NewNIC(cfg, srcs)
+	nic := c.newNIC(cfg, srcs)
 	defer nic.Close()
 	nic.Run(horizon)
 	return nic.Fingerprint()
@@ -68,18 +65,17 @@ func detRun(c detCase, horizon uint64) string {
 
 // TestCrossKernelDeterminism is the core acceptance test: the same seeded
 // workload and fault plan must produce byte-identical statistics, event
-// logs, and final cycle counts under the event-driven loop and the ticked
-// oracle, with fast-forward on or off.
+// logs, and final cycle counts on the kernel and on its reference stepper.
 func TestCrossKernelDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-mode NIC runs are slow")
+		t.Skip("paired NIC runs are slow")
 	}
 	const horizon = 120_000
 	want := detRun(detCases[0], horizon)
 	for _, c := range detCases[1:] {
 		got := detRun(c, horizon)
 		if got != want {
-			t.Errorf("mode %s diverged from the ticked oracle:\n%s", c.name, diffLines(want, got))
+			t.Errorf("%s diverged from the reference stepper:\n%s", c.name, diffLines(want, got))
 		}
 	}
 }
@@ -99,7 +95,7 @@ func diffLines(want, got string) string {
 			g = gl[i]
 		}
 		if w != g {
-			out += fmt.Sprintf("line %d:\n  reference: %q\n  this mode: %q\n", i+1, w, g)
+			out += fmt.Sprintf("line %d:\n  want: %q\n  got:  %q\n", i+1, w, g)
 			n++
 			if n >= 8 {
 				out += "  ...\n"
@@ -123,4 +119,35 @@ func splitLines(s string) []string {
 		lines = append(lines, s[start:])
 	}
 	return lines
+}
+
+// TestSkippedCycleCounts pins how many cycles the kernel jumps on the
+// canonical benchmark NIC (benchSources, as BENCH_kernel.json measures
+// it): at 0.1% load with and without the health monitor, whose check
+// cycles the kernel must step, at 5% load, and at 90% load, where no cycle
+// is idle. The counts are exact: a wake declared too early lowers them, one
+// declared too late diverges from the reference stepper.
+func TestSkippedCycleCounts(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		load    float64
+		health  bool
+		cycles  uint64
+		skipped uint64
+	}{
+		{"0.1%", 0.001, false, 1_000_000, 957_811},
+		{"0.1%+health", 0.001, true, 1_000_000, 942_891},
+		{"5%", 0.05, false, 300_000, 17_785},
+		{"90%", 0.9, false, 100_000, 0},
+	} {
+		cfg := DefaultConfig()
+		if c.health {
+			cfg.Health = DefaultHealthConfig()
+		}
+		nic := NewNIC(cfg, benchSources(c.load))
+		nic.Run(c.cycles)
+		if got := nic.Builder.Kernel.SkippedCycles(); got != c.skipped {
+			t.Errorf("%s load: skipped %d of %d cycles, want %d", c.name, got, c.cycles, c.skipped)
+		}
+	}
 }

@@ -209,10 +209,11 @@ type watch struct {
 // sim.Ticker and must be registered with RegisterSerial, after every tile:
 // each check samples the cycle's final state, and its probes and recovery
 // actions read and rewrite state owned by many tiles (steering tables,
-// queue resets), which must not interleave with the cycle's Eval ticks;
-// NewNIC does this. All recovery actions go through the same control
-// interfaces real hardware exposes: RMT table rewrites, route-table binds,
-// and tile resets.
+// queue resets), which must not interleave with the cycle's Eval ticks.
+// NewNIC does this and declares the check cycles with sim.Kernel.Due.
+// All recovery actions go through the same control interfaces real
+// hardware exposes: RMT table rewrites, route-table binds, and tile
+// resets.
 type HealthMonitor struct {
 	cfg      HealthConfig
 	b        *Builder
@@ -254,14 +255,12 @@ func (m *HealthMonitor) SetStandbys(addr packet.Addr, standbys []packet.Addr) {
 	w.standbys = standbys
 }
 
-// NextWork implements sim.Quiescer: the monitor acts only on multiples of
-// CheckPeriod, and those check cycles are never skippable — the watchdog's
-// stall clock must observe quiet periods exactly as a stepped run would.
-func (m *HealthMonitor) NextWork(now uint64) (uint64, bool) {
-	if now%m.cfg.CheckPeriod == 0 {
-		return now, false
-	}
-	return now + (m.cfg.CheckPeriod - now%m.cfg.CheckPeriod), false
+// nextCheck is the monitor's step schedule (see sim.Kernel.Due): it acts
+// only on multiples of CheckPeriod, and those check cycles are never
+// skippable — the watchdog's stall clock must observe quiet periods
+// exactly as the reference stepper would.
+func (m *HealthMonitor) nextCheck(now uint64) uint64 {
+	return now + (m.cfg.CheckPeriod-now%m.cfg.CheckPeriod)%m.cfg.CheckPeriod
 }
 
 // Tick implements sim.Ticker.

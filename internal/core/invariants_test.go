@@ -92,26 +92,22 @@ func TestInvariantMonitorIsTransparent(t *testing.T) {
 }
 
 // TestInvariantPassCyclesMatchTickedOracle pins the monitor's sampling
-// schedule across kernel modes: with the event engine bulk-advancing
-// between wake points (and the ticked oracle fast-forwarding its own
-// globally idle stretches), a due pass must still land on exactly the
-// interval cycle — the ObserverDue clamp steps that cycle instead of
-// jumping over it. A recorder check captures the cycle of every pass in
-// all four mode combinations; the sequences must be identical, and the
-// deferred-sync path means each pass also sees oracle-exact state (the
-// runs stay invariant-clean).
+// schedule against the reference stepper: with the kernel jumping between
+// wake points, a due pass must still land on exactly the interval cycle —
+// the Due clamp steps that cycle instead of jumping over it. A recorder
+// check captures the cycle of every pass on both loops; the sequences must
+// be identical, and the deferred-sync path means each pass also sees
+// reference-exact state (the runs stay invariant-clean).
 func TestInvariantPassCyclesMatchTickedOracle(t *testing.T) {
 	const horizon = 50_000
 	const every = 700 // deliberately not a power of two
-	run := func(ticked, ff bool) ([]uint64, string, uint64) {
+	run := func(c detCase) ([]uint64, string, uint64) {
 		cfg := DefaultConfig()
-		cfg.NoEventEngine = ticked
-		cfg.FastForward = ff
 		cfg.Health = DefaultHealthConfig()
 		cfg.Invariants = &invariant.Config{Every: every}
 		// Bounded sources: the run drains, leaving a long idle tail for
-		// bulk advance to jump — with due passes interleaved through it.
-		nic := NewNIC(cfg, []engine.Source{
+		// the kernel to jump — with due passes interleaved through it.
+		nic := c.newNIC(cfg, []engine.Source{
 			kvsSource(120, 0.9, 0.3, 17),
 			tenantGetSource(2, 120, 19),
 		})
@@ -123,48 +119,37 @@ func TestInvariantPassCyclesMatchTickedOracle(t *testing.T) {
 		})
 		nic.Run(horizon)
 		if err := nic.Invar.Err(); err != nil {
-			t.Fatalf("run (ticked=%v ff=%v) not invariant-clean: %v", ticked, ff, err)
+			t.Fatalf("%s run not invariant-clean: %v", c.name, err)
 		}
 		return cycles, nic.Fingerprint(), nic.Builder.Kernel.SkippedCycles()
 	}
 
-	wantCycles, wantFP, _ := run(true, false)
+	wantCycles, wantFP, _ := run(detCases[0])
 	for i, c := range wantCycles {
-		// The oracle without fast-forward steps every cycle, so its passes
-		// sit at the exact interval multiples (plus the cycle-0 pass); that
-		// is the sequence every other mode must reproduce.
+		// The reference steps every cycle, so its passes sit at the exact
+		// interval multiples (plus the cycle-0 pass); that is the sequence
+		// the kernel must reproduce.
 		if want := uint64(i) * every; c != want {
-			t.Fatalf("ticked pass %d at cycle %d, want %d", i, c, want)
+			t.Fatalf("reference pass %d at cycle %d, want %d", i, c, want)
 		}
 	}
 	if len(wantCycles) < horizon/every {
 		t.Fatalf("only %d passes over %d cycles at interval %d", len(wantCycles), horizon, every)
 	}
-	modes := []struct {
-		name   string
-		ticked bool
-		ff     bool
-	}{
-		{"ticked+ff", true, true},
-		{"event", false, false},
-		{"event+ff", false, true},
+	cycles, fp, skipped := run(detCases[1])
+	if fp != wantFP {
+		t.Errorf("kernel fingerprint diverged from the reference stepper")
 	}
-	for _, m := range modes {
-		cycles, fp, skipped := run(m.ticked, m.ff)
-		if fp != wantFP {
-			t.Errorf("%s fingerprint diverged from the ticked oracle", m.name)
+	if len(cycles) != len(wantCycles) {
+		t.Fatalf("kernel ran %d passes, reference ran %d", len(cycles), len(wantCycles))
+	}
+	for i := range cycles {
+		if cycles[i] != wantCycles[i] {
+			t.Fatalf("kernel pass %d at cycle %d, reference at %d", i, cycles[i], wantCycles[i])
 		}
-		if len(cycles) != len(wantCycles) {
-			t.Fatalf("%s ran %d passes, oracle ran %d", m.name, len(cycles), len(wantCycles))
-		}
-		for i := range cycles {
-			if cycles[i] != wantCycles[i] {
-				t.Fatalf("%s pass %d at cycle %d, oracle at %d", m.name, i, cycles[i], wantCycles[i])
-			}
-		}
-		if m.ff && skipped == 0 {
-			t.Errorf("%s skipped no cycles: the drained tail should fast-forward", m.name)
-		}
+	}
+	if skipped == 0 {
+		t.Error("kernel skipped no cycles: the drained tail should be jumped")
 	}
 }
 

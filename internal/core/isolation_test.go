@@ -22,9 +22,8 @@ const (
 // two known tenants at equal weight, weighted-LSTF on every offload
 // queue, and each tenant's rate credit set to its fair half of the
 // 16 Gbps bottleneck link (128 B per 64-cycle period at 500 MHz ≈ 8 Gbps).
-func isoCfg(c detCase) Config {
+func isoCfg() Config {
 	cfg := DefaultConfig()
-	c.apply(&cfg)
 	cfg.PCIeGbps = 16
 	cfg.QueueCap = 128
 	cfg.DMAJitter = 100
@@ -34,7 +33,7 @@ func isoCfg(c detCase) Config {
 }
 
 // isoRun executes the contended (or, with aggressor false, solo-victim)
-// scenario in the given kernel mode and returns the NIC.
+// scenario on the given loop and returns the NIC.
 func isoRun(c detCase, aggressor bool) *NIC {
 	var src engine.Source
 	if aggressor {
@@ -44,7 +43,7 @@ func isoRun(c detCase, aggressor bool) *NIC {
 		// contended runs see the identical victim arrival process.
 		src = workload.NewTenantMix(500e6, []workload.TenantSpec{workload.VictimSpec(isoVictimGbps)}, isoSeed)
 	}
-	nic := NewNIC(isoCfg(c), []engine.Source{src})
+	nic := c.newNIC(isoCfg(), []engine.Source{src})
 	defer nic.Close()
 	nic.Run(isoHorizon)
 	return nic
@@ -57,9 +56,8 @@ func TestTenantIsolationVictimP99Bounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full NIC runs are slow")
 	}
-	ev := detCase{name: "event"}
-	solo := isoRun(ev, false)
-	contended := isoRun(ev, true)
+	solo := isoRun(detCase{name: "kernel"}, false)
+	contended := isoRun(detCase{name: "kernel"}, true)
 
 	soloH := solo.HostLat.Tenant(1)
 	contH := contended.HostLat.Tenant(1)
@@ -96,11 +94,11 @@ func TestTenantIsolationVictimP99Bounded(t *testing.T) {
 
 // TestTenantIsolationCrossKernelDeterminism requires the contended
 // multi-tenant run — weighted-LSTF credit state, per-tenant tallies, and
-// tenant latency histograms included — to be byte-identical across every
-// mode in detCases.
+// tenant latency histograms included — to be byte-identical on the kernel
+// and on its reference stepper.
 func TestTenantIsolationCrossKernelDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-mode NIC runs are slow")
+		t.Skip("paired NIC runs are slow")
 	}
 	fp := func(c detCase) string {
 		nic := isoRun(c, true)
@@ -109,7 +107,7 @@ func TestTenantIsolationCrossKernelDeterminism(t *testing.T) {
 	want := fp(detCases[0])
 	for _, c := range detCases[1:] {
 		if got := fp(c); got != want {
-			t.Errorf("mode %s diverged from the ticked oracle:\n%s", c.name, diffLines(want, got))
+			t.Errorf("%s diverged from the reference stepper:\n%s", c.name, diffLines(want, got))
 		}
 	}
 }

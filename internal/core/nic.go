@@ -117,15 +117,10 @@ type Config struct {
 	// and fires in deterministic (port, delivery) order. Nil costs
 	// nothing.
 	RackTap func(m *packet.Message, now uint64) bool
-	// FastForward lets the kernel jump the clock over provably idle cycles
-	// (every component quiescent, no event due). Off by default.
+	// FastForward is ignored: the kernel always jumps the clock over
+	// provably idle cycles. It is kept only because a caller outside this
+	// module still sets it, and goes at that caller's next change.
 	FastForward bool
-	// NoEventEngine disables the kernel's event-driven loaded path and
-	// ticks every component every cycle (the oracle loop). The simulation
-	// result is bit-identical either way — event mode only skips ticks that
-	// provably change nothing and defers bulk counters it can reconstruct —
-	// so this is an ablation/escape hatch, not a semantic knob.
-	NoEventEngine bool
 }
 
 // DefaultConfig returns the canonical PANIC operating point: a two-port
@@ -236,8 +231,6 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 		Drops:   &stats.Counter{},
 	}
 	b := NewBuilder(cfg.FreqHz, cfg.Mesh, cfg.Seed)
-	b.Kernel.SetFastForward(cfg.FastForward)
-	b.Kernel.SetEventDriven(!cfg.NoEventEngine)
 	b.Tracer = cfg.Tracer
 	b.Mesh.AttachTracer(cfg.Tracer)
 	n.Builder = b
@@ -518,8 +511,10 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 		// Registered serial, after every tile: each check samples the
 		// cycle's final state, and its probes and table rewrites touch
 		// state owned by many tiles, so it must run after every Eval-phase
-		// tick of the cycle.
+		// tick of the cycle. A serial ticker keeps no cycle live, so the
+		// check cycles are declared to the kernel.
 		b.Kernel.RegisterSerial(mon)
+		b.Kernel.Due(mon.nextCheck)
 		n.Monitor = mon
 	}
 	if cfg.FaultPlan != nil {
@@ -608,6 +603,11 @@ func (n *NIC) Run(cycles uint64) { n.Builder.Kernel.Run(cycles) }
 
 // Now returns the current cycle.
 func (n *NIC) Now() uint64 { return n.Builder.Kernel.Now() }
+
+// UseReference runs the NIC on the kernel's reference stepper from the
+// next cycle on (see sim.Kernel.UseReference). Tests compare its result
+// with the normal loop's, byte for byte.
+func (n *NIC) UseReference() { n.Builder.Kernel.UseReference() }
 
 // Close is a no-op: a NIC's kernel runs on its caller's goroutine and holds
 // nothing to release. It stays so that callers tearing down a NIC and a

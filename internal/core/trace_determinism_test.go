@@ -15,7 +15,6 @@ import (
 // exported Chrome JSON plus the NIC fingerprint.
 func traceRun(c detCase, horizon uint64, sample uint64) (string, string) {
 	cfg := DefaultConfig()
-	c.apply(&cfg)
 	cfg.IPSecReplicas = 2
 	cfg.Health = DefaultHealthConfig()
 	cfg.Tracer = trace.New(trace.Options{FreqHz: cfg.FreqHz, Sample: sample})
@@ -32,7 +31,7 @@ func traceRun(c detCase, horizon uint64, sample uint64) (string, string) {
 			}),
 		),
 	}
-	nic := NewNIC(cfg, srcs)
+	nic := c.newNIC(cfg, srcs)
 	defer nic.Close()
 	nic.Run(horizon)
 	var sb strings.Builder
@@ -43,13 +42,13 @@ func traceRun(c detCase, horizon uint64, sample uint64) (string, string) {
 }
 
 // TestTraceDeterminism is the observability layer's acceptance test: the
-// exported trace must be byte-identical across every mode in detCases —
-// per-component buffers drained in creation order make tick order
-// invisible, and skipped idle cycles run no phases so they can emit
+// exported trace must be byte-identical on the kernel and on its reference
+// stepper — per-component buffers drained in creation order make tick
+// order invisible, and skipped idle cycles run no phases so they can emit
 // nothing.
 func TestTraceDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-mode NIC runs are slow")
+		t.Skip("paired NIC runs are slow")
 	}
 	const horizon = 120_000
 	wantTrace, wantFP := traceRun(detCases[0], horizon, 1)
@@ -62,10 +61,10 @@ func TestTraceDeterminism(t *testing.T) {
 	for _, c := range detCases[1:] {
 		gotTrace, gotFP := traceRun(c, horizon, 1)
 		if gotFP != wantFP {
-			t.Errorf("mode %s: NIC fingerprint diverged:\n%s", c.name, diffLines(wantFP, gotFP))
+			t.Errorf("%s: NIC fingerprint diverged:\n%s", c.name, diffLines(wantFP, gotFP))
 		}
 		if gotTrace != wantTrace {
-			t.Errorf("mode %s: trace diverged from the ticked oracle:\n%s", c.name, diffLines(wantTrace, gotTrace))
+			t.Errorf("%s: trace diverged from the reference stepper:\n%s", c.name, diffLines(wantTrace, gotTrace))
 		}
 	}
 }
@@ -78,7 +77,7 @@ func TestTraceSamplingSubset(t *testing.T) {
 		t.Skip("NIC runs are slow")
 	}
 	const horizon = 60_000
-	ev := detCase{name: "event"}
+	ev := detCase{name: "kernel"}
 	_, fullFP := traceRun(ev, horizon, 1)
 	sampled, sampledFP := traceRun(ev, horizon, 4)
 	if sampledFP != fullFP {

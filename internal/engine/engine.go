@@ -97,13 +97,15 @@ type ArrivalSource interface {
 	NextArrival(now uint64) (cycle uint64, ok bool)
 }
 
-// IdleReporter is an optional refinement of Engine with the same contract
-// as sim.Quiescer.NextWork, scoped to the engine's private state: the tile
-// combines it with its own queue and service-loop occupancy to answer the
-// kernel's quiescence query. Engines that hold no hidden time-dependent
-// state (most of the library) need not implement it; the tile then treats
-// the engine as quiescent whenever the tile itself is drained — except for
-// Generators, which are assumed always-busy unless they report otherwise.
+// IdleReporter is an optional refinement of Engine reporting when its
+// private state next changes: idle == true means nothing happens until an
+// input arrives; otherwise every cycle in [now, next) is a no-op for the
+// engine. The tile combines it with its own queue and service-loop
+// occupancy to declare its wake cycle (see Tile.EndCycle). Engines that
+// hold no hidden time-dependent state (most of the library) need not
+// implement it; the tile then treats the engine as quiescent whenever the
+// tile itself is drained — except for Generators, which are assumed
+// always-busy unless they report otherwise.
 type IdleReporter interface {
 	NextWork(now uint64) (next uint64, idle bool)
 }

@@ -133,17 +133,6 @@ func (t *RMTTile) compactOutbox() {
 	}
 }
 
-// NextWork implements sim.Quiescer: the RMT tile cannot predict gaps (the
-// pipeline advances every cycle it holds a message), so it is either busy
-// this cycle or fully idle. Pending fabric arrivals are vetoed by the
-// fabric's own NextWork.
-func (t *RMTTile) NextWork(now uint64) (uint64, bool) {
-	if t.Idle() {
-		return 0, true
-	}
-	return now, false
-}
-
 // EnableEventSleep lets EndCycle return real sleep wakes; the builder
 // calls it only when the fabric pokes the tile about arrivals.
 func (t *RMTTile) EnableEventSleep() { t.eventOK = true }

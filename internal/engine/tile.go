@@ -161,12 +161,12 @@ type Tile struct {
 	dropSeen    uint64
 	corruptSeen uint64
 
-	// Event-driven sleep state (see EndCycle). eventOK is set by the
+	// Sleep state (see EndCycle). eventOK is set by the
 	// builder only when the fabric pokes the tile about arrivals; wake and
 	// clk let control-plane mutators (SetFault, Reset) force a tick and
 	// stamp traces while the tile sleeps. While sleeping, the captured
 	// sleepBusy/sleepStall rates plus the syncedThrough watermark defer the
-	// per-cycle busy/stall accrual the ticked oracle would have made; the
+	// per-cycle busy/stall accrual the reference stepper would make; the
 	// flags are snapshots, so a mutation after the sleep decision cannot
 	// corrupt the accounting for cycles that elapsed before it.
 	eventOK       bool
@@ -294,59 +294,10 @@ func (t *Tile) compactOutbox() {
 	}
 }
 
-// NextWork implements sim.Quiescer. The tile accounts only for its own
-// state: pending fabric arrivals are vetoed by the fabric's NextWork, so a
-// drained tile need not (and cannot) see them. Counters make the rules
-// strict — an outbox blocked on fabric backpressure accrues StallCycles
-// and an in-service message accrues BusyCycles, so both veto the skip.
-//
-// A wedged tile is frozen by construction: generation and service are
-// gated off and the queue is never popped, so its queued and in-service
-// messages impose no work. Its outbox and delay list still drain, though,
-// and those keep their usual rules.
-func (t *Tile) NextWork(now uint64) (uint64, bool) {
-	if t.outLen() > 0 {
-		return now, false
-	}
-	if !t.fault.Wedged && (t.cur != nil || t.queue.Len() > 0) {
-		return now, false
-	}
-	var next uint64
-	have := false
-	for _, d := range t.pending {
-		if d.due <= now {
-			return now, false
-		}
-		if !have || d.due < next {
-			next, have = d.due, true
-		}
-	}
-	if !t.fault.Wedged {
-		if ir, ok := t.eng.(IdleReporter); ok {
-			n, idle := ir.NextWork(now)
-			if !idle {
-				if n <= now {
-					return now, false
-				}
-				if !have || n < next {
-					next, have = n, true
-				}
-			}
-		} else if _, ok := t.eng.(Generator); ok {
-			// An opaque generator may produce any cycle: never skip it.
-			return now, false
-		}
-	}
-	if !have {
-		return 0, true
-	}
-	return next, false
-}
-
 // EnableEventSleep lets EndCycle return real sleep wakes. The builder
 // calls it only when the fabric can poke the tile about arrivals (a mesh
 // with a node waker wired); on other fabrics the tile conservatively wakes
-// every cycle and event mode degrades to the ticked schedule for it. The
+// every cycle, which also keeps the kernel from skipping any cycle. The
 // poker wakes the tile after control-plane mutations; the clock stamps
 // trace spans emitted while the tile sleeps.
 func (t *Tile) EnableEventSleep(wake sim.Poker, clk *sim.Clock) {
@@ -376,10 +327,11 @@ func (t *Tile) EndCycle(cycle uint64) uint64 {
 }
 
 // nextWake computes the earliest cycle at which a tick could change
-// anything, mirroring NextWork's rules but with the event engine's extra
-// powers: a blocked outbox or a mid-service engine no longer pins the tile
-// awake, because stalls and busy cycles accrue in bulk and the completion
-// cycle is known.
+// anything. A blocked outbox or a mid-service engine does not pin the
+// tile awake: stalls and busy cycles accrue in bulk and the completion
+// cycle is known. A wedged tile is frozen by construction — generation and
+// service are gated off and its queue is never popped — so only its
+// outbox and delay list can wake it.
 func (t *Tile) nextWake(cycle uint64) uint64 {
 	wake := uint64(sim.WakeNever)
 	if t.outLen() > 0 && t.fab.CanInject(t.cfg.Node, t.outbox[t.outHead].dst) {

@@ -116,7 +116,8 @@ func (t *Tile) Reset(drainTo packet.Addr) int {
 // traceDrained marks a message evicted by a control-plane drain. Reset
 // runs from the serial phase, so on a tile ticking every cycle ctx.Now is
 // the current cycle; a sleeping tile's ctx.Now is stale, so the kernel
-// clock (wired with event sleep) supplies the stamp the oracle would use.
+// clock (wired with event sleep) supplies the stamp the reference stepper
+// would use.
 func (t *Tile) traceDrained(msg *packet.Message) {
 	now := t.ctx.Now
 	if t.sleeping && t.clk != nil {

@@ -17,8 +17,8 @@
 // a message another shard has not yet produced. Because the barrier
 // processes NICs in canonical order (0..N-1, buffers in append order,
 // batches stable-sorted by arrival cycle), the simulation is
-// byte-identical for ANY shard count and any per-NIC kernel mode
-// (sequential / parallel Eval / fast-forward).
+// byte-identical for ANY shard count, and on the kernel's reference
+// stepper (Fleet.UseReference).
 package fleet
 
 import (
@@ -294,6 +294,14 @@ func (f *Fleet) Run(cycles uint64) {
 	f.applyMigrations()
 }
 
+// UseReference runs every NIC on the kernel's reference stepper from the
+// next cycle on (see core.NIC.UseReference).
+func (f *Fleet) UseReference() {
+	for _, n := range f.NICs {
+		n.UseReference()
+	}
+}
+
 // applyMigrations applies every migration due at or before now. Placement
 // changes only here — at a barrier, while no shard is running — so
 // workload placement lookups never race and every shard count sees the
@@ -367,7 +375,7 @@ func (f *Fleet) Close() { f.set.Shutdown() }
 // ledger, the fleet oplog, every NIC's full core fingerprint, and — when
 // tracing — every NIC's exact span stream. Two runs of the same fleet
 // configuration must produce identical fingerprints regardless of shard
-// count or per-NIC kernel mode; the determinism matrix and the
+// count or the reference stepper; the determinism tests and the
 // fleet-smoke CI job compare nothing else.
 func (f *Fleet) Fingerprint() string {
 	var b strings.Builder

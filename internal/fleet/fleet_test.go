@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/panic-nic/panic/internal/core"
 	"github.com/panic-nic/panic/internal/fault"
 	"github.com/panic-nic/panic/internal/invariant"
 	"github.com/panic-nic/panic/internal/packet"
@@ -76,9 +77,8 @@ func TestFleetCrossTraffic(t *testing.T) {
 
 // TestFleetDeterminismMatrix is the tentpole acceptance test: the same
 // rack — migrations, a fault plan, and tracing armed — must produce a
-// byte-identical fleet fingerprint for every shard count and every
-// per-NIC kernel mode, including the event-driven loop against the
-// ticked oracle.
+// byte-identical fleet fingerprint at every shard count, matching the
+// 1-shard rack on the kernel's reference stepper.
 func TestFleetDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-NIC matrix runs are slow")
@@ -86,10 +86,8 @@ func TestFleetDeterminismMatrix(t *testing.T) {
 	const nics = 4
 	const horizon = 40_000
 
-	run := func(shards int, ff, ticked bool) string {
+	run := func(shards int, reference bool) string {
 		cfg := rackConfig(nics, shards)
-		cfg.NIC.FastForward = ff
-		cfg.NIC.NoEventEngine = ticked
 		cfg.Trace = true
 		cfg.TraceSample = 64
 		cfg.Migrations = []Migration{
@@ -101,35 +99,75 @@ func TestFleetDeterminismMatrix(t *testing.T) {
 		}
 		f := New(cfg)
 		defer f.Close()
+		if reference {
+			f.UseReference()
+		}
 		f.Run(horizon)
 		return f.Fingerprint()
 	}
 
-	// The reference is the 1-shard rack on the ticked oracle; every
-	// other combination must reproduce it exactly.
-	want := run(1, false, true)
+	// The reference is the 1-shard rack on the reference stepper; the
+	// kernel must reproduce it exactly at every shard count.
+	want := run(1, true)
 	if !strings.Contains(want, "migrate tenant=1") || !strings.Contains(want, "migrate tenant=5") {
 		t.Fatalf("oplog missing migrations:\n%.400s", want)
 	}
-	cases := []struct {
-		name   string
-		shards int
-		ff     bool
-		ticked bool
-	}{
-		{"event-shards1", 1, false, false},
-		{"event-shards2", 2, false, false},
-		{"event-shards4", 4, false, false},
-		{"ticked-shards4", 4, false, true},
-		{"event-shards2+ff", 2, true, false},
-		{"ticked-shards2+ff", 2, true, true},
-		{"event-shards4+ff", 4, true, false},
-	}
-	for _, c := range cases {
-		got := run(c.shards, c.ff, c.ticked)
-		if got != want {
-			t.Errorf("%s diverged from the ticked 1-shard run:\n%s", c.name, firstDiff(want, got))
+	for _, shards := range []int{1, 2, 4} {
+		if got := run(shards, false); got != want {
+			t.Errorf("%d shards diverged from the 1-shard reference run:\n%s", shards, firstDiff(want, got))
 		}
+	}
+}
+
+// TestRackMatchesReference runs the rack of the fleet-smoke CI job — 4
+// NICs at 8 Gb/s per client port, ToR latency 64, traces sampled 1 in 64,
+// invariants armed — for 300,000 cycles on the kernel and on its reference
+// stepper: the fingerprints must be byte-identical at rack scale, not just
+// per NIC.
+func TestRackMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paired rack runs are slow")
+	}
+	const nics, rate = 4, 8.0
+	run := func(reference bool) string {
+		// panicsim -fleet 4 -rate 8 -tor-latency 64 -fleet-trace-sample 64:
+		// two tenants per NIC at the default key space, GET ratio and value
+		// size, the first half homed one NIC over from their clients.
+		var tenants []TenantSpec
+		for i := 0; i < 2*nics; i++ {
+			client := i % nics
+			home := client
+			if i < nics {
+				home = (client + 1) % nics
+			}
+			tenants = append(tenants, TenantSpec{
+				Tenant: uint16(i + 1), Home: home, Client: client, Class: packet.ClassLatency,
+				RateGbps: rate / 2, Keys: 4096, GetRatio: 0.9, ValueBytes: 512, Poisson: true,
+			})
+		}
+		f := New(Config{
+			NICs:        nics,
+			TorLatency:  64,
+			Shards:      1,
+			NIC:         core.DefaultConfig(),
+			Tenants:     tenants,
+			Invariants:  &invariant.Config{Every: 2048},
+			Trace:       true,
+			TraceSample: 64,
+		})
+		defer f.Close()
+		if reference {
+			f.UseReference()
+		}
+		f.Run(300_000)
+		if v := f.Violations(); len(v) > 0 {
+			t.Fatalf("reference=%v: invariant violations: %v", reference, v)
+		}
+		return f.Fingerprint()
+	}
+	want := run(true)
+	if got := run(false); got != want {
+		t.Errorf("rack diverged from the reference stepper:\n%s", firstDiff(want, got))
 	}
 }
 

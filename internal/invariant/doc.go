@@ -28,5 +28,5 @@
 // for test assertions. Capture is capped (beyond the cap only Total
 // grows) so a check firing every interval cannot exhaust memory, and
 // because checks run at the end-of-cycle barrier the recorded cycle
-// numbers are identical across kernel loops and fast-forward modes.
+// numbers are identical on the kernel and on its reference stepper.
 package invariant

@@ -24,9 +24,9 @@ const maxViolations = 16
 type Config struct {
 	// Every is the sampling interval in cycles (0 = DefaultEvery). An
 	// attached monitor registers its schedule with the kernel, which
-	// steps the due cycle even when fast-forward or the event engine's
-	// bulk advance would otherwise jump over it — passes land on exact
-	// interval multiples in every kernel mode. (A kernel stepped outside
+	// steps the due cycle even when an idle jump would otherwise go over
+	// it — passes land on exact interval multiples, as on the reference
+	// stepper. (A kernel stepped outside
 	// its Run loop still defers a due check to the next stepped cycle
 	// rather than losing it.)
 	Every uint64
@@ -82,23 +82,22 @@ func (m *Monitor) AddCheck(name string, fn func(cycle uint64) error) {
 }
 
 // Attach hooks the monitor into the kernel's end-of-cycle barrier. The
-// kernel is retained so a due pass can first pull the event engine's
+// kernel is retained so a due pass can first pull sleeping components'
 // deferred bulk counters current (sim.Kernel.SyncAllAt) — checks then see
-// exactly the state the ticked oracle would show at the same cycle. The
-// monitor also registers its sampling schedule (sim.Kernel.ObserverDue),
-// which clamps fast-forward jumps in both kernel modes so a due pass
-// lands on exactly the interval cycle instead of the first stepped cycle
-// after a jump — pass cycles are therefore identical under the ticked
-// oracle, the event engine, and any fast-forward setting.
+// exactly the state the reference stepper would show at the same cycle.
+// The monitor also registers its sampling schedule (sim.Kernel.Due),
+// which clamps the kernel's idle jumps so a due pass lands on exactly the
+// interval cycle instead of the first stepped cycle after a jump — pass
+// cycles are therefore identical on the kernel and the reference stepper.
 func (m *Monitor) Attach(k *sim.Kernel) {
 	m.k = k
 	k.ObserveCycleEnd(m.observe)
-	k.ObserverDue(func(uint64) uint64 { return m.lastChecked + m.every })
+	k.Due(func(uint64) uint64 { return m.lastChecked + m.every })
 }
 
 // observe is the per-cycle hook: cheap rejection until a check is due.
 func (m *Monitor) observe(cycle uint64) {
-	// Interval arithmetic, not modulo: the ObserverDue clamp keeps due
+	// Interval arithmetic, not modulo: the Due clamp keeps due
 	// passes on stepped cycles, but a kernel stepped directly (no Run
 	// loop, so no clamp) may still jump past the exact multiple; the
 	// first stepped cycle after the gap is equivalent (skipped cycles run

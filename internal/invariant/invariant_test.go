@@ -14,12 +14,13 @@ type tick struct{ n uint64 }
 
 func (t *tick) Tick(uint64) { t.n++ }
 
-// idle is a fully quiescent component: it never has work, so fast-forward
+// idle is a fully quiescent component: it never has work, so the kernel
 // may skip any cycle no event claims.
 type idle struct{}
 
-func (idle) Tick(uint64)                    {}
-func (idle) NextWork(uint64) (uint64, bool) { return 0, true }
+func (idle) Tick(uint64)            {}
+func (idle) EndCycle(uint64) uint64 { return sim.WakeNever }
+func (idle) SyncTo(uint64)          {}
 
 // TestSamplingCadence checks that checks run once per interval, at the
 // interval boundary, and that RunNow is unthrottled.
@@ -47,14 +48,13 @@ func TestSamplingCadence(t *testing.T) {
 	}
 }
 
-// TestFastForwardStepsDueCheck checks the sampling schedule under
-// fast-forward: the monitor's ObserverDue registration clamps idle jumps
+// TestFastForwardStepsDueCheck checks the sampling schedule across idle
+// jumps: the monitor's Due registration clamps them
 // so a due pass lands on exactly the interval cycle — the kernel steps
 // cycle 64 (a provably idle cycle, so nothing else happens in it) instead
 // of jumping from 5 straight to 97 and deferring the pass.
 func TestFastForwardStepsDueCheck(t *testing.T) {
 	k := sim.NewKernel(sim.Frequency(500e6))
-	k.SetFastForward(true)
 	// Event-only load on a quiescent component: the kernel jumps between
 	// events, stepping only the cycles they claim — plus, now, the cycles
 	// the monitor's schedule claims.

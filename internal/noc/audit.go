@@ -3,15 +3,13 @@ package noc
 import "fmt"
 
 // This file is the mesh's contribution to the runtime invariant monitor
-// (internal/invariant): custody accounting over the occupancy counters
-// that already drive fast-forward quiescence, cross-checked against the
-// actual buffer occupancy of every router. The audits are read-only and
-// meant to run at the kernel's end-of-cycle barrier, when all staged FIFO
+// (internal/invariant): custody accounting over the mesh's lifetime
+// occupancy counters, cross-checked against the actual buffer occupancy of
+// every router. The audits are read-only and meant to run at the kernel's end-of-cycle barrier, when all staged FIFO
 // state is committed (Len is exact, Pending == Len).
 
 // InFlight returns the number of messages currently inside the fabric:
-// injected by a tile but not yet handed back out of TryEject. It is the
-// same quantity the fast-forward quiescence check gates on.
+// injected by a tile but not yet handed back out of TryEject.
 func (m *Mesh) InFlight() uint64 {
 	in, out := m.OccCounts()
 	return in - out

@@ -146,26 +146,6 @@ func (c *Crossbar) ResetStats() {
 // so injectors timestamp against a stable value whatever the tick order.
 func (c *Crossbar) Begin(cycle uint64) { c.now = cycle }
 
-// NextWork implements sim.Quiescer. The crossbar reports busy while any
-// message is anywhere inside it: a transfer in flight, an injection queue
-// holding a message, or an eject queue awaiting a tile's TryEject. The
-// eject check matters even though crossbar ticks don't drain those queues:
-// tiles cannot see pending arrivals themselves, so the fabric vetoes the
-// skip on their behalf.
-func (c *Crossbar) NextWork(now uint64) (uint64, bool) {
-	for o := range c.xfer {
-		if c.xfer[o].active {
-			return now, false
-		}
-	}
-	for i := range c.injQ {
-		if c.injQ[i].Len() > 0 || c.ejectQ[i].Len() > 0 {
-			return now, false
-		}
-	}
-	return 0, true
-}
-
 // Tick implements sim.Ticker.
 func (c *Crossbar) Tick(cycle uint64) {
 	for o := range c.xfer {

@@ -52,8 +52,8 @@ func DefaultMeshConfig() MeshConfig {
 
 // Mesh is a 2D mesh of wormhole routers. It implements Fabric, sim.Ticker,
 // sim.Preparer (publishing the cycle before Eval), sim.Committer (for all
-// of its staged lanes), and sim.Quiescer (reporting idleness for
-// fast-forward); RegisterWith attaches it to a kernel.
+// of its staged lanes), and sim.EventAware (declaring when it next needs
+// to tick); RegisterWith attaches it to a kernel.
 //
 // Statistics are accumulated per router and summed on demand by Stats;
 // the totals read every cycle (occupancy, parked ejections, installed
@@ -68,9 +68,9 @@ type Mesh struct {
 	statsReset bool
 	// occIn and occOut count every message ever injected into / ejected
 	// from the mesh and are never reset: their difference is the in-flight
-	// message count, which the fast-forward quiescence check uses. parked
-	// counts messages pushed into eject queues and not yet taken by
-	// TryEject; faults counts installed (non-clean) link faults.
+	// message count (InFlight) the custody audit checks. parked counts
+	// messages pushed into eject queues and not yet taken by TryEject;
+	// faults counts installed (non-clean) link faults.
 	occIn, occOut uint64
 	parked        int
 	faults        int
@@ -83,21 +83,20 @@ type Mesh struct {
 	dirtyInj   []*sim.FIFO[injEntry]
 	dirtyEject []*sim.FIFO[*packet.Message]
 
-	// Event-mode state (see sim.EventAware). eventOn mirrors the kernel's
-	// mode each cycle; selfPoke raises the mesh's kernel-level wake flag
-	// when a tile or control plane touches mesh state from outside a mesh
-	// tick; tileWake[node] wakes the local tile when the mesh hands it an
+	// Liveness state (see sim.EventAware). selfPoke raises the mesh's
+	// kernel-level wake flag when a tile or control plane touches mesh
+	// state from outside a mesh tick; tileWake[node] wakes the local tile when the mesh hands it an
 	// arrival or returns an injection credit; tickAll forces every router
 	// live for one cycle (the kernel's wake-all contract). woken collects
 	// the routers poked for the next cycle (each at most once); Begin
-	// swaps it into live, the routers an event-mode Tick runs.
-	k        *sim.Kernel
-	eventOn  bool
-	selfPoke sim.Poker
-	tileWake []sim.Poker
-	tickAll  bool
-	live     []*router
-	woken    []*router
+	// swaps it into live, the routers Tick runs. commitWake holds the
+	// routers a tile's Inject or TryEject touched, poked at Commit.
+	selfPoke   sim.Poker
+	tileWake   []sim.Poker
+	tickAll    bool
+	live       []*router
+	woken      []*router
+	commitWake []*router
 }
 
 // injEntry is a message waiting at a local injection port.
@@ -156,8 +155,9 @@ type router struct {
 	// is on the mesh's woken list; faultWake is the next cycle a
 	// PassEveryN-limited output with a waiting candidate opens (0 = none):
 	// fault windows open by the clock, not by a poke.
-	queued    bool
-	faultWake uint64
+	queued     bool
+	faultWake  uint64
+	commitPoke bool // on the mesh's commitWake list
 }
 
 // poke puts the router on the mesh's worklist for the next cycle (or the
@@ -337,6 +337,7 @@ func NewMesh(cfg MeshConfig) *Mesh {
 	m.dirtyEject = make([]*sim.FIFO[*packet.Message], 0, n)
 	m.live = make([]*router, 0, n)
 	m.woken = make([]*router, 0, n)
+	m.commitWake = make([]*router, 0, n)
 	for _, r := range m.routers {
 		r.nextPort = make([]uint8, n)
 		for dst := range r.nextPort {
@@ -361,13 +362,11 @@ func NewMesh(cfg MeshConfig) *Mesh {
 }
 
 // RegisterWith attaches the mesh to a kernel. Its staged lanes are not
-// registered: the mesh commits them itself. The mesh keeps the kernel
-// handle so each cycle's Begin can mirror the kernel's event mode, and
-// wires its own kernel-level poker for wakes originating outside mesh
-// ticks (Inject, TryEject, SetLinkFault).
+// registered: the mesh commits them itself. The mesh wires its own
+// kernel-level poker for wakes originating outside mesh ticks (Inject,
+// TryEject, SetLinkFault).
 func (m *Mesh) RegisterWith(k *sim.Kernel) {
 	k.Register(m)
-	m.k = k
 	m.selfPoke = k.PokerFor(m)
 }
 
@@ -446,8 +445,7 @@ func (m *Mesh) Inject(src, dst NodeID, msg *packet.Message) {
 	q.Push(injEntry{msg: msg, dst: dst, flits: m.FlitsFor(msg), enqued: m.now})
 	r.stats.injected++
 	m.occIn++
-	// The staged entry commits at end of cycle; the router must look then.
-	r.poke()
+	m.pokeAtCommit(r)
 	m.selfPoke.Poke()
 }
 
@@ -461,11 +459,23 @@ func (m *Mesh) TryEject(node NodeID) (*packet.Message, bool) {
 	m.occOut++
 	m.parked--
 	// The freed eject slot may unblock a head flit the router reserved
-	// against; the credit lands at commit, so the router looks next cycle.
-	r.poke()
+	// against.
+	m.pokeAtCommit(r)
 	m.selfPoke.Poke()
 	track(&m.dirtyEject, r.ejectQ)
 	return r.ejectQ.Pop(), true
+}
+
+// pokeAtCommit queues r for the cycle after the Commit that makes a
+// tile's staged Inject or TryEject visible. Poking at the call instead
+// would wake the router a cycle too early when the call comes from
+// outside Eval (between runs, or from an event), before the lane it
+// touched commits.
+func (m *Mesh) pokeAtCommit(r *router) {
+	if !r.commitPoke {
+		r.commitPoke = true
+		m.commitWake = append(m.commitWake, r)
+	}
 }
 
 // HasEjectable implements Fabric.
@@ -520,7 +530,7 @@ func (m *Mesh) Stats() Stats {
 }
 
 // ResetStats zeroes the accumulated statistics (for measuring steady state
-// after warmup). The occupancy counters behind fast-forward are preserved.
+// after warmup). The lifetime occupancy counters are preserved.
 func (m *Mesh) ResetStats() {
 	m.statsReset = true
 	for _, r := range m.routers {
@@ -538,7 +548,6 @@ func (m *Mesh) ResetStats() {
 // fault is installed.
 func (m *Mesh) Begin(cycle uint64) {
 	m.now = cycle
-	m.eventOn = m.k != nil && m.k.EventDriven()
 	if m.tickAll {
 		m.tickAll = false
 		for _, r := range m.routers {
@@ -561,36 +570,36 @@ func (m *Mesh) Begin(cycle uint64) {
 // WakeAll implements sim.BulkWaker: the next Begin queues every router.
 func (m *Mesh) WakeAll() { m.tickAll = true }
 
-// Tick implements sim.Ticker: one cycle of every router on the worklist
-// (event mode) or of every router (ticked mode). Router ticks within a
-// cycle are order-independent, so the worklist's order does not matter.
+// Tick implements sim.Ticker: one cycle of every router on the worklist.
+// Router ticks within a cycle are order-independent, so the worklist's
+// order does not matter.
 func (m *Mesh) Tick(cycle uint64) {
 	m.now = cycle
-	if m.eventOn {
-		for _, r := range m.live {
-			r.tick()
-		}
-		return
-	}
-	for _, r := range m.routers {
+	for _, r := range m.live {
 		r.tick()
 	}
 }
 
 // Commit implements sim.Committer: every lane pushed or popped this cycle
-// makes its staged state visible. Lanes commit independently, so the
-// lists' order does not matter.
+// makes its staged state visible, and every router a tile's Inject or
+// TryEject touched is queued for the next cycle, when it can see the
+// change. Lanes commit independently, so the lists' order does not matter.
 func (m *Mesh) Commit() {
 	m.dirtyFlit = commitLanes(m.dirtyFlit)
 	m.dirtyInj = commitLanes(m.dirtyInj)
 	m.dirtyEject = commitLanes(m.dirtyEject)
+	for _, r := range m.commitWake {
+		r.commitPoke = false
+		r.poke()
+	}
+	m.commitWake = m.commitWake[:0]
 }
 
 // EndCycle implements sim.EventAware. The mesh must tick next cycle while
 // any router is queued — it moved a flit or was poked — or a message is
-// parked in an eject queue: the waiting tile cannot see the arrival in its
-// own NextWork, so the mesh must be the component that pins the cycle
-// live, exactly as NextWork does for the ticked loop's skip. Otherwise the
+// parked in an eject queue: a tile that has not yet taken the arrival may
+// sleep through it, so the mesh must be the component that pins the cycle
+// live and keeps the kernel from skipping it. Otherwise the
 // earliest fault-window opening (if any) bounds the sleep, and with none
 // the mesh sleeps until poked. Nothing is deferred while asleep — an
 // unqueued router's tick would change no state — so SyncTo is a no-op.
@@ -611,19 +620,6 @@ func (m *Mesh) EndCycle(cycle uint64) uint64 {
 
 // SyncTo implements sim.EventAware; see EndCycle.
 func (m *Mesh) SyncTo(cycle uint64) {}
-
-// NextWork implements sim.Quiescer: an empty mesh — every injected message
-// handed to the local tile, nothing buffered anywhere — has no work until
-// someone injects, and an injecting tile is never itself idle. While any
-// message is in flight (including one parked in an eject queue awaiting a
-// tile) the mesh vetoes the skip, covering tiles' blindness to pending
-// arrivals.
-func (m *Mesh) NextWork(now uint64) (uint64, bool) {
-	if m.occIn != m.occOut {
-		return now, false
-	}
-	return 0, true
-}
 
 // peekIn returns the head flit at (input port, vc).
 func (r *router) peekIn(p, vc int) (Flit, bool) {

@@ -18,9 +18,8 @@ type delivery struct {
 // every eject queue every cycle, taking a parked message only when a hash
 // of (cycle, node) says so: in odd 500-cycle phases the consumer is slow,
 // eject queues fill, backpressure reaches the sources, and routers fall
-// asleep with parked entries. Like a tile, churnTraffic cannot see parked
-// arrivals in its own NextWork, so under fast-forward only the mesh keeps
-// those cycles stepped.
+// asleep with parked entries. Like a tile, churnTraffic sleeps between
+// bursts and is woken by the mesh's node wakers when an arrival parks.
 type churnTraffic struct {
 	m         *Mesh
 	rng       *sim.RNG
@@ -70,30 +69,45 @@ func (d *churnTraffic) Tick(cycle uint64) {
 	d.nextBurst = cycle + uint64(gap)
 }
 
-// NextWork implements sim.Quiescer: the only self-scheduled work
-// is its next burst.
-func (d *churnTraffic) NextWork(now uint64) (uint64, bool) {
-	if d.nextBurst >= d.lastBurst {
-		return 0, true
+// EndCycle implements sim.EventAware: the consumer polls every cycle while
+// an arrival is parked anywhere (the node wakers poke it when one lands);
+// otherwise its only self-scheduled work is its next burst.
+func (d *churnTraffic) EndCycle(cycle uint64) uint64 {
+	for n := 0; n < d.m.Nodes(); n++ {
+		if d.m.HasEjectable(NodeID(n)) {
+			return cycle + 1
+		}
 	}
-	return max(d.nextBurst, now), false
+	if d.nextBurst >= d.lastBurst {
+		return sim.WakeNever
+	}
+	return max(d.nextBurst, cycle+1)
 }
 
-// runChurn runs a churnTraffic on a 4x4 mesh with fast-forward on, under
-// the ticked or the event-driven kernel. A pass-every-3 link fault is
-// installed and lifted mid-run, and a severed link is cut and healed. It
-// returns the delivery sequence and the final Stats.
-func runChurn(t *testing.T, vcs int, seed uint64, eventDriven bool) ([]delivery, Stats) {
+// SyncTo implements sim.EventAware: a sleeping consumer defers nothing.
+func (d *churnTraffic) SyncTo(uint64) {}
+
+// runChurn runs a churnTraffic on a 4x4 mesh, on the kernel or on the
+// reference stepper. A pass-every-3 link fault is installed and lifted
+// mid-run, and a severed link is cut and healed. It returns the delivery
+// sequence and the final Stats.
+func runChurn(t *testing.T, vcs int, seed uint64, reference bool) ([]delivery, Stats) {
 	t.Helper()
 	cfg := DefaultMeshConfig()
 	cfg.Width, cfg.Height = 4, 4
 	cfg.VirtualChannels = vcs
 	cfg.EjectDepth = 3
 	m := NewMesh(cfg)
-	k := sim.NewKernelWithConfig(sim.KernelConfig{Freq: sim.GHz, FastForward: true, EventDriven: eventDriven})
+	k := sim.NewKernel(sim.GHz)
+	if reference {
+		k.UseReference()
+	}
 	m.RegisterWith(k)
 	d := &churnTraffic{m: m, rng: sim.NewRNG(seed), lastBurst: 7000}
 	k.Register(d)
+	for n := 0; n < m.Nodes(); n++ {
+		m.SetNodeWaker(NodeID(n), k.PokerFor(d))
+	}
 	a, b := m.NodeAt(1, 1), m.NodeAt(2, 1)
 	c, e := m.NodeAt(2, 2), m.NodeAt(2, 3)
 	k.At(1200, func() { m.SetLinkFault(a, b, LinkFault{PassEveryN: 3}) })
@@ -108,33 +122,36 @@ func runChurn(t *testing.T, vcs int, seed uint64, eventDriven bool) ([]delivery,
 	if m.InFlight() != 0 {
 		t.Fatalf("%d messages still in flight at the end", m.InFlight())
 	}
+	if !reference && k.SkippedCycles() == 0 {
+		t.Fatal("the kernel skipped no cycle: the quiet stretches went unexercised")
+	}
 	return d.log, m.Stats()
 }
 
 // TestEventMeshMatchesTickedUnderChurn is the mesh's lost-commit and
 // lost-wakeup check: a lane pushed or popped but never committed, or a
 // router left asleep with work to do, changes when messages come out, so
-// the event-driven kernel's delivery sequence and Stats would diverge from
-// the ticked oracle's.
+// the kernel's delivery sequence and Stats would diverge from the
+// reference stepper's.
 func TestEventMeshMatchesTickedUnderChurn(t *testing.T) {
 	for _, vcs := range []int{1, 2} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("vcs%d/seed%d", vcs, seed), func(t *testing.T) {
-				wantLog, wantStats := runChurn(t, vcs, seed, false)
-				gotLog, gotStats := runChurn(t, vcs, seed, true)
+				wantLog, wantStats := runChurn(t, vcs, seed, true)
+				gotLog, gotStats := runChurn(t, vcs, seed, false)
 				if gotStats != wantStats {
-					t.Fatalf("event Stats %+v, ticked %+v", gotStats, wantStats)
+					t.Fatalf("kernel Stats %+v, reference %+v", gotStats, wantStats)
 				}
 				if uint64(len(wantLog)) != wantStats.Delivered || wantStats.Delivered < 100 {
-					t.Fatalf("ticked run delivered %d (log %d): too little traffic to compare",
+					t.Fatalf("reference run delivered %d (log %d): too little traffic to compare",
 						wantStats.Delivered, len(wantLog))
 				}
 				if len(gotLog) != len(wantLog) {
-					t.Fatalf("event run handed out %d messages, ticked %d", len(gotLog), len(wantLog))
+					t.Fatalf("kernel run handed out %d messages, reference %d", len(gotLog), len(wantLog))
 				}
 				for i := range wantLog {
 					if gotLog[i] != wantLog[i] {
-						t.Fatalf("delivery %d: event %+v, ticked %+v", i, gotLog[i], wantLog[i])
+						t.Fatalf("delivery %d: kernel %+v, reference %+v", i, gotLog[i], wantLog[i])
 					}
 				}
 			})
@@ -170,13 +187,11 @@ func checkLanesClean(t *testing.T, m *Mesh) {
 	}
 }
 
-// TestMeshCommitsTouchedLanesOnly steps an event-driven mesh cycle by
-// cycle. An idle cycle touches no lane; an Inject into a sleeping router
+// TestMeshCommitsTouchedLanesOnly steps a mesh cycle by cycle. An idle cycle touches no lane; an Inject into a sleeping router
 // and a TryEject, both made outside any router tick, are committed in the
 // cycle they happen.
 func TestMeshCommitsTouchedLanesOnly(t *testing.T) {
 	m, k := newTestMesh(3, 3)
-	k.SetEventDriven(true)
 	src, dst := m.NodeAt(0, 0), m.NodeAt(2, 2)
 	inject, eject := false, false
 	k.Register(sim.TickFunc(func(uint64) {

@@ -84,7 +84,7 @@ type wlstfTenant struct {
 // The state is deterministic given the call sequence; give each engine
 // its own instance (core.NewNIC does). Refill is computed lazily from
 // cycle arithmetic, so Rank is a pure state machine — byte-identical
-// across kernel loops and fast-forward.
+// however many idle cycles the kernel skips.
 type WLSTF struct {
 	cfg     WLSTFConfig
 	maxW    uint64

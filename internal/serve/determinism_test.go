@@ -12,7 +12,7 @@ import (
 	"github.com/panic-nic/panic/internal/workload"
 )
 
-// scenarioRecords builds the deterministic trace batch every mode replays:
+// scenarioRecords builds the deterministic trace batch every run replays:
 // two tenants, a GET/SET mix, some WAN arrivals. Cycles are relative (the
 // admitting op rebases them to its barrier).
 func scenarioRecords() []workload.TraceRecord {
@@ -43,17 +43,15 @@ func mustEnqueue(t *testing.T, s *Server, name string, barrier uint64, fn func(*
 	}
 }
 
-// reloadScenario runs the acceptance scenario for one kernel mode: ingest
-// a trace batch and a bounded stream at barrier 1, swap tenant weights at
-// barrier 4, edit the RMT program at barrier 6, inject a fault plan at
-// barrier 8, then run to a fixed horizon. Returns (summary+tenant report,
+// reloadScenario runs the acceptance scenario on the kernel or on its
+// reference stepper: ingest a trace batch and a bounded stream at barrier
+// 1, swap tenant weights at barrier 4, edit the RMT program at barrier 6,
+// inject a fault plan at barrier 8, then run to a fixed horizon. Returns (summary+tenant report,
 // oplog JSON, Chrome trace JSON).
-func reloadScenario(t *testing.T, ticked, fastForward bool) (string, string, string) {
+func reloadScenario(t *testing.T, reference bool) (string, string, string) {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Seed = 7
-	cfg.NoEventEngine = ticked
-	cfg.FastForward = fastForward
 	cfg.IPSecReplicas = 2
 	cfg.TenantWeights = map[uint16]uint64{1: 1, 2: 1}
 	tracer := trace.New(trace.Options{FreqHz: cfg.FreqHz, Sample: 1})
@@ -61,6 +59,9 @@ func reloadScenario(t *testing.T, ticked, fastForward bool) (string, string, str
 	ports := NewIngestSources(cfg.Ports)
 	nic := core.NewNIC(cfg, AsEngineSources(ports))
 	defer nic.Close()
+	if reference {
+		nic.UseReference()
+	}
 	s := New(Config{BarrierCycles: 4096, Spin: true}, nic, tracer, ports)
 
 	recs := scenarioRecords()
@@ -118,25 +119,14 @@ func reloadScenario(t *testing.T, ticked, fastForward bool) (string, string, str
 
 // TestHotReloadDeterminism is the serve plane's acceptance test: the same
 // barrier-pinned reload sequence must produce byte-identical stats,
-// oplog, and exported trace across the ticked and event-driven kernel
-// loops, each with and without fast-forward — because every mutation
-// lands at cycle barrier*quantum regardless of how the kernel covers the
-// cycles in between.
+// oplog, and exported trace on the kernel and on its reference stepper —
+// because every mutation lands at cycle barrier*quantum regardless of how
+// the kernel covers the cycles in between.
 func TestHotReloadDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-mode NIC runs are slow")
+		t.Skip("paired NIC runs are slow")
 	}
-	type mode struct {
-		name       string
-		ticked, ff bool
-	}
-	modes := []mode{
-		{"ticked", true, false},
-		{"ticked+ff", true, true},
-		{"event", false, false},
-		{"event+ff", false, true},
-	}
-	wantFP, wantOplog, wantTrace := reloadScenario(t, modes[0].ticked, modes[0].ff)
+	wantFP, wantOplog, wantTrace := reloadScenario(t, true)
 	if !strings.Contains(wantFP, "host deliveries") {
 		t.Fatalf("summary looks empty:\n%s", wantFP)
 	}
@@ -146,29 +136,30 @@ func TestHotReloadDeterminism(t *testing.T) {
 	if !strings.Contains(wantOplog, "inject-faults") {
 		t.Fatalf("oplog missing scheduled ops:\n%s", wantOplog)
 	}
-	for _, m := range modes[1:] {
-		fp, oplog, tr := reloadScenario(t, m.ticked, m.ff)
-		if fp != wantFP {
-			t.Errorf("mode %s: stats diverged from the ticked oracle:\nwant:\n%s\ngot:\n%s", m.name, wantFP, fp)
-		}
-		if oplog != wantOplog {
-			t.Errorf("mode %s: oplog diverged:\nwant: %s\ngot:  %s", m.name, wantOplog, oplog)
-		}
-		if tr != wantTrace {
-			t.Errorf("mode %s: exported trace diverged from the ticked oracle (%d vs %d bytes)", m.name, len(tr), len(wantTrace))
-		}
+	fp, oplog, tr := reloadScenario(t, false)
+	if fp != wantFP {
+		t.Errorf("stats diverged from the reference stepper:\nwant:\n%s\ngot:\n%s", wantFP, fp)
+	}
+	if oplog != wantOplog {
+		t.Errorf("oplog diverged:\nwant: %s\ngot:  %s", wantOplog, oplog)
+	}
+	if tr != wantTrace {
+		t.Errorf("exported trace diverged from the reference stepper (%d vs %d bytes)", len(tr), len(wantTrace))
 	}
 }
 
 // TestBarrierPlacementInvariant pins the contract everything above rests
-// on: barrier k is always cycle k*quantum, in every kernel mode.
+// on: barrier k is always cycle k*quantum, on the kernel and on its
+// reference stepper.
 func TestBarrierPlacementInvariant(t *testing.T) {
-	for _, ff := range []bool{false, true} {
+	for _, reference := range []bool{true, false} {
 		cfg := core.DefaultConfig()
-		cfg.FastForward = ff
 		cfg.TenantWeights = map[uint16]uint64{1: 1}
 		ports := NewIngestSources(cfg.Ports)
 		nic := core.NewNIC(cfg, AsEngineSources(ports))
+		if reference {
+			nic.UseReference()
+		}
 		s := New(Config{BarrierCycles: 1000, Spin: true}, nic, nil, ports)
 		var atCycles []uint64
 		for _, b := range []uint64{1, 3, 7} {
@@ -181,11 +172,11 @@ func TestBarrierPlacementInvariant(t *testing.T) {
 		nic.Close()
 		want := []uint64{1000, 3000, 7000}
 		if len(atCycles) != len(want) {
-			t.Fatalf("ff=%v: %d ops applied, want %d", ff, len(atCycles), len(want))
+			t.Fatalf("reference=%v: %d ops applied, want %d", reference, len(atCycles), len(want))
 		}
 		for i, c := range atCycles {
 			if c != want[i] {
-				t.Errorf("ff=%v: op %d applied at cycle %d, want %d", ff, i, c, want[i])
+				t.Errorf("reference=%v: op %d applied at cycle %d, want %d", reference, i, c, want[i])
 			}
 		}
 	}

@@ -7,11 +7,11 @@
 // weight swaps, fault-plan injection — is queued as an operation that the
 // loop applies at the next cycle-aligned barrier, strictly between Run
 // calls. Because Run(n) always advances the clock by exactly n cycles
-// (fast-forwarded or stepped), barrier k sits at cycle k*quantum in every
-// kernel mode, so an operation pinned to a barrier lands on the same cycle
-// whether the kernel ticks every component, only the woken ones, or skips
-// idle cycles — which is what keeps a live-reconfigured run bit-identical
-// to a replay.
+// (skipped or stepped), barrier k sits at cycle k*quantum, so an
+// operation pinned to a barrier lands on the same cycle whether the kernel
+// ticks only the woken components and skips idle cycles or, as its
+// reference stepper, ticks every component every cycle — which is what
+// keeps a live-reconfigured run bit-identical to a replay.
 //
 // Observability: the server is built to be watched. GET /statz returns the
 // latest published core.StatsSnapshot extended with barrier position,

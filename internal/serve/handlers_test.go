@@ -18,7 +18,6 @@ import (
 func testServer(t *testing.T, withTracer bool) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := core.DefaultConfig()
-	cfg.FastForward = true
 	cfg.TenantWeights = map[uint16]uint64{1: 1, 2: 1}
 	var tracer *trace.Tracer
 	if withTracer {

@@ -22,7 +22,6 @@ import (
 func loadServer(t *testing.T) (*Server, net.Addr, *atomic.Int64, *atomic.Int64) {
 	t.Helper()
 	cfg := core.DefaultConfig()
-	cfg.FastForward = true
 	cfg.TenantWeights = map[uint16]uint64{1: 1, 2: 1}
 	ports := NewIngestSources(cfg.Ports)
 	nic := core.NewNIC(cfg, AsEngineSources(ports))
@@ -214,7 +213,6 @@ func TestLoadIngestOverhead(t *testing.T) {
 	// Direct: admit every batch at barrier 1, run to delivery.
 	direct := func() time.Duration {
 		cfg := core.DefaultConfig()
-		cfg.FastForward = true
 		cfg.TenantWeights = map[uint16]uint64{1: 1, 2: 1}
 		ports := NewIngestSources(cfg.Ports)
 		nic := core.NewNIC(cfg, AsEngineSources(ports))

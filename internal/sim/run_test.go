@@ -55,10 +55,13 @@ func buildChain(k *Kernel, nStages, nValues int, reverse bool) []*chainStage {
 	return stages
 }
 
-// runChain executes the chain and returns the per-stage (moved, sum)
-// fingerprint.
-func runChain(eventDriven, reverse bool, cycles uint64) []uint64 {
-	k := NewKernelWithConfig(KernelConfig{Freq: GHz, EventDriven: eventDriven})
+// runChain executes the chain, on the reference stepper when reference is
+// set, and returns the per-stage (moved, sum) fingerprint.
+func runChain(reference, reverse bool, cycles uint64) []uint64 {
+	k := NewKernel(GHz)
+	if reference {
+		k.UseReference()
+	}
 	stages := buildChain(k, 12, 40, reverse)
 	k.Run(cycles)
 	var fp []uint64
@@ -69,17 +72,17 @@ func runChain(eventDriven, reverse bool, cycles uint64) []uint64 {
 }
 
 // TestTickOrderUnobservable runs the same staged pipeline with its
-// components registered forwards and in reverse, under both kernel loops:
-// the staged-write contract makes tick order unobservable, so every
-// counter must match exactly.
+// components registered forwards and in reverse, on the kernel and on the
+// reference stepper: the staged-write contract makes tick order
+// unobservable, so every counter must match exactly.
 func TestTickOrderUnobservable(t *testing.T) {
-	want := runChain(false, false, 300)
+	want := runChain(true, false, 300)
 	if want[len(want)-2] == 0 {
 		t.Fatal("no value reached the end of the chain")
 	}
-	for _, c := range []struct{ eventDriven, reverse bool }{{false, true}, {true, false}, {true, true}} {
-		if got := runChain(c.eventDriven, c.reverse, 300); !slices.Equal(got, want) {
-			t.Fatalf("event=%v reverse=%v: fingerprint %v, forward ticked %v", c.eventDriven, c.reverse, got, want)
+	for _, c := range []struct{ reference, reverse bool }{{true, true}, {false, false}, {false, true}} {
+		if got := runChain(c.reference, c.reverse, 300); !slices.Equal(got, want) {
+			t.Fatalf("reference=%v reverse=%v: fingerprint %v, forward reference %v", c.reference, c.reverse, got, want)
 		}
 	}
 }
@@ -129,8 +132,8 @@ func TestRunResetsStop(t *testing.T) {
 	}
 }
 
-// idleTicker implements Quiescer: it works every `period` cycles and
-// records which cycles it was actually ticked at.
+// idleTicker declares a wake every `period` cycles and records which
+// cycles it was actually ticked at.
 type idleTicker struct {
 	period uint64
 	ticked []uint64
@@ -144,17 +147,17 @@ func (i *idleTicker) Tick(cycle uint64) {
 	}
 }
 
-func (i *idleTicker) NextWork(now uint64) (uint64, bool) {
-	if now%i.period == 0 {
-		return now, false
-	}
-	return now + (i.period - now%i.period), false
+func (i *idleTicker) EndCycle(cycle uint64) uint64 {
+	return cycle + i.period - cycle%i.period
 }
 
+func (i *idleTicker) SyncTo(uint64) {}
+
 // TestFastForwardSkipsIdleCycles checks the jump lands exactly on work
-// cycles and that the end state matches a stepped run.
+// cycles and that the end state matches the reference stepper's, which
+// ticks every cycle and skips none.
 func TestFastForwardSkipsIdleCycles(t *testing.T) {
-	k := NewKernelWithConfig(KernelConfig{Freq: GHz, FastForward: true})
+	k := NewKernel(GHz)
 	it := &idleTicker{period: 10}
 	k.Register(it)
 	k.Run(100)
@@ -173,17 +176,29 @@ func TestFastForwardSkipsIdleCycles(t *testing.T) {
 		t.Fatalf("SkippedCycles = %d, ticked %d, want them to sum to 100",
 			k.SkippedCycles(), len(it.ticked))
 	}
+
+	ref := NewKernel(GHz)
+	ref.UseReference()
+	rt := &idleTicker{period: 10}
+	ref.Register(rt)
+	ref.Run(100)
+	if rt.work != it.work || len(rt.ticked) != 100 || ref.SkippedCycles() != 0 {
+		t.Fatalf("reference: work %d, %d ticks, %d skipped; want %d, 100, 0",
+			rt.work, len(rt.ticked), ref.SkippedCycles(), it.work)
+	}
 }
 
 // TestFastForwardBoundedByEvents checks a scheduled event interrupts an
-// otherwise unbounded idle jump.
+// otherwise unbounded idle jump, and that its poke wakes a sleeper the
+// same cycle.
 func TestFastForwardBoundedByEvents(t *testing.T) {
-	k := NewKernelWithConfig(KernelConfig{Freq: GHz, FastForward: true})
+	k := NewKernel(GHz)
 	var tickedAt []uint64
 	q := quiescentTicker{onTick: func(c uint64) { tickedAt = append(tickedAt, c) }}
 	k.Register(&q)
+	poke := k.PokerFor(&q)
 	fired := uint64(0)
-	k.At(500, func() { fired = k.Now() })
+	k.At(500, func() { fired = k.Now(); poke.Poke() })
 	k.Run(1000)
 	if fired != 500 {
 		t.Fatalf("event fired at %d, want 500", fired)
@@ -191,25 +206,31 @@ func TestFastForwardBoundedByEvents(t *testing.T) {
 	if k.Now() != 1000 {
 		t.Fatalf("clock at %d, want 1000", k.Now())
 	}
-	// The fully idle ticker only runs at the event cycle.
-	if len(tickedAt) != 1 || tickedAt[0] != 500 {
-		t.Fatalf("idle ticker ran at %v, want exactly [500]", tickedAt)
+	// The sleeper runs on the Run's first (wake-all) cycle and at the
+	// event that pokes it, nowhere else.
+	if len(tickedAt) != 2 || tickedAt[0] != 0 || tickedAt[1] != 500 {
+		t.Fatalf("idle ticker ran at %v, want exactly [0 500]", tickedAt)
+	}
+	if k.SkippedCycles() != 998 {
+		t.Fatalf("SkippedCycles = %d, want 998", k.SkippedCycles())
 	}
 }
 
-// quiescentTicker is always idle.
+// quiescentTicker sleeps until poked.
 type quiescentTicker struct {
 	onTick func(uint64)
 }
 
 func (q *quiescentTicker) Tick(cycle uint64) { q.onTick(cycle) }
 
-func (q *quiescentTicker) NextWork(now uint64) (uint64, bool) { return 0, true }
+func (q *quiescentTicker) EndCycle(uint64) uint64 { return WakeNever }
 
-// TestFastForwardInertWithOpaqueTicker: one Ticker without NextWork makes
-// every cycle potentially live, so nothing is skipped.
+func (q *quiescentTicker) SyncTo(uint64) {}
+
+// TestFastForwardInertWithOpaqueTicker: one Ticker without a wake
+// declaration makes every cycle potentially live, so nothing is skipped.
 func TestFastForwardInertWithOpaqueTicker(t *testing.T) {
-	k := NewKernelWithConfig(KernelConfig{Freq: GHz, FastForward: true})
+	k := NewKernel(GHz)
 	n := 0
 	k.Register(TickFunc(func(uint64) { n++ }))
 	k.Run(64)
@@ -224,7 +245,7 @@ func TestFastForwardInertWithOpaqueTicker(t *testing.T) {
 // TestRunUntilFastForward: the predicate still terminates the run, and the
 // clock lands exactly where stepping would have put it.
 func TestRunUntilFastForward(t *testing.T) {
-	k := NewKernelWithConfig(KernelConfig{Freq: GHz, FastForward: true})
+	k := NewKernel(GHz)
 	it := &idleTicker{period: 100}
 	k.Register(it)
 	ok := k.RunUntil(func() bool { return it.work >= 3 }, 10000)
@@ -235,5 +256,27 @@ func TestRunUntilFastForward(t *testing.T) {
 	// start of the next stepped cycle.
 	if it.work != 3 {
 		t.Fatalf("work = %d, want 3", it.work)
+	}
+}
+
+// TestSerialTickerStepsDueCycles: a serial ticker keeps no cycle live on
+// its own; its Due schedule makes the kernel step exactly the cycles it
+// acts on.
+func TestSerialTickerStepsDueCycles(t *testing.T) {
+	k := NewKernel(GHz)
+	k.Register(&quiescentTicker{onTick: func(uint64) {}})
+	var acted []uint64
+	k.RegisterSerial(TickFunc(func(c uint64) {
+		if c%40 == 0 {
+			acted = append(acted, c)
+		}
+	}))
+	k.Due(func(now uint64) uint64 { return now + (40-now%40)%40 })
+	k.Run(200)
+	if want := []uint64{0, 40, 80, 120, 160}; !slices.Equal(acted, want) {
+		t.Fatalf("serial ticker acted at %v, want %v", acted, want)
+	}
+	if k.SkippedCycles() != 195 {
+		t.Fatalf("SkippedCycles = %d, want 195 (only the due cycles step)", k.SkippedCycles())
 	}
 }

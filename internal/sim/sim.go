@@ -7,8 +7,8 @@
 //  1. Events: callbacks scheduled with At/After run, in (cycle, seq) order.
 //  2. Begin: registered Preparers observe the new cycle (used to publish
 //     the cycle number to state shared read-only in Eval).
-//  3. Eval: every registered Ticker observes the state committed at the end
-//     of the previous cycle and stages its outputs.
+//  3. Eval: every live Ticker (see below) observes the state committed at
+//     the end of the previous cycle and stages its outputs.
 //  4. Serial: Tickers registered with RegisterSerial run one by one in
 //     registration order — the escape hatch for control-plane components
 //     that read or rewrite state shared across many tiles (e.g. a health
@@ -26,15 +26,20 @@
 // than a cycle of Eval, so host parallelism lives one level up, in
 // EpochSet's shards of whole kernels.
 //
-// When every registered Ticker also implements Quiescer, Run and RunUntil
-// can fast-forward the clock over provably idle cycles (see Quiescer).
+// There is one loop. Eval only ticks components whose declared wake cycle
+// has arrived or that were poked (see EventAware and Poker); a Ticker that
+// declares nothing ticks every cycle. When no Eval ticker is due, no poke
+// is pending, and no event or Due schedule falls on the current cycle, Run
+// and RunUntil jump the clock to the earliest declared wake. The reference
+// stepper (UseReference) is the same loop with every Eval ticker live every
+// cycle and no jump; tests hold the two byte-identical.
 //
 // Observability rides on the same phase structure: internal/trace's Tracer
 // is a Committer registered last, so per-component span buffers filled
 // during Eval (single writer each) drain into one deterministic stream
-// after every other commit of the cycle — byte-identical across kernel
-// loops and with fast-forward on or off, because skipped cycles run no
-// phases and so can emit nothing.
+// after every other commit of the cycle — byte-identical to the reference
+// stepper's stream, because skipped cycles run no phases and so can emit
+// nothing.
 package sim
 
 import (
@@ -77,15 +82,6 @@ func (f TickFunc) Tick(cycle uint64) { f(cycle) }
 type KernelConfig struct {
 	// Freq is the clock frequency.
 	Freq Frequency
-	// FastForward lets Run/RunUntil jump the clock over cycles in which no
-	// registered component has work. It only ever engages when every
-	// registered Ticker implements Quiescer; otherwise it is inert.
-	FastForward bool
-	// EventDriven selects the event-driven loop: each cycle only ticks
-	// components whose declared wake cycle has arrived or that were poked,
-	// instead of every registered Ticker. Byte-identical to the ticked
-	// loop; see EventAware.
-	EventDriven bool
 	// EventCap pre-sizes the event heap (an allocation hint; 0 is fine).
 	EventCap int
 }
@@ -97,43 +93,38 @@ type Kernel struct {
 	serial     []Ticker
 	preparers  []Preparer
 	committers []Committer
-	quiescers  []Quiescer
-	// allQuiesce tracks whether every registered Ticker (parallel and
-	// serial) implements Quiescer; fast-forward requires it.
-	nonQuiescers int
-	events       eventList
-	stopped      bool
-
-	fastForward bool
-	skipped     uint64
+	events     eventList
+	stopped    bool
+	skipped    uint64
 
 	// commitFlags parallels committers: non-nil entries are DirtyCommitter
-	// flags letting the Commit phase skip provably clean committers. Active
-	// in both kernel modes.
+	// flags letting the Commit phase skip provably clean committers.
 	commitFlags []*bool
 
-	// Event-driven mode state; the four slices parallel tickers.
-	eventDriven bool
-	wakeAt      []uint64     // next cycle each ticker must run (0 = now)
-	aware       []EventAware // nil for tickers without deferred sync
-	pokes       []*bool      // level-triggered external wake requests
-	liveNow     []bool       // sampled once per cycle before Eval
-	tickerIdx   map[any]int  // component -> index, for PokerFor
+	// Liveness state; the four slices parallel tickers.
+	wakeAt    []uint64     // next cycle each ticker must run (0 = now)
+	aware     []EventAware // nil for tickers without a wake declaration
+	pokes     []*bool      // level-triggered external wake requests
+	liveNow   []bool       // sampled once per cycle before Eval
+	tickerIdx map[any]int  // component -> index, for PokerFor
+	// nextWake is the minimum of wakeAt, kept by endCycle so the skip
+	// decision never scans the tickers.
+	nextWake uint64
 	// wakeAllNext forces every ticker live for one cycle. Raised on entry
-	// to Run/RunUntil and when event mode switches on, it makes state
-	// mutated from outside the kernel (between runs, from tests, by fleet
-	// control planes) safe without pokes: the first cycle of any run
-	// re-derives every wake schedule from committed state.
+	// to Run/RunUntil, it makes state mutated from outside the kernel
+	// (between runs, from tests, by fleet control planes) safe without
+	// pokes: the first cycle of any run re-derives every wake schedule
+	// from committed state.
 	wakeAllNext bool
+	// reference pins every cycle to a wake-all cycle (see UseReference).
+	reference bool
 
 	// observers run at the very end of every stepped cycle — after all
 	// committers, before the clock advances — so they see exactly the state
 	// the next cycle's Eval phase will. An empty list costs nothing.
 	observers []func(cycle uint64)
-	// obsDue holds observer schedules (see ObserverDue): fast-forward jumps
-	// clamp to the earliest due cycle so sampled observer passes land on
-	// deterministic cycles in every kernel mode.
-	obsDue []func(now uint64) uint64
+	// due holds Due schedules: skips clamp to the earliest due cycle.
+	due []func(now uint64) uint64
 }
 
 // NewKernel returns a kernel whose clock runs at the given frequency.
@@ -143,9 +134,7 @@ func NewKernel(freq Frequency) *Kernel {
 
 // NewKernelWithConfig returns a kernel with the given configuration.
 func NewKernelWithConfig(cfg KernelConfig) *Kernel {
-	k := &Kernel{clock: Clock{freq: cfg.Freq}, tickerIdx: make(map[any]int)}
-	k.fastForward = cfg.FastForward
-	k.SetEventDriven(cfg.EventDriven)
+	k := &Kernel{clock: Clock{freq: cfg.Freq}, tickerIdx: make(map[any]int), wakeAllNext: true}
 	if cfg.EventCap > 0 {
 		k.events.h = make(eventHeap, 0, cfg.EventCap)
 	}
@@ -158,15 +147,7 @@ func (k *Kernel) Clock() *Clock { return &k.clock }
 // Now returns the current cycle.
 func (k *Kernel) Now() uint64 { return k.clock.cycle }
 
-// SetFastForward enables or disables idle-cycle fast-forward for Run and
-// RunUntil. It only ever engages when every registered Ticker implements
-// Quiescer.
-func (k *Kernel) SetFastForward(on bool) { k.fastForward = on }
-
-// FastForwardEnabled reports whether fast-forward is configured on.
-func (k *Kernel) FastForwardEnabled() bool { return k.fastForward }
-
-// SkippedCycles returns how many cycles fast-forward has jumped over. Every
+// SkippedCycles returns how many cycles the kernel has jumped over. Every
 // skipped cycle is one the kernel proved no component would act in.
 func (k *Kernel) SkippedCycles() uint64 { return k.skipped }
 
@@ -175,8 +156,8 @@ func (k *Kernel) SkippedCycles() uint64 { return k.skipped }
 func (k *Kernel) Committers() int { return len(k.committers) }
 
 // register adds one component to the given ticker slice (returned updated)
-// and the committer/preparer/quiescer lists. Eval-phase (non-serial) tickers
-// additionally get event-mode bookkeeping: a wake slot, a poke flag, and an
+// and the committer/preparer lists. Eval-phase (non-serial) tickers
+// additionally get liveness bookkeeping: a wake slot, a poke flag, and an
 // index for PokerFor. wakeAt starts at 0 so a fresh component always runs
 // on its first cycle and declares its own schedule.
 func (k *Kernel) register(c any, tickers []Ticker, serial bool) []Ticker {
@@ -184,11 +165,6 @@ func (k *Kernel) register(c any, tickers []Ticker, serial bool) []Ticker {
 	if t, isT := c.(Ticker); isT {
 		tickers = append(tickers, t)
 		ok = true
-		if q, isQ := c.(Quiescer); isQ {
-			k.quiescers = append(k.quiescers, q)
-		} else {
-			k.nonQuiescers++
-		}
 		if !serial {
 			// Function-typed tickers (TickFunc) are not hashable and cannot
 			// be poked; every pokeable component is a pointer.
@@ -196,6 +172,7 @@ func (k *Kernel) register(c any, tickers []Ticker, serial bool) []Ticker {
 				k.tickerIdx[c] = len(k.wakeAt)
 			}
 			k.wakeAt = append(k.wakeAt, 0)
+			k.nextWake = 0
 			a, _ := c.(EventAware)
 			k.aware = append(k.aware, a)
 			k.pokes = append(k.pokes, new(bool))
@@ -235,9 +212,11 @@ func (k *Kernel) Register(components ...any) {
 
 // RegisterSerial adds components whose Tick must run after every other
 // Ticker of the cycle: they run after the Eval phase, one by one, in
-// registration order. Use it for control-plane components that read or mutate state
-// owned by many tiles (steering tables, cross-tile health probes). Serial
-// tickers are never skipped by the event-driven loop.
+// registration order. Use it for control-plane components that read or
+// mutate state owned by many tiles (steering tables, cross-tile health
+// probes). Serial tickers tick on every stepped cycle but never keep a
+// cycle live: one that must act at a particular cycle declares it with
+// Due, or the kernel may jump over that cycle.
 func (k *Kernel) RegisterSerial(components ...any) {
 	for _, c := range components {
 		k.serial = k.register(c, k.serial, true)
@@ -252,42 +231,24 @@ func (k *Kernel) RegisterSerial(components ...any) {
 // state but must not mutate it — they are the kernel's invariant/audit
 // barrier, not a modeling phase.
 //
-// Observers are not Tickers: they never affect quiescence, and they are
-// not called for cycles fast-forward skips (no phase runs in a skipped
-// cycle, so no state can have changed since the last stepped one).
+// Observers are not Tickers: they never keep a cycle live, and they are
+// not called for skipped cycles (no phase runs in a skipped cycle, so no
+// state can have changed since the last stepped one).
 func (k *Kernel) ObserveCycleEnd(fn func(cycle uint64)) {
 	k.observers = append(k.observers, fn)
 }
 
-// ObserverDue registers a schedule for a sampling observer: fn returns the
-// next cycle at which the observer needs the kernel to actually step (e.g.
-// an invariant monitor's lastChecked + interval). Both fast-forward skips
-// — the ticked oracle's global-idle jump and the event engine's bulk
-// advance — clamp their jump target so that cycle is stepped rather than
-// skipped. A due pass therefore lands on exactly the same cycle in every
-// kernel mode instead of on whatever post-jump cycle happens to step
-// next. Stepping a cycle inside a proven-idle window runs no component
-// work (that is what the skip proved), so the clamp cannot perturb
-// simulation state, only where the observer fires. A return value <= now
-// means "due this very cycle" and vetoes the jump entirely.
-func (k *Kernel) ObserverDue(fn func(now uint64) uint64) {
-	k.obsDue = append(k.obsDue, fn)
-}
-
-// clampObserverDue narrows a fast-forward jump target to the earliest
-// observer-due cycle. It reports false when an observer is due at the
-// current cycle, which vetoes the jump.
-func (k *Kernel) clampObserverDue(now uint64, target *uint64) bool {
-	for _, fn := range k.obsDue {
-		c := fn(now)
-		if c <= now {
-			return false
-		}
-		if c < *target {
-			*target = c
-		}
-	}
-	return true
+// Due registers a step schedule for a component outside the Eval phase —
+// a sampling observer or a serial ticker: fn returns the next cycle at
+// which it needs the kernel to actually step (e.g. an invariant monitor's
+// lastChecked + interval). Skips clamp their jump target so that cycle is
+// stepped rather than skipped, so a due pass lands on exactly the same
+// cycle as under the reference stepper. Stepping a cycle inside a
+// proven-idle window runs no Eval work (that is what the skip proved), so
+// the clamp cannot perturb Eval state. A return value <= now means "due
+// this very cycle" and vetoes the jump entirely.
+func (k *Kernel) Due(fn func(now uint64) uint64) {
+	k.due = append(k.due, fn)
 }
 
 // At schedules fn to run at the start of the given absolute cycle, before
@@ -311,32 +272,24 @@ func (k *Kernel) After(d uint64, fn func()) {
 // Stop makes Run and RunUntil return at the end of the current cycle.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// Step advances the simulation by exactly one cycle. In event-driven mode
-// the Eval phase only runs tickers whose wake cycle has arrived or that
-// were poked (liveness is sampled sequentially after start-of-cycle events,
-// so an event callback's poke takes effect the same cycle); serial tickers,
-// Begin, and observers always run, and the Commit phase skips committers
-// whose dirty flag proves them clean in either mode.
+// Step advances the simulation by exactly one cycle. The Eval phase only
+// runs tickers whose wake cycle has arrived or that were poked (liveness
+// is sampled sequentially after start-of-cycle events, so an event
+// callback's poke takes effect the same cycle); serial tickers, Begin,
+// and observers always run, and the Commit phase skips committers whose
+// dirty flag proves them clean.
 func (k *Kernel) Step() {
 	k.clock.started = true
 	cycle := k.clock.cycle
 	for k.events.ready(cycle) {
 		k.events.pop().fn()
 	}
-	if k.eventDriven {
-		k.sampleLiveness(cycle)
-	}
+	k.sampleLiveness(cycle)
 	for _, p := range k.preparers {
 		p.Begin(cycle)
 	}
-	if k.eventDriven {
-		for i, t := range k.tickers {
-			if k.liveNow[i] {
-				t.Tick(cycle)
-			}
-		}
-	} else {
-		for _, t := range k.tickers {
+	for i, t := range k.tickers {
+		if k.liveNow[i] {
 			t.Tick(cycle)
 		}
 	}
@@ -354,7 +307,7 @@ func (k *Kernel) Step() {
 		}
 		c.Commit()
 	}
-	if k.eventDriven {
+	if !k.reference {
 		k.endCycle(cycle)
 	}
 	for _, o := range k.observers {
@@ -363,28 +316,21 @@ func (k *Kernel) Step() {
 	k.clock.cycle++
 }
 
-// Run advances the simulation by n cycles, or until Stop is called. With
-// fast-forward enabled, provably idle cycles inside the window are skipped
-// (they still count toward n: the clock lands exactly where sequential
-// stepping would).
+// Run advances the simulation by n cycles, or until Stop is called.
+// Provably idle cycles inside the window are skipped (they still count
+// toward n: the clock lands exactly where sequential stepping would).
 //
-// In event-driven mode the first cycle of every Run ticks all components
-// (state mutated between runs needs no pokes) and deferred statistics are
-// brought current before returning, so callers observe oracle-exact state.
+// The first cycle of every Run ticks all components (state mutated between
+// runs needs no pokes) and deferred statistics are brought current before
+// returning, so callers observe reference-exact state.
 func (k *Kernel) Run(n uint64) {
 	k.stopped = false
-	k.wakeAllNext = k.eventDriven
+	k.wakeAllNext = true
 	end := k.clock.cycle + n
 	for k.clock.cycle < end && !k.stopped {
-		if k.fastForward {
-			if k.eventDriven {
-				k.skipIdleEvent(end)
-			} else {
-				k.skipIdle(end)
-			}
-			if k.clock.cycle >= end {
-				break
-			}
+		k.skipIdle(end)
+		if k.clock.cycle >= end {
+			break
 		}
 		k.Step()
 	}
@@ -393,33 +339,26 @@ func (k *Kernel) Run(n uint64) {
 
 // RunUntil advances the simulation until the predicate returns true at the
 // start of a cycle, until Stop is called, or until maxCycles have elapsed.
-// It reports whether the predicate was satisfied. Deferred event-mode
-// statistics are synchronized before every predicate evaluation, so
-// predicates over component state read oracle-exact values.
+// It reports whether the predicate was satisfied. Deferred statistics are
+// synchronized before every predicate evaluation, so predicates over
+// component state read reference-exact values.
 //
-// With fast-forward enabled the predicate is evaluated only at cycles the
-// kernel actually steps; skipped cycles cannot change any component state,
-// so a predicate over simulation state is unaffected. A predicate that
-// watches the raw clock value may observe it later than with sequential
-// stepping.
+// The predicate is evaluated only at cycles the kernel actually steps;
+// skipped cycles cannot change any component state, so a predicate over
+// simulation state is unaffected. A predicate that watches the raw clock
+// value may observe it later than with sequential stepping.
 func (k *Kernel) RunUntil(pred func() bool, maxCycles uint64) bool {
 	k.stopped = false
-	k.wakeAllNext = k.eventDriven
+	k.wakeAllNext = true
 	end := k.clock.cycle + maxCycles
 	for k.clock.cycle < end && !k.stopped {
 		k.syncAll()
 		if pred() {
 			return true
 		}
-		if k.fastForward {
-			if k.eventDriven {
-				k.skipIdleEvent(end)
-			} else {
-				k.skipIdle(end)
-			}
-			if k.clock.cycle >= end {
-				break
-			}
+		k.skipIdle(end)
+		if k.clock.cycle >= end {
+			break
 		}
 		k.Step()
 	}

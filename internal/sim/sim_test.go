@@ -130,6 +130,9 @@ func TestKernelStop(t *testing.T) {
 
 func TestKernelRunUntil(t *testing.T) {
 	k := NewKernel(1 * GHz)
+	// An opaque ticker keeps every cycle live; a kernel of sleepers would
+	// jump the clock past a predicate that watches only the clock.
+	k.Register(TickFunc(func(uint64) {}))
 	ok := k.RunUntil(func() bool { return k.Now() >= 7 }, 100)
 	if !ok || k.Now() != 7 {
 		t.Errorf("RunUntil stopped at %d ok=%v, want 7 true", k.Now(), ok)

@@ -22,11 +22,10 @@
 // itself is a sim.Committer registered LAST on the kernel: at the Commit
 // phase, after every staged sink has flushed, it drains all buffers into
 // the master span stream in buffer-creation order. Creation order is fixed
-// by NIC assembly, so the resulting stream is byte-identical across the
-// ticked and event-driven kernel loops, with idle-cycle fast-forward on or
-// off (skipped cycles run no phases and can emit nothing — a component
-// with a non-empty buffer is never quiescent, because it emitted while
-// doing work).
+// by NIC assembly, so the resulting stream is byte-identical on the kernel
+// and on its reference stepper (skipped cycles run no phases and can emit
+// nothing — a component with a non-empty buffer is never asleep, because
+// it emitted while doing work).
 //
 // # Cost contract
 //
