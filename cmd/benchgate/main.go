@@ -5,8 +5,8 @@
 // tolerance below the baseline, when the saturating run's msgs/s drops
 // likewise, when the rack-scale fleet run's aggregate fleet_msgs_per_s drops likewise, when
 // a contractually allocation-free hot path starts allocating, or when the
-// canonical NIC's heap allocations per delivered message rise above the
-// baseline's count.
+// canonical NIC's heap allocations or mesh router ticks per delivered
+// message rise above the baseline's count.
 // Multi-shard fleet entries measured on a host with a different core
 // count are noted, not failed.
 //
@@ -87,6 +87,9 @@ func main() {
 	}
 	n := len(base.Saturating) + len(base.LowLoad) + len(base.Fleet) + len(base.ZeroAlloc)
 	if base.MsgAllocs != nil {
+		n++
+	}
+	if base.MeshWork != nil {
 		n++
 	}
 	fmt.Printf("benchgate: pass (%d measurements within %.0f%% of %s)\n", n, 100**tolerance, *baseline)

@@ -207,7 +207,21 @@ type MsgAllocResult struct {
 	AllocsPerMsg float64 `json:"allocs_per_msg"`
 }
 
-// msgAllocCycles is the window MeasureMsgAllocs counts over, and
+// MeshWorkResult is the canonical saturated NIC's mesh work per delivered
+// message, over the same window as its MsgAllocResult: router ticks run
+// and flit hops advanced by worms instead (noc.WorkCounters). Both counts
+// are exact and repeat on any host.
+type MeshWorkResult struct {
+	SimCycles         uint64  `json:"sim_cycles"`
+	Delivered         uint64  `json:"delivered"`
+	RouterTicks       uint64  `json:"router_ticks"`
+	FlitHops          uint64  `json:"flit_hops"`
+	WormHops          uint64  `json:"worm_hops"`
+	RouterTicksPerMsg float64 `json:"router_ticks_per_msg"`
+	WormHopsPerMsg    float64 `json:"worm_hops_per_msg"`
+}
+
+// msgAllocCycles is the window MeasureCanonicalNIC counts over, and
 // msgAllocSlack the rise Compare forgives: the Go runtime's own background
 // allocations move the figure by about 0.001 between runs.
 const (
@@ -215,28 +229,37 @@ const (
 	msgAllocSlack  = 0.01
 )
 
-// MeasureMsgAllocs counts heap allocations per delivered message on the
-// canonical saturated NIC (the saturating run's system) over cycles
-// simulated cycles.
-func MeasureMsgAllocs(cycles uint64) MsgAllocResult {
+// MeasureCanonicalNIC counts heap allocations and mesh work per delivered
+// message on the canonical saturated NIC (the saturating run's system)
+// over cycles simulated cycles.
+func MeasureCanonicalNIC(cycles uint64) (MsgAllocResult, MeshWorkResult) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	nic := buildNIC(0.9)
 	nic.Run(20_000) // fill the pipelines and the pool
 	runtime.GC()
+	mesh := nic.Builder.Mesh
 	before := nic.WireLat.Count + nic.HostLat.Count
+	w0, hops0 := mesh.Work(), mesh.Stats().FlitHops
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	nic.Run(cycles)
 	runtime.ReadMemStats(&m1)
-	r := MsgAllocResult{
-		SimCycles: cycles,
-		Delivered: nic.WireLat.Count + nic.HostLat.Count - before,
-		Allocs:    m1.Mallocs - m0.Mallocs,
+	w1 := mesh.Work()
+	delivered := nic.WireLat.Count + nic.HostLat.Count - before
+	a := MsgAllocResult{SimCycles: cycles, Delivered: delivered, Allocs: m1.Mallocs - m0.Mallocs}
+	w := MeshWorkResult{
+		SimCycles:   cycles,
+		Delivered:   delivered,
+		RouterTicks: w1.RouterTicks - w0.RouterTicks,
+		FlitHops:    mesh.Stats().FlitHops - hops0,
+		WormHops:    w1.WormHops - w0.WormHops,
 	}
-	if r.Delivered > 0 {
-		r.AllocsPerMsg = float64(r.Allocs) / float64(r.Delivered)
+	if delivered > 0 {
+		a.AllocsPerMsg = float64(a.Allocs) / float64(delivered)
+		w.RouterTicksPerMsg = float64(w.RouterTicks) / float64(delivered)
+		w.WormHopsPerMsg = float64(w.WormHops) / float64(delivered)
 	}
-	return r
+	return a, w
 }
 
 // MeasureAllocs samples the allocation rate of the hot paths whose cost

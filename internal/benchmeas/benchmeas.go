@@ -78,6 +78,9 @@ type Report struct {
 	ZeroAlloc  []AllocResult  `json:"zero_alloc_paths,omitempty"`
 	// MsgAllocs is the canonical NIC's allocations per delivered message.
 	MsgAllocs *MsgAllocResult `json:"canonical_nic_allocs,omitempty"`
+	// MeshWork is the canonical NIC's mesh work per delivered message,
+	// over the same window.
+	MeshWork *MeshWorkResult `json:"canonical_nic_mesh_work,omitempty"`
 }
 
 // Config parameterizes Measure.
@@ -183,10 +186,12 @@ func Measure(cfg Config) Report {
 		rep.ZeroAlloc = append(rep.ZeroAlloc, a)
 		cfg.logf("zero-alloc path %s: %.2f allocs/op\n", a.Name, a.AllocsPerOp)
 	}
-	ma := MeasureMsgAllocs(msgAllocCycles)
-	rep.MsgAllocs = &ma
+	ma, mw := MeasureCanonicalNIC(msgAllocCycles)
+	rep.MsgAllocs, rep.MeshWork = &ma, &mw
 	cfg.logf("canonical NIC: %.2f allocs per delivered message (%d allocs, %d messages)\n",
 		ma.AllocsPerMsg, ma.Allocs, ma.Delivered)
+	cfg.logf("canonical NIC: %.1f router ticks and %.1f worm hops per delivered message (%d of %d flit hops by worms)\n",
+		mw.RouterTicksPerMsg, mw.WormHopsPerMsg, mw.WormHops, mw.FlitHops)
 	return rep
 }
 
@@ -284,6 +289,9 @@ func (r Report) WriteFile(path string) error {
 //     throughput fell more than tolerance (a fraction, e.g. 0.25) below
 //     the baseline, or a saturating entry whose msgs/s fell likewise;
 //   - a matched zero-alloc path that allocated where the baseline did not;
+//   - the canonical NIC's allocations per delivered message rising past
+//     the runtime's noise, or its router ticks per delivered message
+//     rising at all;
 //   - a baseline entry with no counterpart in the fresh report (a silently
 //     dropped measurement cannot pass the gate).
 //
@@ -399,6 +407,17 @@ func Compare(baseline, fresh Report, tolerance float64) (bad, notes []string) {
 			bad = append(bad, fmt.Sprintf(
 				"canonical NIC: %.2f allocs per delivered message vs baseline %.2f (the count is exact; any rise is a regression)",
 				f.AllocsPerMsg, b.AllocsPerMsg))
+		}
+	}
+
+	if b := baseline.MeshWork; b != nil {
+		switch f := fresh.MeshWork; {
+		case f == nil:
+			bad = append(bad, "canonical NIC mesh work per message: missing from fresh run")
+		case f.RouterTicksPerMsg > b.RouterTicksPerMsg:
+			bad = append(bad, fmt.Sprintf(
+				"canonical NIC: %.2f router ticks per delivered message vs baseline %.2f (the count is exact; any rise is a regression)",
+				f.RouterTicksPerMsg, b.RouterTicksPerMsg))
 		}
 	}
 	return bad, notes

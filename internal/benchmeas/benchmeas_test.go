@@ -23,6 +23,7 @@ func sampleReport() Report {
 			{Name: "tile-hot-path-untraced", AllocsPerOp: 0},
 		},
 		MsgAllocs: &MsgAllocResult{AllocsPerMsg: 6.38},
+		MeshWork:  &MeshWorkResult{RouterTicksPerMsg: 135.5},
 	}
 }
 
@@ -121,6 +122,48 @@ func TestCompareFlagsNewAllocations(t *testing.T) {
 		bad, _ := Compare(sampleReport(), fresh, 0.25)
 		if (c.want == "") != (len(bad) == 0) || (c.want != "" && !strings.Contains(bad[0], c.want)) {
 			t.Errorf("fresh %+v: violations = %v, want %q", c.fresh, bad, c.want)
+		}
+	}
+}
+
+func TestCompareGatesRouterTicksPerMsg(t *testing.T) {
+	for _, c := range []struct {
+		fresh *MeshWorkResult
+		want  string
+	}{
+		{&MeshWorkResult{RouterTicksPerMsg: 135.5}, ""},
+		{&MeshWorkResult{RouterTicksPerMsg: 100}, ""},
+		{&MeshWorkResult{RouterTicksPerMsg: 135.51}, "router ticks per delivered message"},
+		{nil, "missing"},
+	} {
+		fresh := sampleReport()
+		fresh.MeshWork = c.fresh
+		bad, _ := Compare(sampleReport(), fresh, 0.25)
+		if (c.want == "") != (len(bad) == 0) || (c.want != "" && !strings.Contains(bad[0], c.want)) {
+			t.Errorf("fresh %+v: violations = %v, want %q", c.fresh, bad, c.want)
+		}
+	}
+}
+
+// TestWormHopsOnlyInProduction runs the canonical saturated NIC on the
+// kernel and on the reference stepper: the reference steps every flit, so
+// no hop may be advanced by a worm there, while the kernel must advance
+// some, or worm advance went dead without any fingerprint noticing.
+func TestWormHopsOnlyInProduction(t *testing.T) {
+	for _, reference := range []bool{false, true} {
+		nic := buildNIC(0.9)
+		if reference {
+			nic.UseReference()
+		}
+		nic.Run(4_000)
+		w, hops := nic.Builder.Mesh.Work(), nic.Builder.Mesh.Stats().FlitHops
+		switch {
+		case hops == 0:
+			t.Fatalf("reference=%v: no flit hops", reference)
+		case reference && w.WormHops != 0:
+			t.Errorf("reference stepper advanced %d of %d flit hops by worms, want 0", w.WormHops, hops)
+		case !reference && w.WormHops == 0:
+			t.Errorf("kernel advanced none of %d flit hops by worms", hops)
 		}
 	}
 }

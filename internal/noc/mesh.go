@@ -97,6 +97,20 @@ type Mesh struct {
 	live       []*router
 	woken      []*router
 	commitWake []*router
+
+	// Worm advance (worm.go). worms are the advancing worms and freeWorms
+	// their recycled records; arrived lists the heads of messages of at
+	// least wormMinFlits flits that entered an assembly slot this cycle,
+	// the candidates Commit converts. wakeAll marks a wake-all cycle,
+	// which converts nothing. followers is materializeWorms' scratch space
+	// for one lane's real entries.
+	worms     []*worm
+	freeWorms []*worm
+	arrived   []arrival
+	wakeAll   bool
+	followers []Flit
+
+	work WorkCounters
 }
 
 // injEntry is a message waiting at a local injection port.
@@ -139,6 +153,10 @@ type router struct {
 	// linkFault[o] is the injected fault on the outgoing link at port o
 	// (zero value = healthy). Local ports cannot fault.
 	linkFault [numPorts]LinkFault
+	// prefix[p] counts the flits of an advancing worm held as a number at
+	// the front of input lane p (for portLocal: the injector's remaining
+	// flits). Single-VC meshes only; see worm.go.
+	prefix [numPorts]int
 	// stats are this router's counters. injected/occOut are written by
 	// the local tile; the rest by the router's own tick.
 	stats routerStats
@@ -262,7 +280,7 @@ func (i *injector) peek(vc int) (Flit, bool) {
 	if !ok {
 		return Flit{}, false
 	}
-	return Flit{Msg: e.msg, Dst: e.dst, VC: vc, Head: true, Tail: e.flits == 1, Enq: e.enqued}, true
+	return Flit{Msg: e.msg, Dst: e.dst, VC: vc, Head: true, Tail: e.flits == 1, Flits: int32(e.flits), Enq: e.enqued}, true
 }
 
 func (i *injector) pop(vc int) {
@@ -338,6 +356,12 @@ func NewMesh(cfg MeshConfig) *Mesh {
 	m.live = make([]*router, 0, n)
 	m.woken = make([]*router, 0, n)
 	m.commitWake = make([]*router, 0, n)
+	// Each router assembles at most one message per VC, so there are never
+	// more worms or arrivals than routers.
+	m.worms = make([]*worm, 0, n)
+	m.freeWorms = make([]*worm, 0, n)
+	m.arrived = make([]arrival, 0, n)
+	m.followers = make([]Flit, 0, cfg.BufferDepth)
 	for _, r := range m.routers {
 		r.nextPort = make([]uint8, n)
 		for dst := range r.nextPort {
@@ -497,8 +521,12 @@ func (m *Mesh) portToward(from, to NodeID) int {
 }
 
 // SetLinkFault installs (or, with the zero LinkFault, lifts) a fault on
-// the directional link from -> to. The nodes must be adjacent.
+// the directional link from -> to. The nodes must be adjacent. Call it
+// between cycles: from a start-of-cycle event or between runs. Advancing
+// worms are written back into their lanes first, so the fault gates their
+// flits one by one.
 func (m *Mesh) SetLinkFault(from, to NodeID, f LinkFault) {
+	m.materializeWorms()
 	lf := &m.routers[from].linkFault[m.portToward(from, to)]
 	if lf.Clean() && !f.Clean() {
 		m.faults++
@@ -538,6 +566,20 @@ func (m *Mesh) ResetStats() {
 	}
 }
 
+// WorkCounters count the mesh's host work. They measure simulator speed,
+// not the modeled hardware: they stay out of Stats and fingerprints, and
+// ResetStats leaves them alone.
+type WorkCounters struct {
+	// RouterTicks counts router ticks run.
+	RouterTicks uint64
+	// WormHops counts the flit hops advanced by worms instead of router
+	// ticks (a subset of Stats.FlitHops).
+	WormHops uint64
+}
+
+// Work returns the mesh's lifetime work counters.
+func (m *Mesh) Work() WorkCounters { return m.work }
+
 // Begin implements sim.Preparer: the cycle number is published before Eval
 // so routers and injecting tiles read a stable value however the Eval
 // phase is ordered. Begin also fixes the cycle's router worklist — pokes
@@ -545,11 +587,14 @@ func (m *Mesh) ResetStats() {
 // never depend on tick order. A poke landing later in this cycle keeps
 // the mesh awake (EndCycle sees the woken list) and is consumed by the
 // next Begin. Timed fault-window wakes are scanned for only while a link
-// fault is installed.
+// fault is installed. A wake-all cycle first writes every worm back into
+// its lanes, so the cycle steps real flits only.
 func (m *Mesh) Begin(cycle uint64) {
 	m.now = cycle
+	m.wakeAll = m.tickAll
 	if m.tickAll {
 		m.tickAll = false
+		m.materializeWorms()
 		for _, r := range m.routers {
 			r.poke()
 		}
@@ -570,13 +615,17 @@ func (m *Mesh) Begin(cycle uint64) {
 // WakeAll implements sim.BulkWaker: the next Begin queues every router.
 func (m *Mesh) WakeAll() { m.tickAll = true }
 
-// Tick implements sim.Ticker: one cycle of every router on the worklist.
-// Router ticks within a cycle are order-independent, so the worklist's
-// order does not matter.
+// Tick implements sim.Ticker: one cycle of every router on the worklist,
+// then one step of every worm. Router ticks within a cycle are
+// order-independent, so the worklist's order does not matter.
 func (m *Mesh) Tick(cycle uint64) {
 	m.now = cycle
+	m.work.RouterTicks += uint64(len(m.live))
 	for _, r := range m.live {
 		r.tick()
+	}
+	if len(m.worms) > 0 {
+		m.stepWorms()
 	}
 }
 
@@ -584,10 +633,21 @@ func (m *Mesh) Tick(cycle uint64) {
 // makes its staged state visible, and every router a tile's Inject or
 // TryEject touched is queued for the next cycle, when it can see the
 // change. Lanes commit independently, so the lists' order does not matter.
+// Then every message whose head entered its assembly slot this cycle
+// becomes a worm, unless a link fault is installed or this is a wake-all
+// cycle.
 func (m *Mesh) Commit() {
 	m.dirtyFlit = commitLanes(m.dirtyFlit)
 	m.dirtyInj = commitLanes(m.dirtyInj)
 	m.dirtyEject = commitLanes(m.dirtyEject)
+	if len(m.arrived) > 0 {
+		if m.faults == 0 && !m.wakeAll {
+			for _, a := range m.arrived {
+				m.tryConvert(a)
+			}
+		}
+		m.arrived = m.arrived[:0]
+	}
 	for _, r := range m.commitWake {
 		r.commitPoke = false
 		r.poke()
@@ -596,15 +656,17 @@ func (m *Mesh) Commit() {
 }
 
 // EndCycle implements sim.EventAware. The mesh must tick next cycle while
-// any router is queued — it moved a flit or was poked — or a message is
-// parked in an eject queue: a tile that has not yet taken the arrival may
-// sleep through it, so the mesh must be the component that pins the cycle
-// live and keeps the kernel from skipping it. Otherwise the
+// any router is queued — it moved a flit or was poked —, while a worm
+// advances (under flit stepping some router would move one of its flits
+// every cycle), or while a message is parked in an eject queue: a tile
+// that has not yet taken the arrival may sleep through it, so the mesh
+// must be the component that pins the cycle live and keeps the kernel
+// from skipping it. Otherwise the
 // earliest fault-window opening (if any) bounds the sleep, and with none
 // the mesh sleeps until poked. Nothing is deferred while asleep — an
 // unqueued router's tick would change no state — so SyncTo is a no-op.
 func (m *Mesh) EndCycle(cycle uint64) uint64 {
-	if len(m.woken) > 0 || m.parked > 0 {
+	if len(m.woken) > 0 || m.parked > 0 || len(m.worms) > 0 {
 		return cycle + 1
 	}
 	wake := uint64(sim.WakeNever)
@@ -694,7 +756,10 @@ func (r *router) canAccept(o int, f Flit) bool {
 	if nb == nil {
 		panic(fmt.Sprintf("noc: route to missing neighbor %d from %v", o, r.m.CoordOf(r.id)))
 	}
-	return nb.in[oppositePort[o]][f.VC].CanPush()
+	// A worm's prefix occupies the lane's front slots.
+	p := oppositePort[o]
+	q := nb.in[p][f.VC]
+	return q.Pending()+nb.prefix[p] < q.Cap()
 }
 
 // deliver moves a flit out through output port o.
@@ -703,6 +768,9 @@ func (r *router) deliver(o int, f Flit) {
 		a := &r.assembly[f.VC]
 		if f.Head {
 			a.msg, a.enqued = f.Msg, f.Enq
+			if f.Flits >= wormMinFlits && r.m.vcs == 1 {
+				r.m.arrived = append(r.m.arrived, arrival{r, int(f.Flits)})
+			}
 		}
 		if f.Tail {
 			msg := a.msg
@@ -743,13 +811,14 @@ func (r *router) deliver(o int, f Flit) {
 }
 
 // laneReady reports whether input lane (p, vc) holds a committed flit (for
-// the injector: a mid-serialization message or a queued one).
+// the injector: a mid-serialization message or a queued one) that the
+// router may forward: a lane fronted by a worm's prefix is not ready.
 func (r *router) laneReady(p, vc int) bool {
 	if p == portLocal {
 		l := &r.inj.lanes[vc]
-		return l.valid || l.q.CanPop()
+		return (l.valid || l.q.CanPop()) && r.prefix[p] == 0
 	}
-	return r.in[p][vc].CanPop()
+	return r.in[p][vc].CanPop() && r.prefix[p] == 0
 }
 
 // holderOf returns the output port whose VC-v wormhole is owned by input
@@ -764,6 +833,19 @@ func (r *router) holderOf(p, v int) int {
 	return -1
 }
 
+// noteFaultWindow records that a candidate is waiting on fault-gated
+// output o. PassEveryN windows open by the clock, with no poke to ride, so
+// the next opening becomes a timed wake; a severed link only reopens via
+// SetLinkFault, which pokes.
+func (r *router) noteFaultWindow(o int) {
+	if n := uint64(r.linkFault[o].PassEveryN); n >= 2 {
+		next := r.m.now + n - r.m.now%n
+		if r.faultWake == 0 || next < r.faultWake {
+			r.faultWake = next
+		}
+	}
+}
+
 // streamOne forwards the cached head flit of input lane (p, v) through
 // output o, exactly as the general arbitration below would when that lane
 // is the only live input competing for o: the wormhole already owns the
@@ -771,12 +853,7 @@ func (r *router) holderOf(p, v int) int {
 // downstream acceptance. It reports whether the flit moved.
 func (r *router) streamOne(o, p, v int) bool {
 	if o != portLocal && r.linkFault[o].blocks(r.m.now) {
-		if n := uint64(r.linkFault[o].PassEveryN); n >= 2 {
-			next := r.m.now + n - r.m.now%n
-			if r.faultWake == 0 || next < r.faultWake {
-				r.faultWake = next
-			}
-		}
+		r.noteFaultWindow(o)
 		return false
 	}
 	f := r.heads[p][v].f
@@ -887,16 +964,7 @@ func (r *router) tick() {
 			continue
 		}
 		if o != portLocal && r.linkFault[o].blocks(r.m.now) {
-			// A candidate is waiting on a fault-gated output. PassEveryN
-			// windows open by the clock, with no poke to ride, so record
-			// the next opening as a timed wake; a severed link only
-			// reopens via SetLinkFault, which pokes.
-			if n := uint64(r.linkFault[o].PassEveryN); n >= 2 {
-				next := r.m.now + n - r.m.now%n
-				if r.faultWake == 0 || next < r.faultWake {
-					r.faultWake = next
-				}
-			}
+			r.noteFaultWindow(o)
 			continue
 		}
 		// One flit per output per cycle; VCs take turns (round-robin),

@@ -17,6 +17,13 @@
 // downstream input buffer has space. Drops, when policy requires them,
 // happen in the logical scheduler (internal/sched), never here.
 //
+// The host's work need not be per flit even though the model is. Once a
+// message's head flit reaches its destination, the mesh advances the rest
+// of it as one count per buffer lane (worm advance, worm.go) instead of
+// ticking every router on its path. Timing is unchanged: each count moves
+// exactly when the flit it stands for would, so per-flit link occupancy,
+// credits and FlitHops stay exact at every cycle.
+//
 // With a tracer attached (Mesh.AttachTracer), every router owns a private
 // span buffer and emits hop instants for forwarded head flits plus one
 // mesh-transit span per delivered message (injection enqueue to tail-flit
@@ -49,6 +56,10 @@ type Flit struct {
 	// Head and Tail mark the first and last flit (both set for a
 	// single-flit message).
 	Head, Tail bool
+	// Flits is the message's length in flits (head flit only), so its
+	// destination knows how many body flits follow without reading the
+	// message.
+	Flits int32
 	// Enq is the cycle the message was injected (head flit only), for
 	// latency accounting.
 	Enq uint64

@@ -20,9 +20,17 @@ type delivery struct {
 // eject queues fill, backpressure reaches the sources, and routers fall
 // asleep with parked entries. Like a tile, churnTraffic sleeps between
 // bursts and is woken by the mesh's node wakers when an arrival parks.
+//
+// With long set, one message in twenty is a 1,500 B frame (188 flits,
+// longer than a whole path's buffers), and node 0 sends one to the far
+// corner at every burst. That corner's consumer stops for the first 300
+// cycles of every 1,000, so a frame's head waits at a full eject queue
+// with its body stalled along the path and followers queued behind it,
+// until the consumer resumes and the frame advances as a worm.
 type churnTraffic struct {
 	m         *Mesh
 	rng       *sim.RNG
+	long      bool
 	nextBurst uint64
 	lastBurst uint64
 	nextID    uint64
@@ -34,8 +42,12 @@ func (d *churnTraffic) Tick(cycle uint64) {
 	if cycle/500%2 == 1 {
 		drainPct = 3
 	}
+	corner := NodeID(d.m.Nodes() - 1)
 	for n := 0; n < d.m.Nodes(); n++ {
 		node := NodeID(n)
+		if d.long && node == corner && cycle%1000 < 300 {
+			continue
+		}
 		h := cycle*uint64(d.m.Nodes()) + uint64(n)
 		h ^= h >> 33
 		h *= 0xff51afd7ed558ccd
@@ -53,6 +65,12 @@ func (d *churnTraffic) Tick(cycle uint64) {
 		node := NodeID(n)
 		dst := NodeID(d.rng.Intn(d.m.Nodes()))
 		size := 1 + d.rng.Intn(120)
+		if d.long && d.rng.Bool(0.05) {
+			size = 1500
+		}
+		if node == 0 && d.long {
+			dst, size = corner, 1500
+		}
 		if d.rng.Bool(0.4) && d.m.CanInject(node, dst) {
 			d.nextID++
 			msg := testMsg(size)
@@ -90,8 +108,9 @@ func (d *churnTraffic) SyncTo(uint64) {}
 // runChurn runs a churnTraffic on a 4x4 mesh, on the kernel or on the
 // reference stepper. A pass-every-3 link fault is installed and lifted
 // mid-run, and a severed link is cut and healed. It returns the delivery
-// sequence and the final Stats.
-func runChurn(t *testing.T, vcs int, seed uint64, reference bool) ([]delivery, Stats) {
+// sequence and the final Stats. On a single-VC kernel run it also checks
+// that worms advanced some flits; the reference stepper advances none.
+func runChurn(t *testing.T, vcs int, seed uint64, long, reference bool) ([]delivery, Stats) {
 	t.Helper()
 	cfg := DefaultMeshConfig()
 	cfg.Width, cfg.Height = 4, 4
@@ -103,7 +122,10 @@ func runChurn(t *testing.T, vcs int, seed uint64, reference bool) ([]delivery, S
 		k.UseReference()
 	}
 	m.RegisterWith(k)
-	d := &churnTraffic{m: m, rng: sim.NewRNG(seed), lastBurst: 7000}
+	d := &churnTraffic{m: m, rng: sim.NewRNG(seed), long: long, lastBurst: 7000}
+	if long {
+		d.lastBurst = 5000 // long frames need the extra time to drain
+	}
 	k.Register(d)
 	for n := 0; n < m.Nodes(); n++ {
 		m.SetNodeWaker(NodeID(n), k.PokerFor(d))
@@ -125,37 +147,56 @@ func runChurn(t *testing.T, vcs int, seed uint64, reference bool) ([]delivery, S
 	if !reference && k.SkippedCycles() == 0 {
 		t.Fatal("the kernel skipped no cycle: the quiet stretches went unexercised")
 	}
+	switch hops := m.Work().WormHops; {
+	case reference && hops != 0:
+		t.Fatalf("the reference stepper advanced %d flit hops by worms", hops)
+	case !reference && vcs == 1 && hops == 0:
+		t.Fatal("no worm advanced a flit")
+	}
 	return d.log, m.Stats()
 }
 
 // TestEventMeshMatchesTickedUnderChurn is the mesh's lost-commit and
-// lost-wakeup check: a lane pushed or popped but never committed, or a
-// router left asleep with work to do, changes when messages come out, so
-// the kernel's delivery sequence and Stats would diverge from the
-// reference stepper's.
+// lost-wakeup check: a lane pushed or popped but never committed, a router
+// left asleep with work to do, or a worm that advances a flit early or
+// late changes when messages come out, so the kernel's delivery sequence
+// and Stats would diverge from the reference stepper's.
 func TestEventMeshMatchesTickedUnderChurn(t *testing.T) {
 	for _, vcs := range []int{1, 2} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("vcs%d/seed%d", vcs, seed), func(t *testing.T) {
-				wantLog, wantStats := runChurn(t, vcs, seed, true)
-				gotLog, gotStats := runChurn(t, vcs, seed, false)
-				if gotStats != wantStats {
-					t.Fatalf("kernel Stats %+v, reference %+v", gotStats, wantStats)
+			for _, long := range []bool{false, true} {
+				name := fmt.Sprintf("vcs%d/seed%d", vcs, seed)
+				if long {
+					name += "/1500B"
 				}
-				if uint64(len(wantLog)) != wantStats.Delivered || wantStats.Delivered < 100 {
-					t.Fatalf("reference run delivered %d (log %d): too little traffic to compare",
-						wantStats.Delivered, len(wantLog))
-				}
-				if len(gotLog) != len(wantLog) {
-					t.Fatalf("kernel run handed out %d messages, reference %d", len(gotLog), len(wantLog))
-				}
-				for i := range wantLog {
-					if gotLog[i] != wantLog[i] {
-						t.Fatalf("delivery %d: kernel %+v, reference %+v", i, gotLog[i], wantLog[i])
+				t.Run(name, func(t *testing.T) {
+					wantLog, wantStats := runChurn(t, vcs, seed, long, true)
+					gotLog, gotStats := runChurn(t, vcs, seed, long, false)
+					if gotStats != wantStats {
+						t.Fatalf("kernel Stats %+v, reference %+v", gotStats, wantStats)
 					}
-				}
-			})
+					if uint64(len(wantLog)) != wantStats.Delivered || wantStats.Delivered < 100 {
+						t.Fatalf("reference run delivered %d (log %d): too little traffic to compare",
+							wantStats.Delivered, len(wantLog))
+					}
+					compareDeliveries(t, gotLog, wantLog)
+				})
+			}
 		}
+	}
+}
+
+// compareDeliveries fails at the first delivery where the kernel's log
+// departs from the reference stepper's.
+func compareDeliveries(t *testing.T, got, want []delivery) {
+	t.Helper()
+	for i := 0; i < min(len(got), len(want)); i++ {
+		if got[i] != want[i] {
+			t.Fatalf("delivery %d: kernel %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("kernel run handed out %d messages, reference %d", len(got), len(want))
 	}
 }
 

@@ -153,6 +153,15 @@ func (f *FIFO[T]) Peek() (T, bool) {
 	return f.buf[f.idx(f.nPopped)], true
 }
 
+// PeekAt returns the i-th unconsumed committed value (0 = the one Peek
+// returns) without consuming anything. Panics when i is out of range.
+func (f *FIFO[T]) PeekAt(i int) T {
+	if i < 0 || i >= f.Len() {
+		panic(fmt.Sprintf("sim: FIFO.PeekAt(%d) with %d committed entries", i, f.Len()))
+	}
+	return f.buf[f.idx(f.nPopped+i)]
+}
+
 // Pop consumes and returns the oldest committed value. The removal is staged
 // until Commit so producers see conservative occupancy. Panics when empty.
 func (f *FIFO[T]) Pop() T {

@@ -212,8 +212,14 @@ func TestFIFOOrderingAndBackpressure(t *testing.T) {
 	if f.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", f.Len())
 	}
+	if v := f.PeekAt(1); v != 2 {
+		t.Errorf("PeekAt(1) = %d, want 2", v)
+	}
 	if v := f.Pop(); v != 1 {
 		t.Errorf("Pop = %d, want 1", v)
+	}
+	if v := f.PeekAt(0); v != 2 {
+		t.Errorf("PeekAt(0) after a pop = %d, want 2", v)
 	}
 	// Same-cycle pop does not free space until commit (credit delay).
 	if f.CanPush() {
@@ -225,6 +231,17 @@ func TestFIFOOrderingAndBackpressure(t *testing.T) {
 	}
 	f.Push(3)
 	f.Commit()
+	if v := f.PeekAt(1); v != 3 { // past the ring's wrap
+		t.Errorf("PeekAt(1) = %d, want 3", v)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("PeekAt past the committed entries did not panic")
+			}
+		}()
+		f.PeekAt(2)
+	}()
 	if v := f.Pop(); v != 2 {
 		t.Errorf("Pop = %d, want 2", v)
 	}
