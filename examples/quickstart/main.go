@@ -1,6 +1,7 @@
 // Quickstart: build a PANIC NIC, push a handful of key-value requests
-// through it, and print what happened to each one — which engines it
-// visited, in what order, and how long the round trip took.
+// through it, and print what happened to each one — the cycle-stamped
+// timeline of every queue, engine, mesh hop and wire delivery it went
+// through, and how long the round trip took.
 //
 // Run with:
 //
@@ -14,6 +15,7 @@ import (
 	"github.com/panic-nic/panic/internal/core"
 	"github.com/panic-nic/panic/internal/engine"
 	"github.com/panic-nic/panic/internal/packet"
+	"github.com/panic-nic/panic/internal/trace"
 	"github.com/panic-nic/panic/internal/workload"
 )
 
@@ -21,7 +23,9 @@ func main() {
 	// A PANIC NIC at the paper's operating point: two 100 Gbps ports,
 	// 500 MHz clock, two RMT pipelines on a 6x6 mesh of 128-bit channels.
 	cfg := core.DefaultConfig()
-	cfg.Trace = true // record every engine visit on every message
+	// Trace every message: each component records cycle-stamped spans.
+	tracer := trace.New(trace.Options{FreqHz: cfg.FreqHz})
+	cfg.Tracer = tracer
 
 	// One tenant sends eight GETs; 40% arrive encrypted over the WAN.
 	src := workload.NewKVSStream(workload.KVSTenantConfig{
@@ -53,35 +57,14 @@ func main() {
 	fmt.Printf("  cache: %d hits, %d misses (hits bypass the host CPU entirely)\n", hits, misses)
 	fmt.Printf("  ipsec: %d decrypted, %d responses re-encrypted\n\n", dec, enc)
 
-	names := map[packet.Addr]string{
-		core.AddrRMTBase: "rmt0", core.AddrRMTBase + 1: "rmt1",
-		core.AddrEthBase: "eth0", core.AddrEthBase + 1: "eth1",
-		core.AddrDMA: "dma", core.AddrPCIe: "pcie", core.AddrIPSec: "ipsec",
-		core.AddrKVSCache: "cache", core.AddrRDMA: "rdma",
-	}
-	name := func(a packet.Addr) string {
-		if n, ok := names[a]; ok {
-			return n
-		}
-		return fmt.Sprintf("addr%d", a)
-	}
-
+	// A response carries its request's trace ID, so one timeline covers
+	// the whole round trip: the request's inbound hops, the engine that
+	// answered it, and the response's way back out to the wire.
 	sort.Slice(responses, func(i, j int) bool { return responses[i].ID < responses[j].ID })
-	fmt.Println("response paths (engine@enqueue-cycle, from message traces):")
+	set := tracer.Set()
 	for _, m := range responses {
-		fmt.Printf("  req#%-2d %-32s ", m.ID, m.Pkt.String())
-		for i, v := range m.Trace {
-			if i > 0 {
-				fmt.Print(" -> ")
-			}
-			fmt.Printf("%s@%d", name(v.Engine), v.Enqueued)
-		}
 		us := float64(m.Done-m.Inject) / cfg.FreqHz * 1e6
-		fmt.Printf("   rtt=%.2fus\n", us)
+		fmt.Printf("req#%d %s  rtt=%.2fus\n", m.ID, m.Pkt.String(), us)
+		fmt.Println(set.Timeline(m.TraceID))
 	}
-
-	fmt.Println("\nNote: a response message's trace begins where the response was")
-	fmt.Println("created (RDMA engine for cache hits, DMA/host for misses); the")
-	fmt.Println("request's inbound hops (eth -> rmt -> cache...) are on the request")
-	fmt.Println("message, which the NIC consumed on delivery to the host.")
 }

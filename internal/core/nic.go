@@ -90,8 +90,6 @@ type Config struct {
 	// Spread placement is the default and performs much better: corner
 	// placement concentrates every flow onto a few links.
 	CompactPlacement bool
-	// Trace records per-engine visits on messages.
-	Trace bool
 	// Tracer, when non-nil, enables cycle-accurate span tracing: every
 	// placed tile, every mesh router, the terminal sinks, and the failure
 	// log get private trace buffers, and the tracer is registered on the
@@ -288,7 +286,6 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 			n.wlstfs = append(n.wlstfs, w)
 			c.Rank = w.Rank
 		}
-		c.TraceVisits = cfg.Trace
 	}
 	// Chainless traffic (fresh ingress, reinjections, host responses) is
 	// sprayed round-robin across the parallel RMT pipelines, as ingress
@@ -645,6 +642,7 @@ func (n *NIC) RMTStats() engine.RMTStats {
 		ts := t.Stats()
 		s.Accepted += ts.Accepted
 		s.Emitted += ts.Emitted
+		s.Ejected += ts.Ejected
 		s.Dropped += ts.Dropped
 		s.Unrouted += ts.Unrouted
 		s.StallCycles += ts.StallCycles
@@ -728,29 +726,14 @@ func (n *NIC) TenantTotals() map[uint16]engine.TenantTally {
 // occupancy — the isolation scoreboard: a victim's p99 and service share
 // should hold steady as an aggressor ramps.
 func (n *NIC) TenantReport() string {
-	totals := n.TenantTotals()
-	ids := make([]uint16, 0, len(totals))
-	for id := range totals {
-		ids = append(ids, id)
-	}
-	for id := range n.WireLat.ByTenant {
-		if _, ok := totals[id]; !ok {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	freq := n.Cfg.FreqHz
-	ns := func(c float64) float64 { return c / freq * 1e9 }
 	t := stats.NewTable("tenant", "wire count", "rtt p50 (ns)", "rtt p99 (ns)", "svc cycles", "enq", "dropped")
-	for _, id := range ids {
-		h := n.WireLat.Tenant(id)
-		ta := totals[id]
+	for _, ts := range n.Snapshot().Tenants {
 		p50, p99 := "-", "-"
-		if h.Count() > 0 {
-			p50 = fmt.Sprintf("%.0f", ns(h.P50()))
-			p99 = fmt.Sprintf("%.0f", ns(h.P99()))
+		if ts.WireCount > 0 {
+			p50 = fmt.Sprintf("%.0f", ts.RTTp50Ns)
+			p99 = fmt.Sprintf("%.0f", ts.RTTp99Ns)
 		}
-		t.AddRow(fmt.Sprintf("%d", id), h.Count(), p50, p99, ta.ServiceCycles, ta.Enqueued, ta.Dropped)
+		t.AddRow(fmt.Sprintf("%d", ts.Tenant), ts.WireCount, p50, p99, ts.ServiceCycles, ts.Enqueued, ts.Dropped)
 	}
 	return t.String()
 }
@@ -766,7 +749,7 @@ func (n *NIC) TileReport() string {
 	}
 	for i, r := range n.Builder.RMTs {
 		s := r.Stats()
-		t.AddRow(fmt.Sprintf("rmt%d", i), "-", s.Accepted, s.Dropped+s.QueueDropped, s.StallCycles, "-", r.QueueLen())
+		t.AddRow(fmt.Sprintf("rmt%d", i), "-", s.Accepted, s.Dropped+s.QueueDropped+s.Refused, s.StallCycles, "-", r.QueueLen())
 	}
 	return t.String()
 }

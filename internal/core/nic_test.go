@@ -34,7 +34,6 @@ func TestNICCommitterCount(t *testing.T) {
 
 func TestNICEndToEndGetMissServedByHost(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Trace = true
 	src := kvsSource(20, 1.0, 0, 42) // all GETs, all LAN, cold cache
 	nic := NewNIC(cfg, []engine.Source{src})
 	if !nic.RunQuiet(2000, 2_000_000) {
@@ -292,43 +291,53 @@ func TestNICSummaryRenders(t *testing.T) {
 }
 
 // TestNICSummaryAccountsForEveryFrame: once the NIC drains, the summary's
-// delivery and drop rows add up to the received frames. Minimum-size frames
-// at 50 Gbps per port overrun the RMT queues, so the rmt drops row must
-// carry the sheds no scheduling-queue counter sees.
+// delivery and drop rows, and the /statz snapshot's, add up to the
+// received frames. Minimum-size frames at 50 Gbps per port overrun the RMT
+// queues, so the rmt drops must carry the losses no scheduling-queue
+// counter sees: sheds of bulk frames, refusals of lossless control frames.
 func TestNICSummaryAccountsForEveryFrame(t *testing.T) {
-	cfg := DefaultConfig()
-	srcs := make([]engine.Source, 2)
-	for p := range srcs {
-		srcs[p] = workload.NewFixedStream(workload.FixedStreamConfig{
-			FrameBytes: 64, RateGbps: 50, FreqHz: cfg.FreqHz, Poisson: true,
-			Tenant: uint16(p + 1), Class: packet.ClassBulk, Count: 3000, Seed: uint64(p) + 1,
+	for _, class := range []packet.Class{packet.ClassBulk, packet.ClassControl} {
+		t.Run(class.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			srcs := make([]engine.Source, 2)
+			for p := range srcs {
+				srcs[p] = workload.NewFixedStream(workload.FixedStreamConfig{
+					FrameBytes: 64, RateGbps: 50, FreqHz: cfg.FreqHz, Poisson: true,
+					Tenant: uint16(p + 1), Class: class, Count: 3000, Seed: uint64(p) + 1,
+				})
+			}
+			nic := NewNIC(cfg, srcs)
+			if !nic.RunQuiet(5000, 5_000_000) {
+				t.Fatal("did not drain")
+			}
+			rows := make(map[string]uint64)
+			for _, line := range strings.Split(nic.Summary(nic.Now()), "\n") {
+				f := strings.Fields(line)
+				if len(f) < 2 {
+					continue
+				}
+				if v, err := strconv.ParseUint(f[len(f)-1], 10, 64); err == nil {
+					rows[strings.Join(f[:len(f)-1], " ")] = v
+				}
+			}
+			if rows["rx packets"] != 6000 {
+				t.Fatalf("rx packets = %d, want 6000", rows["rx packets"])
+			}
+			if rows["rmt drops"] == 0 {
+				t.Fatal("minimum-size frames at 50 Gbps per port lost nothing at the RMT queues")
+			}
+			out := rows["host deliveries"] + rows["wire deliveries"] + rows["sched drops"] + rows["rmt drops"]
+			if out != rows["rx packets"] {
+				t.Errorf("host %d + wire %d + sched drops %d + rmt drops %d = %d, want rx packets %d",
+					rows["host deliveries"], rows["wire deliveries"], rows["sched drops"], rows["rmt drops"],
+					out, rows["rx packets"])
+			}
+			st := nic.Snapshot()
+			if out := st.HostDeliveries + st.WireDeliveries + st.SchedDrops + st.RMTDropped; out != st.RxPackets {
+				t.Errorf("snapshot: host %d + wire %d + sched drops %d + rmt dropped %d = %d, want rx packets %d",
+					st.HostDeliveries, st.WireDeliveries, st.SchedDrops, st.RMTDropped, out, st.RxPackets)
+			}
 		})
-	}
-	nic := NewNIC(cfg, srcs)
-	if !nic.RunQuiet(5000, 5_000_000) {
-		t.Fatal("did not drain")
-	}
-	rows := make(map[string]uint64)
-	for _, line := range strings.Split(nic.Summary(nic.Now()), "\n") {
-		f := strings.Fields(line)
-		if len(f) < 2 {
-			continue
-		}
-		if v, err := strconv.ParseUint(f[len(f)-1], 10, 64); err == nil {
-			rows[strings.Join(f[:len(f)-1], " ")] = v
-		}
-	}
-	if rows["rx packets"] != 6000 {
-		t.Fatalf("rx packets = %d, want 6000", rows["rx packets"])
-	}
-	if rows["rmt drops"] == 0 {
-		t.Fatal("minimum-size frames at 50 Gbps per port shed nothing at the RMT queues")
-	}
-	out := rows["host deliveries"] + rows["wire deliveries"] + rows["sched drops"] + rows["rmt drops"]
-	if out != rows["rx packets"] {
-		t.Errorf("host %d + wire %d + sched drops %d + rmt drops %d = %d, want rx packets %d",
-			rows["host deliveries"], rows["wire deliveries"], rows["sched drops"], rows["rmt drops"],
-			out, rows["rx packets"])
 	}
 }
 

@@ -224,7 +224,7 @@ func (n *NIC) Snapshot() StatsSnapshot {
 	}
 	rs := n.RMTStats()
 	s.RMTAccepted = rs.Accepted
-	s.RMTDropped = rs.Dropped + rs.QueueDropped
+	s.RMTDropped = rs.Dropped + rs.QueueDropped + rs.Refused
 	s.RMTStallCycles = rs.StallCycles
 	fc := n.FlowCacheStats()
 	s.FlowCacheHits = fc.Hits

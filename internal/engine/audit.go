@@ -36,7 +36,7 @@ func (t *Tile) AuditConservation() error {
 	if err := t.queue.Audit(); err != nil {
 		return fmt.Errorf("tile %q: %w", t.eng.Name(), err)
 	}
-	s := &t.stats
+	s := t.Stats()
 	in := s.Ejected + s.Generated + s.ProcOut
 	out := s.Emitted + s.Processed + s.Dropped + s.Refused
 	occ := uint64(t.Occupancy())
@@ -93,7 +93,7 @@ func (t *RMTTile) AuditConservation() error {
 	if err := t.queue.Audit(); err != nil {
 		return fmt.Errorf("rmt tile %d: %w", t.cfg.Addr, err)
 	}
-	s := &t.stats
+	s := t.Stats()
 	out := s.Emitted + s.Dropped + s.Unrouted + s.QueueDropped + s.Refused
 	occ := uint64(t.Occupancy())
 	if s.Ejected != out+occ {

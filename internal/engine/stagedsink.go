@@ -23,7 +23,6 @@ import (
 type StagedSink struct {
 	target Sink
 	buf    []stagedDelivery
-	dirty  bool
 	wake   sim.Poker
 }
 
@@ -48,7 +47,6 @@ func (s *StagedSink) SetWaker(p sim.Poker) { s.wake = p }
 func (s *StagedSink) Deliver(msg *packet.Message, now uint64) {
 	msg.AssertLive()
 	s.buf = append(s.buf, stagedDelivery{msg: msg, now: now})
-	s.dirty = true
 }
 
 // Commit implements sim.Committer: buffered deliveries reach the target in
@@ -65,6 +63,3 @@ func (s *StagedSink) Commit() {
 	}
 	s.buf = s.buf[:0]
 }
-
-// DirtyFlag implements sim.DirtyCommitter.
-func (s *StagedSink) DirtyFlag() *bool { return &s.dirty }

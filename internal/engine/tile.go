@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"github.com/panic-nic/panic/internal/noc"
 	"github.com/panic-nic/panic/internal/packet"
 	"github.com/panic-nic/panic/internal/sched"
@@ -32,9 +30,6 @@ type TileConfig struct {
 	// load-balances across parallel RMT pipelines. Takes precedence over
 	// DefaultTo.
 	DefaultSpread []packet.Addr
-	// TraceVisits records per-engine Visit entries on messages (tests
-	// and examples; costs an append per hop).
-	TraceVisits bool
 	// Trace, when non-nil, receives cycle-stamped span records for
 	// sampled messages (see internal/trace): queue enqueue/dequeue with
 	// depth and slack, service occupancy, fabric injections, and drops.
@@ -118,34 +113,24 @@ type TenantTally struct {
 }
 
 // Tile is an offload engine attached to the fabric: scheduling queue +
-// compute + lightweight route lookup (Figure 3a). It implements
-// sim.Ticker.
+// compute + lightweight route lookup (Figure 3a). The queue and the router
+// interface are its port; it implements sim.Ticker.
 type Tile struct {
-	cfg    TileConfig
-	eng    Engine
-	fab    noc.Fabric
-	routes *RouteTable
-	queue  *sched.Queue
-	rank   sched.RankFunc
-	ctx    Ctx
+	port
+	eng Engine
+	ctx Ctx
 
 	// Service state.
 	cur      *packet.Message
 	busyLeft uint64
 	curStart uint64
 
-	// Send state: resolved messages awaiting fabric space, plus delayed
-	// emissions ordered by due cycle. The outbox drains from outHead
-	// instead of compacting every tick: under backpressure the backlog can
-	// run to hundreds of entries, and re-copying it each cycle (plus the
-	// pointer-slice write barrier, even for a zero-length copy) was ~24%
-	// of the saturated hot path. Sent slots are zeroed for the GC and
-	// reclaimed in bulk.
-	outbox     []resolvedOut
-	outHead    int
+	// Send state beyond the port's outbox: delayed emissions ordered by
+	// due cycle, and the round-robin cursor over DefaultSpread.
 	pending    []delayedOut
 	spreadNext int
 
+	// stats holds the tile's own counters; Stats merges in the port's.
 	stats TileStats
 	// tenants maps tenant ID to its tally; entries are created lazily on
 	// first sight of a tenant, so steady-state traffic never allocates.
@@ -161,26 +146,13 @@ type Tile struct {
 	dropSeen    uint64
 	corruptSeen uint64
 
-	// Sleep state (see EndCycle). eventOK is set by the
-	// builder only when the fabric pokes the tile about arrivals; wake and
-	// clk let control-plane mutators (SetFault, Reset) force a tick and
-	// stamp traces while the tile sleeps. While sleeping, the captured
-	// sleepBusy/sleepStall rates plus the syncedThrough watermark defer the
-	// per-cycle busy/stall accrual the reference stepper would make; the
-	// flags are snapshots, so a mutation after the sleep decision cannot
-	// corrupt the accounting for cycles that elapsed before it.
-	eventOK       bool
-	wake          sim.Poker
-	clk           *sim.Clock
-	sleeping      bool
-	sleepBusy     bool
-	sleepStall    bool
-	syncedThrough uint64
-}
-
-type resolvedOut struct {
-	msg *packet.Message
-	dst noc.NodeID
+	// Sleep state beyond the port's (see EndCycle): wake and clk let
+	// control-plane mutators (SetFault, Reset) force a tick and stamp
+	// traces while the tile sleeps, and sleepBusy is the busy accrual rate
+	// captured at the sleep decision, deferred like the port's stalls.
+	wake      sim.Poker
+	clk       *sim.Clock
+	sleepBusy bool
 }
 
 type delayedOut struct {
@@ -191,52 +163,36 @@ type delayedOut struct {
 // NewTile builds a tile around an engine. The tile's address must already
 // be bound to its node in the route table.
 func NewTile(cfg TileConfig, eng Engine, fab noc.Fabric, routes *RouteTable, rng *sim.RNG) *Tile {
-	if cfg.QueueCap < 1 {
-		panic(fmt.Sprintf("engine: tile %q queue capacity %d", eng.Name(), cfg.QueueCap))
-	}
-	if !routes.Has(cfg.Addr) {
-		panic(fmt.Sprintf("engine: tile %q address %d not bound in route table", eng.Name(), cfg.Addr))
-	}
-	if routes.Lookup(cfg.Addr) != cfg.Node {
-		panic(fmt.Sprintf("engine: tile %q bound to node %d but configured at %d", eng.Name(), routes.Lookup(cfg.Addr), cfg.Node))
-	}
-	rank := cfg.Rank
-	if rank == nil {
-		rank = sched.RankLSTF
-	}
 	return &Tile{
-		cfg:    cfg,
-		eng:    eng,
-		fab:    fab,
-		routes: routes,
-		queue:  sched.NewQueue(cfg.QueueCap, cfg.Policy),
-		rank:   rank,
-		ctx:    Ctx{RNG: rng, Addr: cfg.Addr},
-		// Pre-size the send-side buffers: outbox and delay-list churn is
-		// per-message, and regrowing them is pure allocator noise.
-		outbox:  make([]resolvedOut, 0, 8),
+		port: newPort(eng.Name(), cfg, fab, routes, sched.RankLSTF),
+		eng:  eng,
+		ctx:  Ctx{RNG: rng, Addr: cfg.Addr},
+		// Delay-list churn is per-message; regrowing it is allocator noise.
 		pending: make([]delayedOut, 0, 8),
 	}
 }
 
 // UsePool hands the tile, and through its Ctx the engine, the NIC's
 // message pool.
-func (t *Tile) UsePool(p *packet.MessagePool) { t.ctx.Pool = p }
+func (t *Tile) UsePool(p *packet.MessagePool) {
+	t.pool = p
+	t.ctx.Pool = p
+}
 
 // Name returns the engine name.
 func (t *Tile) Name() string { return t.eng.Name() }
 
-// Addr returns the tile's logical address.
-func (t *Tile) Addr() packet.Addr { return t.cfg.Addr }
-
-// Node returns the tile's fabric node.
-func (t *Tile) Node() noc.NodeID { return t.cfg.Node }
-
 // Engine returns the wrapped engine (for test inspection).
 func (t *Tile) Engine() Engine { return t.eng }
 
-// Stats returns a copy of the tile's counters.
-func (t *Tile) Stats() TileStats { return t.stats }
+// Stats returns a copy of the tile's counters, the port's included: its
+// queue sheds count in Dropped next to the fault sheds.
+func (t *Tile) Stats() TileStats {
+	s := t.stats
+	s.Ejected, s.Emitted, s.Refused, s.StallCycles = t.ejected, t.emitted, t.refused, t.stalls
+	s.Dropped += t.shed
+	return s
+}
 
 // TenantStats returns a copy of the per-tenant tallies. Tiles that never
 // saw traffic return an empty (possibly nil-backed) map.
@@ -266,9 +222,6 @@ func (t *Tile) QueueStats() (pushed, popped, drops, rejects uint64, highWater in
 	return t.queue.Stats()
 }
 
-// QueueLen returns the current scheduling-queue occupancy.
-func (t *Tile) QueueLen() int { return t.queue.Len() }
-
 // Busy reports whether a message is in service (liveness probes need this
 // to tell "wedged mid-service with an empty queue" from "idle").
 func (t *Tile) Busy() bool { return t.cur != nil }
@@ -276,22 +229,6 @@ func (t *Tile) Busy() bool { return t.cur != nil }
 // Idle reports whether the tile has no work in flight (for drain checks).
 func (t *Tile) Idle() bool {
 	return t.cur == nil && t.queue.Len() == 0 && t.outLen() == 0 && len(t.pending) == 0
-}
-
-// outLen returns the number of undelivered outbox entries.
-func (t *Tile) outLen() int { return len(t.outbox) - t.outHead }
-
-// compactOutbox reclaims the drained prefix: free when the outbox empties,
-// and amortized-O(1) per message otherwise (each entry moves at most once
-// per 64 sends), so a standing backlog never pays a per-cycle copy.
-func (t *Tile) compactOutbox() {
-	if t.outHead == len(t.outbox) {
-		t.outbox = t.outbox[:0]
-		t.outHead = 0
-	} else if t.outHead >= 64 {
-		t.outbox = t.outbox[:copy(t.outbox, t.outbox[t.outHead:])]
-		t.outHead = 0
-	}
 }
 
 // EnableEventSleep lets EndCycle return real sleep wakes. The builder
@@ -316,10 +253,8 @@ func (t *Tile) EnableEventSleep(wake sim.Poker, clk *sim.Clock) {
 func (t *Tile) EndCycle(cycle uint64) uint64 {
 	if t.eventOK {
 		if w := t.nextWake(cycle); w > cycle+1 {
-			t.sleeping = true
+			t.sleep(cycle)
 			t.sleepBusy = t.cur != nil && !t.fault.Wedged
-			t.sleepStall = t.outLen() > 0
-			t.syncedThrough = cycle + 1
 			return w
 		}
 	}
@@ -334,7 +269,7 @@ func (t *Tile) EndCycle(cycle uint64) uint64 {
 // outbox and delay list can wake it.
 func (t *Tile) nextWake(cycle uint64) uint64 {
 	wake := uint64(sim.WakeNever)
-	if t.outLen() > 0 && t.fab.CanInject(t.cfg.Node, t.outbox[t.outHead].dst) {
+	if t.canDrain() {
 		return cycle + 1
 	}
 	// A blocked outbox sleeps: stalls accrue via SyncTo and the freeing
@@ -372,32 +307,20 @@ func (t *Tile) nextWake(cycle uint64) uint64 {
 // SyncTo implements sim.EventAware: it applies the bulk per-cycle counters
 // a sleeping tile deferred, through the given cycle, using the rates
 // captured at the sleep decision.
-func (t *Tile) SyncTo(cycle uint64) {
-	if !t.sleeping || cycle+1 <= t.syncedThrough {
-		return
-	}
-	n := cycle + 1 - t.syncedThrough
+func (t *Tile) SyncTo(cycle uint64) { t.accrueBusy(t.syncTo(cycle)) }
+
+// accrueBusy charges n slept cycles of service at the captured rate.
+func (t *Tile) accrueBusy(n uint64) {
 	if t.sleepBusy {
 		t.stats.BusyCycles += n
 		t.busyLeft -= n
 	}
-	if t.sleepStall {
-		t.stats.StallCycles += n
-	}
-	t.syncedThrough = cycle + 1
-}
-
-// wakeSync ends a sleep at the start of a live tick: deferred accounting
-// is brought current through cycle-1; the tick itself covers cycle.
-func (t *Tile) wakeSync(cycle uint64) {
-	t.SyncTo(cycle - 1)
-	t.sleeping = false
 }
 
 // Tick implements sim.Ticker.
 func (t *Tile) Tick(cycle uint64) {
 	if t.sleeping {
-		t.wakeSync(cycle)
+		t.accrueBusy(t.wakeUp(cycle))
 	}
 	t.ctx.Now = cycle
 
@@ -431,27 +354,7 @@ func (t *Tile) Tick(cycle uint64) {
 	t.pending = kept
 
 	// 3. Drain the outbox into the fabric.
-	for t.outHead < len(t.outbox) {
-		o := t.outbox[t.outHead]
-		if !t.fab.CanInject(t.cfg.Node, o.dst) {
-			t.stats.StallCycles++
-			break
-		}
-		t.fab.Inject(t.cfg.Node, o.dst, o.msg)
-		if t.cfg.Trace.Want(o.msg.TraceID) {
-			t.cfg.Trace.Emit(trace.Span{
-				Msg: o.msg.TraceID, Kind: trace.KindInject,
-				LocKind: trace.LocEngine, Loc: uint32(t.cfg.Addr),
-				Start: cycle, End: cycle,
-				A: uint64(o.dst), B: uint64(t.fab.FlitsFor(o.msg)),
-				Tenant: o.msg.Tenant,
-			})
-		}
-		t.outbox[t.outHead] = resolvedOut{}
-		t.outHead++
-		t.stats.Emitted++
-	}
-	t.compactOutbox()
+	t.drain(cycle)
 
 	// 4. Advance service. A wedged engine freezes mid-service: the
 	// in-flight message is held and no progress counter moves — the
@@ -483,20 +386,7 @@ func (t *Tile) Tick(cycle uint64) {
 
 	// 5. Start the next message (never on a wedged engine).
 	if t.cur == nil && !t.fault.Wedged {
-		depth := 0
-		if t.cfg.Trace != nil {
-			depth = t.queue.Len()
-		}
-		if msg, ok := t.queue.Pop(); ok {
-			if t.cfg.Trace.Want(msg.TraceID) {
-				t.cfg.Trace.Emit(trace.Span{
-					Msg: msg.TraceID, Kind: trace.KindWait,
-					LocKind: trace.LocEngine, Loc: uint32(t.cfg.Addr),
-					Start: msg.EnqueuedAt, End: cycle,
-					A: uint64(depth), B: uint64(chainSlack(msg, t.cfg.Addr)),
-					Tenant: msg.Tenant,
-				})
-			}
+		if msg, ok := t.pop(cycle); ok {
 			t.cur = msg
 			t.curStart = cycle
 			var svc uint64
@@ -509,77 +399,33 @@ func (t *Tile) Tick(cycle uint64) {
 				svc = 1
 			}
 			t.busyLeft = t.scaleService(svc)
-			if t.cfg.TraceVisits && len(msg.Trace) > 0 {
-				msg.Trace[len(msg.Trace)-1].Started = cycle
-			}
 			t.stats.QueueWaitTotal += cycle - msg.EnqueuedAt
 			t.tally(msg.Tenant).QueueWaitTotal += cycle - msg.EnqueuedAt
 		}
 	}
 
-	// 6. Accept arrivals from the fabric into the scheduling queue. Under
-	// backpressure policy a full queue leaves messages in the network
-	// (lossless); under drop policy the queue sheds the worst-ranked.
-	for {
-		if t.queue.Full() && t.queue.Cap() > 0 && t.cfg.Policy == sched.Backpressure {
-			break
-		}
-		msg, ok := t.fab.TryEject(t.cfg.Node)
-		if !ok {
-			break
-		}
-		t.stats.Ejected++
-		t.admit(msg, cycle)
-	}
+	// 6. Accept arrivals from the fabric into the scheduling queue.
+	t.eject(cycle, t.admit)
 }
 
-// admit pushes an arrived message into the scheduling queue.
+// admit applies the flake faults to an arrival, then pushes it into the
+// scheduling queue and keeps the tenant tallies.
 func (t *Tile) admit(msg *packet.Message, cycle uint64) {
-	msg.AssertLive()
 	if t.shedFaulted(msg, cycle) {
 		return
 	}
-	slack := chainSlack(msg, t.cfg.Addr)
-	msg.EnqueuedAt = cycle
-	if t.cfg.TraceVisits {
-		msg.Trace = append(msg.Trace, packet.Visit{Engine: t.cfg.Addr, Enqueued: cycle})
-	}
-	rank := t.rank(msg, slack, cycle)
-	res := t.queue.Push(msg, rank)
-	if !res.Accepted {
-		// Lossless arrival refused by a full lossy queue whose residents
-		// are all lossless too: the message is lost (see TileStats.Refused).
-		t.stats.Refused++
-		t.ctx.Pool.Put(msg)
+	shed, ok := t.push(msg, cycle)
+	if !ok {
 		return
 	}
-	if res.Dropped == msg {
+	if shed == msg {
 		t.tally(msg.Tenant).Rejected++
-	}
-	if res.Accepted && res.Dropped != msg {
+	} else {
 		t.tally(msg.Tenant).Enqueued++
-		if t.cfg.Trace.Want(msg.TraceID) {
-			t.cfg.Trace.Emit(trace.Span{
-				Msg: msg.TraceID, Kind: trace.KindEnq,
-				LocKind: trace.LocEngine, Loc: uint32(t.cfg.Addr),
-				Start: cycle, End: cycle,
-				A: rank, B: uint64(t.queue.Len()),
-				Tenant: msg.Tenant,
-			})
-		}
 	}
-	if res.Dropped != nil {
-		t.stats.Dropped++
-		t.tally(res.Dropped.Tenant).Dropped++
-		if t.cfg.Trace.Want(res.Dropped.TraceID) {
-			t.cfg.Trace.Emit(trace.Span{
-				Msg: res.Dropped.TraceID, Kind: trace.KindDrop,
-				LocKind: trace.LocEngine, Loc: uint32(t.cfg.Addr),
-				Start: cycle, End: cycle, A: trace.DropQueueShed,
-				Tenant: res.Dropped.Tenant,
-			})
-		}
-		t.discard(res.Dropped, cycle)
+	if shed != nil {
+		t.tally(shed.Tenant).Dropped++
+		t.discard(shed, cycle)
 	}
 }
 
@@ -590,18 +436,7 @@ func (t *Tile) discard(msg *packet.Message, cycle uint64) {
 		t.DropSink.Deliver(msg, cycle)
 		return
 	}
-	t.ctx.Pool.Put(msg)
-}
-
-// chainSlack returns the slack the RMT program stamped for this engine's
-// hop, or 0 when the message has no chain positioned here.
-func chainSlack(msg *packet.Message, addr packet.Addr) uint32 {
-	if c := msg.Chain(); c != nil {
-		if hop, ok := c.Current(); ok && hop.Engine == addr {
-			return hop.Slack
-		}
-	}
-	return 0
+	t.pool.Put(msg)
 }
 
 // stage routes an Out and places it in the outbox (or the delay list).

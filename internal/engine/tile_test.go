@@ -7,6 +7,7 @@ import (
 	"github.com/panic-nic/panic/internal/packet"
 	"github.com/panic-nic/panic/internal/sched"
 	"github.com/panic-nic/panic/internal/sim"
+	"github.com/panic-nic/panic/internal/trace"
 )
 
 // rig is a minimal test bench: a mesh, a kernel, a route table, and
@@ -32,7 +33,7 @@ func newRig(w, h int) *rig {
 func (r *rig) place(addr packet.Addr, x, y int, eng Engine, opts ...func(*TileConfig)) *Tile {
 	node := r.mesh.NodeAt(x, y)
 	r.routes.Bind(addr, node)
-	cfg := TileConfig{Addr: addr, Node: node, QueueCap: 16, Policy: sched.Backpressure, TraceVisits: true}
+	cfg := TileConfig{Addr: addr, Node: node, QueueCap: 16, Policy: sched.Backpressure}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -73,12 +74,16 @@ func TestTileChainTraversal(t *testing.T) {
 	e1 := &fixedEngine{name: "a", svc: 3}
 	e2 := &fixedEngine{name: "b", svc: 3}
 	sinkEng := NewCollectorEngine("sink", 1, nil)
-	r.place(1, 0, 0, e1)
-	r.place(2, 2, 0, e2)
-	sink := r.place(3, 2, 2, sinkEng)
+	tr := trace.New(trace.Options{})
+	traced := func(c *TileConfig) { c.Trace = tr.Buffer("tile") }
+	r.place(1, 0, 0, e1, traced)
+	r.place(2, 2, 0, e2, traced)
+	r.place(3, 2, 2, sinkEng, traced)
+	r.k.Register(tr)
 	r.routes.SetDefault(3) // default route to the sink
 
 	msg := chainMsg(7, packet.Hop{Engine: 1, Slack: 10}, packet.Hop{Engine: 2, Slack: 20}, packet.Hop{Engine: 3, Slack: 30})
+	msg.TraceID = 7
 	r.mesh.Inject(r.mesh.NodeAt(1, 1), r.mesh.NodeAt(0, 0), msg)
 
 	if !r.k.RunUntil(func() bool { return sinkEng.Count() == 1 }, 500) {
@@ -87,23 +92,23 @@ func TestTileChainTraversal(t *testing.T) {
 	if e1.count != 1 || e2.count != 1 {
 		t.Errorf("engine visits: %d, %d", e1.count, e2.count)
 	}
-	// Trace records the visits in chain order.
-	got := sinkEng.Last()
-	if len(got.Trace) != 3 {
-		t.Fatalf("trace = %+v", got.Trace)
-	}
-	for i, want := range []packet.Addr{1, 2, 3} {
-		if got.Trace[i].Engine != want {
-			t.Errorf("trace[%d] = %d, want %d", i, got.Trace[i].Engine, want)
+	// The enqueue spans record the visits in chain order.
+	var visits []uint32
+	for _, sp := range tr.Set().Spans {
+		if sp.Msg == 7 && sp.Kind == trace.KindEnq {
+			visits = append(visits, sp.Loc)
 		}
 	}
+	if len(visits) != 3 || visits[0] != 1 || visits[1] != 2 || visits[2] != 3 {
+		t.Errorf("enqueue spans at engines %v, want [1 2 3]", visits)
+	}
+	got := sinkEng.Last()
 	// The chain's cursor rests on the consuming engine's own hop.
 	if c := got.Chain(); c == nil || c.Remaining() != 1 {
 		t.Errorf("chain cursor wrong: %+v", got.Chain())
 	} else if hop, _ := c.Current(); hop.Engine != 3 {
 		t.Errorf("final hop = %d, want 3", hop.Engine)
 	}
-	_ = sink
 }
 
 func TestTileDefaultRouteForChainless(t *testing.T) {

@@ -123,14 +123,7 @@ func (t *Tile) traceDrained(msg *packet.Message) {
 	if t.sleeping && t.clk != nil {
 		now = t.clk.Now()
 	}
-	if t.cfg.Trace.Want(msg.TraceID) {
-		t.cfg.Trace.Emit(trace.Span{
-			Msg: msg.TraceID, Kind: trace.KindDrop,
-			LocKind: trace.LocEngine, Loc: uint32(t.cfg.Addr),
-			Start: now, End: now, A: trace.DropDrained,
-			Tenant: msg.Tenant,
-		})
-	}
+	t.mark(msg, trace.KindDrop, now, trace.DropDrained, 0)
 }
 
 // shedFaulted applies the flake faults to an arriving message; it reports
@@ -144,7 +137,7 @@ func (t *Tile) shedFaulted(msg *packet.Message, cycle uint64) bool {
 			ta := t.tally(msg.Tenant)
 			ta.Dropped++
 			ta.Rejected++
-			t.traceShed(msg, cycle, trace.DropCorrupt)
+			t.mark(msg, trace.KindDrop, cycle, trace.DropCorrupt, 0)
 			t.discard(msg, cycle)
 			return true
 		}
@@ -160,24 +153,12 @@ func (t *Tile) shedFaulted(msg *packet.Message, cycle uint64) bool {
 			ta := t.tally(msg.Tenant)
 			ta.Dropped++
 			ta.Rejected++
-			t.traceShed(msg, cycle, trace.DropFault)
+			t.mark(msg, trace.KindDrop, cycle, trace.DropFault, 0)
 			t.discard(msg, cycle)
 			return true
 		}
 	}
 	return false
-}
-
-// traceShed marks a fault-injected discard.
-func (t *Tile) traceShed(msg *packet.Message, cycle uint64, reason uint64) {
-	if t.cfg.Trace.Want(msg.TraceID) {
-		t.cfg.Trace.Emit(trace.Span{
-			Msg: msg.TraceID, Kind: trace.KindDrop,
-			LocKind: trace.LocEngine, Loc: uint32(t.cfg.Addr),
-			Start: cycle, End: cycle, A: reason,
-			Tenant: msg.Tenant,
-		})
-	}
 }
 
 // scaleService applies the slow-factor fault to a service time.

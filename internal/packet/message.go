@@ -58,8 +58,6 @@ type Message struct {
 	// Port is the Ethernet port index the message arrived on (or will
 	// leave from), -1 for NIC-internal messages.
 	Port int
-	// Trace, when enabled, records each engine visit.
-	Trace []Visit
 	// EnqueuedAt is scratch used by scheduling queues: the cycle the
 	// message entered its current queue (a message sits in at most one
 	// queue at a time).
@@ -75,14 +73,6 @@ type Message struct {
 	// substitution for real crypto, which is irrelevant to the paper's
 	// scheduling and switching claims).
 	Inner *Packet
-}
-
-// Visit is one step of a message's path, for tracing and tests.
-type Visit struct {
-	Engine Addr
-	// Enqueued and Started are the cycles the message entered the
-	// engine's scheduling queue and began service.
-	Enqueued, Started uint64
 }
 
 // Chain returns the message's chain shim header, or nil.

@@ -190,7 +190,7 @@ func (p *MessagePool) Put(m *Message) {
 	if m.Inner != nil {
 		m.Pkt = m.Inner
 	}
-	*m = Message{Pkt: m.Pkt, Trace: m.Trace[:0]}
+	*m = Message{Pkt: m.Pkt}
 	s := shapeNone
 	if m.Pkt != nil {
 		if c := m.Pkt.removeChain(); c != nil {
@@ -278,7 +278,7 @@ func (p *MessagePool) quarantineShell(m *Message, s shape) {
 	if !poisoned(q.m) {
 		panic(fmt.Sprintf("packet: released message written to during quarantine: %+v", *q.m))
 	}
-	*q.m = Message{Pkt: q.m.Pkt, Trace: q.m.Trace}
+	*q.m = Message{Pkt: q.m.Pkt}
 	p.recycle(q.m, q.s)
 }
 
@@ -294,7 +294,7 @@ func poisoned(m *Message) bool {
 	return m.released && m.ID == poisonWord && m.TraceID == poisonWord && m.Inject == poisonWord &&
 		m.Done == poisonWord && m.Deadline == poisonWord && m.EnqueuedAt == poisonWord &&
 		m.Port == -0xDEAD && m.Tenant == 0xDEAD && m.Class == 0xDE &&
-		m.Needs == nil && m.Inner == nil && len(m.Trace) == 0
+		m.Needs == nil && m.Inner == nil
 }
 
 // AssertLive panics when m has been released to a pool. It compiles to

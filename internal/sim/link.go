@@ -2,73 +2,6 @@ package sim
 
 import "fmt"
 
-// Reg is a single-producer single-consumer staged register: a value written
-// during Eval becomes readable only after Commit, modeling a flow-controlled
-// pipeline register between two synchronous components.
-//
-// Order independence: the writer's view (CanSend) depends only on the staged
-// slot and the reader's view (CanRecv/Recv) only on the committed slot, so
-// the cycle's outcome does not depend on which side ticks first. When the
-// reader drains every cycle the register sustains one value per cycle; when
-// the reader stalls, the staged value waits and the writer sees backpressure
-// the next cycle. The zero value is an empty register.
-type Reg[T any] struct {
-	cur, next     T
-	curOK, nextOK bool
-	dirty         bool
-}
-
-// CanSend reports whether the register can accept a write this cycle.
-func (r *Reg[T]) CanSend() bool { return !r.nextOK }
-
-// Send stages a value. It panics if a value has already been staged this
-// cycle: two writers racing for one register is a model bug.
-func (r *Reg[T]) Send(v T) {
-	if r.nextOK {
-		panic("sim: Reg.Send on a register already written this cycle")
-	}
-	r.next = v
-	r.nextOK = true
-	r.dirty = true
-}
-
-// CanRecv reports whether a committed value is available.
-func (r *Reg[T]) CanRecv() bool { return r.curOK }
-
-// Peek returns the committed value without consuming it.
-func (r *Reg[T]) Peek() (T, bool) { return r.cur, r.curOK }
-
-// Recv consumes and returns the committed value. It panics when empty.
-func (r *Reg[T]) Recv() T {
-	if !r.curOK {
-		panic("sim: Reg.Recv on empty register")
-	}
-	r.curOK = false
-	var zero T
-	v := r.cur
-	r.cur = zero
-	r.dirty = true
-	return v
-}
-
-// Commit implements Committer: if the committed slot is free (the reader
-// consumed it, or it was already empty), the staged value moves in;
-// otherwise it stays staged and the writer stalls.
-func (r *Reg[T]) Commit() {
-	if r.nextOK && !r.curOK {
-		r.cur, r.curOK = r.next, true
-		var zero T
-		r.next, r.nextOK = zero, false
-	}
-}
-
-// DirtyFlag implements DirtyCommitter: the flag is raised by Send and Recv
-// (a staged write may need moving; a consumed slot may unblock one) and
-// cleared by the kernel after Commit. A clean register's Commit is a
-// provable no-op: with no send or receive since the last commit, either
-// nothing is staged or the committed slot is still occupied.
-func (r *Reg[T]) DirtyFlag() *bool { return &r.dirty }
-
 // FIFO is a single-producer single-consumer staged bounded queue: pushes
 // become visible and pops take effect only at Commit, so within a cycle the
 // producer and consumer may run in either order.
@@ -135,10 +68,10 @@ func (f *FIFO[T]) Push(v T) {
 	f.dirty = true
 }
 
-// DirtyFlag implements DirtyCommitter: any Push or Pop since the last
-// commit raises the flag; whoever commits the FIFO (the kernel, or an
-// owner committing its own lanes) clears it after calling Commit. A clean
-// FIFO's Commit is a provable no-op: nothing staged, nothing popped.
+// DirtyFlag returns the FIFO's dirty flag: any Push or Pop since the last
+// commit raises it, and an owner committing its own FIFOs (the mesh, which
+// commits only the lanes it touched) clears it after calling Commit. A
+// clean FIFO's Commit is a provable no-op: nothing staged, nothing popped.
 func (f *FIFO[T]) DirtyFlag() *bool { return &f.dirty }
 
 // CanPop reports whether a committed value is available this cycle.

@@ -55,50 +55,6 @@ func TestFIFOPropertyFIFOOrder(t *testing.T) {
 	}
 }
 
-// TestRegPropertyNoLossNoDup checks that an arbitrary interleaving of
-// sends, receives, and commits through a Reg neither loses nor duplicates
-// nor reorders values.
-func TestRegPropertyNoLossNoDup(t *testing.T) {
-	prop := func(ops []uint8) bool {
-		var r Reg[int]
-		next := 0
-		var got []int
-		for _, op := range ops {
-			switch op % 3 {
-			case 0:
-				if r.CanSend() {
-					r.Send(next)
-					next++
-				}
-			case 1:
-				if r.CanRecv() {
-					got = append(got, r.Recv())
-				}
-			case 2:
-				r.Commit()
-			}
-		}
-		for i := 0; i < 4; i++ {
-			r.Commit()
-			if r.CanRecv() {
-				got = append(got, r.Recv())
-			}
-		}
-		if len(got) != next {
-			return false
-		}
-		for i, v := range got {
-			if v != i {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestEventHeapPropertyOrdering checks that events pop in (cycle, insertion)
 // order for arbitrary schedules.
 func TestEventHeapPropertyOrdering(t *testing.T) {

@@ -78,14 +78,6 @@ type TickFunc func(cycle uint64)
 // Tick implements Ticker.
 func (f TickFunc) Tick(cycle uint64) { f(cycle) }
 
-// KernelConfig parameterizes a Kernel beyond its clock frequency.
-type KernelConfig struct {
-	// Freq is the clock frequency.
-	Freq Frequency
-	// EventCap pre-sizes the event heap (an allocation hint; 0 is fine).
-	EventCap int
-}
-
 // Kernel drives a set of Tickers and Committers with a shared clock.
 type Kernel struct {
 	clock      Clock
@@ -96,10 +88,6 @@ type Kernel struct {
 	events     eventList
 	stopped    bool
 	skipped    uint64
-
-	// commitFlags parallels committers: non-nil entries are DirtyCommitter
-	// flags letting the Commit phase skip provably clean committers.
-	commitFlags []*bool
 
 	// Liveness state; the four slices parallel tickers.
 	wakeAt    []uint64     // next cycle each ticker must run (0 = now)
@@ -129,16 +117,7 @@ type Kernel struct {
 
 // NewKernel returns a kernel whose clock runs at the given frequency.
 func NewKernel(freq Frequency) *Kernel {
-	return NewKernelWithConfig(KernelConfig{Freq: freq})
-}
-
-// NewKernelWithConfig returns a kernel with the given configuration.
-func NewKernelWithConfig(cfg KernelConfig) *Kernel {
-	k := &Kernel{clock: Clock{freq: cfg.Freq}, tickerIdx: make(map[any]int), wakeAllNext: true}
-	if cfg.EventCap > 0 {
-		k.events.h = make(eventHeap, 0, cfg.EventCap)
-	}
-	return k
+	return &Kernel{clock: Clock{freq: freq}, tickerIdx: make(map[any]int), wakeAllNext: true}
 }
 
 // Clock returns the kernel's clock (current cycle plus frequency).
@@ -185,14 +164,6 @@ func (k *Kernel) register(c any, tickers []Ticker, serial bool) []Ticker {
 	}
 	if cm, isC := c.(Committer); isC {
 		k.committers = append(k.committers, cm)
-		var flag *bool
-		if dc, isD := c.(DirtyCommitter); isD {
-			flag = dc.DirtyFlag()
-		}
-		if flag != nil {
-			*flag = true // commit once before the first skip
-		}
-		k.commitFlags = append(k.commitFlags, flag)
 		ok = true
 	}
 	if !ok {
@@ -276,8 +247,7 @@ func (k *Kernel) Stop() { k.stopped = true }
 // runs tickers whose wake cycle has arrived or that were poked (liveness
 // is sampled sequentially after start-of-cycle events, so an event
 // callback's poke takes effect the same cycle); serial tickers, Begin,
-// and observers always run, and the Commit phase skips committers whose
-// dirty flag proves them clean.
+// every committer and the observers always run.
 func (k *Kernel) Step() {
 	k.clock.started = true
 	cycle := k.clock.cycle
@@ -296,15 +266,7 @@ func (k *Kernel) Step() {
 	for _, t := range k.serial {
 		t.Tick(cycle)
 	}
-	for i, c := range k.committers {
-		if f := k.commitFlags[i]; f != nil {
-			if !*f {
-				continue
-			}
-			c.Commit()
-			*f = false
-			continue
-		}
+	for _, c := range k.committers {
 		c.Commit()
 	}
 	if !k.reference {

@@ -37,28 +37,28 @@ func TestFrequencyString(t *testing.T) {
 }
 
 func TestKernelTickOrderIndependence(t *testing.T) {
-	// Two components communicating through a Reg must produce the same
-	// per-cycle observations regardless of registration order.
+	// Two components communicating through a staged FIFO must produce the
+	// same per-cycle observations regardless of registration order.
 	run := func(writerFirst bool) []int {
 		k := NewKernel(1 * GHz)
-		var link Reg[int]
+		link := NewFIFO[int](1)
 		var seen []int
 		n := 0
 		writer := TickFunc(func(uint64) {
-			if link.CanSend() {
+			if link.CanPush() {
 				n++
-				link.Send(n)
+				link.Push(n)
 			}
 		})
 		reader := TickFunc(func(uint64) {
-			if link.CanRecv() {
-				seen = append(seen, link.Recv())
+			if link.CanPop() {
+				seen = append(seen, link.Pop())
 			}
 		})
 		if writerFirst {
-			k.Register(writer, reader, &link)
+			k.Register(writer, reader, link)
 		} else {
-			k.Register(reader, writer, &link)
+			k.Register(reader, writer, link)
 		}
 		k.Run(10)
 		return seen
@@ -72,9 +72,10 @@ func TestKernelTickOrderIndependence(t *testing.T) {
 			t.Fatalf("tick order changed values at %d: %v vs %v", i, a, b)
 		}
 	}
-	// Full throughput: after the 1-cycle fill latency, one value per cycle.
-	if len(a) != 9 {
-		t.Errorf("reader saw %d values in 10 cycles, want 9", len(a))
+	// A capacity-1 FIFO returns its credit one cycle after the pop, so
+	// after the 1-cycle fill latency it carries one value every other cycle.
+	if len(a) != 5 {
+		t.Errorf("reader saw %d values in 10 cycles, want 5", len(a))
 	}
 	for i, v := range a {
 		if v != i+1 {
@@ -151,48 +152,6 @@ func TestKernelRegisterRejectsUnknown(t *testing.T) {
 		}
 	}()
 	k.Register(42)
-}
-
-func TestRegBackpressure(t *testing.T) {
-	var r Reg[string]
-	if !r.CanSend() || r.CanRecv() {
-		t.Fatal("zero Reg should be sendable and empty")
-	}
-	r.Send("a")
-	if r.CanSend() {
-		t.Error("CanSend true after staging")
-	}
-	if r.CanRecv() {
-		t.Error("staged value visible before commit")
-	}
-	r.Commit()
-	if !r.CanRecv() {
-		t.Fatal("committed value not visible")
-	}
-	// Stage another while cur is unconsumed: it must wait across Commit.
-	r.Send("b")
-	r.Commit()
-	if got := r.Recv(); got != "a" {
-		t.Errorf("Recv = %q, want a", got)
-	}
-	if r.CanRecv() {
-		t.Error("b visible before its commit")
-	}
-	r.Commit()
-	if got := r.Recv(); got != "b" {
-		t.Errorf("Recv = %q, want b", got)
-	}
-}
-
-func TestRegDoubleSendPanics(t *testing.T) {
-	var r Reg[int]
-	r.Send(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("double Send did not panic")
-		}
-	}()
-	r.Send(2)
 }
 
 func TestFIFOOrderingAndBackpressure(t *testing.T) {
@@ -282,6 +241,53 @@ func TestFIFOInvalidCapacityPanics(t *testing.T) {
 	NewFIFO[int](0)
 }
 
+func TestFIFOCapacityOneBackpressure(t *testing.T) {
+	// A capacity-1 FIFO is the one-slot staged link between two tickers:
+	// a push is invisible until commit, and a pop frees the slot only at
+	// the next commit.
+	f := NewFIFO[string](1)
+	if !f.CanPush() || f.CanPop() {
+		t.Fatal("new capacity-1 FIFO should be pushable and empty")
+	}
+	f.Push("a")
+	if f.CanPush() {
+		t.Error("CanPush true after staging")
+	}
+	if f.CanPop() {
+		t.Error("staged value visible before commit")
+	}
+	f.Commit()
+	if !f.CanPop() {
+		t.Fatal("committed value not visible")
+	}
+	if f.CanPush() {
+		t.Error("CanPush true while the committed value is unconsumed")
+	}
+	if got := f.Pop(); got != "a" {
+		t.Errorf("Pop = %q, want a", got)
+	}
+	if f.CanPush() {
+		t.Error("pop freed the slot before commit")
+	}
+	f.Commit()
+	f.Push("b")
+	f.Commit()
+	if got := f.Pop(); got != "b" {
+		t.Errorf("Pop = %q, want b", got)
+	}
+}
+
+func TestFIFOPushWhenFullPanics(t *testing.T) {
+	f := NewFIFO[int](1)
+	f.Push(1)
+	defer func() {
+		if recover() == nil {
+			t.Error("Push past capacity did not panic")
+		}
+	}()
+	f.Push(2)
+}
+
 func TestRNGDeterminismAndFork(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {
@@ -332,32 +338,35 @@ func TestRNGBool(t *testing.T) {
 
 func TestKernelObserveCycleEnd(t *testing.T) {
 	// Observers run after every Committer of the stepped cycle: a value
-	// staged into a Reg during Eval must already be committed (readable)
+	// staged into a FIFO during Eval must already be committed (readable)
 	// when the observer fires for that same cycle.
 	k := NewKernel(1 * GHz)
-	var link Reg[int]
+	link := NewFIFO[int](1)
 	k.Register(TickFunc(func(cycle uint64) {
-		if link.CanSend() {
-			link.Send(int(cycle) + 1)
+		if link.CanPush() {
+			link.Push(int(cycle) + 1)
 		}
-	}), &link)
+	}), link)
 
 	var cycles []uint64
-	var committed []int
+	var committed int
 	k.ObserveCycleEnd(func(cycle uint64) {
 		cycles = append(cycles, cycle)
 		if v, ok := link.Peek(); ok {
-			committed = append(committed, v)
-			link.Recv()
+			committed++
+			if v != int(cycle)+1 {
+				t.Errorf("observer at cycle %d saw committed value %d, want %d (Eval write not yet committed?)", cycle, v, cycle+1)
+			}
+			link.Pop()
 		}
 	})
 	k.Run(3)
 	if want := []uint64{0, 1, 2}; len(cycles) != 3 || cycles[0] != want[0] || cycles[2] != want[2] {
 		t.Fatalf("observer cycles = %v, want %v", cycles, want)
 	}
-	for i, v := range committed {
-		if v != i+1 {
-			t.Errorf("observer saw committed value %d at step %d, want %d (Eval write not yet committed?)", v, i, i+1)
-		}
+	// The observer's pop returns the FIFO's credit at the next Commit, so
+	// the writer refills it every other cycle: cycles 0 and 2.
+	if committed != 2 {
+		t.Errorf("observer saw %d committed values, want 2", committed)
 	}
 }

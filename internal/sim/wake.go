@@ -45,17 +45,6 @@ type EventAware interface {
 	SyncTo(cycle uint64)
 }
 
-// DirtyCommitter is an optional refinement of Committer for staged state
-// that can prove its Commit is a no-op. The flag is raised by any staging
-// operation since the last commit and cleared by the kernel after calling
-// Commit; while it is down the kernel skips the call entirely. This is a
-// pure optimization: a clean committer's Commit must be provably
-// side-effect free.
-type DirtyCommitter interface {
-	Committer
-	DirtyFlag() *bool
-}
-
 // Poker wakes one registered component of a kernel. Pokes are
 // level-triggered flags, not queued messages: any number of pokes during a
 // cycle mean "tick on the next cycle" (or this cycle, when poked by a

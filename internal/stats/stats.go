@@ -1,6 +1,6 @@
 // Package stats provides the measurement primitives used across the
-// simulator: counters, rate meters, latency histograms with percentile
-// queries, and aligned-table formatting for experiment output.
+// simulator: counters, latency histograms with percentile queries, and
+// aligned-table formatting for experiment output.
 package stats
 
 import (
@@ -27,75 +27,6 @@ func (c *Counter) Inc() { c.n++ }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
-
-// Gauge tracks a running mean of sampled values (e.g. queue occupancy).
-type Gauge struct {
-	sum float64
-	n   uint64
-	max float64
-}
-
-// Sample records one observation.
-func (g *Gauge) Sample(v float64) {
-	g.sum += v
-	g.n++
-	if v > g.max {
-		g.max = v
-	}
-}
-
-// Mean returns the mean of all observations (0 when empty).
-func (g *Gauge) Mean() float64 {
-	if g.n == 0 {
-		return 0
-	}
-	return g.sum / float64(g.n)
-}
-
-// Max returns the maximum observation (0 when empty).
-func (g *Gauge) Max() float64 { return g.max }
-
-// Count returns the number of observations.
-func (g *Gauge) Count() uint64 { return g.n }
-
-// Meter converts a byte/packet count observed over a cycle window into a
-// rate at a given clock frequency.
-type Meter struct {
-	bits uint64
-	pkts uint64
-}
-
-// Record adds one packet of the given size in bytes.
-func (m *Meter) Record(bytes int) {
-	m.bits += uint64(bytes) * 8
-	m.pkts++
-}
-
-// Bits returns the accumulated bit count.
-func (m *Meter) Bits() uint64 { return m.bits }
-
-// Packets returns the accumulated packet count.
-func (m *Meter) Packets() uint64 { return m.pkts }
-
-// Gbps returns the average rate in gigabits per second over a window of
-// `cycles` cycles at `freqHz`.
-func (m *Meter) Gbps(cycles uint64, freqHz float64) float64 {
-	if cycles == 0 {
-		return 0
-	}
-	seconds := float64(cycles) / freqHz
-	return float64(m.bits) / seconds / 1e9
-}
-
-// Mpps returns the average packet rate in millions of packets per second
-// over a window of `cycles` cycles at `freqHz`.
-func (m *Meter) Mpps(cycles uint64, freqHz float64) float64 {
-	if cycles == 0 {
-		return 0
-	}
-	seconds := float64(cycles) / freqHz
-	return float64(m.pkts) / seconds / 1e6
-}
 
 // Histogram records latency samples (in cycles or nanoseconds — the unit is
 // the caller's) and answers percentile queries. Samples are kept exactly;

@@ -18,46 +18,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	if g.Mean() != 0 || g.Max() != 0 {
-		t.Error("empty gauge should report zeros")
-	}
-	for _, v := range []float64{1, 2, 3, 10} {
-		g.Sample(v)
-	}
-	if g.Mean() != 4 {
-		t.Errorf("Mean = %v, want 4", g.Mean())
-	}
-	if g.Max() != 10 {
-		t.Errorf("Max = %v, want 10", g.Max())
-	}
-	if g.Count() != 4 {
-		t.Errorf("Count = %v, want 4", g.Count())
-	}
-}
-
-func TestMeterRates(t *testing.T) {
-	var m Meter
-	// 1000 packets of 125 bytes = 1e6 bits over 1000 cycles at 1 GHz
-	// = 1e6 bits / 1 µs = 1 Tbps = 1000 Gbps; packets: 1000/1µs = 1000 Mpps.
-	for i := 0; i < 1000; i++ {
-		m.Record(125)
-	}
-	if got := m.Gbps(1000, 1e9); math.Abs(got-1000) > 1e-9 {
-		t.Errorf("Gbps = %v, want 1000", got)
-	}
-	if got := m.Mpps(1000, 1e9); math.Abs(got-1000) > 1e-9 {
-		t.Errorf("Mpps = %v, want 1000", got)
-	}
-	if m.Gbps(0, 1e9) != 0 {
-		t.Error("zero-cycle window should report 0")
-	}
-	if m.Bits() != 1000*125*8 || m.Packets() != 1000 {
-		t.Error("raw accumulators wrong")
-	}
-}
-
 func TestHistogramPercentiles(t *testing.T) {
 	h := NewHistogram()
 	for i := 1; i <= 100; i++ {
