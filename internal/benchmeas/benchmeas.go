@@ -288,6 +288,9 @@ func (r Report) WriteFile(path string) error {
 //   - a matched saturating or low-load entry whose simulated-cycles/s
 //     throughput fell more than tolerance (a fraction, e.g. 0.25) below
 //     the baseline, or a saturating entry whose msgs/s fell likewise;
+//   - a matched low-load entry over the same horizon that skipped fewer
+//     cycles than the baseline (the count is exact: fewer skips means a
+//     wake declared too early);
 //   - a matched zero-alloc path that allocated where the baseline did not;
 //   - the canonical NIC's allocations per delivered message rising past
 //     the runtime's noise, or its router ticks per delivered message
@@ -351,6 +354,16 @@ func Compare(baseline, fresh Report, tolerance float64) (bad, notes []string) {
 					"low-load fastforward=%v: %.0f simcycles/s vs baseline %.0f (-%.0f%%, tolerance %.0f%%)",
 					b.FastForward, f.CyclesPerS, b.CyclesPerS,
 					100*(1-f.CyclesPerS/b.CyclesPerS), 100*tolerance))
+			}
+			switch {
+			case f.SimCycles != b.SimCycles:
+				notes = append(notes, fmt.Sprintf(
+					"low-load fastforward=%v: skipped cycles not compared (horizon %d, baseline %d)",
+					b.FastForward, f.SimCycles, b.SimCycles))
+			case f.Skipped < b.Skipped:
+				bad = append(bad, fmt.Sprintf(
+					"low-load fastforward=%v: skipped %d of %d cycles vs baseline %d (the count is exact; any fall is a regression)",
+					b.FastForward, f.Skipped, f.SimCycles, b.Skipped))
 			}
 		}
 		if !found {

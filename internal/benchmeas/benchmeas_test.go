@@ -13,7 +13,7 @@ func sampleReport() Report {
 			{Workers: 1, CyclesPerS: 50_000, MsgsPerS: 4000},
 		},
 		LowLoad: []FFResult{
-			{FastForward: true, CyclesPerS: 900_000},
+			{FastForward: true, SimCycles: 1_000_000, Skipped: 976_148, CyclesPerS: 900_000},
 		},
 		Fleet: []FleetResult{
 			{NICs: 4, Shards: 1, FleetMsgsPerS: 10_000},
@@ -141,6 +141,28 @@ func TestCompareGatesRouterTicksPerMsg(t *testing.T) {
 		bad, _ := Compare(sampleReport(), fresh, 0.25)
 		if (c.want == "") != (len(bad) == 0) || (c.want != "" && !strings.Contains(bad[0], c.want)) {
 			t.Errorf("fresh %+v: violations = %v, want %q", c.fresh, bad, c.want)
+		}
+	}
+}
+
+func TestCompareGatesSkippedCycles(t *testing.T) {
+	for _, c := range []struct {
+		sim, skipped uint64
+		want, note   string
+	}{
+		{1_000_000, 976_148, "", ""},
+		{1_000_000, 980_000, "", ""},
+		{1_000_000, 976_147, "skipped 976147 of 1000000 cycles", ""},
+		{500_000, 400_000, "", "skipped cycles not compared"},
+	} {
+		fresh := sampleReport()
+		fresh.LowLoad[0].SimCycles, fresh.LowLoad[0].Skipped = c.sim, c.skipped
+		bad, notes := Compare(sampleReport(), fresh, 0.25)
+		if (c.want == "") != (len(bad) == 0) || (c.want != "" && !strings.Contains(bad[0], c.want)) {
+			t.Errorf("fresh %d of %d skipped: violations = %v, want %q", c.skipped, c.sim, bad, c.want)
+		}
+		if (c.note == "") != (len(notes) == 0) || (c.note != "" && !strings.Contains(notes[0], c.note)) {
+			t.Errorf("fresh %d of %d skipped: notes = %v, want %q", c.skipped, c.sim, notes, c.note)
 		}
 	}
 }

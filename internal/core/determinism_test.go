@@ -135,9 +135,9 @@ func TestSkippedCycleCounts(t *testing.T) {
 		cycles  uint64
 		skipped uint64
 	}{
-		{"0.1%", 0.001, false, 1_000_000, 957_811},
-		{"0.1%+health", 0.001, true, 1_000_000, 942_891},
-		{"5%", 0.05, false, 300_000, 17_785},
+		{"0.1%", 0.001, false, 1_000_000, 976_148},
+		{"0.1%+health", 0.001, true, 1_000_000, 960_955},
+		{"5%", 0.05, false, 300_000, 70_179},
 		{"90%", 0.9, false, 100_000, 0},
 	} {
 		cfg := DefaultConfig()

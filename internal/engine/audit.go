@@ -51,9 +51,13 @@ func (t *Tile) AuditConservation() error {
 	// comes from walking the queue; the in-service message counts for its
 	// tenant.
 	if len(t.tenants) > 0 {
-		queued := make(map[uint16]uint64, len(t.tenants))
+		queued := make(map[uint16]uint64)
 		t.queue.Each(func(m *packet.Message, _ uint64) { queued[m.Tenant]++ })
-		for id, ta := range t.tenants {
+		for i := range t.tenants {
+			ta, id := &t.tenants[i], uint16(i)
+			if !ta.seen {
+				continue
+			}
 			resident := queued[id]
 			if t.cur != nil && t.cur.Tenant == id {
 				resident++
@@ -70,7 +74,7 @@ func (t *Tile) AuditConservation() error {
 		// above; Push goes through admit, which always tallies, so this is
 		// a pure cross-check.
 		for id, n := range queued {
-			if _, ok := t.tenants[id]; !ok && n > 0 {
+			if (int(id) >= len(t.tenants) || !t.tenants[id].seen) && n > 0 {
 				return fmt.Errorf("tile %q tenant %d: %d queued messages but no tally", t.eng.Name(), id, n)
 			}
 		}

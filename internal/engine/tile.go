@@ -132,9 +132,11 @@ type Tile struct {
 
 	// stats holds the tile's own counters; Stats merges in the port's.
 	stats TileStats
-	// tenants maps tenant ID to its tally; entries are created lazily on
-	// first sight of a tenant, so steady-state traffic never allocates.
-	tenants map[uint16]*TenantTally
+	// tenants holds the tallies indexed by tenant ID. The table grows on
+	// first sight of a tenant past its end (at most 2^16 slots), so
+	// steady-state traffic never allocates, and a tally is one index
+	// instead of a map lookup.
+	tenants []tenantSlot
 	// DropSink, when set, receives messages shed by the queue or by
 	// injected faults, and owns them; without one the tile releases them
 	// to its pool.
@@ -153,6 +155,13 @@ type Tile struct {
 	wake      sim.Poker
 	clk       *sim.Clock
 	sleepBusy bool
+}
+
+// tenantSlot is one entry of a tile's tally table; seen marks a tenant
+// the tile has tallied, the ones TenantStats reports.
+type tenantSlot struct {
+	TenantTally
+	seen bool
 }
 
 type delayedOut struct {
@@ -197,24 +206,24 @@ func (t *Tile) Stats() TileStats {
 // TenantStats returns a copy of the per-tenant tallies. Tiles that never
 // saw traffic return an empty (possibly nil-backed) map.
 func (t *Tile) TenantStats() map[uint16]TenantTally {
-	out := make(map[uint16]TenantTally, len(t.tenants))
-	for id, ta := range t.tenants {
-		out[id] = *ta
+	out := make(map[uint16]TenantTally)
+	for id, ts := range t.tenants {
+		if ts.seen {
+			out[uint16(id)] = ts.TenantTally
+		}
 	}
 	return out
 }
 
-// tally returns the tenant's counter block, creating it on first use.
+// tally returns the tenant's counter block, creating it on first use. The
+// pointer is valid until the next tally call, which may grow the table.
 func (t *Tile) tally(tenant uint16) *TenantTally {
-	if ta, ok := t.tenants[tenant]; ok {
-		return ta
+	if n := int(tenant) + 1; n > len(t.tenants) {
+		t.tenants = append(t.tenants, make([]tenantSlot, n-len(t.tenants))...)
 	}
-	if t.tenants == nil {
-		t.tenants = make(map[uint16]*TenantTally)
-	}
-	ta := &TenantTally{}
-	t.tenants[tenant] = ta
-	return ta
+	ts := &t.tenants[tenant]
+	ts.seen = true
+	return &ts.TenantTally
 }
 
 // QueueStats exposes the scheduling queue's counters.

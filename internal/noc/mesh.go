@@ -103,12 +103,17 @@ type Mesh struct {
 	// least wormMinFlits flits that entered an assembly slot this cycle,
 	// the candidates Commit converts. wakeAll marks a wake-all cycle,
 	// which converts nothing. followers is materializeWorms' scratch space
-	// for one lane's real entries.
+	// for one lane's real entries. wormsNext is the first cycle whose worm
+	// step has not run: while the mesh sleeps through a worm's quiet
+	// window the steps are caught up lazily (catchUpWorms), and clock is
+	// the kernel's, for the catch-up SetLinkFault does.
 	worms     []*worm
 	freeWorms []*worm
 	arrived   []arrival
 	wakeAll   bool
 	followers []Flit
+	wormsNext uint64
+	clock     *sim.Clock
 
 	work WorkCounters
 }
@@ -392,6 +397,7 @@ func NewMesh(cfg MeshConfig) *Mesh {
 func (m *Mesh) RegisterWith(k *sim.Kernel) {
 	k.Register(m)
 	m.selfPoke = k.PokerFor(m)
+	m.clock = k.Clock()
 }
 
 // SetNodeWaker wires the poker that wakes the tile attached at node when
@@ -523,9 +529,12 @@ func (m *Mesh) portToward(from, to NodeID) int {
 // SetLinkFault installs (or, with the zero LinkFault, lifts) a fault on
 // the directional link from -> to. The nodes must be adjacent. Call it
 // between cycles: from a start-of-cycle event or between runs. Advancing
-// worms are written back into their lanes first, so the fault gates their
-// flits one by one.
+// worms are caught up to the kernel's clock and written back into their
+// lanes first, so the fault gates their flits one by one.
 func (m *Mesh) SetLinkFault(from, to NodeID, f LinkFault) {
+	if m.clock != nil {
+		m.catchUpWorms(m.clock.Now())
+	}
 	m.materializeWorms()
 	lf := &m.routers[from].linkFault[m.portToward(from, to)]
 	if lf.Clean() && !f.Clean() {
@@ -587,9 +596,11 @@ func (m *Mesh) Work() WorkCounters { return m.work }
 // never depend on tick order. A poke landing later in this cycle keeps
 // the mesh awake (EndCycle sees the woken list) and is consumed by the
 // next Begin. Timed fault-window wakes are scanned for only while a link
-// fault is installed. A wake-all cycle first writes every worm back into
-// its lanes, so the cycle steps real flits only.
+// fault is installed. Before anything else, Begin catches up the worm steps
+// of the cycles the mesh slept through; a wake-all cycle then writes every
+// worm back into its lanes, so the cycle steps real flits only.
 func (m *Mesh) Begin(cycle uint64) {
+	m.catchUpWorms(cycle)
 	m.now = cycle
 	m.wakeAll = m.tickAll
 	if m.tickAll {
@@ -627,6 +638,7 @@ func (m *Mesh) Tick(cycle uint64) {
 	if len(m.worms) > 0 {
 		m.stepWorms()
 	}
+	m.wormsNext = cycle + 1
 }
 
 // Commit implements sim.Committer: every lane pushed or popped this cycle
@@ -656,20 +668,23 @@ func (m *Mesh) Commit() {
 }
 
 // EndCycle implements sim.EventAware. The mesh must tick next cycle while
-// any router is queued — it moved a flit or was poked —, while a worm
-// advances (under flit stepping some router would move one of its flits
-// every cycle), or while a message is parked in an eject queue: a tile
-// that has not yet taken the arrival may sleep through it, so the mesh
-// must be the component that pins the cycle live and keeps the kernel
-// from skipping it. Otherwise the
-// earliest fault-window opening (if any) bounds the sleep, and with none
-// the mesh sleeps until poked. Nothing is deferred while asleep — an
-// unqueued router's tick would change no state — so SyncTo is a no-op.
+// any router is queued — it moved a flit or was poked —, or while a
+// message is parked in an eject queue: a tile that has not yet taken the
+// arrival may sleep through it, so the mesh must be the component that
+// pins the cycle live and keeps the kernel from skipping it. Otherwise
+// advancing worms bound the sleep by their quiet window (wormWake), the
+// earliest fault-window opening (if any) bounds it too, and with neither
+// the mesh sleeps until poked. An unqueued router's tick would change no
+// state, so the worm steps are all a sleeping mesh defers; SyncTo catches
+// them up.
 func (m *Mesh) EndCycle(cycle uint64) uint64 {
-	if len(m.woken) > 0 || m.parked > 0 || len(m.worms) > 0 {
+	if len(m.woken) > 0 || m.parked > 0 {
 		return cycle + 1
 	}
 	wake := uint64(sim.WakeNever)
+	if len(m.worms) > 0 {
+		wake = m.wormWake(cycle)
+	}
 	if m.faults > 0 {
 		for _, r := range m.routers {
 			if r.faultWake != 0 && r.faultWake < wake {
@@ -680,8 +695,9 @@ func (m *Mesh) EndCycle(cycle uint64) uint64 {
 	return wake
 }
 
-// SyncTo implements sim.EventAware; see EndCycle.
-func (m *Mesh) SyncTo(cycle uint64) {}
+// SyncTo implements sim.EventAware: the worm steps through cycle run, so
+// Stats and audits read the counts of flit stepping.
+func (m *Mesh) SyncTo(cycle uint64) { m.catchUpWorms(cycle + 1) }
 
 // peekIn returns the head flit at (input port, vc).
 func (r *router) peekIn(p, vc int) (Flit, bool) {
@@ -819,6 +835,30 @@ func (r *router) laneReady(p, vc int) bool {
 		return (l.valid || l.q.CanPop()) && r.prefix[p] == 0
 	}
 	return r.in[p][vc].CanPop() && r.prefix[p] == 0
+}
+
+// hasReadyInput reports whether any input lane of a single-VC router is
+// ready. A router without one ticks as a no-op, so a worm need not poke it.
+func (r *router) hasReadyInput() bool {
+	for p := 0; p < numPorts; p++ {
+		if r.laneReady(p, 0) {
+			return true
+		}
+	}
+	return false
+}
+
+// holdsEntry reports whether any input lane of a single-VC router holds a
+// real entry: a flit, or a message at the injector that is not a worm's,
+// whether ready or queued behind a worm's prefix.
+func (r *router) holdsEntry() bool {
+	for p := portNorth; p < numPorts; p++ {
+		if r.in[p][0].Len() > 0 {
+			return true
+		}
+	}
+	l := &r.inj.lanes[0]
+	return l.q.Len() > 0 || l.valid && r.prefix[portLocal] == 0
 }
 
 // holderOf returns the output port whose VC-v wormhole is owned by input

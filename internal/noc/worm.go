@@ -22,11 +22,22 @@ import (
 //   - routers see a lane with a prefix as not ready, upstream writers
 //     count the prefix in the lane's occupancy, and follower flits queue
 //     behind it as real entries;
-//   - when the tail leaves a lane, that lane's holder is released and its
-//     router poked, exactly when the router would have released it;
+//   - when the tail leaves a lane, that lane's holder is released, exactly
+//     when the router would have released it, and the freed slot is a
+//     credit for the lane's upstream neighbour; each of those routers is
+//     poked only when it has a ready input lane, since a router without
+//     one ticks as a no-op;
 //   - when the tail enters the destination lane, the remaining flits
 //     become real flits again and the destination router ejects them
 //     (and emits the transit span) in its own tick.
+//
+// Worms sleep. When no router is queued and nothing is parked, the mesh
+// need not tick again until one past the first step at which some worm
+// could do something visible: poke a router, or complete (wormWake). The
+// steps in between are caught up lazily: wormsNext is the first cycle
+// whose step has not run, Begin catches up to its cycle before anything
+// else, Tick stamps it, and SyncTo and SetLinkFault catch up too, so
+// Stats, audits and fingerprints read the counts of flit stepping.
 //
 // Per-flit link occupancy, credits, FlitHops and every observable timing
 // stay exactly those of flit stepping. Worms only exist on single-VC
@@ -187,10 +198,13 @@ func (m *Mesh) stepWorm(w *worm) bool {
 // popTail does the bookkeeping of a flit leaving w's tail lane l through
 // output o of l's router: the freed slot is a credit for a follower
 // upstream, and when the flit was the tail, the lane leaves the worm, its
-// holder is released and its router may serve the followers.
+// holder is released and its router may serve the followers. Either
+// router is poked only when it has a ready input to serve.
 func (w *worm) popTail(l wormLane, o int, tail bool) {
 	if l.p != portLocal {
-		l.r.neighbor[l.p].poke()
+		if up := l.r.neighbor[l.p]; up.hasReadyInput() {
+			up.poke()
+		}
 	}
 	if !tail {
 		return
@@ -200,8 +214,71 @@ func (w *worm) popTail(l wormLane, o int, tail bool) {
 		il.sent, il.valid = il.cur.flits, false
 	}
 	l.r.holder[o][0] = -1
-	l.r.poke()
+	if l.r.hasReadyInput() {
+		l.r.poke()
+	}
 	w.lanes = w.lanes[:len(w.lanes)-1]
+}
+
+// catchUpWorms runs the worm steps of the cycles before end that have not
+// run. It runs between cycles, when every lane is committed, and commits
+// the flits a worm completing in the last of them writes back, so the
+// routers that tick next see them.
+func (m *Mesh) catchUpWorms(end uint64) {
+	if m.wormsNext >= end {
+		return
+	}
+	if len(m.worms) > 0 {
+		for c := m.wormsNext; c < end && len(m.worms) > 0; c++ {
+			m.stepWorms()
+		}
+		m.dirtyFlit = commitLanes(m.dirtyFlit)
+	}
+	m.wormsNext = end
+}
+
+// wormWake returns the cycle at which the mesh must tick again for its
+// worms, given that the step of cycle has run: one past the first step at
+// which any worm could poke a router or complete. The steps before it are
+// invisible, and the visible one is caught up by Begin just before the
+// routers it pokes tick.
+func (m *Mesh) wormWake(cycle uint64) uint64 {
+	quiet := m.worms[0].quiet()
+	for _, w := range m.worms[1:] {
+		quiet = min(quiet, w.quiet())
+	}
+	return cycle + 1 + uint64(quiet)
+}
+
+// quiet returns d >= 1 such that w's next d-1 steps are invisible. Each
+// step moves at most one flit out of a lane, so:
+//
+//   - while the tail sits in the source injector, the injector's count of
+//     steps must pass before the tail leaves it, the one visible event
+//     there (no credit goes upstream of an injector, and the worm cannot
+//     complete);
+//   - while no router that the tail's progress could poke holds a real
+//     entry — the routers of lanes 2 to last and the tail lane's upstream
+//     neighbour —, pokes stay suppressed until the worm completes, which
+//     takes at least the sum of the counts of lanes 1 to last.
+func (w *worm) quiet() int {
+	last := len(w.lanes) - 1
+	tl := w.lanes[last]
+	d := 1
+	if tl.p == portLocal {
+		d = tl.r.prefix[portLocal]
+	} else if tl.r.neighbor[tl.p].holdsEntry() {
+		return d
+	}
+	sum := 0
+	for i := last; i >= 1; i-- {
+		l := w.lanes[i]
+		if i >= 2 && l.r.holdsEntry() {
+			return d
+		}
+		sum += l.r.prefix[l.p]
+	}
+	return max(d, sum)
 }
 
 // pushBody pushes n body flits bound for dst, the last one marked Tail

@@ -45,6 +45,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 )
 
@@ -89,14 +90,15 @@ type Kernel struct {
 	stopped    bool
 	skipped    uint64
 
-	// Liveness state; the four slices parallel tickers.
+	// Liveness state. wakeAt and aware parallel tickers; pokes and liveNow
+	// are bitsets over the same indices, one bit per ticker.
 	wakeAt    []uint64     // next cycle each ticker must run (0 = now)
 	aware     []EventAware // nil for tickers without a wake declaration
-	pokes     []*bool      // level-triggered external wake requests
-	liveNow   []bool       // sampled once per cycle before Eval
+	pokes     []uint64     // level-triggered external wake requests
+	liveNow   []uint64     // sampled once per cycle before Eval
 	tickerIdx map[any]int  // component -> index, for PokerFor
 	// nextWake is the minimum of wakeAt, kept by endCycle so the skip
-	// decision never scans the tickers.
+	// decision and sampleLiveness need not scan the tickers.
 	nextWake uint64
 	// wakeAllNext forces every ticker live for one cycle. Raised on entry
 	// to Run/RunUntil, it makes state mutated from outside the kernel
@@ -136,7 +138,7 @@ func (k *Kernel) Committers() int { return len(k.committers) }
 
 // register adds one component to the given ticker slice (returned updated)
 // and the committer/preparer lists. Eval-phase (non-serial) tickers
-// additionally get liveness bookkeeping: a wake slot, a poke flag, and an
+// additionally get liveness bookkeeping: a wake slot, a poke bit, and an
 // index for PokerFor. wakeAt starts at 0 so a fresh component always runs
 // on its first cycle and declares its own schedule.
 func (k *Kernel) register(c any, tickers []Ticker, serial bool) []Ticker {
@@ -154,8 +156,10 @@ func (k *Kernel) register(c any, tickers []Ticker, serial bool) []Ticker {
 			k.nextWake = 0
 			a, _ := c.(EventAware)
 			k.aware = append(k.aware, a)
-			k.pokes = append(k.pokes, new(bool))
-			k.liveNow = append(k.liveNow, false)
+			if words := (len(k.wakeAt) + 63) / 64; words > len(k.pokes) {
+				k.pokes = append(k.pokes, 0)
+				k.liveNow = append(k.liveNow, 0)
+			}
 		}
 	}
 	if p, isP := c.(Preparer); isP {
@@ -258,9 +262,9 @@ func (k *Kernel) Step() {
 	for _, p := range k.preparers {
 		p.Begin(cycle)
 	}
-	for i, t := range k.tickers {
-		if k.liveNow[i] {
-			t.Tick(cycle)
+	for w, word := range k.liveNow {
+		for ; word != 0; word &= word - 1 {
+			k.tickers[w<<6|bits.TrailingZeros64(word)].Tick(cycle)
 		}
 	}
 	for _, t := range k.serial {

@@ -370,3 +370,174 @@ func TestKernelObserveCycleEnd(t *testing.T) {
 		t.Errorf("observer saw %d committed values, want 2", committed)
 	}
 }
+
+// bell is a doorbell counter between an Eval-phase writer and one
+// sleeper: rung during Eval, it becomes visible at Commit, which pokes
+// the sleeper — the Commit-phase poke.
+type bell struct {
+	staged, committed int
+	wake              Poker
+}
+
+func (b *bell) Commit() {
+	if b.staged > 0 {
+		b.committed += b.staged
+		b.staged = 0
+		b.wake.Poke()
+	}
+}
+
+// wordTicker is one ticker of TestLivenessAcrossWordBoundary. A periodic
+// one (period > 0) acts every period cycles from phase and declares its
+// next action; acting, it sends a value to target's inbox (an Eval-phase
+// poke) or rings target's bell. A sleeper (period 0) declares WakeNever
+// and acts on what its inbox and bell hold, forwarding inbox values to
+// its own target.
+type wordTicker struct {
+	id, period, phase uint64
+	inbox             *FIFO[uint64]
+	bell              *bell
+	target            *wordTicker
+	wake              Poker
+	acted             *[][3]uint64
+	ticks             int
+}
+
+func (w *wordTicker) Tick(cycle uint64) {
+	w.ticks++
+	if w.period > 0 {
+		if cycle%w.period != w.phase {
+			return
+		}
+		*w.acted = append(*w.acted, [3]uint64{cycle, w.id, 0})
+		if w.target != nil {
+			if w.id%2 == 0 && w.target.inbox.CanPush() {
+				w.target.inbox.Push(cycle)
+				w.target.wake.Poke()
+			} else if w.id%2 == 1 {
+				w.target.bell.staged++
+			}
+		}
+		return
+	}
+	if w.inbox.CanPop() {
+		v := w.inbox.Pop()
+		*w.acted = append(*w.acted, [3]uint64{cycle, w.id, v + 1})
+		if t := w.target; t != nil && t.inbox.CanPush() {
+			t.inbox.Push(v)
+			t.wake.Poke()
+		}
+	}
+	if w.bell.committed > 0 {
+		w.bell.committed--
+		*w.acted = append(*w.acted, [3]uint64{cycle, w.id, 1 << 40})
+	}
+}
+
+func (w *wordTicker) EndCycle(cycle uint64) uint64 {
+	if w.period > 0 {
+		return cycle + 1 + (w.phase+2*w.period-1-cycle%w.period)%w.period
+	}
+	if w.inbox.CanPop() || w.bell.committed > 0 {
+		return cycle + 1
+	}
+	return WakeNever
+}
+
+func (w *wordTicker) SyncTo(uint64) {}
+
+// runWordTickers registers 150 tickers — periodic ones with periods from 97
+// to 2,096 cycles and WakeNever sleepers, interleaved so the liveness
+// bitsets span three words — plus the sleepers' inboxes and bells, and
+// events that ring bells and poke from the start of a cycle. It runs the
+// horizon in Runs of chunk cycles and returns what the tickers did, each
+// ticker's tick count and the kernel's skip count.
+func runWordTickers(reference bool, horizon, chunk uint64) ([][3]uint64, []int, uint64) {
+	k := NewKernel(GHz)
+	if reference {
+		k.UseReference()
+	}
+	rng := NewRNG(11)
+	var acted [][3]uint64
+	const n = 150
+	ws := make([]*wordTicker, n)
+	var sleepers []*wordTicker
+	for i := range ws {
+		w := &wordTicker{id: uint64(i), acted: &acted}
+		if i%3 != 1 {
+			w.period = 97 + uint64(rng.Intn(2000))
+			w.phase = uint64(rng.Intn(int(w.period)))
+		} else {
+			w.inbox = NewFIFO[uint64](2)
+			w.bell = &bell{}
+			sleepers = append(sleepers, w)
+		}
+		ws[i] = w
+	}
+	for _, w := range ws {
+		if rng.Bool(0.8) {
+			w.target = sleepers[rng.Intn(len(sleepers))]
+		}
+		if w.target == w {
+			w.target = nil
+		}
+		k.Register(w)
+	}
+	for _, w := range ws {
+		w.wake = k.PokerFor(w)
+		if w.period == 0 {
+			w.bell.wake = w.wake
+			k.Register(w.inbox, w.bell)
+		}
+	}
+	for c := uint64(5); c < horizon; c += 1 + uint64(rng.Intn(400)) {
+		s := sleepers[rng.Intn(len(sleepers))]
+		k.At(c, func() {
+			s.bell.committed++
+			s.wake.Poke()
+		})
+	}
+	for k.Now() < horizon {
+		k.Run(min(chunk, horizon-k.Now()))
+	}
+	ticks := make([]int, n)
+	for i, w := range ws {
+		ticks[i] = w.ticks
+	}
+	return acted, ticks, k.SkippedCycles()
+}
+
+// TestLivenessAcrossWordBoundary holds the bitset liveness of more than
+// 64 tickers to the reference stepper: every action of every ticker, at
+// the same cycle and in the same order, with declared wakes, WakeNever
+// sleepers, and pokes from events, Eval and Commit. The kernel must also
+// skip cycles and tick a periodic ticker only on its actions and on the
+// wake-all cycle that starts each Run.
+func TestLivenessAcrossWordBoundary(t *testing.T) {
+	const horizon = 20_000
+	for _, chunk := range []uint64{horizon, 1_013} {
+		want, _, refSkipped := runWordTickers(true, horizon, chunk)
+		got, ticks, skipped := runWordTickers(false, horizon, chunk)
+		if refSkipped != 0 || skipped == 0 {
+			t.Fatalf("chunk %d: skipped %d cycles, reference %d; want some and none", chunk, skipped, refSkipped)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("chunk %d: %d actions, reference %d", chunk, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("chunk %d: action %d is (cycle, ticker, value) %v, reference %v", chunk, i, got[i], want[i])
+			}
+		}
+		perTicker := make([]int, len(ticks))
+		for _, a := range want {
+			perTicker[a[1]]++
+		}
+		runs := int((horizon + chunk - 1) / chunk)
+		for i := 0; i < len(ticks); i += 3 {
+			if ticks[i] > perTicker[i]+runs {
+				t.Fatalf("chunk %d: periodic ticker %d ticked %d times for %d actions over %d runs", chunk, i, ticks[i], perTicker[i], runs)
+			}
+		}
+	}
+}

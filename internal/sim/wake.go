@@ -1,6 +1,9 @@
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // WakeNever is the EndCycle return value meaning "I have no self-scheduled
 // work: do not tick me again until something pokes me."
@@ -46,17 +49,20 @@ type EventAware interface {
 }
 
 // Poker wakes one registered component of a kernel. Pokes are
-// level-triggered flags, not queued messages: any number of pokes during a
-// cycle mean "tick on the next cycle" (or this cycle, when poked by a
-// start-of-cycle event callback). The zero Poker is a no-op, so wiring can
-// be unconditional. Poke may be called from Eval, event callbacks, and
-// Commit alike.
-type Poker struct{ f *bool }
+// level-triggered bits in the kernel's poke bitset, not queued messages:
+// any number of pokes during a cycle mean "tick on the next cycle" (or this
+// cycle, when poked by a start-of-cycle event callback). The zero Poker is
+// a no-op, so wiring can be unconditional. Poke may be called from Eval,
+// event callbacks, and Commit alike.
+type Poker struct {
+	k *Kernel
+	i int
+}
 
 // Poke marks the component as having pending external input.
 func (p Poker) Poke() {
-	if p.f != nil {
-		*p.f = true
+	if p.k != nil {
+		p.k.pokes[p.i>>6] |= 1 << (p.i & 63)
 	}
 }
 
@@ -79,7 +85,7 @@ func (k *Kernel) PokerFor(c any) Poker {
 	if !ok {
 		panic("sim: PokerFor on a component not registered as an Eval-phase Ticker")
 	}
-	return Poker{f: k.pokes[idx]}
+	return Poker{k: k, i: idx}
 }
 
 // BulkWaker is implemented by EventAware components that are internally a
@@ -94,11 +100,13 @@ type BulkWaker interface {
 }
 
 // sampleLiveness decides, sequentially and before Eval, which tickers run
-// this cycle. A poke consumed here (the component will tick this cycle)
-// is cleared; pokes that land later in the cycle stay up for endCycle.
-// Start-of-cycle event callbacks have already run, so an event that pokes
-// a sleeping component wakes it within the same cycle. Under the reference
-// stepper every cycle is a wake-all cycle.
+// this cycle: the poked ones, plus those whose wake cycle has arrived
+// (wakeAt is scanned only when nextWake says one has). Pokes consumed here
+// (the component will tick this cycle) are cleared; pokes that land later
+// in the cycle stay up for endCycle. Start-of-cycle event callbacks have
+// already run, so an event that pokes a sleeping component wakes it within
+// the same cycle. Under the reference stepper every cycle is a wake-all
+// cycle.
 func (k *Kernel) sampleLiveness(cycle uint64) {
 	wakeAll := k.wakeAllNext
 	k.wakeAllNext = k.reference
@@ -108,14 +116,24 @@ func (k *Kernel) sampleLiveness(cycle uint64) {
 				bw.WakeAll()
 			}
 		}
-	}
-	for i := range k.liveNow {
-		live := wakeAll || k.wakeAt[i] <= cycle
-		if *k.pokes[i] {
-			*k.pokes[i] = false
-			live = true
+		for w := range k.liveNow {
+			k.liveNow[w] = math.MaxUint64
 		}
-		k.liveNow[i] = live
+		if n := len(k.wakeAt) & 63; n != 0 {
+			k.liveNow[len(k.liveNow)-1] = 1<<n - 1
+		}
+		clear(k.pokes)
+		return
+	}
+	copy(k.liveNow, k.pokes)
+	clear(k.pokes)
+	if k.nextWake > cycle {
+		return
+	}
+	for i, at := range k.wakeAt {
+		if at <= cycle {
+			k.liveNow[i>>6] |= 1 << (i & 63)
+		}
 	}
 }
 
@@ -126,23 +144,28 @@ func (k *Kernel) sampleLiveness(cycle uint64) {
 // cycle is exactly when the component can see it. Waking a component that
 // turns out to have nothing to do is always safe (its tick reconciles and
 // it sleeps again); only a missed wake can diverge from the reference.
-// The pass visits every ticker anyway, so it also keeps their earliest
-// wake for skipIdle.
+// Only live or poked tickers are visited; the earliest wake for skipIdle
+// is then a minimum over the contiguous wakeAt.
 func (k *Kernel) endCycle(cycle uint64) {
-	next := uint64(WakeNever)
-	for i, live := range k.liveNow {
-		if poked := *k.pokes[i]; live || poked {
+	for w := range k.liveNow {
+		live, poked := k.liveNow[w], k.pokes[w]
+		for word := live | poked; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			i := w<<6 | b
 			wake := cycle + 1
-			if a := k.aware[i]; live && a != nil {
+			if a := k.aware[i]; live>>b&1 != 0 && a != nil {
 				wake = a.EndCycle(cycle)
 			}
-			if poked {
-				// The flag stays up for sampleLiveness to consume.
+			if poked>>b&1 != 0 {
+				// The bit stays up for sampleLiveness to consume.
 				wake = min(wake, cycle+1)
 			}
 			k.wakeAt[i] = wake
 		}
-		next = min(next, k.wakeAt[i])
+	}
+	next := uint64(WakeNever)
+	for _, at := range k.wakeAt {
+		next = min(next, at)
 	}
 	k.nextWake = next
 }
