@@ -208,17 +208,20 @@ type MsgAllocResult struct {
 }
 
 // MeshWorkResult is the canonical saturated NIC's mesh work per delivered
-// message, over the same window as its MsgAllocResult: router ticks run
-// and flit hops advanced by worms instead (noc.WorkCounters). Both counts
-// are exact and repeat on any host.
+// message, over the same window as its MsgAllocResult: router ticks run,
+// flit hops advanced by worms instead, and the lane visits those worm
+// steps made (noc.WorkCounters). The counts are exact and repeat on any
+// host.
 type MeshWorkResult struct {
-	SimCycles         uint64  `json:"sim_cycles"`
-	Delivered         uint64  `json:"delivered"`
-	RouterTicks       uint64  `json:"router_ticks"`
-	FlitHops          uint64  `json:"flit_hops"`
-	WormHops          uint64  `json:"worm_hops"`
-	RouterTicksPerMsg float64 `json:"router_ticks_per_msg"`
-	WormHopsPerMsg    float64 `json:"worm_hops_per_msg"`
+	SimCycles           uint64  `json:"sim_cycles"`
+	Delivered           uint64  `json:"delivered"`
+	RouterTicks         uint64  `json:"router_ticks"`
+	FlitHops            uint64  `json:"flit_hops"`
+	WormHops            uint64  `json:"worm_hops"`
+	WormLaneSteps       uint64  `json:"worm_lane_steps"`
+	RouterTicksPerMsg   float64 `json:"router_ticks_per_msg"`
+	WormHopsPerMsg      float64 `json:"worm_hops_per_msg"`
+	WormLaneStepsPerMsg float64 `json:"worm_lane_steps_per_msg"`
 }
 
 // msgAllocCycles is the window MeasureCanonicalNIC counts over, and
@@ -248,16 +251,18 @@ func MeasureCanonicalNIC(cycles uint64) (MsgAllocResult, MeshWorkResult) {
 	delivered := nic.WireLat.Count + nic.HostLat.Count - before
 	a := MsgAllocResult{SimCycles: cycles, Delivered: delivered, Allocs: m1.Mallocs - m0.Mallocs}
 	w := MeshWorkResult{
-		SimCycles:   cycles,
-		Delivered:   delivered,
-		RouterTicks: w1.RouterTicks - w0.RouterTicks,
-		FlitHops:    mesh.Stats().FlitHops - hops0,
-		WormHops:    w1.WormHops - w0.WormHops,
+		SimCycles:     cycles,
+		Delivered:     delivered,
+		RouterTicks:   w1.RouterTicks - w0.RouterTicks,
+		FlitHops:      mesh.Stats().FlitHops - hops0,
+		WormHops:      w1.WormHops - w0.WormHops,
+		WormLaneSteps: w1.WormLaneSteps - w0.WormLaneSteps,
 	}
 	if delivered > 0 {
 		a.AllocsPerMsg = float64(a.Allocs) / float64(delivered)
 		w.RouterTicksPerMsg = float64(w.RouterTicks) / float64(delivered)
 		w.WormHopsPerMsg = float64(w.WormHops) / float64(delivered)
+		w.WormLaneStepsPerMsg = float64(w.WormLaneSteps) / float64(delivered)
 	}
 	return a, w
 }

@@ -190,8 +190,8 @@ func Measure(cfg Config) Report {
 	rep.MsgAllocs, rep.MeshWork = &ma, &mw
 	cfg.logf("canonical NIC: %.2f allocs per delivered message (%d allocs, %d messages)\n",
 		ma.AllocsPerMsg, ma.Allocs, ma.Delivered)
-	cfg.logf("canonical NIC: %.1f router ticks and %.1f worm hops per delivered message (%d of %d flit hops by worms)\n",
-		mw.RouterTicksPerMsg, mw.WormHopsPerMsg, mw.WormHops, mw.FlitHops)
+	cfg.logf("canonical NIC: %.1f router ticks, %.1f worm hops and %.1f worm lane steps per delivered message (%d of %d flit hops by worms)\n",
+		mw.RouterTicksPerMsg, mw.WormHopsPerMsg, mw.WormLaneStepsPerMsg, mw.WormHops, mw.FlitHops)
 	return rep
 }
 

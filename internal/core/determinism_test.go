@@ -137,7 +137,7 @@ func TestSkippedCycleCounts(t *testing.T) {
 	}{
 		{"0.1%", 0.001, false, 1_000_000, 976_148},
 		{"0.1%+health", 0.001, true, 1_000_000, 960_955},
-		{"5%", 0.05, false, 300_000, 70_179},
+		{"5%", 0.05, false, 300_000, 74_038},
 		{"90%", 0.9, false, 100_000, 0},
 	} {
 		cfg := DefaultConfig()

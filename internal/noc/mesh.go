@@ -99,18 +99,19 @@ type Mesh struct {
 	commitWake []*router
 
 	// Worm advance (worm.go). worms are the advancing worms and freeWorms
-	// their recycled records; arrived lists the heads of messages of at
-	// least wormMinFlits flits that entered an assembly slot this cycle,
-	// the candidates Commit converts. wakeAll marks a wake-all cycle,
-	// which converts nothing. followers is materializeWorms' scratch space
-	// for one lane's real entries. wormsNext is the first cycle whose worm
-	// step has not run: while the mesh sleeps through a worm's quiet
-	// window the steps are caught up lazily (catchUpWorms), and clock is
-	// the kernel's, for the catch-up SetLinkFault does.
+	// their recycled records; hops lists the heads of messages of at least
+	// wormMinFlits flits that left a lane this cycle, the births and
+	// growths Commit applies. reference is set from the reference
+	// stepper's first cycle on: every worm is written back then, and none
+	// forms again. followers is materializeWorms' scratch space for one
+	// lane's real entries. wormsNext is the first cycle whose worm step
+	// has not run: while the mesh sleeps through a worm's quiet window the
+	// steps are caught up lazily (catchUpWorms), and clock is the
+	// kernel's, for the catch-up SetLinkFault does.
 	worms     []*worm
 	freeWorms []*worm
-	arrived   []arrival
-	wakeAll   bool
+	hops      []headHop
+	reference bool
 	followers []Flit
 	wormsNext uint64
 	clock     *sim.Clock
@@ -160,8 +161,10 @@ type router struct {
 	linkFault [numPorts]LinkFault
 	// prefix[p] counts the flits of an advancing worm held as a number at
 	// the front of input lane p (for portLocal: the injector's remaining
-	// flits). Single-VC meshes only; see worm.go.
-	prefix [numPorts]int
+	// flits), and headWorm[p] is the worm whose head flit sits in input
+	// lane p, if any. Single-VC meshes only; see worm.go.
+	prefix   [numPorts]int
+	headWorm [numPorts]*worm
 	// stats are this router's counters. injected/occOut are written by
 	// the local tile; the rest by the router's own tick.
 	stats routerStats
@@ -361,11 +364,11 @@ func NewMesh(cfg MeshConfig) *Mesh {
 	m.live = make([]*router, 0, n)
 	m.woken = make([]*router, 0, n)
 	m.commitWake = make([]*router, 0, n)
-	// Each router assembles at most one message per VC, so there are never
-	// more worms or arrivals than routers.
-	m.worms = make([]*worm, 0, n)
-	m.freeWorms = make([]*worm, 0, n)
-	m.arrived = make([]arrival, 0, n)
+	// A worm holds its message's outputs, so there are never more worms
+	// than router outputs, nor more head hops in a cycle.
+	m.worms = make([]*worm, 0, n*numPorts)
+	m.freeWorms = make([]*worm, 0, n*numPorts)
+	m.hops = make([]headHop, 0, n*numPorts)
 	m.followers = make([]Flit, 0, cfg.BufferDepth)
 	for _, r := range m.routers {
 		r.nextPort = make([]uint8, n)
@@ -584,6 +587,9 @@ type WorkCounters struct {
 	// WormHops counts the flit hops advanced by worms instead of router
 	// ticks (a subset of Stats.FlitHops).
 	WormHops uint64
+	// WormLaneSteps counts the lanes worm steps visited: every lane of
+	// every worm, every cycle it advanced.
+	WormLaneSteps uint64
 }
 
 // Work returns the mesh's lifetime work counters.
@@ -597,15 +603,18 @@ func (m *Mesh) Work() WorkCounters { return m.work }
 // the mesh awake (EndCycle sees the woken list) and is consumed by the
 // next Begin. Timed fault-window wakes are scanned for only while a link
 // fault is installed. Before anything else, Begin catches up the worm steps
-// of the cycles the mesh slept through; a wake-all cycle then writes every
-// worm back into its lanes, so the cycle steps real flits only.
+// of the cycles the mesh slept through; the reference stepper's first
+// cycle then writes every worm back into its lanes, so from there on every
+// cycle steps real flits only. Worms survive every other wake-all cycle:
+// nothing outside the mesh reads or writes their lanes.
 func (m *Mesh) Begin(cycle uint64) {
 	m.catchUpWorms(cycle)
 	m.now = cycle
-	m.wakeAll = m.tickAll
 	if m.tickAll {
 		m.tickAll = false
-		m.materializeWorms()
+		if m.reference {
+			m.materializeWorms()
+		}
 		for _, r := range m.routers {
 			r.poke()
 		}
@@ -624,7 +633,12 @@ func (m *Mesh) Begin(cycle uint64) {
 }
 
 // WakeAll implements sim.BulkWaker: the next Begin queues every router.
-func (m *Mesh) WakeAll() { m.tickAll = true }
+// Under the reference stepper it also writes the worms back, and no worm
+// forms again.
+func (m *Mesh) WakeAll(reference bool) {
+	m.tickAll = true
+	m.reference = reference
+}
 
 // Tick implements sim.Ticker: one cycle of every router on the worklist,
 // then one step of every worm. Router ticks within a cycle are
@@ -645,20 +659,19 @@ func (m *Mesh) Tick(cycle uint64) {
 // makes its staged state visible, and every router a tile's Inject or
 // TryEject touched is queued for the next cycle, when it can see the
 // change. Lanes commit independently, so the lists' order does not matter.
-// Then every message whose head entered its assembly slot this cycle
-// becomes a worm, unless a link fault is installed or this is a wake-all
-// cycle.
+// Then every long message's head hop of this cycle births or grows its
+// worm, unless a link fault is installed or the reference stepper runs.
 func (m *Mesh) Commit() {
 	m.dirtyFlit = commitLanes(m.dirtyFlit)
 	m.dirtyInj = commitLanes(m.dirtyInj)
 	m.dirtyEject = commitLanes(m.dirtyEject)
-	if len(m.arrived) > 0 {
-		if m.faults == 0 && !m.wakeAll {
-			for _, a := range m.arrived {
-				m.tryConvert(a)
+	if len(m.hops) > 0 {
+		if m.faults == 0 && !m.reference {
+			for _, h := range m.hops {
+				m.applyHop(h)
 			}
 		}
-		m.arrived = m.arrived[:0]
+		m.hops = m.hops[:0]
 	}
 	for _, r := range m.commitWake {
 		r.commitPoke = false
@@ -784,9 +797,6 @@ func (r *router) deliver(o int, f Flit) {
 		a := &r.assembly[f.VC]
 		if f.Head {
 			a.msg, a.enqued = f.Msg, f.Enq
-			if f.Flits >= wormMinFlits && r.m.vcs == 1 {
-				r.m.arrived = append(r.m.arrived, arrival{r, int(f.Flits)})
-			}
 		}
 		if f.Tail {
 			msg := a.msg
@@ -837,15 +847,19 @@ func (r *router) laneReady(p, vc int) bool {
 	return r.in[p][vc].CanPop() && r.prefix[p] == 0
 }
 
-// hasReadyInput reports whether any input lane of a single-VC router is
-// ready. A router without one ticks as a no-op, so a worm need not poke it.
-func (r *router) hasReadyInput() bool {
+// pokeIfReady pokes a single-VC router that has a ready input lane and is
+// not queued yet. A router without one ticks as a no-op, so a worm need
+// not poke it.
+func (r *router) pokeIfReady() {
+	if r.queued {
+		return
+	}
 	for p := 0; p < numPorts; p++ {
 		if r.laneReady(p, 0) {
-			return true
+			r.poke()
+			return
 		}
 	}
-	return false
 }
 
 // holdsEntry reports whether any input lane of a single-VC router holds a
@@ -1044,6 +1058,9 @@ func (r *router) tick() {
 				r.deliver(o, f)
 				if !f.Tail {
 					r.holder[o][v] = in
+				}
+				if f.Flits >= wormMinFlits && vcs == 1 {
+					r.m.hops = append(r.m.hops, headHop{r, in, o, f.Msg, f.Dst})
 				}
 				r.rrIn[o] = (in + 1) % numPorts
 				r.rrVC[o] = (v + 1) % vcs

@@ -17,12 +17,14 @@
 // downstream input buffer has space. Drops, when policy requires them,
 // happen in the logical scheduler (internal/sched), never here.
 //
-// The host's work need not be per flit even though the model is. Once a
-// message's head flit reaches its destination, the mesh advances the rest
-// of it as one count per buffer lane (worm advance, worm.go) instead of
-// ticking every router on its path. Timing is unchanged: each count moves
-// exactly when the flit it stands for would, so per-flit link occupancy,
-// credits and FlitHops stay exact at every cycle.
+// The host's work need not be per flit even though the model is. From the
+// moment a long message's head flit leaves its source, the routers route
+// only the head: the mesh advances the body behind it as one count per
+// buffer lane (worm advance, worm.go), adding a lane at each hop the head
+// takes, instead of ticking every router on its path. Timing is
+// unchanged: each count moves exactly when the flit it stands for would,
+// so per-flit link occupancy, credits and FlitHops stay exact at every
+// cycle.
 //
 // With a tracer attached (Mesh.AttachTracer), every router owns a private
 // span buffer and emits hop instants for forwarded head flits plus one

@@ -1,7 +1,9 @@
 package noc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/panic-nic/panic/internal/sim"
@@ -48,8 +50,8 @@ type wormScenario struct {
 	maxBytes int
 	seed     uint64
 	// chunk is the length of each Run (0 = the whole horizon in two
-	// Runs). Every Run starts with a wake-all cycle, which writes the
-	// advancing worms back into their lanes.
+	// Runs). Every Run starts with a wake-all cycle, which wakes every
+	// router while the advancing worms stay worms.
 	chunk uint64
 }
 
@@ -94,8 +96,9 @@ func runWormScenario(sc wormScenario, horizon uint64, reference bool) ([]deliver
 
 // TestWormAdvanceMatchesFlitStepping compares worm advance against pure
 // flit stepping (the reference stepper never forms a worm) on random
-// traffic over mesh shapes, loads, message sizes and seeds, with long Runs
-// and with 97-cycle Runs whose wake-all cycles land mid-worm: the delivery
+// traffic over mesh shapes, loads, message sizes and seeds, with long Runs,
+// with 97-cycle Runs whose wake-all cycles land mid-worm, and with 1-cycle
+// Runs, across every boundary of which the worms live on: the delivery
 // logs and the Stats after every Run must be identical.
 func TestWormAdvanceMatchesFlitStepping(t *testing.T) {
 	horizon := uint64(2000)
@@ -103,12 +106,13 @@ func TestWormAdvanceMatchesFlitStepping(t *testing.T) {
 	if testing.Short() {
 		horizon, seeds = 1000, seeds[:1]
 	}
-	var wormHops uint64
+	chunks := []uint64{0, 97, 1}
+	wormHops := make(map[uint64]uint64) // by chunk
 	for _, shape := range [][2]int{{6, 6}, {4, 4}, {8, 3}} {
 		for _, load := range []float64{0.05, 0.3, 1} {
 			for _, maxBytes := range []int{64, 300, 1500} {
 				for _, seed := range seeds {
-					for _, chunk := range []uint64{0, 97} {
+					for _, chunk := range chunks {
 						sc := wormScenario{shape[0], shape[1], load, maxBytes, seed, chunk}
 						name := fmt.Sprintf("%dx%d/load%v/max%dB/seed%d/chunk%d", sc.w, sc.h, load, maxBytes, seed, chunk)
 						t.Run(name, func(t *testing.T) {
@@ -117,7 +121,7 @@ func TestWormAdvanceMatchesFlitStepping(t *testing.T) {
 							if refHops != 0 {
 								t.Fatalf("the reference stepper advanced %d flit hops by worms", refHops)
 							}
-							wormHops += hops
+							wormHops[chunk] += hops
 							for i, want := range wantSnaps {
 								if got := gotSnaps[i]; got != want {
 									t.Fatalf("after Run %d: kernel %+v, reference %+v", i+1, got, want)
@@ -130,8 +134,10 @@ func TestWormAdvanceMatchesFlitStepping(t *testing.T) {
 			}
 		}
 	}
-	if wormHops == 0 {
-		t.Fatal("no worm advanced a flit in any scenario")
+	for _, chunk := range chunks {
+		if wormHops[chunk] == 0 {
+			t.Fatalf("no worm advanced a flit in any scenario of chunk %d", chunk)
+		}
 	}
 }
 
@@ -463,5 +469,91 @@ func TestWormSleepsThroughLongStream(t *testing.T) {
 	}
 	if len(d.log) != 1 || k.SkippedCycles() == 0 {
 		t.Fatalf("delivered %d frames, skipped %d cycles; want 1 and some", len(d.log), k.SkippedCycles())
+	}
+}
+
+// TestWormHeadBehindEarlierHead parks a 6-flit message in a lane, its
+// head waiting for an output a 1,500 B frame holds, and sends a 1,500 B
+// frame into the same lane right behind it: the frame's worm has its head
+// lane fronted by the earlier message's head, and must not grow when that
+// head leaves, although the earlier message is long enough to have had a
+// worm of its own. Runs of 1 cycle and of the whole horizon must both
+// match flit stepping.
+func TestWormHeadBehindEarlierHead(t *testing.T) {
+	m, _ := newTestMesh(6, 6)
+	sends := []scriptSend{
+		{0, m.NodeAt(2, 0), m.NodeAt(2, 5), 1500}, // holds (2,0)'s south output
+		{5, m.NodeAt(0, 0), m.NodeAt(2, 1), 48},   // waits at (2,0) for it
+		{6, m.NodeAt(0, 0), m.NodeAt(5, 0), 1500}, // follows into the same lane
+	}
+	for _, chunk := range []uint64{1, 1500} {
+		var seen bool
+		got := runScript(sends, 1500, chunk, false, func(m *Mesh, k *sim.Kernel, _ *scriptTile) {
+			k.ObserveCycleEnd(func(uint64) {
+				for _, w := range m.worms {
+					if h := w.head; h.r != nil {
+						if f, ok := h.r.in[h.p][0].Peek(); ok && f.Head && f.Msg != w.msg {
+							seen = true
+						}
+					}
+				}
+			})
+		})
+		want := runScript(sends, 1500, chunk, true, nil)
+		if !seen {
+			t.Fatalf("chunk %d: no worm's head lane was fronted by an earlier message's head", chunk)
+		}
+		compareScript(t, got, want)
+	}
+}
+
+// TestWormHeadLaneIsTailLane backs a 35-flit message up behind a full
+// eject queue until its tail sits in the first lane of its path, and sends
+// a 1,500 B frame from the same source right behind it: the frame's head
+// lane is the first message's tail lane, with that worm's count ahead of
+// the head. When the queue frees, the lane drains by one flit a cycle
+// while the frame's worm refills it, so the frame's admission must be
+// decided on the lane's start-of-cycle count whichever worm steps first.
+// Both worm orders, in Runs of 1 cycle and of the whole horizon, must
+// match flit stepping.
+func TestWormHeadLaneIsTailLane(t *testing.T) {
+	m, _ := newTestMesh(6, 6)
+	dst := m.NodeAt(5, 0)
+	var sends []scriptSend
+	for i := 0; i < 8; i++ {
+		sends = append(sends, scriptSend{0, m.NodeAt(5, 1), dst, 8})
+	}
+	sends = append(sends,
+		scriptSend{20, m.NodeAt(0, 0), dst, 280},
+		scriptSend{21, m.NodeAt(0, 0), dst, 1500})
+	hold := func(_ *Mesh, _ *sim.Kernel, d *scriptTile) { d.held, d.heldUntil = dst, 300 }
+	for _, chunk := range []uint64{1, 1500} {
+		want := runScript(sends, 1500, chunk, true, hold)
+		for _, newestFirst := range []bool{false, true} {
+			var shared int
+			got := runScript(sends, 1500, chunk, false, func(m *Mesh, k *sim.Kernel, d *scriptTile) {
+				hold(m, k, d)
+				k.ObserveCycleEnd(func(uint64) {
+					slices.SortFunc(m.worms, func(a, b *worm) int {
+						if newestFirst {
+							a, b = b, a
+						}
+						return cmp.Compare(a.msg.ID, b.msg.ID)
+					})
+					for _, a := range m.worms {
+						tl := a.lanes[len(a.lanes)-1]
+						for _, b := range m.worms {
+							if b.head == tl && tl.r.prefix[tl.p] > 0 {
+								shared++
+							}
+						}
+					}
+				})
+			})
+			if shared < 10 {
+				t.Fatalf("chunk %d, newest first %v: a worm's head lane was another's tail lane at %d cycle ends, want 10 or more", chunk, newestFirst, shared)
+			}
+			compareScript(t, got, want)
+		}
 	}
 }

@@ -94,9 +94,11 @@ func (k *Kernel) PokerFor(c any) Poker {
 // cycle of the reference stepper — the kernel calls WakeAll before Begin
 // so the component marks every sub-machine live for that cycle, matching
 // the kernel-level guarantee that externally mutated state needs no pokes
-// across Run boundaries.
+// across Run boundaries. reference is set on the reference stepper's
+// cycles, where a component steps in its plainest form (the mesh moves
+// every flit itself and advances no worm).
 type BulkWaker interface {
-	WakeAll()
+	WakeAll(reference bool)
 }
 
 // sampleLiveness decides, sequentially and before Eval, which tickers run
@@ -113,7 +115,7 @@ func (k *Kernel) sampleLiveness(cycle uint64) {
 	if wakeAll {
 		for _, a := range k.aware {
 			if bw, ok := a.(BulkWaker); ok {
-				bw.WakeAll()
+				bw.WakeAll(k.reference)
 			}
 		}
 		for w := range k.liveNow {
