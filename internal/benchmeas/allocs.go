@@ -1,6 +1,7 @@
 package benchmeas
 
 import (
+	"fmt"
 	"runtime"
 
 	"github.com/panic-nic/panic/internal/core"
@@ -157,15 +158,10 @@ func meshTickAllocs() float64 {
 	return allocsPerOp(4096, func() { k.Run(1) })
 }
 
-// flowCacheHitAllocs measures the RMT pipeline's per-message allocation
-// rate on the flow-cache hit path: the same flow re-enters the canonical
-// steering program, so every pass after warm-up replays the cached verdict
-// and rewrites the resident chain in place.
-func flowCacheHitAllocs() float64 {
-	prog := core.BuildProgram(core.DefaultProgramConfig(2))
-	pipe := rmt.NewPipeline(prog, 1, 1)
-	pipe.EnableFlowCache()
-	msg := &packet.Message{
+// kvsFrame is a chainless KVS GET as it arrives at the canonical steering
+// program's ingress.
+func kvsFrame() *packet.Message {
+	return &packet.Message{
 		Tenant: 1, Port: 0,
 		Pkt: packet.NewPacket(0,
 			&packet.Ethernet{Dst: packet.MAC{2, 0, 0, 0, 0, 1}, EtherType: packet.EtherTypeIPv4},
@@ -174,8 +170,18 @@ func flowCacheHitAllocs() float64 {
 			&packet.KVS{Op: packet.KVSGet, Tenant: 1, Key: 42},
 		),
 	}
+}
+
+// pipelinePass returns a function that runs msg through pipe once,
+// accepting it and ticking until it exits. With ingress set, every pass
+// strips the chain the previous one wrote, so each sees the same chainless
+// frame (the stripped chain header is reused by the next deparse).
+func pipelinePass(pipe *rmt.Pipeline, msg *packet.Message, ingress bool) func() {
 	cycle := uint64(0)
-	run := func() {
+	return func() {
+		if ingress {
+			msg.StripChain()
+		}
 		pipe.Accept(msg, cycle)
 		for {
 			cycle++
@@ -185,12 +191,73 @@ func flowCacheHitAllocs() float64 {
 			}
 		}
 	}
+}
+
+// flowCacheHitAllocs measures the RMT pipeline's per-message allocation
+// rate on the flow-cache hit path: the same flow re-enters the canonical
+// steering program, so every pass after warm-up replays the cached verdict
+// and rewrites the resident chain in place.
+func flowCacheHitAllocs() float64 {
+	pipe := rmt.NewPipeline(core.BuildProgram(core.DefaultProgramConfig(2)), 1, 1)
+	pipe.EnableFlowCache()
+	run := pipelinePass(pipe, kvsFrame(), false)
 	// Two distinct warm-up keys: the chainless ingress packet, then the
 	// steady-state packet carrying the chain the first pass wrote.
 	run()
 	run()
 	run()
 	return allocsPerOp(2048, run)
+}
+
+// plainWalkAllocs measures Program.Process, the uncached table walk, on a
+// KVS frame at ingress: it runs on the program's scratch and writes the
+// chain into the header the previous pass shed.
+func plainWalkAllocs() float64 {
+	prog := core.BuildProgram(core.DefaultProgramConfig(2))
+	msg := kvsFrame()
+	return allocsPerOp(2048, func() {
+		msg.StripChain()
+		if _, err := prog.Process(msg, 1); err != nil {
+			panic(err)
+		}
+	})
+}
+
+// recordWalkAllocs measures the flow cache's recording walk without its
+// insertion: with a shadow check on every hit, each pass of a cached flow
+// re-runs the recording walk on the program's scratch and compares the
+// fresh entry with the cached one instead of replaying it.
+func recordWalkAllocs() float64 {
+	pipe := rmt.NewPipeline(core.BuildProgram(core.DefaultProgramConfig(2)), 1, 1)
+	pipe.EnableFlowCache()
+	pipe.EnableShadowCheck(1)
+	run := pipelinePass(pipe, kvsFrame(), true)
+	run() // the miss that caches the flow
+	a := allocsPerOp(2048, run)
+	if checks, mismatches, first := pipe.ShadowCheckStats(); checks < 2048 || mismatches != 0 {
+		panic(fmt.Sprintf("benchmeas: %d shadow walks, %d mismatches (%s)", checks, mismatches, first))
+	}
+	return a
+}
+
+// espRoundTripAllocs measures the IPSec engine encrypting a pooled message
+// and decrypting it again: the outer shell comes from the pool and goes
+// back to it, and the chain moves between the packets in place.
+func espRoundTripAllocs() float64 {
+	pool := packet.NewMessagePool()
+	ctx := &engine.Ctx{Pool: pool}
+	e := engine.NewIPSecEngine(engine.IPSecConfig{BytesPerCycle: 4})
+	msg := pool.KVS(0,
+		packet.Ethernet{Dst: packet.MAC{2, 0, 0, 0, 0, 1}, EtherType: packet.EtherTypeIPv4},
+		packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: packet.IP4{10, 0, 0, 1}, Dst: packet.IP4{203, 0, 0, 9}},
+		packet.UDP{SrcPort: packet.KVSPort, DstPort: 7000},
+		packet.KVS{Op: packet.KVSGetResp, Tenant: 1, Key: 42},
+	)
+	msg.InsertChainHops(0, []packet.Hop{{Engine: 4}, {Engine: 2}})
+	return allocsPerOp(2048, func() {
+		e.Process(ctx, msg) // encrypt
+		e.Process(ctx, msg) // decrypt
+	})
 }
 
 // MsgAllocResult is the canonical saturated NIC's heap allocation count
@@ -269,8 +336,9 @@ func MeasureCanonicalNIC(cycles uint64) (MsgAllocResult, MeshWorkResult) {
 
 // MeasureAllocs samples the allocation rate of the hot paths whose cost
 // contract is zero allocations per operation: the tile service loop, the
-// scheduling queue, the mesh router tick, and the RMT flow-cache
-// hit path.
+// scheduling queue, the mesh router tick, the RMT flow-cache hit path, the
+// plain and the recording RMT table walks, and the IPSec engine's
+// encrypt-decrypt round trip.
 func MeasureAllocs() []AllocResult {
 	cases := []struct {
 		name    string
@@ -296,6 +364,9 @@ func MeasureAllocs() []AllocResult {
 		AllocResult{Name: "sched-queue-push-pop", AllocsPerOp: schedQueueAllocs()},
 		AllocResult{Name: "mesh-router-tick", AllocsPerOp: meshTickAllocs()},
 		AllocResult{Name: "rmt-flowcache-hit", AllocsPerOp: flowCacheHitAllocs()},
+		AllocResult{Name: "rmt-plain-walk", AllocsPerOp: plainWalkAllocs()},
+		AllocResult{Name: "rmt-record-walk", AllocsPerOp: recordWalkAllocs()},
+		AllocResult{Name: "ipsec-esp-roundtrip", AllocsPerOp: espRoundTripAllocs()},
 	)
 	return out
 }

@@ -56,57 +56,46 @@ func (e *IPSecEngine) ServiceCycles(msg *packet.Message) uint64 {
 // encrypted for the WAN.
 func (e *IPSecEngine) Process(ctx *Ctx, msg *packet.Message) []Out {
 	if msg.Pkt.Has(packet.LayerTypeESP) {
-		e.decrypt(msg)
+		e.decrypt(ctx, msg)
 	} else {
-		e.encrypt(msg)
+		e.encrypt(ctx, msg)
 	}
 	return e.outs.one(Out{Msg: msg})
 }
 
-func (e *IPSecEngine) decrypt(msg *packet.Message) {
+// decrypt swaps the plaintext in and returns the outer shell to the pool.
+// The chain comes along in place, flagged for the second pass.
+func (e *IPSecEngine) decrypt(ctx *Ctx, msg *packet.Message) {
 	e.decrypted++
-	chain := msg.Chain()
-	if msg.Inner != nil {
-		inner := msg.Inner
-		msg.Inner = nil
-		msg.Pkt = inner
-	} else {
-		// No stashed plaintext (synthetic traffic): strip the ESP layer
-		// and keep the ciphertext length as payload.
-		layers := make([]packet.Layer, 0, len(msg.Pkt.Layers))
-		for _, l := range msg.Pkt.Layers {
-			if l.LayerType() != packet.LayerTypeESP {
-				layers = append(layers, l)
-			}
-		}
-		if ip, ok := msg.Pkt.Layer(packet.LayerTypeIPv4).(*packet.IPv4); ok {
-			ip.Protocol = packet.ProtoUDP
-		}
-		msg.Pkt.Layers = layers
-		if msg.Pkt.PayloadLen >= ESPOverheadBytes-20-8 {
-			msg.Pkt.PayloadLen -= ESPOverheadBytes - 20 - 8
-		}
-		msg.Pkt.Serialize()
-	}
-	// Re-attach the chain (cursor preserved) and mark the second pass.
-	if chain != nil {
+	if chain := msg.Chain(); chain != nil {
 		chain.Flags |= packet.ChainFlagReinjected
-		reattach := &packet.Chain{Cursor: chain.Cursor, Flags: chain.Flags, Hops: chain.Hops}
-		if msg.Chain() == nil {
-			msg.InsertChain(reattach)
-		} else {
-			*msg.Chain() = *reattach
-			msg.Pkt.Serialize()
+	}
+	if msg.Inner != nil {
+		ctx.Pool.PutESP(msg.Decapsulate())
+		return
+	}
+	// No stashed plaintext (synthetic traffic): strip the ESP layer and
+	// keep the ciphertext length as payload.
+	layers := make([]packet.Layer, 0, len(msg.Pkt.Layers))
+	for _, l := range msg.Pkt.Layers {
+		if l.LayerType() != packet.LayerTypeESP {
+			layers = append(layers, l)
 		}
 	}
+	if ip, ok := msg.Pkt.Layer(packet.LayerTypeIPv4).(*packet.IPv4); ok {
+		ip.Protocol = packet.ProtoUDP
+	}
+	msg.Pkt.Layers = layers
+	if msg.Pkt.PayloadLen >= ESPOverheadBytes-20-8 {
+		msg.Pkt.PayloadLen -= ESPOverheadBytes - 20 - 8
+	}
+	msg.Pkt.Serialize()
 }
 
-func (e *IPSecEngine) encrypt(msg *packet.Message) {
+// encrypt wraps the message in an outer shell from the pool; the chain
+// moves to the shell in place.
+func (e *IPSecEngine) encrypt(ctx *Ctx, msg *packet.Message) {
 	e.encrypted++
-	chain := msg.Chain()
-	if chain != nil {
-		msg.StripChain()
-	}
 	inner := msg.Pkt
 	var outerSrc, outerDst packet.IP4
 	if ip, ok := inner.Layer(packet.LayerTypeIPv4).(*packet.IPv4); ok {
@@ -116,16 +105,16 @@ func (e *IPSecEngine) encrypt(msg *packet.Message) {
 	if e0, ok := inner.Layers[0].(*packet.Ethernet); ok {
 		eth.Dst, eth.Src = e0.Dst, e0.Src
 	}
-	ciphertext := inner.WireLen() - eth.HeaderLen() + (ESPOverheadBytes - 20 - 8)
-	msg.Inner = inner
-	msg.Pkt = packet.ESPPacket(ciphertext,
+	plaintext := inner.WireLen()
+	if chain := msg.Chain(); chain != nil {
+		plaintext -= chain.HeaderLen() // the shim is not encrypted
+	}
+	ciphertext := plaintext - eth.HeaderLen() + (ESPOverheadBytes - 20 - 8)
+	msg.Encapsulate(ctx.Pool.ESP(ciphertext,
 		eth,
 		packet.IPv4{TTL: 64, Protocol: packet.ProtoESP, Src: outerSrc, Dst: outerDst},
 		packet.ESP{SPI: 1, Seq: uint32(msg.ID)},
-	)
-	if chain != nil {
-		msg.InsertChain(&packet.Chain{Cursor: chain.Cursor, Flags: chain.Flags, Hops: chain.Hops})
-	}
+	))
 }
 
 // Counts returns (decrypted, encrypted).

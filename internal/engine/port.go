@@ -104,8 +104,11 @@ func (p *port) canDrain() bool {
 }
 
 // compactOutbox reclaims the drained prefix: free when the outbox empties,
-// and amortized-O(1) per message otherwise (each entry moves at most once
-// per 64 sends), so a standing backlog never pays a per-cycle copy.
+// and otherwise a copy of the whole undelivered backlog once 64 entries
+// have drained. That is O(1) per send only while the backlog stays short:
+// under a standing backlog of B entries every 64 sends copy B, so each
+// send pays B/64 entry moves (in a saturated NIC whose RX outboxes pile up
+// tens of thousands of frames, a few percent of the kernel's CPU).
 func (p *port) compactOutbox() {
 	if p.outHead == len(p.outbox) {
 		p.outbox = p.outbox[:0]

@@ -107,21 +107,23 @@ func (m *Message) String() string {
 // header, taking over the Ethernet EtherType, and reserializes the packet.
 // The layer stack shifts in place when it has room. It panics if the
 // packet has no Ethernet layer or already has a chain.
-func (m *Message) InsertChain(c *Chain) {
-	if m.Pkt.Has(LayerTypeChain) {
+func (m *Message) InsertChain(c *Chain) { m.Pkt.insertChain(c) }
+
+func (p *Packet) insertChain(c *Chain) {
+	if p.Has(LayerTypeChain) {
 		panic("packet: InsertChain on packet that already has a chain")
 	}
-	eth, ok := m.Pkt.Layers[0].(*Ethernet)
+	eth, ok := p.Layers[0].(*Ethernet)
 	if !ok {
 		panic("packet: InsertChain on packet without Ethernet layer")
 	}
 	c.InnerType = eth.EtherType
 	eth.EtherType = EtherTypeChain
-	layers := append(m.Pkt.Layers, nil)
+	layers := append(p.Layers, nil)
 	copy(layers[2:], layers[1:])
 	layers[1] = c
-	m.Pkt.Layers = layers
-	m.Pkt.Serialize()
+	p.Layers = layers
+	p.Serialize()
 }
 
 // InsertChainHops inserts a chain shim carrying flags and a copy of hops,
@@ -153,10 +155,62 @@ type spareChain struct {
 // a no-op for packets without a chain. The removed header stays with the
 // packet as its spare for InsertChainHops.
 func (m *Message) StripChain() {
-	if c := m.Pkt.removeChain(); c != nil {
-		m.Pkt.spare = c
+	if m.Pkt.shedChain() {
 		m.Pkt.Serialize()
 	}
+}
+
+// Encapsulate wraps the message for the WAN: outer, an ESP packet (see
+// MessagePool.ESP), becomes the wire packet and the current packet is
+// stashed in Inner as the plaintext. The chain shim, if any, moves to the
+// outer packet (see moveChain).
+func (m *Message) Encapsulate(outer *Packet) {
+	inner := m.Pkt
+	moveChain(inner, outer)
+	m.Pkt, m.Inner = outer, inner
+}
+
+// Decapsulate swaps the stashed plaintext back in as the wire packet and
+// returns the outer packet, which the caller now holds (MessagePool.PutESP
+// releases it). The chain shim, if any, moves to the plaintext (see
+// moveChain). It panics when the message has no stashed plaintext.
+func (m *Message) Decapsulate() *Packet {
+	if m.Inner == nil {
+		panic("packet: Decapsulate on a message without a stashed plaintext")
+	}
+	outer := m.Pkt
+	m.Pkt, m.Inner = m.Inner, nil
+	moveChain(outer, m.Pkt)
+	return outer
+}
+
+// moveChain moves the chain shim from one packet of a message to the other
+// in place — the header object itself, hops and all — reserializing both,
+// and hands from's spare chain header to a receiver that has none. The
+// chain shim sits on whichever packet is on the wire, so wrapping moves it
+// out to the shell and unwrapping back to the plaintext; the spare moves
+// the same way, so the packet about to take a chain has one to reuse and a
+// message keeps one header in circulation instead of allocating a new one
+// whenever its wire packet changes.
+func moveChain(from, to *Packet) {
+	if c := from.removeChain(); c != nil {
+		from.Serialize()
+		to.insertChain(c)
+	}
+	if to.spare == nil {
+		to.spare, from.spare = from.spare, nil
+	}
+}
+
+// shedChain moves the chain shim, if any, out of the layer stack into the
+// packet's spare slot and reports whether there was one. Buf is left
+// stale.
+func (p *Packet) shedChain() bool {
+	c := p.removeChain()
+	if c != nil {
+		p.spare = c
+	}
+	return c != nil
 }
 
 // removeChain takes the chain shim out of the layer stack in place,

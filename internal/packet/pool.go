@@ -18,6 +18,8 @@ import "fmt"
 //
 // Producers ask for a header shape (UDP, KVS, DMA) and get a message whose
 // packet holds exactly those headers with every other field zero. The
+// fourth shape, ESP, is a packet without a message: the outer shell an
+// encrypted message wears over its plaintext (Message.Encapsulate). The
 // recycled and the fresh path produce byte-identical messages, so pooling
 // never changes simulation results, only the allocator's work.
 //
@@ -26,6 +28,9 @@ import "fmt"
 // allocates every message and drops every Put.
 type MessagePool struct {
 	free [numShapes][]*Message
+	// esp holds the outer packets of encrypted messages, a packet-only
+	// shape: the message around one is the plaintext's.
+	esp []*Packet
 	// quarantine holds released shells in poolcheck builds before they
 	// return to the free lists.
 	quarantine []quarantined
@@ -92,14 +97,46 @@ func (p *MessagePool) DMA(payload int, eth Ethernet, dma DMA) *Message {
 	return s.msg.assemble(&s.pkt, s.layers[:2], s.buf[:0], payload)
 }
 
-// ESPPacket returns an Ethernet/IPv4/ESP packet with a virtual payload of
-// payload bytes, allocated as one object with room for a chain shim.
-func ESPPacket(payload int, eth Ethernet, ip IPv4, esp ESP) *Packet {
+// ESP returns the outer packet of an encrypted message (see
+// Message.Encapsulate): Ethernet/IPv4/ESP headers and a virtual payload of
+// payload bytes, the ciphertext. Shells come back through PutESP, or with
+// the message when Put releases an encrypted one.
+func (p *MessagePool) ESP(payload int, eth Ethernet, ip IPv4, esp ESP) *Packet {
+	if pkt := p.getESP(); pkt != nil {
+		l := pkt.Layers
+		*l[0].(*Ethernet), *l[1].(*IPv4), *l[2].(*ESP) = eth, ip, esp
+		pkt.PayloadLen = payload
+		pkt.Serialize()
+		return pkt
+	}
 	s := &espShell{eth: eth, ip: ip, esp: esp}
 	s.layers = [...]Layer{&s.eth, &s.ip, &s.esp, nil}
 	s.pkt.Layers, s.pkt.Buf, s.pkt.PayloadLen = s.layers[:3], s.buf[:0], payload
 	s.pkt.Serialize()
 	return &s.pkt
+}
+
+// PutESP releases the outer packet of a message its caller decapsulated,
+// under the same rule as Put: exactly once, and nothing may touch it
+// afterwards. Packets of any other layout are left to the garbage
+// collector.
+func (p *MessagePool) PutESP(pkt *Packet) {
+	if p == nil || pkt == nil {
+		return
+	}
+	if PoolCheck && pkt.PayloadLen == poisonLen {
+		panic("packet: ESP shell released twice")
+	}
+	pkt.shedChain()
+	if !isESPShell(pkt) {
+		return
+	}
+	if PoolCheck {
+		poisonPacket(pkt)
+		p.enqueueQuarantine(quarantined{pkt: pkt})
+		return
+	}
+	p.recycleESP(pkt)
 }
 
 // The fresh path allocates a message, its packet, its headers, its layer
@@ -163,23 +200,35 @@ func (p *MessagePool) get(s shape) *Message {
 	if p == nil {
 		return nil
 	}
-	l := p.free[s]
-	n := len(l)
+	return pop(&p.free[s])
+}
+
+func (p *MessagePool) getESP() *Packet {
+	if p == nil {
+		return nil
+	}
+	return pop(&p.esp)
+}
+
+func pop[T any](l *[]*T) *T {
+	n := len(*l)
 	if n == 0 {
 		return nil
 	}
-	m := l[n-1]
-	l[n-1] = nil
-	p.free[s] = l[:n-1]
-	return m
+	x := (*l)[n-1]
+	(*l)[n-1] = nil
+	*l = (*l)[:n-1]
+	return x
 }
 
 // Put releases a message its caller holds at a terminal point. The shell is
-// scrubbed: every descriptor field is zeroed, a stashed plaintext packet
-// replaces an encrypted one, and a chain shim moves out of the layer stack
-// into the packet's spare slot, where the next InsertChainHops finds it.
-// Shells of shapes no producer asks for, and shells beyond the free list's
-// bound, are left to the garbage collector.
+// scrubbed: every descriptor field is zeroed, and a chain shim moves out of
+// the layer stack into the packet's spare slot, where the next
+// InsertChainHops finds it. An encrypted message is released as its
+// plaintext, and its outer packet as an ESP shell, whose chain header goes
+// to the plaintext when that has none. Shells of shapes no producer asks
+// for, and shells beyond the free list's bound, are left to the garbage
+// collector.
 func (p *MessagePool) Put(m *Message) {
 	if p == nil || m == nil {
 		return
@@ -187,19 +236,26 @@ func (p *MessagePool) Put(m *Message) {
 	if PoolCheck && m.released {
 		panic("packet: message released twice")
 	}
+	var outer *Packet
 	if m.Inner != nil {
-		m.Pkt = m.Inner
+		outer, m.Pkt = m.Pkt, m.Inner
 	}
 	*m = Message{Pkt: m.Pkt}
 	s := shapeNone
 	if m.Pkt != nil {
-		if c := m.Pkt.removeChain(); c != nil {
-			m.Pkt.spare = c
+		m.Pkt.shedChain()
+		if outer != nil {
+			outer.shedChain()
+			if m.Pkt.spare == nil {
+				m.Pkt.spare, outer.spare = outer.spare, nil
+			}
+			p.PutESP(outer)
 		}
 		s = shapeOf(m.Pkt)
 	}
 	if PoolCheck {
-		p.quarantineShell(m, s)
+		poison(m)
+		p.enqueueQuarantine(quarantined{m: m, s: s})
 		return
 	}
 	p.recycle(m, s)
@@ -211,13 +267,31 @@ func (p *MessagePool) recycle(m *Message, s shape) {
 	}
 }
 
+func (p *MessagePool) recycleESP(pkt *Packet) {
+	if len(p.esp) < maxFree {
+		p.esp = append(p.esp, pkt)
+	}
+}
+
 // Len returns the number of shells ready for reuse (tests).
 func (p *MessagePool) Len() int {
-	n := 0
+	n := len(p.esp)
 	for _, l := range p.free {
 		n += len(l)
 	}
 	return n
+}
+
+// isESPShell reports whether a chainless packet has the ESP shape.
+func isESPShell(pkt *Packet) bool {
+	l := pkt.Layers
+	if len(l) != 3 {
+		return false
+	}
+	_, eth := l[0].(*Ethernet)
+	_, ip := l[1].(*IPv4)
+	_, esp := l[2].(*ESP)
+	return eth && ip && esp
 }
 
 // shapeOf classifies a chainless packet by its layer stack.
@@ -252,29 +326,41 @@ func shapeOf(pkt *Packet) shape {
 	return shapeNone
 }
 
-// Poisoning, for poolcheck builds. A released shell's descriptor fields
-// are overwritten with poison and the shell waits in quarantine while
-// quarantineLen later releases go by; a stale holder that uses it in that
-// window trips AssertLive, and one that writes to it is caught when the
-// shell leaves quarantine with its poison disturbed.
+// Poisoning, for poolcheck builds. A released shell's descriptor fields —
+// for an ESP shell, its payload length and header bytes — are overwritten
+// with poison and the shell waits in quarantine while quarantineLen later
+// releases go by; a stale holder that uses it in that window trips
+// AssertLive, and one that writes to it is caught when the shell leaves
+// quarantine with its poison disturbed.
 const (
 	quarantineLen = 1024
 	poisonWord    = 0xDEADBEEFDEADBEEF
+	poisonLen     = -0xDEAD
+	poisonByte    = 0xDE
 )
 
+// quarantined is a released message of shape s, or an ESP shell pkt.
 type quarantined struct {
-	m *Message
-	s shape
+	m   *Message
+	s   shape
+	pkt *Packet
 }
 
-func (p *MessagePool) quarantineShell(m *Message, s shape) {
-	poison(m)
-	p.quarantine = append(p.quarantine, quarantined{m, s})
+func (p *MessagePool) enqueueQuarantine(q quarantined) {
+	p.quarantine = append(p.quarantine, q)
 	if len(p.quarantine) <= quarantineLen {
 		return
 	}
-	q := p.quarantine[0]
+	q = p.quarantine[0]
 	p.quarantine = p.quarantine[:copy(p.quarantine, p.quarantine[1:])]
+	if q.m == nil {
+		if !packetPoisoned(q.pkt) {
+			panic(fmt.Sprintf("packet: released ESP shell written to during quarantine: %s %x", q.pkt, q.pkt.Buf))
+		}
+		q.pkt.PayloadLen = 0
+		p.recycleESP(q.pkt)
+		return
+	}
 	if !poisoned(q.m) {
 		panic(fmt.Sprintf("packet: released message written to during quarantine: %+v", *q.m))
 	}
@@ -297,10 +383,48 @@ func poisoned(m *Message) bool {
 		m.Needs == nil && m.Inner == nil
 }
 
-// AssertLive panics when m has been released to a pool. It compiles to
-// nothing unless the program is built with the poolcheck tag.
+// poisonPacket marks a released ESP shell: a payload length no live packet
+// has, and header bytes that decode as nothing.
+func poisonPacket(pkt *Packet) {
+	pkt.PayloadLen = poisonLen
+	for i := range pkt.Buf {
+		pkt.Buf[i] = poisonByte
+	}
+}
+
+// packetPoisoned reports whether pkt still reads exactly as poisonPacket
+// left it.
+func packetPoisoned(pkt *Packet) bool {
+	if pkt.PayloadLen != poisonLen || !isESPShell(pkt) {
+		return false
+	}
+	for _, b := range pkt.Buf {
+		if b != poisonByte {
+			return false
+		}
+	}
+	return true
+}
+
+// AssertLive panics when m, or the packet it wears, has been released to a
+// pool. It compiles to nothing unless the program is built with the
+// poolcheck tag.
 func (m *Message) AssertLive() {
-	if PoolCheck && m.released {
+	if !PoolCheck {
+		return
+	}
+	if m.released {
 		panic("packet: use of a message after its release to the pool")
+	}
+	if m.Pkt != nil {
+		m.Pkt.AssertLive()
+	}
+}
+
+// AssertLive panics when pkt is an ESP shell released to a pool. It
+// compiles to nothing unless the program is built with the poolcheck tag.
+func (pkt *Packet) AssertLive() {
+	if PoolCheck && pkt.PayloadLen == poisonLen {
+		panic("packet: use of an ESP shell after its release to the pool")
 	}
 }

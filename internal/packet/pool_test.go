@@ -64,6 +64,53 @@ func TestMessagePoolKeepsShedChain(t *testing.T) {
 	}
 }
 
+// TestMessagePoolESPShells: an encrypted message's outer shell comes back
+// only as an ESP shell, whether decapsulated or released with its message,
+// and its chain header moves to the plaintext, which wears the chain next.
+func TestMessagePoolESPShells(t *testing.T) {
+	esp := func(p *MessagePool) *Packet {
+		return p.ESP(40, Ethernet{EtherType: EtherTypeIPv4}, IPv4{Protocol: ProtoESP}, ESP{SPI: 1})
+	}
+	pool := NewMessagePool()
+	m := udpMsg(pool)
+	m.Encapsulate(esp(pool))
+	m.InsertChainHops(ChainFlagLossless, []Hop{{Engine: 3}})
+	c := m.Chain()
+	outer := m.Pkt
+	if outer.String() != "Ethernet/Chain/IPv4/ESP(+40B)" || m.Inner.String() != "Ethernet/IPv4/UDP(+22B)" {
+		t.Fatalf("encapsulated %s over %s", outer, m.Inner)
+	}
+	pool.PutESP(m.Decapsulate())
+	if m.Chain() != c || m.Inner != nil || m.Pkt.String() != "Ethernet/Chain/IPv4/UDP(+22B)" {
+		t.Fatalf("decapsulated %s with chain %p (want %p)", m.Pkt, m.Chain(), c)
+	}
+	if PoolCheck {
+		return
+	}
+	if r := udpMsg(pool); r == m {
+		t.Fatal("a message came back from the ESP free list")
+	}
+	if r := esp(pool); r != outer || r.String() != "Ethernet/IPv4/ESP(+40B)" {
+		t.Fatalf("ESP shell not reused: got %p %s, want %p", r, r, outer)
+	}
+
+	// Releasing an encrypted message recycles both packets, and the chain
+	// the shell wore becomes the plaintext's spare.
+	m.Encapsulate(outer)
+	pool.Put(m)
+	if r := esp(pool); r != outer {
+		t.Fatal("the shell of a released encrypted message was not recycled")
+	}
+	r := udpMsg(pool)
+	if r != m || r.Chain() != nil {
+		t.Fatalf("recycled %p (want %p) with chain %v", r, m, r.Chain())
+	}
+	r.InsertChainHops(0, []Hop{{Engine: 9}})
+	if r.Chain() != c {
+		t.Fatal("the shell's chain header did not move to the plaintext")
+	}
+}
+
 // TestPoolCheckCatchesMisuse: in poolcheck builds a released message fails
 // AssertLive, a second release panics, and a write to a quarantined shell
 // is caught when it leaves quarantine.

@@ -258,23 +258,18 @@ func (r *RegisterFile) Define(name string, size int) {
 // Read returns Regs[name][index % size] (test/inspection access).
 func (r *RegisterFile) Read(name string, index uint64) uint64 { return r.read(name, index) }
 
-func (r *RegisterFile) array(name string) []uint64 {
+// slot returns the register Regs[name][index % size].
+func (r *RegisterFile) slot(name string, index uint64) *uint64 {
 	a, ok := r.arrays[name]
 	if !ok {
 		panic(fmt.Sprintf("rmt: undefined register array %q", name))
 	}
-	return a
+	return &a[index%uint64(len(a))]
 }
 
-func (r *RegisterFile) read(name string, index uint64) uint64 {
-	a := r.array(name)
-	return a[index%uint64(len(a))]
-}
+func (r *RegisterFile) read(name string, index uint64) uint64 { return *r.slot(name, index) }
 
-func (r *RegisterFile) write(name string, index, v uint64) {
-	a := r.array(name)
-	a[index%uint64(len(a))] = v
-}
+func (r *RegisterFile) write(name string, index, v uint64) { *r.slot(name, index) = v }
 
 // OpFunc adapts a Go closure to Op, the escape hatch for model code that
 // does not need the single-cycle-atom discipline (used by tests and the

@@ -1,6 +1,7 @@
 package rmt
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -78,11 +79,10 @@ const (
 // error text is only reported the first time a flow is seen.
 var errCachedParse = errors.New("rmt: parse error (cached verdict)")
 
-// regReplay is one recorded register side effect with its array resolved
-// at record time.
+// regReplay is one recorded register side effect, its register resolved
+// at record time (register arrays never move once defined).
 type regReplay struct {
-	arr []uint64
-	idx uint64 // pre-modulo index, as the op computed it
+	reg *uint64
 	val uint64 // value for writes, delta for adds
 	add bool
 }
@@ -128,7 +128,11 @@ func (s FlowCacheStats) HitRate() float64 {
 // each timed Pipeline owns one, matching the kernel's rule that a
 // component's state is touched only by its own Eval.
 type flowCache struct {
-	entries     map[string]*flowEntry
+	entries map[string]*flowEntry
+	// The chunks kept entries are carved from (see keep).
+	entrySlab   []flowEntry
+	hopSlab     []packet.Hop
+	regOpSlab   []regReplay
 	gen         uint64
 	maxParseLen int
 	keyBuf      []byte
@@ -154,48 +158,43 @@ func newFlowCache() *flowCache {
 	}
 }
 
+// flush empties the cache and drops the chunks its entries were carved
+// from.
 func (c *flowCache) flush() {
 	if len(c.entries) > 0 {
 		c.entries = make(map[string]*flowEntry)
+		c.entrySlab, c.hopSlab, c.regOpSlab = nil, nil, nil
 	}
 	c.stats.Flushes++
 }
 
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-// keyMetaLen is the fixed-width metadata portion of a flow key; packet
-// bytes follow it.
-const keyMetaLen = 8 + 8 + 8 + 1 + 8 + 1 + 8
-
-// buildKey assembles the flow key into the cache's reusable buffer:
-// keyMetaLen bytes of metadata followed by up to prefixLen packet bytes.
-// It must cover every Process input except meta.now and meta.deadline
-// (those are taint-tracked instead).
-func (c *flowCache) buildKey(msg *packet.Message, prefixLen int) []byte {
+// buildKey assembles the flow key into the cache's reusable buffer and
+// returns it with the length of its metadata part: the metadata as
+// varints, which delimit themselves, followed by up to prefixLen packet
+// bytes. It must cover every Process input except meta.now and
+// meta.deadline (those are taint-tracked instead).
+func (c *flowCache) buildKey(msg *packet.Message, prefixLen int) (key []byte, metaLen int) {
 	buf := msg.Pkt.Buf
 	k := c.keyBuf[:0]
-	k = appendU64(k, uint64(len(buf)))
-	k = appendU64(k, uint64(uint32(msg.Port)))
-	k = appendU64(k, uint64(msg.WireLen()))
+	k = binary.AppendUvarint(k, uint64(len(buf)))
+	k = binary.AppendUvarint(k, uint64(uint32(msg.Port)))
+	k = binary.AppendUvarint(k, uint64(msg.WireLen()))
 	k = append(k, byte(msg.Class))
-	k = appendU64(k, uint64(msg.Tenant))
+	k = binary.AppendUvarint(k, uint64(msg.Tenant))
 	if ch := msg.Chain(); ch != nil {
 		k = append(k, 1)
-		k = appendU64(k, uint64(ch.Remaining()))
+		k = binary.AppendUvarint(k, uint64(ch.Remaining()))
 	} else {
 		k = append(k, 0)
-		k = appendU64(k, 0)
 	}
+	metaLen = len(k)
 	n := len(buf)
 	if n > prefixLen {
 		n = prefixLen
 	}
 	k = append(k, buf[:n]...)
 	c.keyBuf = k
-	return k
+	return k, metaLen
 }
 
 // process is the cached equivalent of Program.Process. The bool reports
@@ -205,7 +204,7 @@ func (c *flowCache) process(p *Program, msg *packet.Message, now uint64) (Result
 		c.flush()
 		c.gen = g
 	}
-	key := c.buildKey(msg, c.maxParseLen)
+	key, _ := c.buildKey(msg, c.maxParseLen)
 	if e, ok := c.entries[string(key)]; ok {
 		if e.uncacheable {
 			c.stats.NegHits++
@@ -217,8 +216,8 @@ func (c *flowCache) process(p *Program, msg *packet.Message, now uint64) (Result
 			// Shadow re-execution: the full walk replaces the replay for
 			// this hit, applying the same effects a coherent entry would.
 			c.shadowChecks++
-			res, fresh, _, err := record(p, msg, now)
-			if diff := diffEntries(e, fresh); diff != "" {
+			res, _, err := p.scratch.record(p, msg, now)
+			if diff := diffEntries(e, &p.scratch.entry); diff != "" {
 				c.shadowMismatches++
 				if c.firstMismatch == "" {
 					c.firstMismatch = diff
@@ -233,8 +232,9 @@ func (c *flowCache) process(p *Program, msg *packet.Message, now uint64) (Result
 	// Capture the full-prefix key BEFORE the walk: processing mutates the
 	// message (chain insertion rewrites the buffer), and the stored key
 	// must describe the packet as the next probe will see it — at ingress.
-	full := c.buildKey(msg, flowKeyPrefixCap)
-	res, e, consumed, err := record(p, msg, now)
+	full, metaLen := c.buildKey(msg, flowKeyPrefixCap)
+	res, consumed, err := p.scratch.record(p, msg, now)
+	e := &p.scratch.entry
 	if !e.uncacheable && consumed > c.maxParseLen {
 		if consumed <= flowKeyPrefixCap {
 			// The walk examined bytes beyond the current key prefix: grow
@@ -248,12 +248,54 @@ func (c *flowCache) process(p *Program, msg *packet.Message, now uint64) (Result
 	if len(c.entries) >= flowCacheCap {
 		c.flush()
 	}
-	n := len(full) - keyMetaLen // pristine packet bytes captured
+	n := len(full) - metaLen // pristine packet bytes captured
 	if n > c.maxParseLen {
 		n = c.maxParseLen
 	}
-	c.entries[string(full[:keyMetaLen+n])] = e
+	c.entries[string(full[:metaLen+n])] = c.keep(e)
 	return res, false, err
+}
+
+// Kept entries, their hops and their register ops are carved from chunks
+// that start at minChunk elements and double up to the size given for
+// their kind. A chunk is referenced only by the entries carved from it,
+// all of which sit in the current map, so a flush that drops the map drops
+// its chunks with it. The cache pins no more than its resident flows plus
+// the unused tails of the newest chunks, which doubling keeps below what
+// the chunks before them hold.
+const (
+	minChunk   = 8
+	entryChunk = 64
+	hopChunk   = 256
+	regOpChunk = 64
+)
+
+// keep copies the recording walk's entry out of the scratch into the
+// cache's chunks and returns the copy the map keeps.
+func (c *flowCache) keep(e *flowEntry) *flowEntry {
+	k := &carve(&c.entrySlab, []flowEntry{*e}, entryChunk)[0]
+	k.hops = carve(&c.hopSlab, e.hops, hopChunk)
+	k.regOps = carve(&c.regOpSlab, e.regOps, regOpChunk)
+	return k
+}
+
+// carve appends src to the chunk and returns the copy, with its capacity
+// capped so appends never spill into a neighbour. A chunk without room is
+// replaced by a fresh one twice its size, between minChunk and maxSize
+// elements (and never smaller than src); the old one stays alive for as
+// long as the entries carved from it. Empty src carves nil.
+func carve[T any](chunk *[]T, src []T, maxSize int) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	c := *chunk
+	if cap(c)-len(c) < len(src) {
+		c = make([]T, 0, max(min(max(2*cap(c), minChunk), maxSize), len(src)))
+	}
+	n := len(c)
+	c = append(c, src...)
+	*chunk = c
+	return c[n:len(c):len(c)]
 }
 
 // diffEntries compares a cached verdict against a freshly recorded one and
@@ -285,10 +327,9 @@ func diffEntries(old, fresh *flowEntry) string {
 	}
 	for i := range old.regOps {
 		a, b := &old.regOps[i], &fresh.regOps[i]
-		sameArr := len(a.arr) == len(b.arr) && (len(a.arr) == 0 || &a.arr[0] == &b.arr[0])
-		if !sameArr || a.idx != b.idx || a.val != b.val || a.add != b.add {
-			return fmt.Sprintf("register op %d changed: cached {idx:%d val:%d add:%v}, fresh {idx:%d val:%d add:%v}",
-				i, a.idx, a.val, a.add, b.idx, b.val, b.add)
+		if a.reg != b.reg || a.val != b.val || a.add != b.add {
+			return fmt.Sprintf("register op %d changed: cached {val:%d add:%v}, fresh {val:%d add:%v}, same register %v",
+				i, a.val, a.add, b.val, b.add, a.reg == b.reg)
 		}
 	}
 	return ""
@@ -300,11 +341,10 @@ func diffEntries(old, fresh *flowEntry) string {
 func replay(p *Program, e *flowEntry, msg *packet.Message) (Result, error) {
 	for i := range e.regOps {
 		r := &e.regOps[i]
-		slot := r.idx % uint64(len(r.arr))
 		if r.add {
-			r.arr[slot] += r.val
+			*r.reg += r.val
 		} else {
-			r.arr[slot] = r.val
+			*r.reg = r.val
 		}
 	}
 	if e.err {
@@ -318,35 +358,28 @@ func replay(p *Program, e *flowEntry, msg *packet.Message) (Result, error) {
 	return Result{Msg: msg, Queue: e.queue}, nil
 }
 
-// record runs the instrumented walk: identical effects to Program.Process,
-// plus taint tracking and side-effect recording. It returns the verdict,
-// the entry to cache, and how many leading packet bytes the parse walk
-// examined.
-func record(p *Program, msg *packet.Message, now uint64) (Result, *flowEntry, int, error) {
-	e := &flowEntry{}
-	var phv PHV
-	phv.Set(FieldMetaPort, uint64(uint32(msg.Port)))
-	phv.Set(FieldMetaWireLen, uint64(msg.WireLen()))
-	phv.Set(FieldMetaClass, uint64(msg.Class))
-	phv.Set(FieldMetaTenant, uint64(msg.Tenant))
-	phv.Set(FieldMetaNow, now)
-	phv.Set(FieldMetaDeadline, msg.Deadline)
-	if ch := msg.Chain(); ch != nil {
-		phv.Set(FieldChainRemaining, uint64(ch.Remaining()))
-	}
-	consumed, err := p.Parser.parse(msg.Pkt.Buf, &phv)
+// record runs the instrumented walk on the program's scratch: identical
+// effects to Program.Process, plus taint tracking and side-effect
+// recording. It returns the verdict and how many leading packet bytes the
+// parse walk examined, and leaves the entry to cache in w.entry, whose hops
+// and register ops alias the scratch until flowCache.keep copies them.
+func (w *walk) record(p *Program, msg *packet.Message, now uint64) (Result, int, error) {
+	e := &w.entry
+	*e = flowEntry{regOps: e.regOps[:0]}
+	phv := w.begin(p, msg, now)
+	consumed, err := p.Parser.parse(msg.Pkt.Buf, phv)
 	if err != nil {
 		// A parse failure is a pure function of (len(buf), examined
 		// bytes), both in the key, so the drop verdict itself is cacheable.
 		e.err = true
-		return Result{}, e, consumed, err
+		return Result{}, consumed, err
 	}
 
 	// taint marks PHV fields whose value may differ between packets that
 	// share this flow key.
 	taint := uint64(1<<FieldMetaNow | 1<<FieldMetaDeadline)
 	cacheable := true
-	ctx := Ctx{PHV: &phv, Regs: p.Regs}
+	ctx := &w.ctx
 	for _, stage := range p.Stages {
 		for _, table := range stage {
 			for _, f := range table.Key {
@@ -356,7 +389,7 @@ func record(p *Program, msg *packet.Message, now uint64) (Result, *flowEntry, in
 					cacheable = false
 				}
 			}
-			action, _ := table.Lookup(&phv)
+			action, _ := table.Lookup(phv)
 			for _, op := range action.Ops {
 				switch o := op.(type) {
 				case OpSet:
@@ -399,8 +432,7 @@ func record(p *Program, msg *packet.Message, now uint64) (Result, *flowEntry, in
 						cacheable = false
 					} else {
 						e.regOps = append(e.regOps, regReplay{
-							arr: p.Regs.array(o.Reg),
-							idx: phv.Get(o.IndexFrom),
+							reg: p.Regs.slot(o.Reg, phv.Get(o.IndexFrom)),
 							val: phv.Get(o.Src),
 						})
 					}
@@ -409,8 +441,7 @@ func record(p *Program, msg *packet.Message, now uint64) (Result, *flowEntry, in
 						cacheable = false
 					} else {
 						e.regOps = append(e.regOps, regReplay{
-							arr: p.Regs.array(o.Reg),
-							idx: phv.Get(o.IndexFrom),
+							reg: p.Regs.slot(o.Reg, phv.Get(o.IndexFrom)),
 							val: o.Delta,
 							add: true,
 						})
@@ -423,14 +454,14 @@ func record(p *Program, msg *packet.Message, now uint64) (Result, *flowEntry, in
 					// OpFunc and any future op: opaque to the recorder.
 					cacheable = false
 				}
-				op.Apply(&ctx)
+				op.Apply(ctx)
 			}
 		}
 	}
 	e.uncacheable = !cacheable
 	if ctx.Drop {
 		e.drop = true
-		return Result{Msg: msg, Drop: true}, e, consumed, nil
+		return Result{Msg: msg, Drop: true}, consumed, nil
 	}
 	if taint&(1<<FieldMetaTenant|1<<FieldMetaQueue|1<<FieldMetaNewFlags) != 0 {
 		e.uncacheable = true
@@ -441,8 +472,6 @@ func record(p *Program, msg *packet.Message, now uint64) (Result, *flowEntry, in
 	e.tenant = msg.Tenant
 	e.flags = flags
 	e.queue = phv.Get(FieldMetaQueue)
-	if len(ctx.Chain) > 0 {
-		e.hops = append([]packet.Hop(nil), ctx.Chain...)
-	}
-	return Result{Msg: msg, Queue: e.queue}, e, consumed, nil
+	e.hops = ctx.Chain
+	return Result{Msg: msg, Queue: e.queue}, consumed, nil
 }

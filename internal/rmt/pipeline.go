@@ -22,6 +22,9 @@ type Program struct {
 	// invariant monitor's shadow re-execution must catch this.
 	plantSkipTenantInvalidate bool
 	genSkew                   uint64
+
+	// scratch is what every table walk of this program runs on (see walk).
+	scratch walk
 }
 
 // PlantSkipTenantInvalidate arms the planted flow-cache invalidation bug:
@@ -136,9 +139,53 @@ type Result struct {
 // Process runs one message through the program combinationally (parse →
 // stages → deparse) and returns the verdict. The timed Pipeline wraps this
 // with the throughput/latency model. now is the current cycle for
-// slack/deadline arithmetic.
+// slack/deadline arithmetic. The walk runs on the program's scratch, so it
+// allocates nothing in steady state.
 func (p *Program) Process(msg *packet.Message, now uint64) (Result, error) {
-	var phv PHV
+	w := &p.scratch
+	phv := w.begin(p, msg, now)
+	if err := p.Parser.Parse(msg.Pkt.Buf, phv); err != nil {
+		return Result{}, err
+	}
+	for _, stage := range p.Stages {
+		for _, table := range stage {
+			action, _ := table.Lookup(phv)
+			action.Apply(&w.ctx)
+		}
+	}
+	if w.ctx.Drop {
+		return Result{Msg: msg, Drop: true}, nil
+	}
+	// The pipeline's tenant classification is authoritative: whatever the
+	// stages left in meta.tenant (the parsed KVS tenant, an ESP SPI
+	// mapping, or the ingress default) becomes the message's accounting
+	// tenant for scheduling, per-tenant engine stats, and fault domains.
+	msg.Tenant = uint16(phv.Get(FieldMetaTenant))
+	p.deparse(msg, w.ctx.Chain, uint8(phv.Get(FieldMetaNewFlags)))
+	return Result{Msg: msg, Queue: phv.Get(FieldMetaQueue)}, nil
+}
+
+// walk is the scratch a table walk runs on: the PHV, the action context
+// with the chain under construction, and the entry a recording walk fills
+// in. A program owns one and reuses it for every walk — Process, the flow
+// cache's recording walk and its shadow re-walk — so a walk allocates
+// nothing once the chain and register-op buffers have grown to the
+// program's longest. Walks of one program never overlap: each runs to
+// completion inside one call on the goroutine of the NIC that owns the
+// program, and every pipeline built on the program takes its turn. Nothing
+// a walk leaves in the scratch outlives it: deparse copies the chain into
+// the packet, and the flow cache copies what it keeps (flowCache.keep).
+type walk struct {
+	phv   PHV
+	ctx   Ctx
+	entry flowEntry
+}
+
+// begin clears the scratch for a walk of msg and seeds the metadata fields
+// the engine sets before parsing.
+func (w *walk) begin(p *Program, msg *packet.Message, now uint64) *PHV {
+	phv := &w.phv
+	phv.Reset()
 	phv.Set(FieldMetaPort, uint64(uint32(msg.Port)))
 	phv.Set(FieldMetaWireLen, uint64(msg.WireLen()))
 	phv.Set(FieldMetaClass, uint64(msg.Class))
@@ -148,26 +195,8 @@ func (p *Program) Process(msg *packet.Message, now uint64) (Result, error) {
 	if c := msg.Chain(); c != nil {
 		phv.Set(FieldChainRemaining, uint64(c.Remaining()))
 	}
-	if err := p.Parser.Parse(msg.Pkt.Buf, &phv); err != nil {
-		return Result{}, err
-	}
-	ctx := Ctx{PHV: &phv, Regs: p.Regs}
-	for _, stage := range p.Stages {
-		for _, table := range stage {
-			action, _ := table.Lookup(&phv)
-			action.Apply(&ctx)
-		}
-	}
-	if ctx.Drop {
-		return Result{Msg: msg, Drop: true}, nil
-	}
-	// The pipeline's tenant classification is authoritative: whatever the
-	// stages left in meta.tenant (the parsed KVS tenant, an ESP SPI
-	// mapping, or the ingress default) becomes the message's accounting
-	// tenant for scheduling, per-tenant engine stats, and fault domains.
-	msg.Tenant = uint16(phv.Get(FieldMetaTenant))
-	p.deparse(msg, ctx.Chain, uint8(phv.Get(FieldMetaNewFlags)))
-	return Result{Msg: msg, Queue: phv.Get(FieldMetaQueue)}, nil
+	w.ctx = Ctx{PHV: phv, Chain: w.ctx.Chain[:0], Regs: p.Regs}
+	return phv
 }
 
 // deparse writes the action results back into the packet: the offload

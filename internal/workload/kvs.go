@@ -103,17 +103,18 @@ func (s *KVSStream) Poll(now uint64) *packet.Message {
 	m.Tenant = s.cfg.Tenant
 	m.Class = s.cfg.Class
 	if s.rng.Float64() < s.cfg.WANShare {
-		wrapESP(m)
+		wrapESP(s.pool, m)
 	}
 	return m
 }
 
-// wrapESP encapsulates a message for the WAN: the plaintext packet is
-// stashed in Inner (the IPSec engine swaps it back after decryption; see
-// DESIGN.md for the substitution rationale). WAN clients live in
-// 203.0.0.0/8 — both the tunnel endpoints and the inner source use it, so
-// the TX program can recognize that replies must be re-encrypted.
-func wrapESP(m *packet.Message) {
+// wrapESP encapsulates a message for the WAN in an ESP shell from the
+// pool: the plaintext packet is stashed in Inner (the IPSec engine swaps it
+// back after decryption; see DESIGN.md for the substitution rationale). WAN
+// clients live in 203.0.0.0/8 — both the tunnel endpoints and the inner
+// source use it, so the TX program can recognize that replies must be
+// re-encrypted.
+func wrapESP(pool *packet.MessagePool, m *packet.Message) {
 	inner := m.Pkt
 	var src, dst packet.IP4
 	if ip, ok := inner.Layer(packet.LayerTypeIPv4).(*packet.IPv4); ok {
@@ -121,13 +122,12 @@ func wrapESP(m *packet.Message) {
 		src, dst = ip.Src, ip.Dst
 		inner.Serialize()
 	}
-	m.Inner = inner
 	ciphertext := inner.WireLen() - 14 + 12
-	m.Pkt = packet.ESPPacket(ciphertext,
+	m.Encapsulate(pool.ESP(ciphertext,
 		packet.Ethernet{Dst: packet.MAC{2, 0, 0, 0, 0, 2}, Src: packet.MAC{2, 0, 0, 0, 0, 3}, EtherType: packet.EtherTypeIPv4},
 		packet.IPv4{TTL: 60, Protocol: packet.ProtoESP, Src: src, Dst: dst},
 		packet.ESP{SPI: uint32(m.Tenant) + 1, Seq: uint32(m.ID)},
-	)
+	))
 }
 
 // zipf draws keys with a Zipf(q) distribution over [0, imax] by rejection

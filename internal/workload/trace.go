@@ -160,7 +160,7 @@ func (s *TraceSource) Poll(now uint64) *packet.Message {
 	m.Tenant = r.Tenant
 	m.Class = r.Class
 	if r.WAN {
-		wrapESP(m)
+		wrapESP(s.pool, m)
 	}
 	return m
 }
