@@ -23,6 +23,13 @@
 //     declaration in that command's sources (or any command's, for bare
 //     "-flag" tokens).
 //
+// Command lines inside fenced code blocks are checked too: a line that
+// runs a command in cmd/ — "go run ./cmd/X ..." or a built panicsim
+// binary ("./panicsim ...") — must use only flags that command declares.
+// A trailing backslash continues a line, a "#" comment is ignored, and a
+// pipeline or command list is split at |, ||, &&, & and ; so each command
+// is checked against its own flags.
+//
 // The check also runs in reverse for the main simulator binary: every
 // flag cmd/panicsim declares must appear backticked somewhere in
 // README.md, so adding a flag without documenting it fails CI the same
@@ -47,9 +54,14 @@ import (
 )
 
 var (
-	backtickRe  = regexp.MustCompile("`([^`]+)`")
-	flagDeclRe  = regexp.MustCompile(`flag\.[A-Za-z0-9]+\(\s*"([^"]+)"`)
-	flagWordRe  = regexp.MustCompile(`^-[a-z][a-z0-9-]*$`)
+	backtickRe = regexp.MustCompile("`([^`]+)`")
+	flagDeclRe = regexp.MustCompile(`flag\.[A-Za-z0-9]+\(\s*"([^"]+)"`)
+	flagWordRe = regexp.MustCompile(`^-[a-z][a-z0-9-]*$`)
+	// shellFlagRe is a flag word on a shell command line, where Go's flag
+	// package also accepts "--name" and "-name=value".
+	shellFlagRe = regexp.MustCompile(`^--?([a-z][a-z0-9-]*)(=.*)?$`)
+	shellSepRe  = regexp.MustCompile(`\|\|?|&&|;|\s&(\s|$)`)
+	cmdPathRe   = regexp.MustCompile(`^(?:\./)?cmd/([a-z0-9]+)/?$`)
 	routeDeclRe = regexp.MustCompile(`\{method:\s*"([A-Z]+)",\s*pattern:\s*"([^"]+)"`)
 	routeDocRe  = regexp.MustCompile("^###+ `([A-Z]+ /[^`]*)`")
 
@@ -93,7 +105,12 @@ func main() {
 			bad++
 			continue
 		}
-		for i, line := range strings.Split(string(data), "\n") {
+		lines := strings.Split(string(data), "\n")
+		for _, problem := range checkFenced(md, lines, cmdFlags) {
+			fmt.Fprintln(os.Stderr, problem)
+			bad++
+		}
+		for i, line := range lines {
 			for _, m := range backtickRe.FindAllStringSubmatch(line, -1) {
 				if md == "README.md" {
 					for _, w := range strings.Fields(m[1]) {
@@ -130,6 +147,80 @@ func main() {
 		fmt.Fprintf(os.Stderr, "doccheck: %d problem(s)\n", bad)
 		os.Exit(1)
 	}
+}
+
+// checkFenced checks the flag words of every command line inside the
+// file's fenced code blocks that runs a command in cmd/ against that
+// command's declared flags, and returns the problems found.
+func checkFenced(md string, lines []string, cmdFlags map[string]map[string]bool) []string {
+	var problems []string
+	fenced := false
+	for i := 0; i < len(lines); i++ {
+		line := strings.TrimSpace(lines[i])
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+			continue
+		}
+		if !fenced {
+			continue
+		}
+		at := i + 1
+		for strings.HasSuffix(line, `\`) && i+1 < len(lines) {
+			i++
+			line = strings.TrimSuffix(line, `\`) + " " + strings.TrimSpace(lines[i])
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		if j := strings.Index(line, " #"); j >= 0 {
+			line = line[:j]
+		}
+		for _, seg := range shellSepRe.Split(line, -1) {
+			name, args := commandOf(strings.Fields(seg), cmdFlags)
+			if name == "" {
+				continue
+			}
+			for _, w := range args {
+				m := shellFlagRe.FindStringSubmatch(w)
+				if m != nil && !cmdFlags[name][m[1]] {
+					problems = append(problems, fmt.Sprintf("%s:%d: flag `%s` not defined by cmd/%s", md, at, w, name))
+				}
+			}
+		}
+	}
+	return problems
+}
+
+// commandOf recognizes a shell command that runs a command in cmd/: "go
+// run [build flags] ./cmd/X args..." or a panicsim binary ("panicsim",
+// "./panicsim", "/tmp/panicsim"), after any "$" prompt and VAR=value
+// prefixes. It returns the command's name and its arguments, or "" when
+// the words run something else.
+func commandOf(words []string, cmdFlags map[string]map[string]bool) (string, []string) {
+	for len(words) > 0 && (words[0] == "$" || strings.Contains(words[0], "=")) {
+		words = words[1:]
+	}
+	if len(words) == 0 {
+		return "", nil
+	}
+	if filepath.Base(words[0]) == "panicsim" {
+		return "panicsim", words[1:]
+	}
+	if len(words) < 3 || words[0] != "go" || words[1] != "run" {
+		return "", nil
+	}
+	k := 2
+	for k < len(words) && strings.HasPrefix(words[k], "-") {
+		k++ // build flags of `go run`
+	}
+	if k == len(words) {
+		return "", nil
+	}
+	m := cmdPathRe.FindStringSubmatch(words[k])
+	if m == nil || cmdFlags[m[1]] == nil {
+		return "", nil
+	}
+	return m[1], words[k+1:]
 }
 
 // checkRoutes cross-checks the serve plane's route table (the one-line

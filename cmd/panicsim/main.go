@@ -265,7 +265,7 @@ func runPanic(cycles uint64, freq, line float64, meshK, width, pipelines int, wa
 	nic.Run(cycles)
 	fmt.Printf("PANIC: %dx%d mesh, %d-bit channels, %d RMT pipelines, %d ports @ %.0fG\n\n",
 		meshK, meshK, width, pipelines, cfg.Ports, line)
-	fmt.Print(nic.Summary(cycles))
+	fmt.Print(nic.Summary())
 	if len(cfg.Tenants) > 0 || len(cfg.TenantWeights) > 0 {
 		fmt.Println()
 		fmt.Print(nic.TenantReport())
@@ -282,24 +282,30 @@ func runPanic(cycles uint64, freq, line float64, meshK, width, pipelines int, wa
 		}
 	}
 	if tracer != nil {
-		set := tracer.Set()
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
-		werr := set.WriteChrome(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "trace: writing %s: %v\n", *tracePath, werr)
-			os.Exit(1)
-		}
-		fmt.Printf("\ntrace: %d spans -> %s (load in https://ui.perfetto.dev)\n", len(set.Spans), *tracePath)
+		set := dumpTrace(tracer)
 		fmt.Println()
 		fmt.Print(set.SummaryText())
 	}
+}
+
+// dumpTrace writes the armed tracer's spans to -trace and returns them.
+func dumpTrace(tracer *trace.Tracer) *trace.Set {
+	set := tracer.Set()
+	f, err := os.Create(*tracePath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
+		os.Exit(1)
+	}
+	werr := set.WriteChrome(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		fmt.Fprintf(os.Stderr, "trace: writing %s: %v\n", *tracePath, werr)
+		os.Exit(1)
+	}
+	fmt.Printf("\ntrace: %d spans -> %s (load in https://ui.perfetto.dev)\n", len(set.Spans), *tracePath)
+	return set
 }
 
 // parseWeights parses "w1,w2,..." into tenant IDs 1..n; the count must

@@ -13,7 +13,6 @@ import (
 
 	"github.com/panic-nic/panic/internal/core"
 	"github.com/panic-nic/panic/internal/serve"
-	"github.com/panic-nic/panic/internal/trace"
 )
 
 // runServe is `panicsim serve`: a long-lived control-and-ingest service.
@@ -90,9 +89,8 @@ func runServe(freq, line float64, meshK, width, pipelines int, warmKeys, seed ui
 	defer cancel()
 	httpSrv.Shutdown(shutdownCtx)
 
-	cycles := nic.Now()
-	fmt.Printf("\npanicsim serve: stopped at cycle %d (%d barriers)\n\n", cycles, srv.Barrier())
-	fmt.Print(nic.Summary(cycles))
+	fmt.Printf("\npanicsim serve: stopped at cycle %d (%d barriers)\n\n", nic.Now(), srv.Barrier())
+	fmt.Print(nic.Summary())
 	if len(cfg.Tenants) > 0 || len(cfg.TenantWeights) > 0 {
 		fmt.Println()
 		fmt.Print(nic.TenantReport())
@@ -100,24 +98,4 @@ func runServe(freq, line float64, meshK, width, pipelines int, warmKeys, seed ui
 	if tracer != nil {
 		dumpTrace(tracer)
 	}
-}
-
-// dumpTrace writes the armed tracer's spans to -trace, exactly as a batch
-// run does at exit.
-func dumpTrace(tracer *trace.Tracer) {
-	set := tracer.Set()
-	f, err := os.Create(*tracePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-		os.Exit(1)
-	}
-	werr := set.WriteChrome(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		fmt.Fprintf(os.Stderr, "trace: writing %s: %v\n", *tracePath, werr)
-		os.Exit(1)
-	}
-	fmt.Printf("\ntrace: %d spans -> %s (load in https://ui.perfetto.dev)\n", len(set.Spans), *tracePath)
 }

@@ -87,5 +87,5 @@ func replay(path string, cycles uint64) {
 	nic := core.NewNIC(core.DefaultConfig(), []engine.Source{src})
 	nic.Run(cycles)
 	fmt.Printf("replayed %d/%d records over %d cycles\n\n", len(records)-src.Remaining(), len(records), cycles)
-	fmt.Print(nic.Summary(cycles))
+	fmt.Print(nic.Summary())
 }

@@ -68,10 +68,10 @@ func runFleet(s Scenario) *Failure {
 	return nil
 }
 
-// buildFleet assembles the rack a fleet scenario describes. The per-NIC
-// template reuses the same knobs buildNIC maps, so a fleet scenario is
-// the single-NIC scenario multiplied — plus placement and migration.
-func buildFleet(s Scenario) *fleet.Fleet {
+// nicConfig maps a scenario's knobs onto the NIC configuration that
+// buildNIC assembles and buildFleet uses as its per-NIC template. It
+// panics on an invalid scenario.
+func nicConfig(s Scenario) core.Config {
 	if err := s.validate(); err != nil {
 		panic(err)
 	}
@@ -87,7 +87,14 @@ func buildFleet(s Scenario) *fleet.Fleet {
 	for t := 1; t <= s.Tenants; t++ {
 		cfg.TenantWeights[uint16(t)] = uint64(1 + (t % 3))
 	}
+	return cfg
+}
 
+// buildFleet assembles the rack a fleet scenario describes. The per-NIC
+// template is nicConfig's, so a fleet scenario is the single-NIC scenario
+// multiplied — plus placement and migration.
+func buildFleet(s Scenario) *fleet.Fleet {
+	cfg := nicConfig(s)
 	specs := make([]fleet.TenantSpec, 0, s.Tenants)
 	for t := 1; t <= s.Tenants; t++ {
 		specs = append(specs, fleet.TenantSpec{
@@ -128,21 +135,7 @@ func buildFleet(s Scenario) *fleet.Fleet {
 // buildNIC assembles the NIC a scenario describes. Kept separate from Run
 // so tests can inspect the assembly.
 func buildNIC(s Scenario) *core.NIC {
-	if err := s.validate(); err != nil {
-		panic(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Seed = s.Seed
-	cfg.QueueCap = s.QueueCap
-	cfg.IPSecReplicas = s.Replicas
-	cfg.Health = core.DefaultHealthConfig()
-	if s.TenantScoped {
-		cfg.Health.TenantDomains = map[packet.Addr][]uint16{core.AddrKVSCache: {1}}
-	}
-	cfg.TenantWeights = make(map[uint16]uint64, s.Tenants)
-	for t := 1; t <= s.Tenants; t++ {
-		cfg.TenantWeights[uint16(t)] = uint64(1 + (t % 3))
-	}
+	cfg := nicConfig(s)
 	cfg.Invariants = &invariant.Config{}
 	cfg.FaultPlan = s.Plan
 

@@ -46,7 +46,7 @@ func TestFailoverToReplica(t *testing.T) {
 		cfg.FaultPlan = (&fault.Plan{}).Add(fault.Event{At: wedgeAt, Kind: fault.Wedge, Engine: AddrIPSec})
 		nic := NewNIC(cfg, []engine.Source{wanSource(count, 11)})
 		nic.Run(horizon)
-		return nic, nic.Events.String(), nic.Summary(horizon)
+		return nic, nic.Events.String(), nic.Summary()
 	}
 	nic, events, summary := run()
 
@@ -69,7 +69,7 @@ func TestFailoverToReplica(t *testing.T) {
 	if !ok {
 		t.Fatalf("no detection event:\n%s", events)
 	}
-	limit := uint64(wedgeAt) + nic.Cfg.Health.DetectWindow + 20*nic.Cfg.Health.CheckPeriod
+	limit := uint64(wedgeAt) + healthDetectWindow + 20*healthCheckPeriod
 	if det.Cycle < wedgeAt || det.Cycle > limit {
 		t.Errorf("detected at cycle %d, want in [%d, %d]", det.Cycle, wedgeAt, limit)
 	}
@@ -83,7 +83,7 @@ func TestFailoverToReplica(t *testing.T) {
 	if !ok {
 		t.Fatalf("no completed failure episode:\n%s", events)
 	}
-	if maxMTTR := nic.Cfg.Health.DetectWindow + 4000; mttr > maxMTTR {
+	if maxMTTR := healthDetectWindow + 4000; mttr > maxMTTR {
 		t.Errorf("MTTR = %d cycles, want <= %d\nevents:\n%s", mttr, maxMTTR, events)
 	}
 
@@ -276,7 +276,7 @@ func TestFailoverSoakDrainReintegration(t *testing.T) {
 		cfg.FaultPlan = plan
 		nic := NewNIC(cfg, []engine.Source{wanSource(300, seed)})
 		nic.Run(horizon)
-		return nic, plan, nic.Events.String(), nic.Summary(horizon)
+		return nic, plan, nic.Events.String(), nic.Summary()
 	}
 	for seed := uint64(300); seed < 303; seed++ {
 		nic, plan, events, _ := run(seed)

@@ -19,20 +19,6 @@ type HealthConfig struct {
 	// Enable turns the monitor on. Off by default: the baseline NIC is
 	// byte-identical with and without the health subsystem compiled in.
 	Enable bool
-	// CheckPeriod is how often (cycles) the monitor samples tile liveness.
-	// 0 means 64.
-	CheckPeriod uint64
-	// DetectWindow is how long (cycles) a tile must be stalled — work
-	// queued or in service but zero completions — before the monitor
-	// declares it failed. 0 means 2048.
-	DetectWindow uint64
-	// RecoverProgress is how many completions the failover target must
-	// make before the monitor declares service recovered. 0 means 1.
-	RecoverProgress uint64
-	// NoDrain disables the drain-and-reset of a failed tile's queue.
-	NoDrain bool
-	// NoReintegrate disables restoring steering to a healed tile.
-	NoReintegrate bool
 	// TenantDomains scopes failover per engine: when a listed engine fails,
 	// only the named tenants' chain entries (table entries pinning
 	// meta.tenant) are repointed, one rewrite and one log event per tenant,
@@ -41,22 +27,23 @@ type HealthConfig struct {
 	TenantDomains map[packet.Addr][]uint16
 }
 
-// DefaultHealthConfig returns the enabled defaults.
-func DefaultHealthConfig() HealthConfig {
-	return HealthConfig{Enable: true, CheckPeriod: 64, DetectWindow: 2048, RecoverProgress: 1}
-}
+// Health monitor timing.
+const (
+	// healthCheckPeriod is how often (cycles) the monitor samples tile
+	// liveness.
+	healthCheckPeriod uint64 = 64
+	// healthDetectWindow is how long (cycles) a tile must be stalled —
+	// work queued or in service but zero completions — before the monitor
+	// declares it failed.
+	healthDetectWindow uint64 = 2048
+	// healthRecoverProgress is how many completions the failover target
+	// must make before the monitor declares service recovered.
+	healthRecoverProgress uint64 = 1
+)
 
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.CheckPeriod == 0 {
-		c.CheckPeriod = 64
-	}
-	if c.DetectWindow == 0 {
-		c.DetectWindow = 2048
-	}
-	if c.RecoverProgress == 0 {
-		c.RecoverProgress = 1
-	}
-	return c
+// DefaultHealthConfig returns the monitor enabled.
+func DefaultHealthConfig() HealthConfig {
+	return HealthConfig{Enable: true}
 }
 
 // FailureEvent is one entry in the structured failure log.
@@ -215,7 +202,6 @@ type watch struct {
 // hardware exposes: RMT table rewrites, route-table binds, and tile
 // resets.
 type HealthMonitor struct {
-	cfg      HealthConfig
 	b        *Builder
 	prog     *rmt.Program
 	log      *EventLog
@@ -229,7 +215,6 @@ type HealthMonitor struct {
 // far. Standby groups are declared afterwards with SetStandbys.
 func NewHealthMonitor(cfg HealthConfig, b *Builder, prog *rmt.Program, log *EventLog) *HealthMonitor {
 	m := &HealthMonitor{
-		cfg:      cfg.withDefaults(),
 		b:        b,
 		prog:     prog,
 		log:      log,
@@ -256,16 +241,16 @@ func (m *HealthMonitor) SetStandbys(addr packet.Addr, standbys []packet.Addr) {
 }
 
 // nextCheck is the monitor's step schedule (see sim.Kernel.Due): it acts
-// only on multiples of CheckPeriod, and those check cycles are never
+// only on multiples of healthCheckPeriod, and those check cycles are never
 // skippable — the watchdog's stall clock must observe quiet periods
 // exactly as the reference stepper would.
 func (m *HealthMonitor) nextCheck(now uint64) uint64 {
-	return now + (m.cfg.CheckPeriod-now%m.cfg.CheckPeriod)%m.cfg.CheckPeriod
+	return now + (healthCheckPeriod-now%healthCheckPeriod)%healthCheckPeriod
 }
 
 // Tick implements sim.Ticker.
 func (m *HealthMonitor) Tick(cycle uint64) {
-	if cycle%m.cfg.CheckPeriod != 0 {
+	if cycle%healthCheckPeriod != 0 {
 		return
 	}
 	for _, w := range m.watches {
@@ -289,9 +274,10 @@ func (m *HealthMonitor) Tick(cycle uint64) {
 
 // checkLiveness advances the stall watchdog: a tile with work pending
 // (queued or in service) but no completions since the last check is
-// stalled; a stall outlasting DetectWindow is a failure. A wedged tile
-// with an empty queue and nothing in service is indistinguishable from an
-// idle one and is (correctly) not flagged — there is no service to heal.
+// stalled; a stall outlasting healthDetectWindow is a failure. A wedged
+// tile with an empty queue and nothing in service is indistinguishable
+// from an idle one and is (correctly) not flagged — there is no service to
+// heal.
 func (m *HealthMonitor) checkLiveness(w *watch, cycle uint64) {
 	st := w.tile.Stats()
 	stalledNow := (w.tile.QueueLen() > 0 || w.tile.Busy()) && st.Processed == w.lastProcessed
@@ -305,7 +291,7 @@ func (m *HealthMonitor) checkLiveness(w *watch, cycle uint64) {
 		w.stalledSince = cycle
 		return
 	}
-	if cycle-w.stalledSince >= m.cfg.DetectWindow {
+	if cycle-w.stalledSince >= healthDetectWindow {
 		m.fail(w, cycle)
 	}
 }
@@ -431,9 +417,6 @@ func (m *HealthMonitor) bindPuntAlias(failed packet.Addr) (packet.Addr, bool) {
 // were already in the NoC keep arriving at the failed tile, so this runs
 // every check while the episode lasts.
 func (m *HealthMonitor) redrain(w *watch, cycle uint64) {
-	if m.cfg.NoDrain {
-		return
-	}
 	if n := w.tile.Reset(packet.AddrInvalid); n > 0 {
 		m.log.Append(FailureEvent{Cycle: cycle, Kind: "drained", Engine: w.tile.Addr(),
 			Detail: fmt.Sprintf("%d messages evicted to reclassification", n)})
@@ -441,13 +424,14 @@ func (m *HealthMonitor) redrain(w *watch, cycle uint64) {
 }
 
 // checkRecovery declares service recovered once the failover target has
-// made RecoverProgress completions since the reroute. For a punted engine
-// the DMA tile's progress is the proxy: the host is absorbing the traffic.
+// made healthRecoverProgress completions since the reroute. For a punted
+// engine the DMA tile's progress is the proxy: the host is absorbing the
+// traffic.
 func (m *HealthMonitor) checkRecovery(w *watch, cycle uint64) {
 	if w.targetTile == nil {
 		return
 	}
-	if w.targetTile.Stats().Processed-w.targetBase < m.cfg.RecoverProgress {
+	if w.targetTile.Stats().Processed-w.targetBase < healthRecoverProgress {
 		return
 	}
 	w.state = watchRecovered
@@ -460,7 +444,7 @@ func (m *HealthMonitor) checkRecovery(w *watch, cycle uint64) {
 // that began with an injected fault reintegrate automatically — a stall
 // with no known fault has no "fault cleared" edge to key on.
 func (m *HealthMonitor) tryReintegrate(w *watch, cycle uint64) bool {
-	if m.cfg.NoReintegrate || !w.faultyAtFail || w.reroutedTo == packet.AddrInvalid {
+	if !w.faultyAtFail || w.reroutedTo == packet.AddrInvalid {
 		return false
 	}
 	if !w.tile.FaultState().Clean() {

@@ -79,7 +79,7 @@ func TestInvariantMonitorIsTransparent(t *testing.T) {
 				t.Fatalf("monitored run not clean: %v", err)
 			}
 		}
-		return nic.Summary(50_000), nic.Events.String()
+		return nic.Summary(), nic.Events.String()
 	}
 	sumOff, evOff := run(nil)
 	sumOn, evOn := run(&invariant.Config{Every: 256})

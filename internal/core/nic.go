@@ -665,38 +665,33 @@ func (n *NIC) FlowCacheStats() rmt.FlowCacheStats {
 	return s
 }
 
-// Summary renders a human-readable run report.
-func (n *NIC) Summary(cycles uint64) string {
+// Summary renders a human-readable run report: the Snapshot's headline
+// rows plus the KVS cache and IPSec engine counters.
+func (n *NIC) Summary() string {
+	s := n.Snapshot()
 	t := stats.NewTable("metric", "value")
-	freq := n.Cfg.FreqHz
-	ns := func(c float64) float64 { return c / freq * 1e9 }
-	seconds := float64(cycles) / freq
-	var rx, tx uint64
-	for _, m := range n.MACs {
-		rx += m.RxCount()
-		tx += m.TxCount()
+	t.AddRow("cycles", s.Cycle)
+	t.AddRow("rx packets", s.RxPackets)
+	t.AddRow("tx packets", s.TxPackets)
+	t.AddRow("host deliveries", s.HostDeliveries)
+	t.AddRow("wire deliveries", s.WireDeliveries)
+	t.AddRow("sched drops", s.SchedDrops)
+	t.AddRow("rmt drops", s.RMTDropped)
+	t.AddRow("rmt passes", s.RMTAccepted)
+	// A negative hit follows a miss, so hits+misses counts every lookup
+	// that could have happened.
+	if s.FlowCacheHits+s.FlowCacheMisses > 0 {
+		t.AddRow("rmt flow-cache hit rate", fmt.Sprintf("%.1f%%", s.FlowCacheHitRate*100))
 	}
-	t.AddRow("cycles", cycles)
-	t.AddRow("rx packets", rx)
-	t.AddRow("tx packets", tx)
-	t.AddRow("host deliveries", n.HostLat.Count)
-	t.AddRow("wire deliveries", n.WireLat.Count)
-	t.AddRow("sched drops", n.Drops.Value())
-	rmtStats := n.RMTStats()
-	t.AddRow("rmt drops", rmtStats.Dropped+rmtStats.QueueDropped+rmtStats.Refused)
-	t.AddRow("rmt passes", rmtStats.Accepted)
-	if fc := n.FlowCacheStats(); fc.Hits+fc.Misses+fc.NegHits > 0 {
-		t.AddRow("rmt flow-cache hit rate", fmt.Sprintf("%.1f%%", fc.HitRate()*100))
+	if s.WireDeliveries > 0 {
+		t.AddRow("rtt p50 (ns)", s.RTTp50Ns)
+		t.AddRow("rtt p99 (ns)", s.RTTp99Ns)
 	}
-	if n.WireLat.Count > 0 {
-		t.AddRow("rtt p50 (ns)", ns(n.WireLat.All.P50()))
-		t.AddRow("rtt p99 (ns)", ns(n.WireLat.All.P99()))
+	if s.HostDeliveries > 0 {
+		t.AddRow("host-delivery p50 (ns)", s.HostP50Ns)
 	}
-	if n.HostLat.Count > 0 {
-		t.AddRow("host-delivery p50 (ns)", ns(n.HostLat.All.P50()))
-	}
-	if seconds > 0 {
-		t.AddRow("wire goodput (Gbps)", float64(n.WireLat.Bytes)*8/seconds/1e9)
+	if s.Cycle > 0 {
+		t.AddRow("wire goodput (Gbps)", s.WireGoodputGbps)
 	}
 	hits, misses, _ := n.Cache.Counts()
 	t.AddRow("cache hits/misses", fmt.Sprintf("%d/%d", hits, misses))

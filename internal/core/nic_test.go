@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -284,9 +285,53 @@ func TestNICSummaryRenders(t *testing.T) {
 	src := kvsSource(5, 1.0, 0, 1)
 	nic := NewNIC(cfg, []engine.Source{src})
 	nic.RunQuiet(2000, 1_000_000)
-	s := nic.Summary(nic.Now())
+	s := nic.Summary()
 	if len(s) == 0 {
 		t.Fatal("empty summary")
+	}
+}
+
+// TestNICSummaryMatchesSnapshot: after a loaded run of the canonical
+// benchmark NIC, every row the summary shares with Snapshot() shows the
+// snapshot's value, up to the table's float rounding.
+func TestNICSummaryMatchesSnapshot(t *testing.T) {
+	nic := benchNIC(0.9)
+	nic.Run(50_000)
+	snap := nic.Snapshot()
+	rows := make(map[string]string)
+	for _, line := range strings.Split(nic.Summary(), "\n") {
+		if f := strings.Fields(line); len(f) >= 2 {
+			rows[strings.Join(f[:len(f)-1], " ")] = f[len(f)-1]
+		}
+	}
+	for name, want := range map[string]uint64{
+		"cycles":          snap.Cycle,
+		"rx packets":      snap.RxPackets,
+		"tx packets":      snap.TxPackets,
+		"host deliveries": snap.HostDeliveries,
+		"wire deliveries": snap.WireDeliveries,
+		"sched drops":     snap.SchedDrops,
+		"rmt drops":       snap.RMTDropped,
+		"rmt passes":      snap.RMTAccepted,
+	} {
+		if got := rows[name]; got != strconv.FormatUint(want, 10) {
+			t.Errorf("summary %q = %q, snapshot %d", name, got, want)
+		}
+	}
+	for name, c := range map[string]struct{ want, tol float64 }{
+		"rtt p50 (ns)":            {snap.RTTp50Ns, 0.005},
+		"rtt p99 (ns)":            {snap.RTTp99Ns, 0.005},
+		"host-delivery p50 (ns)":  {snap.HostP50Ns, 0.005},
+		"wire goodput (Gbps)":     {snap.WireGoodputGbps, 0.005},
+		"rmt flow-cache hit rate": {snap.FlowCacheHitRate * 100, 0.05},
+	} {
+		got, err := strconv.ParseFloat(strings.TrimSuffix(rows[name], "%"), 64)
+		if err != nil || math.Abs(got-c.want) > c.tol+1e-9 {
+			t.Errorf("summary %q = %q, snapshot %v", name, rows[name], c.want)
+		}
+	}
+	if snap.WireDeliveries == 0 || snap.HostDeliveries == 0 || snap.FlowCacheHits == 0 {
+		t.Fatalf("run not loaded: %+v", snap)
 	}
 }
 
@@ -311,7 +356,7 @@ func TestNICSummaryAccountsForEveryFrame(t *testing.T) {
 				t.Fatal("did not drain")
 			}
 			rows := make(map[string]uint64)
-			for _, line := range strings.Split(nic.Summary(nic.Now()), "\n") {
+			for _, line := range strings.Split(nic.Summary(), "\n") {
 				f := strings.Fields(line)
 				if len(f) < 2 {
 					continue

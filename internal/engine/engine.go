@@ -66,9 +66,17 @@ type Engine interface {
 }
 
 // Generator is implemented by engines that create messages spontaneously
-// (the Ethernet MAC RX path). Generate is called once per cycle.
+// (the Ethernet MAC's RX side, the TX DMA engine). Generate is called once
+// per cycle the tile ticks. NextWork reports when the generator's private
+// state next changes: idle == true means nothing happens until an input
+// arrives; otherwise every cycle in [now, next) is a no-op for it. The
+// tile combines it with its own queue and service-loop occupancy to
+// declare its wake cycle (see Tile.EndCycle). Engines that are not
+// generators hold no hidden time-dependent state, so a drained tile
+// treats them as quiescent.
 type Generator interface {
 	Generate(ctx *Ctx) []Out
+	NextWork(now uint64) (next uint64, idle bool)
 }
 
 // TimedEngine is an optional refinement of Engine for service times that
@@ -95,19 +103,6 @@ type Source interface {
 type ArrivalSource interface {
 	Source
 	NextArrival(now uint64) (cycle uint64, ok bool)
-}
-
-// IdleReporter is an optional refinement of Engine reporting when its
-// private state next changes: idle == true means nothing happens until an
-// input arrives; otherwise every cycle in [now, next) is a no-op for the
-// engine. The tile combines it with its own queue and service-loop
-// occupancy to declare its wake cycle (see Tile.EndCycle). Engines that
-// hold no hidden time-dependent state (most of the library) need not
-// implement it; the tile then treats the engine as quiescent whenever the
-// tile itself is drained — except for Generators, which are assumed
-// always-busy unless they report otherwise.
-type IdleReporter interface {
-	NextWork(now uint64) (next uint64, idle bool)
 }
 
 // Sink receives messages leaving the simulated NIC (host delivery, wire

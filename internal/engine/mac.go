@@ -22,16 +22,11 @@ type MACConfig struct {
 // Source onto the on-chip network at line rate, and the TX side serializes
 // departing messages back onto the wire, stripping the chain shim.
 type EthernetMAC struct {
-	cfg  MACConfig
-	src  Source
-	sink Sink
-
-	bitsPerCycle float64
-	tokens       float64
-	maxTokens    float64
-	waiting      *packet.Message
-	traceSeq     uint64
-	outs         outBuf
+	pacer    // the RX side, at line rate
+	cfg      MACConfig
+	sink     Sink
+	traceSeq uint64
+	outs     outBuf
 
 	rx, tx       uint64
 	rxBits       uint64
@@ -44,17 +39,13 @@ type EthernetMAC struct {
 func NewEthernetMAC(cfg MACConfig, src Source, sink Sink) *EthernetMAC {
 	requirePositive("MAC line rate Gbps", cfg.LineRateGbps)
 	requirePositive("MAC clock freq Hz", cfg.FreqHz)
-	bpc := cfg.LineRateGbps * 1e9 / cfg.FreqHz
 	if sink == nil {
 		sink = NullSink{}
 	}
 	return &EthernetMAC{
-		cfg:          cfg,
-		src:          src,
-		sink:         sink,
-		bitsPerCycle: bpc,
-		// Allow one max-size frame of burst so pacing doesn't starve.
-		maxTokens: math.Max(bpc*4, 1538*8),
+		pacer: newPacer(src, cfg.LineRateGbps, cfg.FreqHz),
+		cfg:   cfg,
+		sink:  sink,
 	}
 }
 
@@ -66,9 +57,10 @@ func wireBits(msg *packet.Message) float64 {
 	return float64((msg.WireLen() + packet.WireOverheadBytes) * 8)
 }
 
-// ServiceCycles implements Engine: TX serialization time at line rate.
+// ServiceCycles implements Engine: TX serialization time at line rate
+// (the rate the RX pacer refills at).
 func (m *EthernetMAC) ServiceCycles(msg *packet.Message) uint64 {
-	return uint64(math.Ceil(wireBits(msg) / m.bitsPerCycle))
+	return uint64(math.Ceil(wireBits(msg) / m.perCycle))
 }
 
 // Process implements Engine: transmit. The chain shim never leaves the
@@ -87,10 +79,7 @@ func (m *EthernetMAC) Generate(ctx *Ctx) []Out {
 	if m.src == nil {
 		return nil
 	}
-	m.tokens += m.bitsPerCycle
-	if m.tokens > m.maxTokens {
-		m.tokens = m.maxTokens
-	}
+	m.refill()
 	m.outs = m.outs[:0]
 	for {
 		if m.waiting == nil {
@@ -111,47 +100,15 @@ func (m *EthernetMAC) Generate(ctx *Ctx) []Out {
 			}
 		}
 		bits := wireBits(m.waiting)
-		need := bits
-		if need > m.maxTokens {
-			need = m.maxTokens // jumbo frames drain the bucket negative
-		}
-		if m.tokens < need {
+		if !m.spend(bits) {
 			m.rxStallCount++
 			return m.outs
 		}
-		m.tokens -= bits
 		m.rx++
 		m.rxBits += uint64(bits)
 		m.outs = append(m.outs, Out{Msg: m.waiting})
 		m.waiting = nil
 	}
-}
-
-// NextWork implements IdleReporter for the RX path (the TX path is plain
-// tile service, which the tile accounts for itself). The MAC is quiescent
-// only when every Generate call would provably change nothing: no frame
-// mid-pacing, the token bucket saturated at its clamp (a refill below the
-// clamp mutates tokens, so partial buckets veto the skip), and the source
-// either exhausted or not due until a known future cycle. A source that
-// cannot report its next arrival pins the MAC busy.
-func (m *EthernetMAC) NextWork(now uint64) (uint64, bool) {
-	if m.src == nil {
-		return 0, true
-	}
-	if m.waiting != nil || m.tokens < m.maxTokens {
-		return now, false
-	}
-	if as, ok := m.src.(ArrivalSource); ok {
-		a, ok := as.NextArrival(now)
-		if !ok {
-			return 0, true
-		}
-		if a <= now {
-			return now, false
-		}
-		return a, false
-	}
-	return now, false
 }
 
 // RxCount and TxCount return packet counters; RxBits/TxBits the wire-bit

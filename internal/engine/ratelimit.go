@@ -11,9 +11,6 @@ import (
 type RateLimiterConfig struct {
 	// FreqHz is the NIC clock, for converting Gbps to bits/cycle.
 	FreqHz float64
-	// Default is the rate applied to tenants without an explicit limit
-	// (0 = unlimited).
-	DefaultGbps float64
 	// BurstBytes is each tenant's token-bucket depth.
 	BurstBytes int
 }
@@ -76,10 +73,7 @@ func (e *RateLimiterEngine) bucketFor(tenant uint16, now uint64) *tokenBucket {
 	if b == nil {
 		perCycle, ok := e.limits[tenant]
 		if !ok {
-			if e.cfg.DefaultGbps <= 0 {
-				return nil // unlimited
-			}
-			perCycle = e.cfg.DefaultGbps * 1e9 / e.cfg.FreqHz
+			return nil // unlimited
 		}
 		b = &tokenBucket{
 			tokens:      float64(e.cfg.BurstBytes * 8),

@@ -22,13 +22,10 @@ type TileConfig struct {
 	Policy sched.Policy
 	// Rank orders the scheduling queue; nil means LSTF on chain slack.
 	Rank sched.RankFunc
-	// DefaultTo overrides the route table's default route for this tile;
-	// AddrInvalid uses the table default.
-	DefaultTo packet.Addr
 	// DefaultSpread, when non-empty, sprays chainless traffic across the
 	// given addresses round-robin per message — how ingress hardware
-	// load-balances across parallel RMT pipelines. Takes precedence over
-	// DefaultTo.
+	// load-balances across parallel RMT pipelines — in place of the route
+	// table's default route.
 	DefaultSpread []packet.Addr
 	// Trace, when non-nil, receives cycle-stamped span records for
 	// sampled messages (see internal/trace): queue enqueue/dequeue with
@@ -298,13 +295,10 @@ func (t *Tile) nextWake(cycle uint64) uint64 {
 		}
 	}
 	if !t.fault.Wedged {
-		if ir, ok := t.eng.(IdleReporter); ok {
-			if n, idle := ir.NextWork(cycle + 1); !idle && n < wake {
+		if g, ok := t.eng.(Generator); ok {
+			if n, idle := g.NextWork(cycle + 1); !idle && n < wake {
 				wake = n
 			}
-		} else if _, ok := t.eng.(Generator); ok {
-			// An opaque generator may produce any cycle: never sleep.
-			return cycle + 1
 		}
 	}
 	if t.fab.HasEjectable(t.cfg.Node) {
@@ -492,9 +486,6 @@ func (t *Tile) defaultRoute() packet.Addr {
 		a := t.cfg.DefaultSpread[t.spreadNext%len(t.cfg.DefaultSpread)]
 		t.spreadNext++
 		return a
-	}
-	if t.cfg.DefaultTo != packet.AddrInvalid {
-		return t.cfg.DefaultTo
 	}
 	return t.routes.Default()
 }

@@ -129,7 +129,7 @@ func TestTilePerTileDefaultOverride(t *testing.T) {
 	fwd := &fixedEngine{name: "fwd", svc: 1}
 	a := NewCollectorEngine("a", 1, nil)
 	b := NewCollectorEngine("b", 1, nil)
-	r.place(1, 0, 0, fwd, func(c *TileConfig) { c.DefaultTo = 3 })
+	r.place(1, 0, 0, fwd, func(c *TileConfig) { c.DefaultSpread = []packet.Addr{3} })
 	r.place(2, 1, 0, a)
 	r.place(3, 1, 1, b)
 	r.routes.SetDefault(2)

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"math"
-
-	"github.com/panic-nic/panic/internal/packet"
-)
+import "github.com/panic-nic/panic/internal/packet"
 
 // TxDMAEngine is the transmit-side DMA engine: it fetches host-produced
 // packets (TX descriptors plus payload reads) and injects them into the
@@ -13,13 +9,9 @@ import (
 // tiles — and it keeps a busy receive path from starving transmissions of
 // port bandwidth.
 type TxDMAEngine struct {
-	src          Source
-	bitsPerCycle float64
-	tokens       float64
-	maxTokens    float64
-	waiting      *packet.Message
-	fetched      uint64
-	outs         outBuf
+	pacer   // host fetches, at PCIe rate
+	fetched uint64
+	outs    outBuf
 }
 
 // NewTxDMAEngine builds the engine. src is polled for host transmissions
@@ -27,8 +19,7 @@ type TxDMAEngine struct {
 func NewTxDMAEngine(pcieGbps, freqHz float64, src Source) *TxDMAEngine {
 	requirePositive("TxDMA PCIe rate Gbps", pcieGbps)
 	requirePositive("TxDMA clock freq Hz", freqHz)
-	bpc := pcieGbps * 1e9 / freqHz
-	return &TxDMAEngine{src: src, bitsPerCycle: bpc, maxTokens: math.Max(bpc*4, 1538*8)}
+	return &TxDMAEngine{pacer: newPacer(src, pcieGbps, freqHz)}
 }
 
 // Name implements Engine.
@@ -49,10 +40,7 @@ func (t *TxDMAEngine) Generate(ctx *Ctx) []Out {
 	if t.src == nil {
 		return nil
 	}
-	t.tokens += t.bitsPerCycle
-	if t.tokens > t.maxTokens {
-		t.tokens = t.maxTokens
-	}
+	t.refill()
 	t.outs = t.outs[:0]
 	for {
 		if t.waiting == nil {
@@ -61,46 +49,13 @@ func (t *TxDMAEngine) Generate(ctx *Ctx) []Out {
 				return t.outs
 			}
 		}
-		bits := float64(t.waiting.WireLen() * 8)
-		// Oversized sends (bigger than the bucket) go when the bucket is
-		// full and drive it negative, which stalls subsequent fetches for
-		// the remainder of their serialization time.
-		need := bits
-		if need > t.maxTokens {
-			need = t.maxTokens
-		}
-		if t.tokens < need {
+		if !t.spend(float64(t.waiting.WireLen() * 8)) {
 			return t.outs
 		}
-		t.tokens -= bits
 		t.fetched++
 		t.outs = append(t.outs, Out{Msg: t.waiting})
 		t.waiting = nil
 	}
-}
-
-// NextWork implements IdleReporter with the same rules as the MAC RX
-// path: quiescent only with no fetch mid-pacing, the token bucket
-// saturated at its clamp, and the host source exhausted or not ready
-// until a known future cycle.
-func (t *TxDMAEngine) NextWork(now uint64) (uint64, bool) {
-	if t.src == nil {
-		return 0, true
-	}
-	if t.waiting != nil || t.tokens < t.maxTokens {
-		return now, false
-	}
-	if as, ok := t.src.(ArrivalSource); ok {
-		a, ok := as.NextArrival(now)
-		if !ok {
-			return 0, true
-		}
-		if a <= now {
-			return now, false
-		}
-		return a, false
-	}
-	return now, false
 }
 
 // Fetched returns the number of host transmissions injected.

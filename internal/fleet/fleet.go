@@ -368,7 +368,7 @@ func (f *Fleet) Violations() []invariant.Violation {
 	return out
 }
 
-// Close releases the shard goroutines and every kernel's worker pool.
+// Close releases the shard goroutines.
 func (f *Fleet) Close() { f.set.Shutdown() }
 
 // Fingerprint reduces the rack to one byte-comparable string: the ToR

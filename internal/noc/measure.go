@@ -17,26 +17,20 @@ type LoadPoint struct {
 	Delivered uint64
 }
 
-// uniformDriver injects fixed-size messages at every node with probability
-// load per node per cycle, destination uniform over other nodes, and drains
-// every eject queue. It implements sim.Ticker.
-type uniformDriver struct {
-	fab  Fabric
-	rng  *sim.RNG
-	load float64
-	msg  *packet.Message
-}
-
-func newUniformDriver(fab Fabric, msgBytes int, load float64, seed uint64) *uniformDriver {
-	// All messages share one template: the NoC model reads only WireLen
-	// and never mutates message content, so identity does not matter and
-	// allocation stays off the measurement path.
-	msg := &packet.Message{Pkt: &packet.Packet{PayloadLen: msgBytes}}
-	return &uniformDriver{fab: fab, rng: sim.NewRNG(seed), load: load, msg: msg}
+// patternDriver injects fixed-size messages at every node with
+// probability load per node per cycle, destination chosen by the pattern,
+// and drains every eject queue. It implements sim.Ticker.
+type patternDriver struct {
+	fab     Fabric
+	rng     *sim.RNG
+	load    float64
+	msg     *packet.Message
+	pattern Pattern
+	w, h    int
 }
 
 // Tick implements sim.Ticker.
-func (d *uniformDriver) Tick(uint64) {
+func (d *patternDriver) Tick(uint64) {
 	n := d.fab.Nodes()
 	for node := 0; node < n; node++ {
 		id := NodeID(node)
@@ -46,9 +40,9 @@ func (d *uniformDriver) Tick(uint64) {
 			}
 		}
 		if d.rng.Float64() < d.load {
-			dst := d.rng.Intn(n - 1)
-			if dst >= node {
-				dst++
+			dst := d.pattern(d.rng, node, n, d.w, d.h)
+			if dst == node {
+				continue
 			}
 			if d.fab.CanInject(id, NodeID(dst)) {
 				d.fab.Inject(id, NodeID(dst), d.msg)
@@ -74,13 +68,27 @@ type registrable interface {
 // given offered load (injection probability per node per cycle) and returns
 // the delivered throughput and latency over the measurement window.
 func MeasureLoad(fab resettable, freqHz float64, msgBytes int, load float64, warmup, window uint64, seed uint64) LoadPoint {
+	return measure(fab, PatternUniform, 0, 0, freqHz, msgBytes, load, warmup, window, seed)
+}
+
+// measure drives the fabric with a patternDriver on a fresh kernel for
+// warmup cycles, zeroes its stats, and measures the next window. w and h
+// are the mesh dimensions coordinate-based patterns need.
+func measure(fab resettable, pattern Pattern, w, h int, freqHz float64, msgBytes int, load float64, warmup, window uint64, seed uint64) LoadPoint {
 	k := sim.NewKernel(sim.Frequency(freqHz))
 	if r, ok := fab.(registrable); ok {
 		r.RegisterWith(k)
 	} else {
 		k.Register(fab)
 	}
-	k.Register(newUniformDriver(fab, msgBytes, load, seed))
+	// All messages share one template: the NoC model reads only WireLen
+	// and never mutates message content, so identity does not matter and
+	// allocation stays off the measurement path.
+	k.Register(&patternDriver{
+		fab: fab, rng: sim.NewRNG(seed), load: load,
+		msg:     &packet.Message{Pkt: &packet.Packet{PayloadLen: msgBytes}},
+		pattern: pattern, w: w, h: h,
+	})
 	k.Run(warmup)
 	fab.ResetStats()
 	k.Run(window)

@@ -1,9 +1,6 @@
 package noc
 
-import (
-	"github.com/panic-nic/panic/internal/packet"
-	"github.com/panic-nic/panic/internal/sim"
-)
+import "github.com/panic-nic/panic/internal/sim"
 
 // Pattern selects a destination for a source under a synthetic traffic
 // pattern. Returning src means "skip this injection" (a node that does not
@@ -66,38 +63,6 @@ func PatternByName(name string) Pattern {
 	}
 }
 
-// patternDriver generalizes uniformDriver to arbitrary patterns.
-type patternDriver struct {
-	fab     Fabric
-	rng     *sim.RNG
-	load    float64
-	msg     *packet.Message
-	pattern Pattern
-	w, h    int
-}
-
-// Tick implements sim.Ticker.
-func (d *patternDriver) Tick(uint64) {
-	n := d.fab.Nodes()
-	for node := 0; node < n; node++ {
-		id := NodeID(node)
-		for {
-			if _, ok := d.fab.TryEject(id); !ok {
-				break
-			}
-		}
-		if d.rng.Float64() < d.load {
-			dst := d.pattern(d.rng, node, n, d.w, d.h)
-			if dst == node {
-				continue
-			}
-			if d.fab.CanInject(id, NodeID(dst)) {
-				d.fab.Inject(id, NodeID(dst), d.msg)
-			}
-		}
-	}
-}
-
 // MeasurePattern measures delivered throughput and latency under an
 // arbitrary traffic pattern at the given offered load (1.0 = saturation
 // probing). The mesh dimensions are needed by coordinate-based patterns.
@@ -105,25 +70,8 @@ func MeasurePattern(m *Mesh, pattern Pattern, freqHz float64, msgBytes int, load
 	if pattern == nil {
 		panic("noc: nil traffic pattern")
 	}
-	k := sim.NewKernel(sim.Frequency(freqHz))
-	m.RegisterWith(k)
-	k.Register(&patternDriver{
-		fab: m, rng: sim.NewRNG(seed), load: load,
-		msg:     &packet.Message{Pkt: &packet.Packet{PayloadLen: msgBytes}},
-		pattern: pattern,
-		w:       m.Config().Width, h: m.Config().Height,
-	})
-	k.Run(warmup)
-	m.ResetStats()
-	k.Run(window)
-	s := m.Stats()
-	seconds := float64(window) / freqHz
-	return LoadPoint{
-		OfferedLoad:       load,
-		DeliveredGbps:     float64(s.Delivered) * float64(msgBytes) * 8 / seconds / 1e9,
-		MeanLatencyCycles: s.MeanLatency(),
-		Delivered:         s.Delivered,
-	}
+	c := m.Config()
+	return measure(m, pattern, c.Width, c.Height, freqHz, msgBytes, load, warmup, window, seed)
 }
 
 // PatternNames lists the built-in pattern names.

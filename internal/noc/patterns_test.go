@@ -83,3 +83,19 @@ func TestMeasurePatternNilPanics(t *testing.T) {
 	}()
 	MeasurePattern(NewMesh(DefaultMeshConfig()), nil, 1e9, 64, 1, 1, 1, 1)
 }
+
+// TestMeasureLoadIsUniformPattern: MeasureLoad is MeasurePattern with
+// PatternUniform — the same RNG draws, so the same LoadPoint — at a low,
+// a mid and a saturating load.
+func TestMeasureLoadIsUniformPattern(t *testing.T) {
+	for _, load := range []float64{0.02, 0.3, 1.0} {
+		got := MeasureLoad(NewMesh(DefaultMeshConfig()), 500e6, 64, load, 500, 2000, 9)
+		want := MeasurePattern(NewMesh(DefaultMeshConfig()), PatternUniform, 500e6, 64, load, 500, 2000, 9)
+		if got != want {
+			t.Errorf("load %v: MeasureLoad %+v, MeasurePattern(uniform) %+v", load, got, want)
+		}
+		if got.Delivered == 0 {
+			t.Errorf("load %v: nothing delivered", load)
+		}
+	}
+}

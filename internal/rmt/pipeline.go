@@ -266,9 +266,6 @@ func NewPipeline(prog *Program, parserCycles, deparserCycles int) *Pipeline {
 // its registers) never see each other's cached decisions.
 func (p *Pipeline) EnableFlowCache() { p.cache = newFlowCache() }
 
-// FlowCacheEnabled reports whether the pipeline has a flow cache.
-func (p *Pipeline) FlowCacheEnabled() bool { return p.cache != nil }
-
 // FlowCacheStats returns the flow cache's counters (zero when disabled).
 func (p *Pipeline) FlowCacheStats() FlowCacheStats {
 	if p.cache == nil {

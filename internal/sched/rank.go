@@ -37,18 +37,3 @@ func RankStrictPriority(msg *packet.Message, _ uint32, now uint64) uint64 {
 	}
 	return level<<48 | (now & 0xffffffffffff)
 }
-
-// RankByName resolves a rank function from its configuration name.
-// Unknown names return nil.
-func RankByName(name string) RankFunc {
-	switch name {
-	case "lstf", "slack":
-		return RankLSTF
-	case "fifo":
-		return RankFIFO
-	case "priority", "strict":
-		return RankStrictPriority
-	default:
-		return nil
-	}
-}

@@ -164,17 +164,6 @@ func TestRankStrictPriority(t *testing.T) {
 	}
 }
 
-func TestRankByName(t *testing.T) {
-	for _, name := range []string{"lstf", "slack", "fifo", "priority", "strict"} {
-		if RankByName(name) == nil {
-			t.Errorf("RankByName(%q) = nil", name)
-		}
-	}
-	if RankByName("bogus") != nil {
-		t.Error("unknown rank name resolved")
-	}
-}
-
 // TestPropertyPopOrderIsSortedByRank: popping everything yields
 // non-decreasing ranks, with FIFO among equals; nothing is lost.
 func TestPropertyPopOrderIsSortedByRank(t *testing.T) {

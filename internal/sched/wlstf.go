@@ -6,18 +6,15 @@ import (
 	"github.com/panic-nic/panic/internal/packet"
 )
 
-// WLSTFConfig parameterizes NewRankWeightedLSTF: least-slack-time-first
-// over per-tenant weights, backed by a deficit-style byte-credit bucket
-// per tenant so an aggressor cannot starve a victim's slack budget.
+// WLSTFConfig parameterizes NewWLSTF: least-slack-time-first over
+// per-tenant weights, backed by a deficit-style byte-credit bucket per
+// tenant so an aggressor cannot starve a victim's slack budget.
 type WLSTFConfig struct {
 	// Weights are the relative service weights. A tenant with weight 2
 	// sees its chain slack shrink twice as slowly as a tenant with weight
 	// 1, so under contention it is scheduled proportionally sooner.
-	// Unknown tenants get DefaultWeight.
-	Weights       map[uint16]uint64
-	DefaultWeight uint64
-	// RefillPeriod is the credit-refill granularity in cycles (0 = 64).
-	RefillPeriod uint64
+	// Unknown tenants get wlstfDefaultWeight.
+	Weights map[uint16]uint64
 	// QuantumBytes is the byte credit granted per weight unit per refill
 	// period (0 = 1024). A tenant's fair share per period is
 	// QuantumBytes × weight.
@@ -27,29 +24,20 @@ type WLSTFConfig struct {
 	// a compliant tenant pay for individual large frames), bounding how
 	// far an idle tenant can burst ahead.
 	BurstBytes uint64
-	// ExhaustedPenalty is the slack inflation, in cycles, applied to a
-	// message whose tenant has spent its credit (0 = 1<<20). Penalized
-	// messages still drain — they are deprioritized, not dropped — so the
-	// policy is work-conserving: an aggressor alone on the NIC runs at
-	// full rate, but under contention it cannot outrank in-budget tenants.
-	ExhaustedPenalty uint64
 }
 
-func (c WLSTFConfig) withDefaults() WLSTFConfig {
-	if c.DefaultWeight == 0 {
-		c.DefaultWeight = 1
-	}
-	if c.RefillPeriod == 0 {
-		c.RefillPeriod = 64
-	}
-	if c.QuantumBytes == 0 {
-		c.QuantumBytes = 1024
-	}
-	if c.ExhaustedPenalty == 0 {
-		c.ExhaustedPenalty = 1 << 20
-	}
-	return c
-}
+const (
+	// wlstfDefaultWeight is the weight of a tenant absent from Weights.
+	wlstfDefaultWeight uint64 = 1
+	// wlstfRefillPeriod is the credit-refill granularity in cycles.
+	wlstfRefillPeriod uint64 = 64
+	// wlstfExhaustedPenalty is the slack inflation, in cycles, applied to
+	// a message whose tenant has spent its credit. Penalized messages still
+	// drain — they are deprioritized, not dropped — so the policy is
+	// work-conserving: an aggressor alone on the NIC runs at full rate,
+	// but under contention it cannot outrank in-budget tenants.
+	wlstfExhaustedPenalty uint64 = 1 << 20
+)
 
 // wlstfTenant is one tenant's scheduler state plus the lifetime ledger the
 // credit-conservation audit checks against:
@@ -72,8 +60,8 @@ type wlstfTenant struct {
 // cycle by which service should begin (as RankLSTF), but the message's
 // chain slack is scaled by maxWeight/weight — a heavier tenant's deadline
 // bites sooner — and a tenant that has exhausted its per-period byte
-// credit has its effective slack inflated by ExhaustedPenalty. The credit
-// bucket refills deficit-style: every RefillPeriod cycles each tenant
+// credit has its effective slack inflated by wlstfExhaustedPenalty. The credit
+// bucket refills deficit-style: every wlstfRefillPeriod cycles each tenant
 // earns QuantumBytes × weight, capped at BurstBytes, and each ranked
 // message spends its wire length. Saturating the NIC therefore drains an
 // aggressor's bucket within one period, after which its messages rank
@@ -94,8 +82,10 @@ type WLSTF struct {
 // NewWLSTF builds the rank state machine. Use Rank as the queue's
 // RankFunc; Audit checks credit conservation.
 func NewWLSTF(cfg WLSTFConfig) *WLSTF {
-	cfg = cfg.withDefaults()
-	maxW := cfg.DefaultWeight
+	if cfg.QuantumBytes == 0 {
+		cfg.QuantumBytes = 1024
+	}
+	maxW := wlstfDefaultWeight
 	for _, w := range cfg.Weights {
 		if w > maxW {
 			maxW = w
@@ -104,18 +94,12 @@ func NewWLSTF(cfg WLSTFConfig) *WLSTF {
 	return &WLSTF{cfg: cfg, maxW: maxW, tenants: make(map[uint16]*wlstfTenant)}
 }
 
-// NewRankWeightedLSTF returns a weighted-LSTF rank function — a fresh
-// WLSTF instance's Rank method, for callers that only need the RankFunc.
-func NewRankWeightedLSTF(cfg WLSTFConfig) RankFunc {
-	return NewWLSTF(cfg).Rank
-}
-
 func (s *WLSTF) state(id uint16) *wlstfTenant {
 	t := s.tenants[id]
 	if t == nil {
 		w := s.cfg.Weights[id]
 		if w == 0 {
-			w = s.cfg.DefaultWeight
+			w = wlstfDefaultWeight
 		}
 		grant := s.cfg.QuantumBytes * w
 		burst := s.cfg.BurstBytes
@@ -139,11 +123,11 @@ func (s *WLSTF) state(id uint16) *wlstfTenant {
 // (earned/credited/overflow/spent) are untouched, so Audit's conservation
 // equations keep holding across the swap; only the slack scaling and
 // future refill grants change. Tenants absent from the new map fall back
-// to DefaultWeight. Call it between kernel cycles (core.NIC.SetTenantWeights
+// to wlstfDefaultWeight. Call it between kernel cycles (core.NIC.SetTenantWeights
 // applies it at the serve loop's barrier), never concurrently with Rank.
 func (s *WLSTF) SetWeights(weights map[uint16]uint64) {
 	w2 := make(map[uint16]uint64, len(weights))
-	maxW := s.cfg.DefaultWeight
+	maxW := wlstfDefaultWeight
 	for id, w := range weights {
 		if w == 0 {
 			continue // weight 0 is "unset": the tenant reverts to default
@@ -158,7 +142,7 @@ func (s *WLSTF) SetWeights(weights map[uint16]uint64) {
 	for id, t := range s.tenants {
 		w := w2[id]
 		if w == 0 {
-			w = s.cfg.DefaultWeight
+			w = wlstfDefaultWeight
 		}
 		t.weight = w
 	}
@@ -169,14 +153,14 @@ func (s *WLSTF) Weight(id uint16) uint64 {
 	if w := s.cfg.Weights[id]; w != 0 {
 		return w
 	}
-	return s.cfg.DefaultWeight
+	return wlstfDefaultWeight
 }
 
 // Rank implements RankFunc.
 func (s *WLSTF) Rank(msg *packet.Message, slack uint32, now uint64) uint64 {
 	t := s.state(msg.Tenant)
 	// Lazy refill: whole periods elapsed since the last refill.
-	if periods := (now - t.lastRefill) / s.cfg.RefillPeriod; periods > 0 {
+	if periods := (now - t.lastRefill) / wlstfRefillPeriod; periods > 0 {
 		earned := periods * s.cfg.QuantumBytes * t.weight
 		t.earned += earned
 		if room := t.burst - t.credit; earned <= room {
@@ -187,7 +171,7 @@ func (s *WLSTF) Rank(msg *packet.Message, slack uint32, now uint64) uint64 {
 			t.credited += room
 			t.overflow += earned - room
 		}
-		t.lastRefill += periods * s.cfg.RefillPeriod
+		t.lastRefill += periods * wlstfRefillPeriod
 	}
 	eff := uint64(slack) * s.maxW / t.weight
 	cost := uint64(msg.WireLen())
@@ -197,7 +181,7 @@ func (s *WLSTF) Rank(msg *packet.Message, slack uint32, now uint64) uint64 {
 	} else {
 		t.spent += t.credit
 		t.credit = 0
-		eff += s.cfg.ExhaustedPenalty
+		eff += wlstfExhaustedPenalty
 	}
 	return now + eff
 }
@@ -220,9 +204,9 @@ func (s *WLSTF) Audit() error {
 			return fmt.Errorf("sched: wlstf tenant %d credit %d != burst %d + credited %d - spent %d",
 				id, t.credit, t.burst, t.credited, t.spent)
 		}
-		if t.lastRefill%s.cfg.RefillPeriod != 0 {
+		if t.lastRefill%wlstfRefillPeriod != 0 {
 			return fmt.Errorf("sched: wlstf tenant %d refill clock %d not aligned to period %d",
-				id, t.lastRefill, s.cfg.RefillPeriod)
+				id, t.lastRefill, wlstfRefillPeriod)
 		}
 	}
 	return nil

@@ -11,11 +11,11 @@ func wlstfMsg(tenant uint16, bytes int) *packet.Message {
 }
 
 func TestWLSTFWeightScalesSlack(t *testing.T) {
-	rank := NewRankWeightedLSTF(WLSTFConfig{
+	rank := NewWLSTF(WLSTFConfig{
 		Weights: map[uint16]uint64{1: 4, 2: 1},
 		// Large budgets so credits never bite in this test.
 		QuantumBytes: 1 << 20,
-	})
+	}).Rank
 	now := uint64(100)
 	heavy := rank(wlstfMsg(1, 64), 400, now)
 	light := rank(wlstfMsg(2, 64), 400, now)
@@ -30,11 +30,10 @@ func TestWLSTFWeightScalesSlack(t *testing.T) {
 }
 
 func TestWLSTFUnknownTenantGetsDefaultWeight(t *testing.T) {
-	rank := NewRankWeightedLSTF(WLSTFConfig{
-		Weights:       map[uint16]uint64{1: 2},
-		DefaultWeight: 1,
-		QuantumBytes:  1 << 20,
-	})
+	rank := NewWLSTF(WLSTFConfig{
+		Weights:      map[uint16]uint64{1: 2},
+		QuantumBytes: 1 << 20,
+	}).Rank
 	known := rank(wlstfMsg(1, 64), 100, 0)
 	unknown := rank(wlstfMsg(77, 64), 100, 0)
 	if unknown <= known {
@@ -44,12 +43,10 @@ func TestWLSTFUnknownTenantGetsDefaultWeight(t *testing.T) {
 
 func TestWLSTFCreditExhaustionPenalizesAggressor(t *testing.T) {
 	cfg := WLSTFConfig{
-		Weights:      map[uint16]uint64{1: 1, 2: 1},
-		RefillPeriod: 64,
-		QuantumBytes: 1024,
-		BurstBytes:   2048,
+		Weights:    map[uint16]uint64{1: 1, 2: 1},
+		BurstBytes: 2048,
 	}
-	rank := NewRankWeightedLSTF(cfg)
+	rank := NewWLSTF(cfg).Rank
 	// Aggressor (tenant 2) burns its 2048-byte burst with two 1024-byte
 	// messages, all at cycle 0 so no refill happens.
 	r1 := rank(wlstfMsg(2, 1024), 100, 0)
@@ -71,12 +68,10 @@ func TestWLSTFCreditExhaustionPenalizesAggressor(t *testing.T) {
 
 func TestWLSTFCreditRefillsDeficitStyle(t *testing.T) {
 	cfg := WLSTFConfig{
-		Weights:      map[uint16]uint64{2: 1},
-		RefillPeriod: 64,
-		QuantumBytes: 1024,
-		BurstBytes:   1024,
+		Weights:    map[uint16]uint64{2: 1},
+		BurstBytes: 1024,
 	}
-	rank := NewRankWeightedLSTF(cfg)
+	rank := NewWLSTF(cfg).Rank
 	fresh := rank(wlstfMsg(2, 1024), 100, 0) // spends the full burst
 	broke := rank(wlstfMsg(2, 1024), 100, 0)
 	if broke <= fresh {
@@ -99,7 +94,7 @@ func TestWLSTFCreditRefillsDeficitStyle(t *testing.T) {
 func TestWLSTFWorkConserving(t *testing.T) {
 	// Penalized messages still get a finite rank: a saturating tenant
 	// alone on the NIC keeps draining, just with inflated deadlines.
-	rank := NewRankWeightedLSTF(WLSTFConfig{Weights: map[uint16]uint64{1: 1}})
+	rank := NewWLSTF(WLSTFConfig{Weights: map[uint16]uint64{1: 1}}).Rank
 	var last uint64
 	for i := 0; i < 1000; i++ {
 		last = rank(wlstfMsg(1, 1500), 100, uint64(i))
@@ -111,8 +106,8 @@ func TestWLSTFWorkConserving(t *testing.T) {
 
 func TestWLSTFDeterministicAcrossInstances(t *testing.T) {
 	cfg := WLSTFConfig{Weights: map[uint16]uint64{1: 3, 2: 1, 7: 5}}
-	a := NewRankWeightedLSTF(cfg)
-	b := NewRankWeightedLSTF(cfg)
+	a := NewWLSTF(cfg).Rank
+	b := NewWLSTF(cfg).Rank
 	tenants := []uint16{1, 2, 7, 2, 1, 7, 7, 1}
 	for i, tn := range tenants {
 		now := uint64(i * 37)

@@ -71,8 +71,8 @@ func (s *Server) validateStream(d *StreamDesc) error {
 	if d.ValueBytes > 1<<20 {
 		return fmt.Errorf("value_bytes %d exceeds 1 MiB", d.ValueBytes)
 	}
-	if d.Count < 1 || d.Count > s.cfg.MaxStreamCount {
-		return fmt.Errorf("count %d out of [1,%d] (unbounded streams are not admitted)", d.Count, s.cfg.MaxStreamCount)
+	if d.Count < 1 || d.Count > maxStreamCount {
+		return fmt.Errorf("count %d out of [1,%d] (unbounded streams are not admitted)", d.Count, maxStreamCount)
 	}
 	return nil
 }
@@ -109,8 +109,8 @@ func (s *Server) validateBatch(port int, records []workload.TraceRecord) error {
 	if len(records) == 0 {
 		return fmt.Errorf("empty batch")
 	}
-	if len(records) > s.cfg.MaxBatchRecords {
-		return fmt.Errorf("batch of %d records exceeds cap %d", len(records), s.cfg.MaxBatchRecords)
+	if len(records) > maxBatchRecords {
+		return fmt.Errorf("batch of %d records exceeds cap %d", len(records), maxBatchRecords)
 	}
 	for i, r := range records {
 		if r.Tenant < 1 {
@@ -124,10 +124,10 @@ func (s *Server) validateBatch(port int, records []workload.TraceRecord) error {
 }
 
 // checkBacklog is the barrier-time admission gate: the port's unreplayed
-// backlog plus the new batch must fit MaxPendingRecords.
+// backlog plus the new batch must fit maxPendingRecords.
 func (s *Server) checkBacklog(port, adding int) error {
-	if p := s.ports[port].pendingRecords(); p+adding > s.cfg.MaxPendingRecords {
-		return fmt.Errorf("port %d backlog %d + %d exceeds cap %d", port, p, adding, s.cfg.MaxPendingRecords)
+	if p := s.ports[port].pendingRecords(); p+adding > maxPendingRecords {
+		return fmt.Errorf("port %d backlog %d + %d exceeds cap %d", port, p, adding, maxPendingRecords)
 	}
 	return nil
 }
@@ -140,8 +140,8 @@ func (s *Server) checkStreamSlot(port int, now uint64) error {
 			active++
 		}
 	}
-	if active >= s.cfg.MaxStreams {
-		return fmt.Errorf("port %d already has %d active streams (cap %d)", port, active, s.cfg.MaxStreams)
+	if active >= maxStreams {
+		return fmt.Errorf("port %d already has %d active streams (cap %d)", port, active, maxStreams)
 	}
 	return nil
 }

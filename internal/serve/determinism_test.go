@@ -104,8 +104,7 @@ func reloadScenario(t *testing.T, reference bool) (string, string, string) {
 
 	s.RunBarriers(60)
 
-	cycles := nic.Now()
-	fp := nic.Summary(cycles) + "\n" + nic.TenantReport()
+	fp := nic.Summary() + "\n" + nic.TenantReport()
 	oplog, err := json.Marshal(s.Oplog())
 	if err != nil {
 		t.Fatalf("marshal oplog: %v", err)

@@ -62,7 +62,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		mux.HandleFunc(rt.method+" "+pat, rt.h(s))
 	}
-	return http.MaxBytesHandler(mux, s.cfg.MaxBodyBytes)
+	return http.MaxBytesHandler(mux, maxBodyBytes)
 }
 
 // --- plumbing ---------------------------------------------------------

@@ -12,77 +12,48 @@ import (
 	"github.com/panic-nic/panic/internal/trace"
 )
 
-// Config bounds the server. Zero values take the defaults noted per field.
+// Config sets the server's barrier quantum; the zero value takes the
+// default noted on the field.
 type Config struct {
 	// BarrierCycles is the quantum the loop runs between barriers
 	// (default 8192). Every admitted mutation applies at a multiple of
 	// this, which is the determinism contract of the whole plane.
 	BarrierCycles uint64
-	// MaxPendingOps caps the queued-but-unapplied operation backlog
-	// (default 1024); beyond it submissions fail with ErrBacklog.
-	MaxPendingOps int
-	// MaxBatchRecords caps one trace batch (default 256k records);
-	// MaxPendingRecords caps a port's total unreplayed backlog (default
-	// 1M); MaxStreams caps concurrent streams per port (default 64);
-	// MaxStreamCount caps one stream's bounded request count (default
-	// 10M — unbounded streams are refused, a drain must terminate).
-	MaxBatchRecords   int
-	MaxPendingRecords int
-	MaxStreams        int
-	MaxStreamCount    uint64
-	// MaxBodyBytes caps request bodies (default 8 MiB).
-	MaxBodyBytes int64
-	// OplogCap is the applied-operation ring size (default 1024).
-	OplogCap int
-	// DrainQuietBarriers is how many consecutive no-activity barriers end
-	// a drain (default 2); DrainMaxCycles caps the cycles a drain may
-	// consume before giving up on stragglers (default 4M).
-	DrainQuietBarriers int
-	DrainMaxCycles     uint64
-	// IdleSleep is the wall-clock pause after a barrier in which nothing
-	// happened (default 200µs), keeping an idle server off the CPU
-	// without adding latency under load. Zero-capable via Spin.
-	IdleSleep time.Duration
-	// Spin disables IdleSleep (tests; benchmark loops).
+	// Spin disables the idle sleep (tests; benchmark loops).
 	Spin bool
 }
+
+// Admission and loop limits.
+const (
+	// maxPendingOps caps the queued-but-unapplied operation backlog;
+	// beyond it submissions fail with ErrBacklog.
+	maxPendingOps = 1024
+	// maxBatchRecords caps one trace batch; maxPendingRecords caps a
+	// port's total unreplayed backlog; maxStreams caps concurrent streams
+	// per port; maxStreamCount caps one stream's bounded request count
+	// (unbounded streams are refused, a drain must terminate).
+	maxBatchRecords   = 256 << 10
+	maxPendingRecords = 1 << 20
+	maxStreams        = 64
+	maxStreamCount    = 10_000_000
+	// maxBodyBytes caps request bodies (8 MiB).
+	maxBodyBytes = 8 << 20
+	// oplogCap is the applied-operation ring size.
+	oplogCap = 1024
+	// drainQuietBarriers is how many consecutive no-activity barriers end
+	// a drain; drainMaxCycles caps the cycles a drain may consume before
+	// giving up on stragglers.
+	drainQuietBarriers = 2
+	drainMaxCycles     = 4 << 20
+	// idleSleep is the wall-clock pause after a barrier in which nothing
+	// happened, keeping an idle server off the CPU without adding latency
+	// under load (skipped under Config.Spin).
+	idleSleep = 200 * time.Microsecond
+)
 
 func (c *Config) fill() {
 	if c.BarrierCycles == 0 {
 		c.BarrierCycles = 8192
-	}
-	if c.MaxPendingOps == 0 {
-		c.MaxPendingOps = 1024
-	}
-	if c.MaxBatchRecords == 0 {
-		c.MaxBatchRecords = 256 << 10
-	}
-	if c.MaxPendingRecords == 0 {
-		c.MaxPendingRecords = 1 << 20
-	}
-	if c.MaxStreams == 0 {
-		c.MaxStreams = 64
-	}
-	if c.MaxStreamCount == 0 {
-		c.MaxStreamCount = 10_000_000
-	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.OplogCap == 0 {
-		c.OplogCap = 1024
-	}
-	if c.DrainQuietBarriers == 0 {
-		c.DrainQuietBarriers = 2
-	}
-	if c.DrainMaxCycles == 0 {
-		c.DrainMaxCycles = 4 << 20
-	}
-	if c.IdleSleep == 0 {
-		c.IdleSleep = 200 * time.Microsecond
-	}
-	if c.Spin {
-		c.IdleSleep = 0
 	}
 }
 
@@ -200,9 +171,9 @@ func (s *Server) Start() {
 }
 
 // BeginDrain stops admitting work implicitly (readiness goes false) and
-// makes the loop exit once DrainQuietBarriers consecutive barriers pass
+// makes the loop exit once drainQuietBarriers consecutive barriers pass
 // with no deliveries, drops, applied ops, or pending ingest — or when
-// DrainMaxCycles have elapsed since the drain began.
+// drainMaxCycles have elapsed since the drain began.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
 // Stop makes the loop exit at the next barrier without draining.
@@ -244,14 +215,14 @@ func (s *Server) loop() {
 			} else {
 				s.quiet++
 			}
-			if s.quiet >= s.cfg.DrainQuietBarriers {
+			if s.quiet >= drainQuietBarriers {
 				return
 			}
-			if s.nic.Now()-s.drainBase >= s.cfg.DrainMaxCycles {
+			if s.nic.Now()-s.drainBase >= drainMaxCycles {
 				return
 			}
-		} else if !active && s.cfg.IdleSleep > 0 {
-			time.Sleep(s.cfg.IdleSleep)
+		} else if !active && !s.cfg.Spin {
+			time.Sleep(idleSleep)
 		}
 	}
 }
@@ -348,8 +319,8 @@ func (s *Server) applyDue() int {
 		}
 		s.mu.Lock()
 		s.oplog = append(s.oplog, e)
-		if len(s.oplog) > s.cfg.OplogCap {
-			s.oplog = s.oplog[len(s.oplog)-s.cfg.OplogCap:]
+		if len(s.oplog) > oplogCap {
+			s.oplog = s.oplog[len(s.oplog)-oplogCap:]
 		}
 		s.opsApplied++
 		s.mu.Unlock()
@@ -407,7 +378,7 @@ func (s *Server) enqueue(name string, atBarrier uint64, fn func(*core.NIC, uint6
 	if s.closed {
 		return nil, ErrStopped
 	}
-	if len(s.pending) >= s.cfg.MaxPendingOps {
+	if len(s.pending) >= maxPendingOps {
 		return nil, ErrBacklog
 	}
 	s.seq++

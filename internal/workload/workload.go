@@ -122,9 +122,8 @@ type FixedStream struct {
 type FixedStreamConfig struct {
 	// FrameBytes is the Ethernet frame size (64 = minimum).
 	FrameBytes int
-	// RateGbps and FreqHz set the arrival rate; Load scales it (1.0 =
-	// line rate).
-	RateGbps, FreqHz, Load float64
+	// RateGbps and FreqHz set the arrival rate.
+	RateGbps, FreqHz float64
 	// Poisson switches from CBR to Poisson arrivals.
 	Poisson bool
 	// Tenant and Class tag the messages.
@@ -140,10 +139,7 @@ func NewFixedStream(cfg FixedStreamConfig) *FixedStream {
 	if cfg.FrameBytes < 64 {
 		panic(fmt.Sprintf("workload: frame %dB below Ethernet minimum", cfg.FrameBytes))
 	}
-	if cfg.Load <= 0 {
-		cfg.Load = 1
-	}
-	interval := IntervalFor(cfg.FrameBytes, cfg.RateGbps*cfg.Load, cfg.FreqHz)
+	interval := IntervalFor(cfg.FrameBytes, cfg.RateGbps, cfg.FreqHz)
 	var arr Arrival = CBR{Interval: interval}
 	if cfg.Poisson {
 		arr = Poisson{Mean: interval}

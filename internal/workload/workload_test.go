@@ -37,30 +37,26 @@ func TestIntervalFor(t *testing.T) {
 }
 
 func TestFixedStreamCBRRate(t *testing.T) {
-	s := NewFixedStream(FixedStreamConfig{
-		FrameBytes: 64, RateGbps: 40, FreqHz: 500e6, Tenant: 3, Seed: 1,
-	})
-	msgs := drain(s, 8400)
-	// 8400 cycles / 8.4 = 1000 packets.
-	if len(msgs) < 999 || len(msgs) > 1001 {
-		t.Errorf("generated %d packets in 8400 cycles, want ~1000", len(msgs))
-	}
-	m := msgs[0]
-	if m.Tenant != 3 || m.WireLen() != 64 {
-		t.Errorf("msg = %v wire=%d", m, m.WireLen())
-	}
-	if !m.Pkt.Has(packet.LayerTypeUDP) {
-		t.Error("missing UDP layer")
-	}
-}
-
-func TestFixedStreamLoadScaling(t *testing.T) {
-	half := NewFixedStream(FixedStreamConfig{
-		FrameBytes: 64, RateGbps: 40, FreqHz: 500e6, Load: 0.5, Seed: 1,
-	})
-	msgs := drain(half, 8400)
-	if len(msgs) < 495 || len(msgs) > 505 {
-		t.Errorf("half load generated %d, want ~500", len(msgs))
+	// 8400 cycles at 8.4 cycles per frame is 1000 packets at 40 Gbps and
+	// 500 at 20 Gbps.
+	for _, tc := range []struct {
+		gbps   float64
+		lo, hi int
+	}{{40, 999, 1001}, {20, 495, 505}} {
+		s := NewFixedStream(FixedStreamConfig{
+			FrameBytes: 64, RateGbps: tc.gbps, FreqHz: 500e6, Tenant: 3, Seed: 1,
+		})
+		msgs := drain(s, 8400)
+		if len(msgs) < tc.lo || len(msgs) > tc.hi {
+			t.Errorf("%v Gbps: generated %d packets in 8400 cycles, want %d..%d", tc.gbps, len(msgs), tc.lo, tc.hi)
+		}
+		m := msgs[0]
+		if m.Tenant != 3 || m.WireLen() != 64 {
+			t.Errorf("msg = %v wire=%d", m, m.WireLen())
+		}
+		if !m.Pkt.Has(packet.LayerTypeUDP) {
+			t.Error("missing UDP layer")
+		}
 	}
 }
 
