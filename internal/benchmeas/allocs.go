@@ -1,6 +1,7 @@
 package benchmeas
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 
@@ -202,7 +203,8 @@ func flowCacheHitAllocs() float64 {
 	pipe.EnableFlowCache()
 	run := pipelinePass(pipe, kvsFrame(), false)
 	// Two distinct warm-up keys: the chainless ingress packet, then the
-	// steady-state packet carrying the chain the first pass wrote.
+	// steady-state packet carrying the chain the first pass wrote, whose
+	// second miss caches it (allocsPerOp's settling call is its first hit).
 	run()
 	run()
 	run()
@@ -232,10 +234,43 @@ func recordWalkAllocs() float64 {
 	pipe.EnableFlowCache()
 	pipe.EnableShadowCheck(1)
 	run := pipelinePass(pipe, kvsFrame(), true)
-	run() // the miss that caches the flow
+	run() // the first miss only marks the flow in the doorkeeper
+	run() // the second caches it
 	a := allocsPerOp(2048, run)
 	if checks, mismatches, first := pipe.ShadowCheckStats(); checks < 2048 || mismatches != 0 {
 		panic(fmt.Sprintf("benchmeas: %d shadow walks, %d mismatches (%s)", checks, mismatches, first))
+	}
+	return a
+}
+
+// firstMissAllocs measures the flow cache's miss of a never-seen key: each
+// pass writes a fresh KVS key into the frame, so the doorkeeper has not
+// seen the probe, the pipeline runs the plain walk, and nothing is kept.
+func firstMissAllocs() float64 {
+	pipe := rmt.NewPipeline(core.BuildProgram(core.DefaultProgramConfig(2)), 1, 1)
+	pipe.EnableFlowCache()
+	msg := kvsFrame()
+	run := pipelinePass(pipe, msg, false)
+	key := uint64(1) << 32
+	pass := func() {
+		msg.StripChain() // re-serializes the frame, so the key goes in after
+		buf := msg.Pkt.Buf
+		binary.BigEndian.PutUint64(buf[len(buf)-12:], key) // the KVS header ends the frame
+		run()
+	}
+	// One key's second miss caches it and grows the key prefix over the
+	// frame; its third pass hits, so a fresh key that missed would have hit
+	// had the prefix not covered it.
+	pass()
+	pass()
+	pass()
+	before := pipe.FlowCacheStats()
+	a := allocsPerOp(2048, func() {
+		key++
+		pass()
+	})
+	if st := pipe.FlowCacheStats(); before.Hits == 0 || st.Hits != before.Hits || st.Misses-before.Misses != 2049 {
+		panic(fmt.Sprintf("benchmeas: fresh keys %+v after %+v, want a cached flow and 2049 more misses", st, before))
 	}
 	return a
 }
@@ -337,8 +372,8 @@ func MeasureCanonicalNIC(cycles uint64) (MsgAllocResult, MeshWorkResult) {
 // MeasureAllocs samples the allocation rate of the hot paths whose cost
 // contract is zero allocations per operation: the tile service loop, the
 // scheduling queue, the mesh router tick, the RMT flow-cache hit path, the
-// plain and the recording RMT table walks, and the IPSec engine's
-// encrypt-decrypt round trip.
+// plain and the recording RMT table walks, the flow cache's first miss,
+// and the IPSec engine's encrypt-decrypt round trip.
 func MeasureAllocs() []AllocResult {
 	cases := []struct {
 		name    string
@@ -366,6 +401,7 @@ func MeasureAllocs() []AllocResult {
 		AllocResult{Name: "rmt-flowcache-hit", AllocsPerOp: flowCacheHitAllocs()},
 		AllocResult{Name: "rmt-plain-walk", AllocsPerOp: plainWalkAllocs()},
 		AllocResult{Name: "rmt-record-walk", AllocsPerOp: recordWalkAllocs()},
+		AllocResult{Name: "rmt-first-miss", AllocsPerOp: firstMissAllocs()},
 		AllocResult{Name: "ipsec-esp-roundtrip", AllocsPerOp: espRoundTripAllocs()},
 	)
 	return out

@@ -9,7 +9,7 @@ import (
 )
 
 // This file implements the per-pipeline flow cache: a megaflow-style
-// exact-match cache over Program.Process. The first packet of a flow runs
+// exact-match cache over Program.Process. The second packet of a flow runs
 // an instrumented table walk that both computes the verdict and proves (or
 // disproves) that the verdict is a pure function of the cache key; later
 // packets with the same key replay the recorded verdict — tenant
@@ -20,6 +20,24 @@ import (
 // which the timed Pipeline calls combinationally at Accept; the message
 // still occupies the pipeline for the full parser+stages+deparser latency.
 // Only the Go-side cost of modelling the walk is skipped.
+//
+// # Admission
+//
+// A flow earns an entry on its second miss, not its first. A direct-mapped
+// doorkeeper of doorkeeperSlots slots sits in front of insertion: each
+// slot holds a tag of the FNV-1a hash of a probe key (the key the lookup
+// just missed with). A miss whose tag is not in its slot writes it there
+// and runs the plain Program.Process walk, which records, keeps and
+// inserts nothing; a miss whose tag is already there runs the recording
+// walk and keeps its entry. One-shot flows — a churning tenant's fresh
+// keys — so cost a hash and a table write instead of a kept entry, and
+// only flows that repeat occupy the cache. Both walks produce the same
+// verdict and register effects, so admission decides which walk runs and
+// never what a packet sees. The hash is deterministic, so hit rates
+// repeat from process to process. Colliding keys evict each other's tags,
+// which only delays their admission; the doorkeeper survives flushes, so a
+// flow that missed before a table change is admitted on its first miss
+// after it, unless the key prefix grew in between and changed its probe.
 //
 // # Key and correctness
 //
@@ -73,10 +91,14 @@ const (
 	// flushes (simple, deterministic, and sized far above the flow counts
 	// the workloads generate).
 	flowCacheCap = 4096
+	// doorkeeperBits sizes the admission doorkeeper: 2^11 slots admit as
+	// well as 2^13 on the churning workloads, at 4 KiB per cache.
+	doorkeeperBits  = 11
+	doorkeeperSlots = 1 << doorkeeperBits
 )
 
 // errCachedParse is returned for replayed parse failures; the original
-// error text is only reported the first time a flow is seen.
+// error text is only reported by the misses that walk the parser.
 var errCachedParse = errors.New("rmt: parse error (cached verdict)")
 
 // regReplay is one recorded register side effect, its register resolved
@@ -105,8 +127,10 @@ type flowEntry struct {
 type FlowCacheStats struct {
 	// Hits replayed a cached verdict.
 	Hits uint64
-	// Misses ran the recording walk (first packet of each flow, and every
-	// packet after a flush).
+	// Misses found no entry and ran a table walk: the plain walk on a
+	// key's first miss, the recording walk once the doorkeeper has seen
+	// the key (see # Admission). Either way a miss is one walk, so walks
+	// are Misses + NegHits.
 	Misses uint64
 	// NegHits matched a negative entry and ran the plain walk.
 	NegHits uint64
@@ -149,6 +173,13 @@ type flowCache struct {
 	shadowChecks     uint64
 	shadowMismatches uint64
 	firstMismatch    string
+
+	// seen is the admission doorkeeper: slot i holds the tag (the low 16
+	// bits of the hash) of the last missed probe key whose hash's top bits
+	// index i. Two keys that share a slot and a tag admit each other early,
+	// one probe in 65,536, which costs an entry and never a verdict. It
+	// comes last so the fields every hit reads share cache lines.
+	seen [doorkeeperSlots]uint16
 }
 
 func newFlowCache() *flowCache {
@@ -229,6 +260,10 @@ func (c *flowCache) process(p *Program, msg *packet.Message, now uint64) (Result
 		return res, true, err
 	}
 	c.stats.Misses++
+	if !c.admit(key) {
+		res, err := p.Process(msg, now)
+		return res, false, err
+	}
 	// Capture the full-prefix key BEFORE the walk: processing mutates the
 	// message (chain insertion rewrites the buffer), and the stored key
 	// must describe the packet as the next probe will see it — at ingress.
@@ -254,6 +289,23 @@ func (c *flowCache) process(p *Program, msg *packet.Message, now uint64) (Result
 	}
 	c.entries[string(full[:metaLen+n])] = c.keep(e)
 	return res, false, err
+}
+
+// admit reports whether the doorkeeper has seen the missed probe key
+// before; if not, it records the key's tag in the key's slot, evicting
+// whatever tag was there.
+func (c *flowCache) admit(key []byte) bool {
+	h := uint64(14695981039346656037) // FNV-1a 64
+	for _, b := range key {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	slot, tag := &c.seen[h>>(64-doorkeeperBits)], uint16(h)
+	if *slot == tag {
+		return true
+	}
+	*slot = tag
+	return false
 }
 
 // Kept entries, their hops and their register ops are carved from chunks

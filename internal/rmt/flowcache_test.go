@@ -2,6 +2,8 @@ package rmt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -104,44 +106,249 @@ func randSpec(rng *rand.Rand) msgSpec {
 // identical register evolution after every single message.
 func TestFlowCacheDifferential(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		plain := cacheProgram()
-		cachedProg := cacheProgram()
-		cache := newFlowCache()
-		for i := 0; i < 3000; i++ {
-			spec := randSpec(rng)
-			now := uint64(1000 + i)
-			m1 := spec.build()
-			m2 := spec.build()
-			r1, err1 := plain.Process(m1, now)
-			r2, _, err2 := cache.process(cachedProg, m2, now)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("seed=%d msg=%d: err %v vs %v", seed, i, err1, err2)
-			}
-			if err1 != nil {
-				continue
-			}
-			if r1.Drop != r2.Drop || r1.Queue != r2.Queue {
-				t.Fatalf("seed=%d msg=%d: verdict (%v,%d) vs (%v,%d) spec=%+v",
-					seed, i, r1.Drop, r1.Queue, r2.Drop, r2.Queue, spec)
-			}
-			if m1.Tenant != m2.Tenant {
-				t.Fatalf("seed=%d msg=%d: tenant %d vs %d", seed, i, m1.Tenant, m2.Tenant)
-			}
-			if !bytes.Equal(m1.Pkt.Buf, m2.Pkt.Buf) {
-				t.Fatalf("seed=%d msg=%d: serialized bytes diverge (spec=%+v)", seed, i, spec)
-			}
-			for slot := uint64(0); slot < 64; slot++ {
-				if a, b := plain.Regs.Read("tenant_pkts", slot), cachedProg.Regs.Read("tenant_pkts", slot); a != b {
-					t.Fatalf("seed=%d msg=%d: reg[%d] %d vs %d", seed, i, slot, a, b)
-				}
-			}
-		}
-		st := cache.stats
+		st := differential(t, seed, 3000, randSpec)
 		if st.Hits == 0 {
 			t.Fatalf("seed=%d: no cache hits over 3000 messages (misses=%d neg=%d)",
 				seed, st.Misses, st.NegHits)
 		}
+	}
+}
+
+// TestFlowCacheDifferentialChurn is the differential test under churn:
+// half the traffic is randSpec's recurring flows, half draws KVS keys from
+// 2^14 values, so thousands of one-shot keys evict each other's doorkeeper
+// slots while the recurring flows are admitted, replayed and flushed.
+func TestFlowCacheDifferentialChurn(t *testing.T) {
+	churn := func(rng *rand.Rand) msgSpec {
+		s := randSpec(rng)
+		if rng.Intn(2) == 0 {
+			s.key = uint64(rng.Intn(1 << 14))
+		}
+		return s
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		st := differential(t, seed, 8000, churn)
+		if st.Hits == 0 || st.Misses < 2*doorkeeperSlots {
+			t.Fatalf("seed=%d: stats %+v, want hits and more misses than twice the doorkeeper's %d slots",
+				seed, st, doorkeeperSlots)
+		}
+	}
+}
+
+// differential runs n messages drawn by spec through a plain and a cached
+// copy of cacheProgram and fails on the first difference in verdict,
+// message bytes or registers. It returns the cache's counters.
+func differential(t *testing.T, seed int64, n int, spec func(*rand.Rand) msgSpec) FlowCacheStats {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	plain := cacheProgram()
+	cachedProg := cacheProgram()
+	cache := newFlowCache()
+	for i := 0; i < n; i++ {
+		spec := spec(rng)
+		now := uint64(1000 + i)
+		m1 := spec.build()
+		m2 := spec.build()
+		r1, err1 := plain.Process(m1, now)
+		r2, _, err2 := cache.process(cachedProg, m2, now)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("seed=%d msg=%d: err %v vs %v", seed, i, err1, err2)
+		}
+		if err1 != nil {
+			continue
+		}
+		if r1.Drop != r2.Drop || r1.Queue != r2.Queue {
+			t.Fatalf("seed=%d msg=%d: verdict (%v,%d) vs (%v,%d) spec=%+v",
+				seed, i, r1.Drop, r1.Queue, r2.Drop, r2.Queue, spec)
+		}
+		if m1.Tenant != m2.Tenant {
+			t.Fatalf("seed=%d msg=%d: tenant %d vs %d", seed, i, m1.Tenant, m2.Tenant)
+		}
+		if !bytes.Equal(m1.Pkt.Buf, m2.Pkt.Buf) {
+			t.Fatalf("seed=%d msg=%d: serialized bytes diverge (spec=%+v)", seed, i, spec)
+		}
+		for slot := uint64(0); slot < 64; slot++ {
+			if a, b := plain.Regs.Read("tenant_pkts", slot), cachedProg.Regs.Read("tenant_pkts", slot); a != b {
+				t.Fatalf("seed=%d msg=%d: reg[%d] %d vs %d", seed, i, slot, a, b)
+			}
+		}
+	}
+	return cache.stats
+}
+
+// TestFlowCacheAdmitsOnSecondMiss: a key's first miss keeps nothing, so
+// 10k one-shot keys leave the cache empty with no chunk carved; a key that
+// misses twice is kept, and its third packet hits.
+func TestFlowCacheAdmitsOnSecondMiss(t *testing.T) {
+	prog := cacheProgram()
+	cache := newFlowCache()
+	spec := msgSpec{tenant: 1, srcPort: 7000, dstIP: packet.IP4{10, 0, 0, 1}}
+	// Admit one flow so the key prefix covers the KVS key, then flush it
+	// with a table change that steers nothing differently.
+	for now := uint64(0); now < 2; now++ {
+		if _, _, err := cache.process(prog, spec.build(), now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(cache.entries) != 1 {
+		t.Fatalf("%d entries after a flow's second miss, want 1", len(cache.entries))
+	}
+	prog.Stages[1][0].Add(Entry{Values: []uint64{99}, Action: NewAction("unused", OpSet{FieldMetaScratch1, 1})})
+
+	for k := uint64(1); k <= 10_000; k++ {
+		spec.key = 1_000_000 + k
+		if _, hit, err := cache.process(prog, spec.build(), k); hit || err != nil {
+			t.Fatalf("one-shot key %d: hit=%v err=%v", k, hit, err)
+		}
+	}
+	if n := len(cache.entries); n != 0 || cache.entrySlab != nil || cache.hopSlab != nil || cache.regOpSlab != nil {
+		t.Fatalf("after 10k one-shot keys: %d entries, chunks carved: entries %v, hops %v, reg ops %v",
+			n, cache.entrySlab != nil, cache.hopSlab != nil, cache.regOpSlab != nil)
+	}
+
+	spec.key = 7
+	for now := uint64(0); now < 2; now++ {
+		if _, hit, _ := cache.process(prog, spec.build(), 20_000+now); hit {
+			t.Fatalf("miss %d of a new key hit", now+1)
+		}
+	}
+	if len(cache.entries) != 1 {
+		t.Fatalf("%d entries after the key's second miss, want 1", len(cache.entries))
+	}
+	if _, hit, _ := cache.process(prog, spec.build(), 20_002); !hit {
+		t.Fatal("third packet of a twice-missed key did not hit")
+	}
+}
+
+// TestFlowCacheDoorkeeperCollision: the doorkeeper slot of a probe key is
+// picked by the top bits of its FNV-1a hash and holds the hash's low 16
+// bits. A key whose slot another key has since taken over misses as if
+// new: the collision delays its admission and admits nothing early.
+func TestFlowCacheDoorkeeperCollision(t *testing.T) {
+	slotTag := func(key []byte) (int, uint16) {
+		h := fnv.New64a()
+		h.Write(key)
+		sum := h.Sum64()
+		return int(sum >> (64 - doorkeeperBits)), uint16(sum)
+	}
+	key := func(i uint64) []byte { return binary.BigEndian.AppendUint64(nil, i) }
+	a := key(0)
+	slot, tagA := slotTag(a)
+	var b []byte
+	for i := uint64(1); b == nil; i++ {
+		if s, tag := slotTag(key(i)); s == slot && tag != tagA {
+			b = key(i)
+		}
+	}
+	if tagA == 0 {
+		t.Fatal("key 0's tag is the empty slot's value; pick another key")
+	}
+
+	cache := newFlowCache()
+	if cache.admit(a) {
+		t.Fatal("a's first miss was admitted")
+	}
+	if cache.seen[slot] != tagA {
+		t.Fatalf("slot %d holds %#x after a's miss, want a's FNV-1a tag %#x", slot, cache.seen[slot], tagA)
+	}
+	if cache.admit(b) {
+		t.Fatal("b's first miss was admitted through a's slot")
+	}
+	if cache.admit(a) {
+		t.Fatal("a was admitted after b evicted its tag")
+	}
+	if !cache.admit(a) {
+		t.Fatal("a was not admitted on its miss after its tag came back")
+	}
+}
+
+// TestFlowCacheAdmissionSurvivesFlush: a flush empties the cache but not
+// the doorkeeper, so a flow admitted before a table change is recorded
+// again on its first miss after it and hits on its next packet.
+func TestFlowCacheAdmissionSurvivesFlush(t *testing.T) {
+	prog := cacheProgram()
+	cache := newFlowCache()
+	// Another flow's admission grows the key prefix first, so the flow
+	// under test probes with the same key before and after the flush.
+	warm := msgSpec{tenant: 11, srcPort: 7001, dstIP: packet.IP4{10, 0, 0, 2}}
+	for now := uint64(1); now <= 2; now++ {
+		if _, _, err := cache.process(prog, warm.build(), now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := msgSpec{tenant: 10, srcPort: 7000, dstIP: packet.IP4{10, 0, 0, 1}}
+	for now := uint64(1); now <= 3; now++ {
+		if _, hit, err := cache.process(prog, spec.build(), 2+now); err != nil || hit != (now == 3) {
+			t.Fatalf("packet %d: hit=%v err=%v, want two misses then a hit", now, hit, err)
+		}
+	}
+	prog.Stages[1][0].Add(Entry{Values: []uint64{99}, Action: NewAction("unused", OpSet{FieldMetaScratch1, 1})})
+	if _, hit, _ := cache.process(prog, spec.build(), 6); hit {
+		t.Fatal("hit after a table change")
+	}
+	if len(cache.entries) != 1 {
+		t.Fatalf("%d entries after the first miss past the flush, want the flow re-kept", len(cache.entries))
+	}
+	if _, hit, _ := cache.process(prog, spec.build(), 7); !hit {
+		t.Fatal("the re-kept flow did not hit")
+	}
+}
+
+// TestFlowCacheChurnSparesRecurringFlow: one-shot keys keep no entries, so
+// a churn of more distinct keys than the cache holds neither fills it nor
+// flushes it, and a recurring flow between them hits throughout. A
+// one-shot key whose tag matches its slot's (one in 65,536) is kept, so a
+// few stray entries are allowed.
+func TestFlowCacheChurnSparesRecurringFlow(t *testing.T) {
+	prog := cacheProgram()
+	cache := newFlowCache()
+	flow := msgSpec{tenant: 10, srcPort: 7000, dstIP: packet.IP4{10, 0, 0, 1}}
+	churn := msgSpec{tenant: 11, srcPort: 7001, dstIP: packet.IP4{10, 0, 0, 2}}
+	for now := uint64(1); now <= 2; now++ {
+		if _, _, err := cache.process(prog, flow.build(), now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushes := cache.stats.Flushes
+	for k := uint64(0); k < 2*flowCacheCap; k++ {
+		churn.key = 1_000_000 + k
+		now := 10 + 2*k
+		if _, hit, err := cache.process(prog, churn.build(), now); hit || err != nil {
+			t.Fatalf("one-shot key %d: hit=%v err=%v", k, hit, err)
+		}
+		if _, hit, err := cache.process(prog, flow.build(), now+1); !hit || err != nil {
+			t.Fatalf("recurring flow after %d one-shot keys: hit=%v err=%v", k+1, hit, err)
+		}
+	}
+	if cache.stats.Flushes != flushes || len(cache.entries) > 1+4 {
+		t.Fatalf("after %d one-shot keys: %d flushes (was %d), %d entries, want no flush and at most 4 strays",
+			2*flowCacheCap, cache.stats.Flushes, flushes, len(cache.entries))
+	}
+}
+
+// TestFlowCacheAdmissionDeterministic: the doorkeeper's hash has no
+// per-process or per-cache seed, so two caches fed the same traffic admit
+// the same flows and report the same counters.
+func TestFlowCacheAdmissionDeterministic(t *testing.T) {
+	run := func() (FlowCacheStats, [doorkeeperSlots]uint16) {
+		rng := rand.New(rand.NewSource(7))
+		prog := cacheProgram()
+		cache := newFlowCache()
+		for i := 0; i < 6000; i++ {
+			s := randSpec(rng)
+			s.key = uint64(rng.Intn(1 << 12))
+			cache.process(prog, s.build(), uint64(i))
+		}
+		return cache.stats, cache.seen
+	}
+	st1, seen1 := run()
+	st2, seen2 := run()
+	if st1 != st2 || seen1 != seen2 {
+		t.Fatalf("two caches on the same traffic diverge: stats %+v vs %+v, doorkeepers equal: %v",
+			st1, st2, seen1 == seen2)
+	}
+	if st1.Hits == 0 || st1.Misses == 0 {
+		t.Fatalf("stats %+v: the traffic must both hit and miss", st1)
 	}
 }
 
@@ -152,16 +359,19 @@ func TestFlowCacheInvalidation(t *testing.T) {
 	cache := newFlowCache()
 	spec := msgSpec{tenant: 10, srcPort: 7000, dstIP: packet.IP4{10, 0, 0, 1}}
 
+	// Two misses admit the flow: the second records and caches it.
+	for now := uint64(1); now <= 2; now++ {
+		m := spec.build()
+		if _, _, err := cache.process(prog, m, now); err != nil {
+			t.Fatal(err)
+		}
+		if hops := m.Chain().Hops; hops[0].Engine != 4 {
+			t.Fatalf("first hop = %+v, want engine 4", hops[0])
+		}
+	}
 	m := spec.build()
-	if _, _, err := cache.process(prog, m, 1); err != nil {
-		t.Fatal(err)
-	}
-	if hops := m.Chain().Hops; hops[0].Engine != 4 {
-		t.Fatalf("first hop = %+v, want engine 4", hops[0])
-	}
-	m = spec.build()
-	if _, hit, _ := cache.process(prog, m, 2); !hit {
-		t.Fatal("second packet of the flow should hit")
+	if _, hit, _ := cache.process(prog, m, 3); !hit {
+		t.Fatal("third packet of the flow should hit")
 	}
 
 	// Failover rewrite: engine 4 dies, replica lives at 5.
@@ -169,7 +379,7 @@ func TestFlowCacheInvalidation(t *testing.T) {
 		t.Fatal("rewrite touched nothing")
 	}
 	m = spec.build()
-	if _, hit, _ := cache.process(prog, m, 3); hit {
+	if _, hit, _ := cache.process(prog, m, 4); hit {
 		t.Fatal("hit after table rewrite: stale verdict served")
 	}
 	if hops := m.Chain().Hops; hops[0].Engine != 5 {
@@ -180,7 +390,7 @@ func TestFlowCacheInvalidation(t *testing.T) {
 	prog.Stages[0][0].Add(Entry{Values: []uint64{10}, Masks: []uint64{^uint64(0)},
 		Priority: 20, Action: NewAction("deny", OpDrop{})})
 	m = spec.build()
-	res, hit, err := cache.process(prog, m, 4)
+	res, hit, err := cache.process(prog, m, 5)
 	if err != nil || hit || !res.Drop {
 		t.Fatalf("post-ACL res=%+v hit=%v err=%v, want fresh drop", res, hit, err)
 	}
@@ -196,16 +406,17 @@ func TestFlowCacheUncacheable(t *testing.T) {
 		prog := NewProgram(StandardParser(), []*Table{tbl})
 		cache := newFlowCache()
 		spec := msgSpec{tenant: 1, srcPort: 7000, dstIP: packet.IP4{10, 0, 0, 1}}
-		for i := 0; i < 3; i++ {
+		for i := 0; i < 4; i++ {
 			if _, hit, err := cache.process(prog, spec.build(), uint64(i)); hit || err != nil {
 				t.Fatalf("msg %d: hit=%v err=%v, OpFunc flows must not be replayed", i, hit, err)
 			}
 		}
-		if calls != 3 {
-			t.Fatalf("OpFunc ran %d times, want 3 (once per packet)", calls)
+		if calls != 4 {
+			t.Fatalf("OpFunc ran %d times, want 4 (once per packet)", calls)
 		}
-		if st := cache.stats; st.NegHits != 2 || st.Misses != 1 {
-			t.Fatalf("stats = %+v, want 1 miss + 2 negative hits", st)
+		// The second miss admits the flow and records its negative entry.
+		if st := cache.stats; st.NegHits != 2 || st.Misses != 2 {
+			t.Fatalf("stats = %+v, want 2 misses + 2 negative hits", st)
 		}
 	})
 	t.Run("register-dependent-queue", func(t *testing.T) {
@@ -240,11 +451,13 @@ func TestFlowCacheParseError(t *testing.T) {
 	prog := cacheProgram()
 	cache := newFlowCache()
 	spec := msgSpec{tenant: 1, srcPort: 7000, dstIP: packet.IP4{10, 0, 0, 1}, truncate: 20}
-	if _, hit, err := cache.process(prog, spec.build(), 1); hit || err == nil {
-		t.Fatalf("first truncated packet: hit=%v err=%v", hit, err)
+	for now := uint64(1); now <= 2; now++ {
+		if _, hit, err := cache.process(prog, spec.build(), now); hit || err == nil {
+			t.Fatalf("truncated packet %d: hit=%v err=%v", now, hit, err)
+		}
 	}
-	if _, hit, err := cache.process(prog, spec.build(), 2); !hit || err == nil {
-		t.Fatalf("second truncated packet: hit=%v err=%v, want cached error", hit, err)
+	if _, hit, err := cache.process(prog, spec.build(), 3); !hit || err == nil {
+		t.Fatalf("third truncated packet: hit=%v err=%v, want cached error", hit, err)
 	}
 }
 
@@ -257,30 +470,37 @@ func TestFlowCachePrefixGrowth(t *testing.T) {
 	short := msgSpec{tenant: 1, srcPort: 7001, dstIP: packet.IP4{10, 0, 0, 1}}
 	long := msgSpec{tenant: 1, srcPort: 7001, dstIP: packet.IP4{10, 0, 0, 1}, chain: true}
 
-	if _, _, err := cache.process(prog, short.build(), 1); err != nil {
-		t.Fatal(err)
+	// Each flow's second miss records its walk.
+	send := func(s msgSpec, now uint64) {
+		t.Helper()
+		for i := uint64(0); i < 2; i++ {
+			if _, _, err := cache.process(prog, s.build(), now+i); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	send(short, 1)
 	plShort := cache.maxParseLen
 	if plShort == 0 {
 		t.Fatal("prefix did not grow on first insert")
 	}
 	flushes := cache.stats.Flushes
-	if _, _, err := cache.process(prog, long.build(), 2); err != nil {
-		t.Fatal(err)
-	}
+	send(long, 3)
 	if cache.maxParseLen <= plShort {
 		t.Fatalf("prefix %d did not grow past %d for the longer walk", cache.maxParseLen, plShort)
 	}
 	if cache.stats.Flushes == flushes {
 		t.Fatal("no flush on prefix growth")
 	}
-	// Both flows must now be (re)cacheable and correct.
-	m := short.build()
-	if _, hit, _ := cache.process(prog, m, 3); hit {
-		t.Fatal("short flow survived the flush")
+	// Both flows must now be (re)cacheable and correct. The short flow's
+	// earlier misses probed with the empty prefix, so under the grown one
+	// it is admitted afresh: two misses, then a hit.
+	for now := uint64(5); now <= 6; now++ {
+		if _, hit, _ := cache.process(prog, short.build(), now); hit {
+			t.Fatal("short flow survived the flush")
+		}
 	}
-	m = short.build()
-	if _, hit, _ := cache.process(prog, m, 4); !hit {
+	if _, hit, _ := cache.process(prog, short.build(), 7); !hit {
 		t.Fatal("short flow did not re-cache under the grown prefix")
 	}
 }

@@ -21,19 +21,3 @@ func RankLSTF(_ *packet.Message, slack uint32, now uint64) uint64 {
 func RankFIFO(_ *packet.Message, _ uint32, now uint64) uint64 {
 	return now
 }
-
-// RankStrictPriority serves by traffic class (control before latency
-// before bulk), FIFO within a class. The class occupies the high bits, the
-// arrival cycle the low bits.
-func RankStrictPriority(msg *packet.Message, _ uint32, now uint64) uint64 {
-	var level uint64
-	switch msg.Class {
-	case packet.ClassControl:
-		level = 0
-	case packet.ClassLatency:
-		level = 1
-	default:
-		level = 2
-	}
-	return level<<48 | (now & 0xffffffffffff)
-}

@@ -8,8 +8,9 @@
 // always the minimum rank, which is sufficient to express arbitrary
 // scheduling algorithms (the paper cites Universal Packet Scheduling and
 // the PIFO line of work). Rank = arrival + slack implements
-// least-slack-time-first; rank = arrival implements FIFO; rank = class
-// implements strict priority. The queue is one slice kept sorted
+// least-slack-time-first; rank = arrival implements FIFO; and LSTF with a
+// near-unbounded slack for bulk traffic serves it at strict low priority.
+// The queue is one slice kept sorted
 // worst-first, so the head is the tail: pop is O(1) and push is a binary
 // search plus a memmove over at most the queue's capacity (64–256 entries
 // in every shipped configuration).

@@ -154,16 +154,6 @@ func TestRankLSTF(t *testing.T) {
 	}
 }
 
-func TestRankStrictPriority(t *testing.T) {
-	c, l, b := controlMsg(1), &packet.Message{Class: packet.ClassLatency, Pkt: &packet.Packet{}}, bulkMsg(3)
-	rc := RankStrictPriority(c, 0, 1000)
-	rl := RankStrictPriority(l, 0, 5)
-	rb := RankStrictPriority(b, 0, 5)
-	if !(rc < rl && rl < rb) {
-		t.Errorf("priority ordering wrong: %d %d %d", rc, rl, rb)
-	}
-}
-
 // TestPropertyPopOrderIsSortedByRank: popping everything yields
 // non-decreasing ranks, with FIFO among equals; nothing is lost.
 func TestPropertyPopOrderIsSortedByRank(t *testing.T) {
