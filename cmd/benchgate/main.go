@@ -87,7 +87,7 @@ func main() {
 	}
 	n := len(base.Saturating) + len(base.LowLoad) + len(base.Fleet) + len(base.ZeroAlloc)
 	if base.MsgAllocs != nil {
-		n++
+		n += 2 // allocations and allocated bytes
 	}
 	if base.MeshWork != nil {
 		n++

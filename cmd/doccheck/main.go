@@ -17,7 +17,8 @@
 //
 //   - A single-word token containing a "/" (or ending in ".md") is a path
 //     and must exist relative to the repo root. Wildcards ("..."), URLs,
-//     and placeholders ("<file>") are skipped.
+//     placeholders ("<file>") and subtest names ("TestX/case") are
+//     skipped.
 //   - A token starting with "-", or any "-flag" word inside a token whose
 //     first word names a command in cmd/, must match a flag.X("name", ...)
 //     declaration in that command's sources (or any command's, for bare
@@ -312,11 +313,12 @@ func checkToken(root, tok string, cmdFlags map[string]map[string]bool, allFlags 
 	}
 
 	// Path check: single-word tokens that look like repo paths. Absolute
-	// paths point outside the repository and are not checked.
+	// paths point outside the repository and are not checked, and a word
+	// that starts with Test is a subtest name.
 	if len(words) == 1 {
 		w := words[0]
 		isPath := (strings.Contains(w, "/") || strings.HasSuffix(w, ".md")) &&
-			!strings.HasPrefix(w, "/") &&
+			!strings.HasPrefix(w, "/") && !strings.HasPrefix(w, "Test") &&
 			!strings.Contains(w, "...") && !strings.Contains(w, "://") &&
 			!strings.ContainsAny(w, "<>*|$")
 		if isPath {

@@ -34,3 +34,19 @@ func TestCheckFenced(t *testing.T) {
 		t.Errorf("problems:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestCheckTokenSubtestName: a backticked subtest name contains a slash but
+// is not a path, while a missing path still fails.
+func TestCheckTokenSubtestName(t *testing.T) {
+	root := t.TempDir()
+	for tok, want := range map[string]string{
+		"TestFlowCacheUncacheable/opfunc":          "",
+		"TestNICSummaryAccountsForEveryFrame/bulk": "",
+		"internal/nope/flowcache.go":               "path `internal/nope/flowcache.go` does not exist",
+	} {
+		got := strings.Join(checkToken(root, tok, nil, nil), "\n")
+		if got != want {
+			t.Errorf("checkToken(%q) = %q, want %q", tok, got, want)
+		}
+	}
+}

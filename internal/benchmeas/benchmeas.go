@@ -76,7 +76,8 @@ type Report struct {
 	LowLoad    []FFResult     `json:"low_load_fast_forward"`
 	Fleet      []FleetResult  `json:"fleet,omitempty"`
 	ZeroAlloc  []AllocResult  `json:"zero_alloc_paths,omitempty"`
-	// MsgAllocs is the canonical NIC's allocations per delivered message.
+	// MsgAllocs is the canonical NIC's allocations and allocated bytes per
+	// delivered message.
 	MsgAllocs *MsgAllocResult `json:"canonical_nic_allocs,omitempty"`
 	// MeshWork is the canonical NIC's mesh work per delivered message,
 	// over the same window.
@@ -188,8 +189,8 @@ func Measure(cfg Config) Report {
 	}
 	ma, mw := MeasureCanonicalNIC(msgAllocCycles)
 	rep.MsgAllocs, rep.MeshWork = &ma, &mw
-	cfg.logf("canonical NIC: %.2f allocs per delivered message (%d allocs, %d messages)\n",
-		ma.AllocsPerMsg, ma.Allocs, ma.Delivered)
+	cfg.logf("canonical NIC: %.2f allocs and %.1f bytes per delivered message (%d allocs of %d bytes, %d messages)\n",
+		ma.AllocsPerMsg, ma.AllocBytesPerMsg, ma.Allocs, ma.AllocBytes, ma.Delivered)
 	cfg.logf("canonical NIC: %.1f router ticks, %.1f worm hops and %.1f worm lane steps per delivered message (%d of %d flit hops by worms)\n",
 		mw.RouterTicksPerMsg, mw.WormHopsPerMsg, mw.WormLaneStepsPerMsg, mw.WormHops, mw.FlitHops)
 	return rep
@@ -412,14 +413,18 @@ func Compare(baseline, fresh Report, tolerance float64) (bad, notes []string) {
 		}
 	}
 
-	if b := baseline.MsgAllocs; b != nil {
-		switch f := fresh.MsgAllocs; {
-		case f == nil:
-			bad = append(bad, "canonical NIC allocs per message: missing from fresh run")
-		case f.AllocsPerMsg > b.AllocsPerMsg+msgAllocSlack:
+	if b, f := baseline.MsgAllocs, fresh.MsgAllocs; b != nil && f == nil {
+		bad = append(bad, "canonical NIC allocs per message: missing from fresh run")
+	} else if b != nil {
+		if f.AllocsPerMsg > b.AllocsPerMsg+msgAllocSlack {
 			bad = append(bad, fmt.Sprintf(
 				"canonical NIC: %.2f allocs per delivered message vs baseline %.2f (the count is exact; any rise is a regression)",
 				f.AllocsPerMsg, b.AllocsPerMsg))
+		}
+		if f.AllocBytesPerMsg > b.AllocBytesPerMsg+msgAllocBytesSlack {
+			bad = append(bad, fmt.Sprintf(
+				"canonical NIC: %.1f bytes allocated per delivered message vs baseline %.1f (slack %.0f B; the count is exact up to the runtime's own allocations)",
+				f.AllocBytesPerMsg, b.AllocBytesPerMsg, msgAllocBytesSlack))
 		}
 	}
 

@@ -22,7 +22,7 @@ func sampleReport() Report {
 		ZeroAlloc: []AllocResult{
 			{Name: "tile-hot-path-untraced", AllocsPerOp: 0},
 		},
-		MsgAllocs: &MsgAllocResult{AllocsPerMsg: 6.38},
+		MsgAllocs: &MsgAllocResult{AllocsPerMsg: 6.38, AllocBytesPerMsg: 1440.6},
 		MeshWork:  &MeshWorkResult{RouterTicksPerMsg: 135.5},
 	}
 }
@@ -112,9 +112,9 @@ func TestCompareFlagsNewAllocations(t *testing.T) {
 		fresh *MsgAllocResult
 		want  string
 	}{
-		{&MsgAllocResult{AllocsPerMsg: 6.385}, ""},
-		{&MsgAllocResult{AllocsPerMsg: 5}, ""},
-		{&MsgAllocResult{AllocsPerMsg: 6.5}, "allocs per delivered message"},
+		{&MsgAllocResult{AllocsPerMsg: 6.385, AllocBytesPerMsg: 1440.6}, ""},
+		{&MsgAllocResult{AllocsPerMsg: 5, AllocBytesPerMsg: 1440.6}, ""},
+		{&MsgAllocResult{AllocsPerMsg: 6.5, AllocBytesPerMsg: 1440.6}, "allocs per delivered message"},
 		{nil, "missing"},
 	} {
 		fresh := sampleReport()
@@ -123,6 +123,36 @@ func TestCompareFlagsNewAllocations(t *testing.T) {
 		if (c.want == "") != (len(bad) == 0) || (c.want != "" && !strings.Contains(bad[0], c.want)) {
 			t.Errorf("fresh %+v: violations = %v, want %q", c.fresh, bad, c.want)
 		}
+	}
+}
+
+// TestCompareGatesAllocBytesPerMsg: the canonical NIC's allocated bytes per
+// message may rise by the runtime's noise, msgAllocBytesSlack, and no more;
+// one more stored 8-byte sample per message fails.
+func TestCompareGatesAllocBytesPerMsg(t *testing.T) {
+	for _, c := range []struct {
+		base, fresh float64
+		want        string
+	}{
+		{1440.6, 1440.6, ""},
+		{1440.6, 1440.6 + msgAllocBytesSlack, ""},
+		{1440.6, 900, ""},
+		{1440.6, 1448.6, "bytes allocated per delivered message"},
+		{1440.6, 1440.6 + msgAllocBytesSlack + 0.1, "bytes allocated per delivered message"},
+	} {
+		base, fresh := sampleReport(), sampleReport()
+		base.MsgAllocs.AllocBytesPerMsg = c.base
+		fresh.MsgAllocs.AllocBytesPerMsg = c.fresh
+		bad, _ := Compare(base, fresh, 0.25)
+		if (c.want == "") != (len(bad) == 0) || (c.want != "" && !strings.Contains(bad[0], c.want)) {
+			t.Errorf("baseline %v, fresh %v B/msg: violations = %v, want %q", c.base, c.fresh, bad, c.want)
+		}
+	}
+	// A rise in both counts reports both.
+	fresh := sampleReport()
+	fresh.MsgAllocs.AllocsPerMsg, fresh.MsgAllocs.AllocBytesPerMsg = 7, 1500
+	if bad, _ := Compare(sampleReport(), fresh, 0.25); len(bad) != 2 {
+		t.Errorf("violations = %v, want an allocs and a bytes violation", bad)
 	}
 }
 

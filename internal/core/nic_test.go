@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
 	"strconv"
 	"strings"
@@ -383,6 +384,65 @@ func TestNICSummaryAccountsForEveryFrame(t *testing.T) {
 					st.HostDeliveries, st.WireDeliveries, st.SchedDrops, st.RMTDropped, out, st.RxPackets)
 			}
 		})
+	}
+}
+
+// TestSnapshotHostOnlyTenantRow: a tenant whose messages all go to the host
+// has no wire histogram. Its /statz row keeps zero wire figures, and the
+// snapshot's JSON is byte for byte what it was when every row read its
+// histogram through LatencyCollector.Tenant, which hands an absent tenant
+// a fresh empty one.
+func TestSnapshotHostOnlyTenantRow(t *testing.T) {
+	cfg := DefaultConfig()
+	srcs := []engine.Source{
+		kvsSource(400, 0.5, 0, 1),
+		workload.NewFixedStream(workload.FixedStreamConfig{
+			FrameBytes: 64, RateGbps: 5, FreqHz: cfg.FreqHz,
+			Tenant: 7, Class: packet.ClassBulk, Count: 400, Seed: 2,
+		}),
+	}
+	nic := NewNIC(cfg, srcs)
+	defer nic.Close()
+	if !nic.RunQuiet(5000, 5_000_000) {
+		t.Fatal("did not drain")
+	}
+	if nic.WireLat.ByTenant[1] == nil || nic.WireLat.ByTenant[7] != nil || nic.HostLat.ByTenant[7] == nil {
+		t.Fatalf("want tenant 1 on the wire and tenant 7 only at the host; wire tenants %v", nic.WireLat.ByTenant)
+	}
+	snap := nic.Snapshot()
+	got, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(nic.WireLat.ByTenant) != 1 {
+		t.Errorf("Snapshot added wire histograms: %v", nic.WireLat.ByTenant)
+	}
+	ns := func(c float64) float64 { return c / cfg.FreqHz * 1e9 }
+	totals := nic.TenantTotals()
+	for i, row := range snap.Tenants {
+		h, ta := nic.WireLat.Tenant(row.Tenant), totals[row.Tenant]
+		before := TenantSnapshot{
+			Tenant: row.Tenant, Weight: nic.TenantWeight(row.Tenant),
+			WireCount:     uint64(h.Count()),
+			ServiceCycles: ta.ServiceCycles,
+			Enqueued:      ta.Enqueued,
+			Dropped:       ta.Dropped,
+		}
+		if h.Count() > 0 {
+			before.RTTp50Ns = ns(h.P50())
+			before.RTTp99Ns = ns(h.P99())
+		}
+		snap.Tenants[i] = before
+	}
+	want, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("statz JSON:\n%s\nwant:\n%s", got, want)
+	}
+	if !strings.Contains(string(got), `{"tenant":7,"weight":1,"wire_count":0,"rtt_p50_ns":0,"rtt_p99_ns":0,`) {
+		t.Errorf("no zero-wire row for host-only tenant 7 in %s", got)
 	}
 }
 

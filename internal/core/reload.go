@@ -253,16 +253,17 @@ func (n *NIC) Snapshot() StatsSnapshot {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		h := n.WireLat.Tenant(id)
 		ta := totals[id]
 		ts := TenantSnapshot{
 			Tenant: id, Weight: n.TenantWeight(id),
-			WireCount:     uint64(h.Count()),
 			ServiceCycles: ta.ServiceCycles,
 			Enqueued:      ta.Enqueued,
 			Dropped:       ta.Dropped,
 		}
-		if h.Count() > 0 {
+		// A tenant with no wire deliveries has no histogram; its row keeps
+		// zero wire figures.
+		if h := n.WireLat.ByTenant[id]; h != nil {
+			ts.WireCount = uint64(h.Count())
 			ts.RTTp50Ns = ns(h.P50())
 			ts.RTTp99Ns = ns(h.P99())
 		}

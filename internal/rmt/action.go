@@ -107,8 +107,12 @@ func (o OpMod) Apply(ctx *Ctx) {
 }
 
 // OpHash writes a hash of the source fields into Dst (flow hashing for
-// load balancing). FNV-1a over the 64-bit values, matching what a hardware
-// hash unit would provide.
+// load balancing): FNV-1a over the bytes of the 64-bit values, as a
+// hardware hash unit would provide it, except for the seed. The seed is
+// FNV-1a 64's offset basis, 14695981039346656037, with its last digit
+// dropped. The hash is still deterministic, but fixing the seed moves every
+// hashed queue choice and so every golden fingerprint; it is the first of
+// the fingerprint breaks queued in ROADMAP.md's golden-fingerprints item.
 type OpHash struct {
 	Dst  FieldID
 	Srcs []FieldID

@@ -33,69 +33,248 @@ func (c *Counter) Value() uint64 { return c.n }
 // simulations here record at most a few million samples, for which exact
 // percentiles are affordable and simpler to trust than sketches.
 //
-// The samples are kept as a sorted prefix followed by an unsorted tail of
-// those observed since the last query. A query sorts only the tail and
-// merges it into the prefix in place, so with n samples of which k are new
-// it costs O(k log k + n), and O(1) when nothing arrived since the last
-// one. Once the buffers have grown, queries do not allocate.
+// The samples live in chunks of chunkLen: sample i is at index
+// i&chunkMask of chunk i>>chunkBits. Only the first chunk grows, fourfold
+// from 16 samples up to chunkLen, so a histogram with a handful of samples
+// stays small. Every later chunk is allocated once at full length and never
+// copied, so a long run stores each sample in 8 bytes, where one growing
+// slice would copy it about five times over.
+//
+// In that index space the samples are a sorted prefix followed by an
+// unsorted tail of those observed since the last query. A query sorts the
+// tail, in its chunk or, when it spans chunks, in the scratch buffer, and
+// merges it into the prefix in place from the back, chunk by chunk. So with
+// n samples of which k are new a query costs O(k log k + n), and O(1) when
+// nothing arrived since the last one. Once the chunks and the scratch
+// buffer have grown, queries do not allocate.
 type Histogram struct {
-	samples []float64 // samples[:nsorted] ascending, then the tail
-	nsorted int
-	scratch []float64 // holds the tail during a merge; reused
+	first   []float64            // chunk 0
+	rest    []*[chunkLen]float64 // chunks 1, 2, ...
+	n       int
+	nsorted int       // samples [0,nsorted) ascending, then the tail
+	scratch []float64 // holds a tail being sorted or merged; reused
 	sum     float64   // in observe order, so Mean does not depend on queries
 }
+
+// A chunk holds chunkLen samples, 2 KiB. Short chunks keep a last chunk's
+// unused room small: per-tenant histograms often hold a few hundred to a
+// few thousand samples.
+const (
+	chunkBits = 8
+	chunkLen  = 1 << chunkBits
+	chunkMask = chunkLen - 1
+)
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	h.samples = append(h.samples, v)
+	switch i, c := h.n, h.n>>chunkBits-1; {
+	case i < len(h.first):
+		h.first[i] = v
+	case c >= 0 && c < len(h.rest):
+		h.rest[c][i&chunkMask] = v
+	default:
+		h.spill(v)
+	}
+	h.n++
 	h.sum += v
+}
+
+// spill stores sample h.n where no chunk has room for it yet: it grows the
+// first chunk fourfold, up to chunkLen, or starts a new chunk.
+func (h *Histogram) spill(v float64) {
+	i := h.n
+	if i < chunkLen {
+		first := make([]float64, min(max(4*i, 16), chunkLen))
+		copy(first, h.first)
+		h.first = first
+		first[i] = v
+		return
+	}
+	c := new([chunkLen]float64)
+	c[0] = v
+	h.rest = append(h.rest, c)
+}
+
+// chunk returns chunk c.
+func (h *Histogram) chunk(c int) []float64 {
+	if c == 0 {
+		return h.first
+	}
+	return h.rest[c-1][:]
+}
+
+// at returns sample i.
+func (h *Histogram) at(i int) float64 { return h.chunk(i >> chunkBits)[i&chunkMask] }
+
+// get copies the samples from index i on into dst.
+func (h *Histogram) get(i int, dst []float64) {
+	for len(dst) > 0 {
+		n := copy(dst, h.chunk(i >> chunkBits)[i&chunkMask:])
+		dst = dst[n:]
+		i += n
+	}
+}
+
+// put copies vals into the samples from index i on.
+func (h *Histogram) put(i int, vals []float64) {
+	for len(vals) > 0 {
+		n := copy(h.chunk(i >> chunkBits)[i&chunkMask:], vals)
+		vals = vals[n:]
+		i += n
+	}
 }
 
 // sort folds the unsorted tail into the sorted prefix. Samples order as
 // sort.Float64s orders them: NaNs first, -0 and +0 equal.
 func (h *Histogram) sort() {
-	n, k := len(h.samples), len(h.samples)-h.nsorted
-	if k == 0 {
+	n, ns := h.n, h.nsorted
+	if n == ns {
 		return
-	}
-	tail := h.samples[h.nsorted:]
-	slices.Sort(tail)
-	i := h.nsorted - 1
-	if i < 0 || !cmp.Less(tail[0], h.samples[i]) {
-		// The tail already sorts after the prefix. This also spares a
-		// first query after a long run copying every sample to scratch.
-		h.nsorted = n
-		return
-	}
-	// Merge from the back: the largest remaining element of the prefix
-	// or of the (copied-out) tail goes to the highest free slot. Prefix
-	// elements below the tail's minimum never move.
-	h.scratch = append(h.scratch[:0], tail...)
-	j := k - 1
-	for w := n - 1; j >= 0; w-- {
-		if i >= 0 && cmp.Less(h.scratch[j], h.samples[i]) {
-			h.samples[w] = h.samples[i]
-			i--
-		} else {
-			h.samples[w] = h.scratch[j]
-			j--
-		}
 	}
 	h.nsorted = n
+	if c := ns >> chunkBits; c == (n-1)>>chunkBits {
+		// The tail lies within one chunk: sort it there.
+		tail := h.chunk(c)[ns&chunkMask : (n-1)&chunkMask+1]
+		slices.Sort(tail)
+		if ns == 0 || !cmp.Less(tail[0], h.at(ns-1)) {
+			return // the tail already sorts after the prefix
+		}
+		h.scratch = append(h.scratch[:0], tail...)
+	} else {
+		// It spans chunks: sort a copy in the scratch buffer.
+		if cap(h.scratch) < n-ns {
+			h.scratch = make([]float64, 0, max(n-ns, 2*cap(h.scratch)))
+		}
+		h.scratch = h.scratch[:n-ns]
+		h.get(ns, h.scratch)
+		slices.Sort(h.scratch)
+		if ns == 0 || !cmp.Less(h.scratch[0], h.at(ns-1)) {
+			h.put(ns, h.scratch)
+			return
+		}
+	}
+	if ns >= runMerge*len(h.scratch) {
+		h.mergeRuns(ns)
+	} else {
+		h.mergeEach(ns)
+	}
+}
+
+// runMerge is the prefix-to-tail length ratio from which a merge moves the
+// prefix in runs instead of one sample at a time.
+const runMerge = 32
+
+// mergeEach merges the sorted tail in the scratch buffer into the sorted
+// prefix [0,ns) from the back: the larger of the top remaining prefix
+// sample and the top remaining tail element goes to the highest free slot.
+// The walk keeps a source chunk and offset in the prefix and a destination
+// chunk and offset, so the inner loop indexes plain slices.
+func (h *Histogram) mergeEach(ns int) {
+	tail := h.scratch
+	j, n := len(tail)-1, ns+len(tail)
+	sc, so := (ns-1)>>chunkBits, (ns-1)&chunkMask
+	dc, do := (n-1)>>chunkBits, (n-1)&chunkMask
+	src, dst := h.chunk(sc), h.chunk(dc)
+	x := tail[j]
+	for {
+		for ; do >= 0; do-- {
+			if y := src[so]; cmp.Less(x, y) {
+				dst[do] = y
+				if so--; so >= 0 {
+					continue
+				}
+				if sc == 0 {
+					h.put(0, tail[:j+1]) // the prefix is used up
+					return
+				}
+				sc--
+				src, so = h.chunk(sc), chunkMask
+			} else {
+				dst[do] = x
+				if j--; j < 0 {
+					return // prefix samples below the tail's minimum never move
+				}
+				x = tail[j]
+			}
+		}
+		dc--
+		dst, do = h.chunk(dc), chunkMask
+	}
+}
+
+// mergeRuns merges as mergeEach does, one tail element at a time: the
+// prefix samples above it move up past the tail elements still to place,
+// as whole runs, and it takes the slot below them. When runs are long this
+// costs a few comparisons and a copy per tail element instead of a step
+// per moved sample.
+func (h *Histogram) mergeRuns(ns int) {
+	tail, p := h.scratch, ns
+	for j := len(tail) - 1; j >= 0; j-- {
+		x, q := tail[j], p
+		for q > 0 { // find the run above x, chunk by chunk
+			s := h.chunk((q - 1) >> chunkBits)[:(q-1)&chunkMask+1]
+			i := firstAbove(s, x)
+			q -= len(s) - i
+			if i > 0 {
+				break
+			}
+		}
+		if q < p {
+			h.shift(q, p, j+1)
+		}
+		h.chunk((q + j) >> chunkBits)[(q+j)&chunkMask] = x
+		if p = q; p == 0 {
+			h.put(0, tail[:j]) // the prefix is used up
+			return
+		}
+	}
+}
+
+// firstAbove returns the index in the sorted s of the first sample of the
+// run above x at its end, or len(s) if s ends at or below x. Runs are often
+// short, so it steps down one sample at a time first, then bisects.
+func firstAbove(s []float64, x float64) int {
+	i := len(s)
+	for stop := max(i-8, 0); i > stop; i-- {
+		if !cmp.Less(x, s[i-1]) {
+			return i
+		}
+	}
+	lo := 0 // s[i:] is above x
+	for lo < i {
+		if m := int(uint(lo+i) >> 1); cmp.Less(x, s[m]) {
+			i = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return i
+}
+
+// shift moves samples [lo,hi) up by d, from the top down, one copy per
+// stretch that lies within one source and one destination chunk.
+func (h *Histogram) shift(lo, hi, d int) {
+	for hi > lo {
+		s, t := hi-1, hi-1+d // the stretch's last source and destination
+		so, to := s&chunkMask, t&chunkMask
+		n := min(so, to, hi-1-lo) + 1
+		copy(h.chunk(t >> chunkBits)[to+1-n:to+1], h.chunk(s >> chunkBits)[so+1-n:so+1])
+		hi -= n
+	}
 }
 
 // Count returns the number of samples.
-func (h *Histogram) Count() int { return len(h.samples) }
+func (h *Histogram) Count() int { return h.n }
 
 // Mean returns the sample mean (0 when empty).
 func (h *Histogram) Mean() float64 {
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	return h.sum / float64(len(h.samples))
+	return h.sum / float64(h.n)
 }
 
 // Min returns the smallest sample (0 when empty).
@@ -111,15 +290,15 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q < 0 || q > 1 || math.IsNaN(q) {
 		panic(fmt.Sprintf("stats: Quantile(%v) out of [0,1]", q))
 	}
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
 	h.sort()
-	idx := int(math.Ceil(q*float64(len(h.samples)))) - 1
+	idx := int(math.Ceil(q*float64(h.n))) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	return h.samples[idx]
+	return h.at(idx)
 }
 
 // P50 returns the median.

@@ -1,8 +1,11 @@
 package stats
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -170,14 +173,158 @@ func TestHistogramPropertyInterleaved(t *testing.T) {
 	}
 }
 
-// TestHistogramWarmReadsDoNotAllocate: once a histogram's buffers have
-// grown, observing a barrier's worth of samples and reading percentiles
-// allocates nothing. Capacity is reserved up front so that append growth,
-// the one allocation allowed, cannot happen inside the measured runs.
+// flatHistogram is the single-slice layout the chunked store replaced: a
+// sorted prefix and an unsorted tail in one growing slice, the tail sorted in
+// place and merged from the back. The tests below hold the chunked store to
+// its answers bit for bit, which pins the order of -0 and +0 as well as the
+// values.
+type flatHistogram struct {
+	samples, scratch []float64
+	nsorted          int
+}
+
+func (f *flatHistogram) quantile(q float64) float64 {
+	n, k := len(f.samples), len(f.samples)-f.nsorted
+	if k > 0 {
+		tail := f.samples[f.nsorted:]
+		slices.Sort(tail)
+		i := f.nsorted - 1
+		if i >= 0 && cmp.Less(tail[0], f.samples[i]) {
+			f.scratch = append(f.scratch[:0], tail...)
+			for w, j := n-1, k-1; j >= 0; w-- {
+				if i >= 0 && cmp.Less(f.scratch[j], f.samples[i]) {
+					f.samples[w] = f.samples[i]
+					i--
+				} else {
+					f.samples[w] = f.scratch[j]
+					j--
+				}
+			}
+		}
+		f.nsorted = n
+	}
+	return f.samples[max(int(math.Ceil(q*float64(n)))-1, 0)]
+}
+
+// TestHistogramChunkBoundaries: with sample counts that cross many chunk
+// boundaries, in batches up to several chunks long, queries taken at a
+// multiple of the chunk length, one before it and one after it answer as a
+// fresh nearest-rank computation over every sample so far, and bit for bit
+// as the single-slice layout did. The data has duplicates, NaN, -0 and +0.
+func TestHistogramChunkBoundaries(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := NewHistogram()
+		flat := &flatHistogram{}
+		var all []float64
+		observe := func(n int) {
+			for ; n > 0; n-- {
+				var v float64
+				switch r := rng.Intn(100); {
+				case r < 2:
+					v = math.NaN()
+				case r < 8:
+					v = negZero
+				case r < 14:
+					v = 0
+				case seed%2 == 0:
+					v = float64(rng.Intn(64)) // many duplicates
+				default:
+					v = math.Round(100 * rng.ExpFloat64())
+				}
+				h.Observe(v)
+				flat.samples = append(flat.samples, v)
+				all = append(all, v)
+			}
+		}
+		check := func() {
+			ref := append([]float64(nil), all...)
+			sort.Float64s(ref)
+			qs := []float64{0, rng.Float64(), 0.5, 0.99, 1}
+			for _, idx := range []int{chunkLen - 1, chunkLen, chunkLen + 1, len(ref) - chunkLen, len(ref) / 2} {
+				if idx >= 0 && idx < len(ref) {
+					qs = append(qs, (float64(idx)+0.5)/float64(len(ref)))
+				}
+			}
+			for _, q := range qs {
+				want := ref[max(int(math.Ceil(q*float64(len(ref))))-1, 0)]
+				got := h.Quantile(q)
+				if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("seed %d, %d samples: Quantile(%v) = %v, want %v", seed, len(ref), q, got, want)
+				}
+				if fb := math.Float64bits(flat.quantile(q)); math.Float64bits(got) != fb {
+					t.Fatalf("seed %d, %d samples: Quantile(%v) bits %#x, single-slice layout %#x",
+						seed, len(ref), q, math.Float64bits(got), fb)
+				}
+			}
+			if h.Count() != len(all) {
+				t.Fatalf("Count = %d, want %d", h.Count(), len(all))
+			}
+		}
+		// Land on c*chunkLen-1, c*chunkLen and c*chunkLen+1 for growing c,
+		// and now and then jump up to three chunks at once.
+		for c := 1; len(all) < 24*chunkLen; c++ {
+			b := c * chunkLen
+			if len(all) >= b-1 {
+				continue
+			}
+			observe(rng.Intn(b - 1 - len(all)))
+			check()
+			for _, to := range []int{b - 1, b, b + 1} {
+				observe(to - len(all))
+				check()
+			}
+			if c%4 == 0 {
+				observe(rng.Intn(3 * chunkLen))
+				check()
+			}
+		}
+	}
+}
+
+// TestHistogramMergeUsesUpPrefix: a tail whose smallest elements sort below
+// the whole prefix moves every prefix sample, whether the merge walks one
+// sample at a time (a long tail) or in runs (a short one). Every rank then
+// matches the single-slice layout bit for bit.
+func TestHistogramMergeUsesUpPrefix(t *testing.T) {
+	for _, k := range []int{1, 3, 40, 700, 3000} {
+		h, flat := NewHistogram(), &flatHistogram{}
+		observe := func(v float64) {
+			h.Observe(v)
+			flat.samples = append(flat.samples, v)
+		}
+		for i := 0; i < 1000; i++ {
+			observe(float64(i % 500))
+		}
+		h.P50()
+		flat.quantile(0.5)
+		for i := 0; i < k; i++ {
+			if i%2 == 0 {
+				observe(float64(-1 - i))
+			} else {
+				observe(float64(i * 37 % 600))
+			}
+		}
+		n := h.Count()
+		for idx := 0; idx < n; idx++ {
+			q := (float64(idx) + 0.5) / float64(n)
+			if got, want := h.Quantile(q), flat.quantile(q); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("k=%d: rank %d of %d = %v, single-slice layout %v", k, idx, n, got, want)
+			}
+		}
+	}
+}
+
+// TestHistogramWarmReadsDoNotAllocate: once a histogram's chunk and its
+// scratch buffer have grown, observing a barrier's worth of samples and
+// reading percentiles allocates nothing. The warm-up ends just after a
+// chunk boundary, so the measured runs' 204 samples fit in the chunk it
+// started.
 func TestHistogramWarmReadsDoNotAllocate(t *testing.T) {
-	h := &Histogram{samples: make([]float64, 0, 8192)}
+	h := NewHistogram()
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < 2*chunkLen+1; i++ {
 		h.Observe(float64(rng.Intn(5000)))
 	}
 	barrier := func() {
@@ -188,8 +335,41 @@ func TestHistogramWarmReadsDoNotAllocate(t *testing.T) {
 		_, _, _ = h.P50(), h.P99(), h.Max()
 	}
 	barrier()
-	if allocs := testing.AllocsPerRun(200, barrier); allocs != 0 {
+	if allocs := testing.AllocsPerRun(50, barrier); allocs != 0 {
 		t.Errorf("warm Observe+P50/P99/Max allocated %v times per run, want 0", allocs)
+	}
+}
+
+// TestHistogramStoresSamplesOnce: observing 64 chunks' worth of samples,
+// with a P50/P99/Max read every 300, allocates at most 8 bytes per sample,
+// plus one chunk for the first chunk's growth and the chunk table, plus the
+// scratch buffer. One growing slice copied each sample about five times.
+func TestHistogramStoresSamplesOnce(t *testing.T) {
+	const total, perBarrier = 64 * chunkLen, 300
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]float64, total)
+	for i := range vals {
+		vals[i] = math.Round(200 + 100*rng.ExpFloat64())
+	}
+	h := NewHistogram()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for lo := 0; lo < total; lo += perBarrier {
+		for _, v := range vals[lo:min(lo+perBarrier, total)] {
+			h.Observe(v)
+		}
+		sinkF = h.P50() + h.P99() + h.Max()
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	// The scratch buffer takes its capacity rounded up to the allocator's
+	// size class, as an append-grown copy's capacity is.
+	scratch := cap(append([]float64(nil), make([]float64, cap(h.scratch))...))
+	limit := uint64(8*total + 8*chunkLen + 8*scratch)
+	t.Logf("%d samples allocated %d bytes (%.2f B/sample); limit %d", total, got, float64(got)/total, limit)
+	if got > limit {
+		t.Errorf("%d samples allocated %d bytes (%.2f B/sample), want at most %d", total, got, float64(got)/total, limit)
 	}
 }
 
