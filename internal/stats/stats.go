@@ -168,8 +168,9 @@ func (h *Histogram) sort() {
 const runMerge = 32
 
 // mergeEach merges the sorted tail in the scratch buffer into the sorted
-// prefix [0,ns) from the back: the larger of the top remaining prefix
-// sample and the top remaining tail element goes to the highest free slot.
+// prefix [0,ns) from the back: the top remaining prefix sample, if it is
+// above the top remaining tail element, else that tail element, goes to the
+// highest free slot.
 // The walk keeps a source chunk and offset in the prefix and a destination
 // chunk and offset, so the inner loop indexes plain slices.
 func (h *Histogram) mergeEach(ns int) {

@@ -367,7 +367,6 @@ func TestHistogramStoresSamplesOnce(t *testing.T) {
 	// size class, as an append-grown copy's capacity is.
 	scratch := cap(append([]float64(nil), make([]float64, cap(h.scratch))...))
 	limit := uint64(8*total + 8*chunkLen + 8*scratch)
-	t.Logf("%d samples allocated %d bytes (%.2f B/sample); limit %d", total, got, float64(got)/total, limit)
 	if got > limit {
 		t.Errorf("%d samples allocated %d bytes (%.2f B/sample), want at most %d", total, got, float64(got)/total, limit)
 	}
