@@ -314,11 +314,13 @@ func checkToken(root, tok string, cmdFlags map[string]map[string]bool, allFlags 
 
 	// Path check: single-word tokens that look like repo paths. Absolute
 	// paths point outside the repository and are not checked, and a word
-	// that starts with Test is a subtest name.
+	// that starts with Test and holds a slash is a subtest name.
 	if len(words) == 1 {
 		w := words[0]
+		subtest := strings.HasPrefix(w, "Test") && strings.Contains(w, "/") &&
+			!strings.HasSuffix(w, ".md")
 		isPath := (strings.Contains(w, "/") || strings.HasSuffix(w, ".md")) &&
-			!strings.HasPrefix(w, "/") && !strings.HasPrefix(w, "Test") &&
+			!strings.HasPrefix(w, "/") && !subtest &&
 			!strings.Contains(w, "...") && !strings.Contains(w, "://") &&
 			!strings.ContainsAny(w, "<>*|$")
 		if isPath {

@@ -36,13 +36,16 @@ func TestCheckFenced(t *testing.T) {
 }
 
 // TestCheckTokenSubtestName: a backticked subtest name contains a slash but
-// is not a path, while a missing path still fails.
+// is not a path, while a missing path still fails, also one whose name
+// starts with Test.
 func TestCheckTokenSubtestName(t *testing.T) {
 	root := t.TempDir()
 	for tok, want := range map[string]string{
 		"TestFlowCacheUncacheable/opfunc":          "",
 		"TestNICSummaryAccountsForEveryFrame/bulk": "",
 		"internal/nope/flowcache.go":               "path `internal/nope/flowcache.go` does not exist",
+		"TestMissing.md":                           "path `TestMissing.md` does not exist",
+		"TestDocs/missing.md":                      "path `TestDocs/missing.md` does not exist",
 	} {
 		got := strings.Join(checkToken(root, tok, nil, nil), "\n")
 		if got != want {

@@ -156,24 +156,16 @@ func (h *Histogram) sort() {
 			return
 		}
 	}
-	if ns >= runMerge*len(h.scratch) {
-		h.mergeRuns(ns)
-	} else {
-		h.mergeEach(ns)
-	}
+	h.merge(ns)
 }
 
-// runMerge is the prefix-to-tail length ratio from which a merge moves the
-// prefix in runs instead of one sample at a time.
-const runMerge = 32
-
-// mergeEach merges the sorted tail in the scratch buffer into the sorted
+// merge merges the sorted tail in the scratch buffer into the sorted
 // prefix [0,ns) from the back: the top remaining prefix sample, if it is
 // above the top remaining tail element, else that tail element, goes to the
 // highest free slot.
 // The walk keeps a source chunk and offset in the prefix and a destination
 // chunk and offset, so the inner loop indexes plain slices.
-func (h *Histogram) mergeEach(ns int) {
+func (h *Histogram) merge(ns int) {
 	tail := h.scratch
 	j, n := len(tail)-1, ns+len(tail)
 	sc, so := (ns-1)>>chunkBits, (ns-1)&chunkMask
@@ -203,67 +195,6 @@ func (h *Histogram) mergeEach(ns int) {
 		}
 		dc--
 		dst, do = h.chunk(dc), chunkMask
-	}
-}
-
-// mergeRuns merges as mergeEach does, one tail element at a time: the
-// prefix samples above it move up past the tail elements still to place,
-// as whole runs, and it takes the slot below them. When runs are long this
-// costs a few comparisons and a copy per tail element instead of a step
-// per moved sample.
-func (h *Histogram) mergeRuns(ns int) {
-	tail, p := h.scratch, ns
-	for j := len(tail) - 1; j >= 0; j-- {
-		x, q := tail[j], p
-		for q > 0 { // find the run above x, chunk by chunk
-			s := h.chunk((q - 1) >> chunkBits)[:(q-1)&chunkMask+1]
-			i := firstAbove(s, x)
-			q -= len(s) - i
-			if i > 0 {
-				break
-			}
-		}
-		if q < p {
-			h.shift(q, p, j+1)
-		}
-		h.chunk((q + j) >> chunkBits)[(q+j)&chunkMask] = x
-		if p = q; p == 0 {
-			h.put(0, tail[:j]) // the prefix is used up
-			return
-		}
-	}
-}
-
-// firstAbove returns the index in the sorted s of the first sample of the
-// run above x at its end, or len(s) if s ends at or below x. Runs are often
-// short, so it steps down one sample at a time first, then bisects.
-func firstAbove(s []float64, x float64) int {
-	i := len(s)
-	for stop := max(i-8, 0); i > stop; i-- {
-		if !cmp.Less(x, s[i-1]) {
-			return i
-		}
-	}
-	lo := 0 // s[i:] is above x
-	for lo < i {
-		if m := int(uint(lo+i) >> 1); cmp.Less(x, s[m]) {
-			i = m
-		} else {
-			lo = m + 1
-		}
-	}
-	return i
-}
-
-// shift moves samples [lo,hi) up by d, from the top down, one copy per
-// stretch that lies within one source and one destination chunk.
-func (h *Histogram) shift(lo, hi, d int) {
-	for hi > lo {
-		s, t := hi-1, hi-1+d // the stretch's last source and destination
-		so, to := s&chunkMask, t&chunkMask
-		n := min(so, to, hi-1-lo) + 1
-		copy(h.chunk(t >> chunkBits)[to+1-n:to+1], h.chunk(s >> chunkBits)[so+1-n:so+1])
-		hi -= n
 	}
 }
 

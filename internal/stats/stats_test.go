@@ -284,9 +284,8 @@ func TestHistogramChunkBoundaries(t *testing.T) {
 }
 
 // TestHistogramMergeUsesUpPrefix: a tail whose smallest elements sort below
-// the whole prefix moves every prefix sample, whether the merge walks one
-// sample at a time (a long tail) or in runs (a short one). Every rank then
-// matches the single-slice layout bit for bit.
+// the whole prefix moves every prefix sample, for short and long tails.
+// Every rank then matches the single-slice layout bit for bit.
 func TestHistogramMergeUsesUpPrefix(t *testing.T) {
 	for _, k := range []int{1, 3, 40, 700, 3000} {
 		h, flat := NewHistogram(), &flatHistogram{}
