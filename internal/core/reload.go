@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/panic-nic/panic/internal/fault"
 	"github.com/panic-nic/panic/internal/packet"
@@ -241,17 +241,15 @@ func (n *NIC) Snapshot() StatsSnapshot {
 
 	totals := n.TenantTotals()
 	ids := make([]uint16, 0, len(totals))
-	seen := make(map[uint16]bool, len(totals))
 	for id := range totals {
 		ids = append(ids, id)
-		seen[id] = true
 	}
 	for id := range n.WireLat.ByTenant {
-		if !seen[id] {
+		if _, ok := totals[id]; !ok {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		ta := totals[id]
 		ts := TenantSnapshot{

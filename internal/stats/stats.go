@@ -40,19 +40,28 @@ func (c *Counter) Value() uint64 { return c.n }
 // copied, so a long run stores each sample in 8 bytes, where one growing
 // slice would copy it about five times over.
 //
-// In that index space the samples are a sorted prefix followed by an
-// unsorted tail of those observed since the last query. A query sorts the
-// tail, in its chunk or, when it spans chunks, in the scratch buffer, and
-// merges it into the prefix in place from the back, chunk by chunk. So with
-// n samples of which k are new a query costs O(k log k + n), and O(1) when
-// nothing arrived since the last one. Once the chunks and the scratch
-// buffer have grown, queries do not allocate.
+// In that index space the samples are a sorted base run, then a sorted
+// delta run, then an unsorted tail of those observed since the last query.
+// A query sorts the tail, in its chunk or, when it spans chunks, in the
+// scratch buffer, and merges it into the delta run in place from the back,
+// chunk by chunk. Once the delta run holds more than 1/64 of the base's
+// samples, the query merges it into the base the same way; the first query
+// makes every sample the base. Rank k is found by a binary search over both
+// runs, a base sample ranking before an equal delta sample. That is the
+// order of one stable merge of every sample, so the answers, NaN and the
+// order of -0 and +0 included, are those of a single sorted prefix. With n
+// samples of which t are new, a query sorts in O(t log t) and, once n
+// exceeds 64t, moves on average about n/128 + 65t samples, where merging
+// into one sorted prefix moved about n. It costs O(log n) when nothing
+// arrived since the last one. Once the chunks and the scratch buffer have
+// grown, queries do not allocate.
 type Histogram struct {
 	first   []float64            // chunk 0
 	rest    []*[chunkLen]float64 // chunks 1, 2, ...
 	n       int
-	nsorted int       // samples [0,nsorted) ascending, then the tail
-	scratch []float64 // holds a tail being sorted or merged; reused
+	nbase   int       // samples [0,nbase) ascending: the base run
+	nsorted int       // samples [nbase,nsorted) ascending: the delta run; then the tail
+	scratch []float64 // holds a run being sorted or merged; reused
 	sum     float64   // in observe order, so Mean does not depend on queries
 }
 
@@ -64,6 +73,11 @@ const (
 	chunkLen  = 1 << chunkBits
 	chunkMask = chunkLen - 1
 )
+
+// The delta run is merged into the base once it holds more than
+// nbase>>deltaShift samples. A larger share merges into the base less
+// often, but lengthens each tail merge and the scratch buffer.
+const deltaShift = 6
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
@@ -109,9 +123,13 @@ func (h *Histogram) chunk(c int) []float64 {
 // at returns sample i.
 func (h *Histogram) at(i int) float64 { return h.chunk(i >> chunkBits)[i&chunkMask] }
 
-// get copies the samples from index i on into dst.
-func (h *Histogram) get(i int, dst []float64) {
-	for len(dst) > 0 {
+// load copies the k samples from index i on into the scratch buffer.
+func (h *Histogram) load(i, k int) {
+	if cap(h.scratch) < k {
+		h.scratch = make([]float64, 0, max(k, 2*cap(h.scratch)))
+	}
+	h.scratch = h.scratch[:k]
+	for dst := h.scratch; len(dst) > 0; {
 		n := copy(dst, h.chunk(i >> chunkBits)[i&chunkMask:])
 		dst = dst[n:]
 		i += n
@@ -127,50 +145,58 @@ func (h *Histogram) put(i int, vals []float64) {
 	}
 }
 
-// sort folds the unsorted tail into the sorted prefix. Samples order as
+// sort folds the unsorted tail into the delta run, and the delta run into
+// the base once it has outgrown nbase>>deltaShift. Samples order as
 // sort.Float64s orders them: NaNs first, -0 and +0 equal.
 func (h *Histogram) sort() {
-	n, ns := h.n, h.nsorted
-	if n == ns {
-		return
-	}
-	h.nsorted = n
-	if c := ns >> chunkBits; c == (n-1)>>chunkBits {
-		// The tail lies within one chunk: sort it there.
-		tail := h.chunk(c)[ns&chunkMask : (n-1)&chunkMask+1]
-		slices.Sort(tail)
-		if ns == 0 || !cmp.Less(tail[0], h.at(ns-1)) {
-			return // the tail already sorts after the prefix
-		}
-		h.scratch = append(h.scratch[:0], tail...)
-	} else {
-		// It spans chunks: sort a copy in the scratch buffer.
-		if cap(h.scratch) < n-ns {
-			h.scratch = make([]float64, 0, max(n-ns, 2*cap(h.scratch)))
-		}
-		h.scratch = h.scratch[:n-ns]
-		h.get(ns, h.scratch)
-		slices.Sort(h.scratch)
-		if ns == 0 || !cmp.Less(h.scratch[0], h.at(ns-1)) {
-			h.put(ns, h.scratch)
-			return
+	n, ns, nb := h.n, h.nsorted, h.nbase
+	if n > ns {
+		h.nsorted = n
+		if c := ns >> chunkBits; c == (n-1)>>chunkBits {
+			// The tail lies within one chunk: sort it there.
+			tail := h.chunk(c)[ns&chunkMask : (n-1)&chunkMask+1]
+			slices.Sort(tail)
+			if ns > nb && cmp.Less(tail[0], h.at(ns-1)) {
+				h.load(ns, n-ns)
+				h.merge(nb, ns)
+			}
+		} else {
+			// It spans chunks: sort a copy in the scratch buffer.
+			h.load(ns, n-ns)
+			slices.Sort(h.scratch)
+			if ns > nb && cmp.Less(h.scratch[0], h.at(ns-1)) {
+				h.merge(nb, ns)
+			} else {
+				h.put(ns, h.scratch) // the tail sorts after the delta run, if any
+			}
 		}
 	}
-	h.merge(ns)
+	if n-nb > nb>>deltaShift {
+		h.nbase = n
+		if nb > 0 && cmp.Less(h.at(nb), h.at(nb-1)) {
+			h.load(nb, n-nb)
+			h.merge(0, nb)
+		} // else the delta run already sorts after the base
+	}
 }
 
-// merge merges the sorted tail in the scratch buffer into the sorted
-// prefix [0,ns) from the back: the top remaining prefix sample, if it is
-// above the top remaining tail element, else that tail element, goes to the
-// highest free slot.
-// The walk keeps a source chunk and offset in the prefix and a destination
+// merge merges the sorted run in the scratch buffer into the sorted run
+// [lo,hi) from the back: the top remaining run sample, if it is above the
+// top remaining scratch element, else that scratch element, goes to the
+// highest free slot. So a run sample comes before an equal scratch
+// element, as in a stable merge of the run then the scratch buffer.
+// The walk keeps a source chunk and offset in the run and a destination
 // chunk and offset, so the inner loop indexes plain slices.
-func (h *Histogram) merge(ns int) {
+func (h *Histogram) merge(lo, hi int) {
 	tail := h.scratch
-	j, n := len(tail)-1, ns+len(tail)
-	sc, so := (ns-1)>>chunkBits, (ns-1)&chunkMask
+	j, n := len(tail)-1, hi+len(tail)
+	lc, sc := lo>>chunkBits, (hi-1)>>chunkBits
 	dc, do := (n-1)>>chunkBits, (n-1)&chunkMask
-	src, dst := h.chunk(sc), h.chunk(dc)
+	src, dst := h.chunk(sc)[:(hi-1)&chunkMask+1], h.chunk(dc)
+	if sc == lc {
+		src = src[lo&chunkMask:]
+	}
+	so := len(src) - 1
 	x := tail[j]
 	for {
 		for ; do >= 0; do-- {
@@ -179,16 +205,19 @@ func (h *Histogram) merge(ns int) {
 				if so--; so >= 0 {
 					continue
 				}
-				if sc == 0 {
-					h.put(0, tail[:j+1]) // the prefix is used up
+				if sc == lc {
+					h.put(lo, tail[:j+1]) // the run is used up
 					return
 				}
 				sc--
-				src, so = h.chunk(sc), chunkMask
+				if src = h.chunk(sc); sc == lc {
+					src = src[lo&chunkMask:]
+				}
+				so = len(src) - 1
 			} else {
 				dst[do] = x
 				if j--; j < 0 {
-					return // prefix samples below the tail's minimum never move
+					return // run samples below the scratch minimum never move
 				}
 				x = tail[j]
 			}
@@ -196,6 +225,35 @@ func (h *Histogram) merge(ns int) {
 		dc--
 		dst, do = h.chunk(dc), chunkMask
 	}
+}
+
+// rank returns the sample of rank k, counting from 0, once the tail is
+// sorted in. Ranks 0..k hold the first i base samples and the first k+1-i
+// delta samples, where i is the least count at which delta sample k-i
+// sorts strictly below base sample i: a base sample ranks before an equal
+// delta sample.
+func (h *Histogram) rank(k int) float64 {
+	nb, nd := h.nbase, h.n-h.nbase
+	lo, hi := max(k+1-nd, 0), min(k+1, nb)
+	for lo < hi {
+		if i := int(uint(lo+hi) >> 1); cmp.Less(h.at(nb+k-i), h.at(i)) {
+			hi = i
+		} else {
+			lo = i + 1
+		}
+	}
+	// Rank k is the later of base sample lo-1 and delta sample k-lo.
+	switch {
+	case lo == 0:
+		return h.at(nb + k)
+	case lo == k+1:
+		return h.at(k)
+	}
+	b, d := h.at(lo-1), h.at(nb+k-lo)
+	if cmp.Less(d, b) {
+		return b
+	}
+	return d
 }
 
 // Count returns the number of samples.
@@ -226,11 +284,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return 0
 	}
 	h.sort()
-	idx := int(math.Ceil(q*float64(h.n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return h.at(idx)
+	return h.rank(max(int(math.Ceil(q*float64(h.n)))-1, 0))
 }
 
 // P50 returns the median.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -315,6 +316,112 @@ func TestHistogramMergeUsesUpPrefix(t *testing.T) {
 	}
 }
 
+// TestHistogramTwoRuns: barriers of 1 to 600 samples, up to 64 chunks in
+// all, each followed by a read of every rank, answer bit for bit as the
+// single-slice layout and as a fresh nearest-rank computation over every
+// sample so far. Reading every rank covers the first and the last, those on
+// both sides of nbase, and the reads just before and just after the delta
+// run is merged into the base. The data has NaN, -0 and +0, whose bits pin
+// the tie rule of the rank search, and many duplicates (even seeds) or
+// few (odd seeds). After each query the tail is empty and the delta run
+// holds at most nbase>>deltaShift samples.
+func TestHistogramTwoRuns(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h, flat := NewHistogram(), &flatHistogram{}
+		var all []float64
+		var merges, withDelta int
+		for h.Count() < 64*chunkLen {
+			k := 1 + rng.Intn(40)
+			if rng.Intn(4) == 0 {
+				k = 1 + rng.Intn(600)
+			}
+			for ; k > 0; k-- {
+				var v float64
+				switch r := rng.Intn(100); {
+				case r < 2:
+					v = math.NaN()
+				case r < 10:
+					v = negZero
+				case r < 18:
+					v = 0
+				case seed%2 == 0:
+					v = float64(rng.Intn(200) - 20) // many duplicates
+				default:
+					v = 50 * rng.NormFloat64()
+				}
+				h.Observe(v)
+				flat.samples = append(flat.samples, v)
+				all = append(all, v)
+			}
+			ref := append([]float64(nil), all...)
+			sort.Float64s(ref)
+			n, nb := len(ref), h.nbase
+			for idx := 0; idx < n; idx++ {
+				q := (float64(idx) + 0.5) / float64(n)
+				got, want := h.Quantile(q), ref[idx]
+				if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("seed %d, %d samples, nbase %d: rank %d = %v, want %v", seed, n, h.nbase, idx, got, want)
+				}
+				if fb := math.Float64bits(flat.quantile(q)); math.Float64bits(got) != fb {
+					t.Fatalf("seed %d, %d samples, nbase %d: rank %d bits %#x, single-slice layout %#x",
+						seed, n, h.nbase, idx, math.Float64bits(got), fb)
+				}
+			}
+			if h.nsorted != n || n-h.nbase > h.nbase>>deltaShift {
+				t.Fatalf("seed %d, %d samples: nbase %d, nsorted %d after a query", seed, n, h.nbase, h.nsorted)
+			}
+			if nb > 0 && h.nbase != nb {
+				merges++
+			}
+			if h.nbase < n {
+				withDelta++
+			}
+		}
+		if merges < 10 || withDelta < 10 {
+			t.Fatalf("seed %d: %d delta-to-base merges and %d reads with a delta run, want 10 or more of each", seed, merges, withDelta)
+		}
+	}
+}
+
+// TestHistogramDeltaRunMovesLess: over 2^20 samples observed in 300-sample
+// barriers, each followed by a P50/P99/Max read, the merges can move at
+// most a tenth of the samples that merging each tail into one sorted
+// prefix can move. The bound is counted from nbase and nsorted around each
+// query: the tail merge moves at most the delta run and the tail, the
+// delta-to-base merge copies the delta run out and moves at most the base
+// and the delta run, and a single-prefix merge moves at most every sample.
+// The share is about 1/128 + 130*300/n, so a tenth needs n of 4*10^5 or
+// more; below about 19,200 samples a 300-sample tail already outgrows
+// nbase>>deltaShift and every query merges into the base.
+func TestHistogramDeltaRunMovesLess(t *testing.T) {
+	const total, perBarrier = 1 << 20, 300
+	rng := rand.New(rand.NewSource(1))
+	h := NewHistogram()
+	var moved, prefixMoved int
+	for lo := 0; lo < total; lo += perBarrier {
+		for i := lo; i < min(lo+perBarrier, total); i++ {
+			h.Observe(math.Round(200 + 100*rng.ExpFloat64()))
+		}
+		n, nb, ns := h.n, h.nbase, h.nsorted
+		sinkF = h.P50() + h.P99() + h.Max()
+		if ns > 0 {
+			prefixMoved += n
+		}
+		if ns > nb {
+			moved += n - nb
+		}
+		if nb > 0 && h.nbase != nb {
+			moved += h.nbase + (h.nbase - nb)
+		}
+	}
+	if moved > prefixMoved/10 {
+		t.Errorf("merges can move %d samples, %.3f of the single prefix's %d; want at most 0.1",
+			moved, float64(moved)/float64(prefixMoved), prefixMoved)
+	}
+}
+
 // TestHistogramWarmReadsDoNotAllocate: once a histogram's chunk and its
 // scratch buffer have grown, observing a barrier's worth of samples and
 // reading percentiles allocates nothing. The warm-up ends just after a
@@ -373,25 +480,29 @@ func TestHistogramStoresSamplesOnce(t *testing.T) {
 
 // BenchmarkHistogramBarrierReads is the read pattern of a NIC snapshot
 // taken at every barrier of a long run: one op grows a histogram to 10^5
-// latency samples, appending a barrier's worth (300) before each
+// or 4*10^5 latency samples, appending a barrier's worth (300) before each
 // P50/P99/Max read.
 func BenchmarkHistogramBarrierReads(b *testing.B) {
-	const total, perBarrier = 100_000, 300
-	rng := rand.New(rand.NewSource(1))
-	vals := make([]float64, total)
-	for i := range vals {
-		vals[i] = math.Round(200 + 100*rng.ExpFloat64())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := NewHistogram()
-		for lo := 0; lo < total; lo += perBarrier {
-			for _, v := range vals[lo:min(lo+perBarrier, total)] {
-				h.Observe(v)
+	for _, total := range []int{100_000, 400_000} {
+		b.Run(fmt.Sprintf("samples=%d", total), func(b *testing.B) {
+			const perBarrier = 300
+			rng := rand.New(rand.NewSource(1))
+			vals := make([]float64, total)
+			for i := range vals {
+				vals[i] = math.Round(200 + 100*rng.ExpFloat64())
 			}
-			sinkF = h.P50() + h.P99() + h.Max()
-		}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h := NewHistogram()
+				for lo := 0; lo < total; lo += perBarrier {
+					for _, v := range vals[lo:min(lo+perBarrier, total)] {
+						h.Observe(v)
+					}
+					sinkF = h.P50() + h.P99() + h.Max()
+				}
+			}
+		})
 	}
 }
 
