@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"github.com/panic-nic/panic/internal/packet"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -70,6 +71,12 @@ func (s *Server) Handler() http.Handler {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
+	encodeJSON(w, v)
+}
+
+// encodeJSON writes every JSON body the server sends: two-space indent and
+// a trailing newline.
+func encodeJSON(w io.Writer, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
@@ -163,7 +170,9 @@ func (s *Server) handleReadyz() http.HandlerFunc {
 
 func (s *Server) handleStatz() http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Statz())
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(s.statzBody())
 	}
 }
 

@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/panic-nic/panic/internal/core"
 	"github.com/panic-nic/panic/internal/trace"
@@ -401,4 +404,146 @@ func TestOplogRecordsMutations(t *testing.T) {
 		t.Errorf("oplog cycle %d is not barrier %d * quantum", log[0].Cycle, log[0].Barrier)
 	}
 	_ = s
+}
+
+// idleServer builds a served NIC whose loop is not started: the test
+// drives barriers with RunBarriers, so a published snapshot stays put.
+func idleServer(t testing.TB) *Server {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	cfg.TenantWeights = map[uint16]uint64{1: 1, 2: 1}
+	ports := NewIngestSources(cfg.Ports)
+	nic := core.NewNIC(cfg, AsEngineSources(ports))
+	t.Cleanup(nic.Close)
+	s := New(Config{BarrierCycles: 2048, Spin: true}, nic, nil, ports)
+	s.RunBarriers(3)
+	return s
+}
+
+// performRequest drives the in-process router without a network.
+func performRequest(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(method, path, strings.NewReader(body))
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	return w
+}
+
+// TestStatzBodyMatchesWriteJSON: the cached /statz body is writeJSON's
+// encoding of the same snapshot, byte for byte, with the same header.
+func TestStatzBodyMatchesWriteJSON(t *testing.T) {
+	s := idleServer(t)
+	want := httptest.NewRecorder()
+	writeJSON(want, http.StatusOK, s.Statz())
+	for i := 0; i < 2; i++ { // the encoding read, then a cached one
+		got := performRequest(s.Handler(), "GET", "/statz", "")
+		if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
+			t.Fatalf("read %d: status %d %q, want %d %q", i, got.Code, got.Header().Get("Content-Type"),
+				want.Code, want.Header().Get("Content-Type"))
+		}
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("read %d: body differs from writeJSON's:\n%s\nwant:\n%s", i, got.Body, want.Body)
+		}
+	}
+}
+
+// TestStatzConcurrentReaders: readers racing on a snapshot's first read
+// all get the same bytes (run under -race to check the encoding handoff).
+func TestStatzConcurrentReaders(t *testing.T) {
+	s := idleServer(t)
+	h := s.Handler()
+	want := httptest.NewRecorder()
+	writeJSON(want, http.StatusOK, s.Statz())
+	bodies := make([][]byte, 32)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bodies[i] = performRequest(h, "GET", "/statz", "").Body.Bytes()
+		}()
+	}
+	wg.Wait()
+	for i, b := range bodies {
+		if !bytes.Equal(b, want.Body.Bytes()) {
+			t.Fatalf("reader %d got a different body", i)
+		}
+	}
+}
+
+// TestStatzEncodedOncePerSnapshot: two reads of one snapshot return the
+// same bytes, not an equal copy, and a later read neither encodes nor
+// allocates; the next barrier's snapshot gets a body of its own.
+func TestStatzEncodedOncePerSnapshot(t *testing.T) {
+	s := idleServer(t)
+	a, b := s.statzBody(), s.statzBody()
+	if unsafe.SliceData(a) != unsafe.SliceData(b) || len(a) != len(b) {
+		t.Fatal("second read of one snapshot re-encoded it")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.statzBody() }); allocs != 0 {
+		t.Errorf("cached statz body: %.0f allocations per read, want 0", allocs)
+	}
+	// Through the handler, a cached read costs what a handler that
+	// writes a fixed byte slice costs.
+	fixed := func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(a)
+	}
+	req := httptest.NewRequest("GET", "/statz", nil)
+	run := func(h http.HandlerFunc) float64 {
+		return testing.AllocsPerRun(50, func() { h(httptest.NewRecorder(), req) })
+	}
+	read, write := run(s.handleStatz()), run(fixed)
+	if read > write {
+		t.Errorf("cached /statz read: %.0f allocations, writing its bytes takes %.0f", read, write)
+	}
+
+	s.RunBarriers(1)
+	c := s.statzBody()
+	if unsafe.SliceData(c) == unsafe.SliceData(a) || bytes.Equal(c, a) {
+		t.Fatal("the next barrier's snapshot kept the old body")
+	}
+	var st struct{ Barrier uint64 }
+	if err := json.Unmarshal(c, &st); err != nil || st.Barrier != 4 {
+		t.Fatalf("body after barrier 4: barrier %d, %v", st.Barrier, err)
+	}
+}
+
+// BenchmarkStatzRead is a /statz read of a snapshot already read once.
+func BenchmarkStatzRead(b *testing.B) {
+	h := idleServer(b).Handler()
+	req := httptest.NewRequest("GET", "/statz", nil)
+	h.ServeHTTP(httptest.NewRecorder(), req)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(httptest.NewRecorder(), req)
+	}
+}
+
+// TestIngestTraceRejections: malformed trace batches get a 400 with a
+// JSON error from the in-process router, and well-formed ones with any
+// white space between fields are admitted.
+func TestIngestTraceRejections(t *testing.T) {
+	s, _ := testServer(t, false)
+	h := s.Handler()
+	for name, body := range map[string]string{
+		"out of range": "100 65537 256 257 5 4294967297 7 300\n",
+		"non-numeric":  "0 1 1 x 42 0 0 0\n",
+		"nine fields":  "0 1 1 1 42 0 0 0 0\n",
+		"descending":   "10 1 1 1 42 0 0 0\n5 1 1 1 43 0 0 0\n",
+		"empty":        "",
+	} {
+		w := performRequest(h, "POST", "/ingest/trace?port=0", body)
+		var reply struct{ Error string }
+		if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil || reply.Error == "" {
+			t.Errorf("%s: body %q is not a JSON error (%v)", name, w.Body, err)
+		}
+		if w.Code != http.StatusBadRequest || w.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("%s: status %d %q, want 400 application/json", name, w.Code, w.Header().Get("Content-Type"))
+		}
+	}
+	w := performRequest(h, "POST", "/ingest/trace?port=0", "0\t1\t1\t1\t42\t0\t0\t0\n10\u00a01 1\u00a03 43 128\u00a00\t0\n")
+	if w.Code != http.StatusAccepted || !strings.Contains(w.Body.String(), `"records": 2`) {
+		t.Fatalf("tab and U+00A0 separated batch: %d %s", w.Code, w.Body)
+	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -112,6 +113,16 @@ type Statz struct {
 	UptimeSeconds float64       `json:"uptime_seconds"`
 }
 
+// published is one snapshot as the loop published it, with its /statz
+// body: the first handler to read the snapshot encodes it, and every later
+// read until the next barrier writes the same bytes. The loop never
+// encodes, so JSON stays off the barrier path.
+type published struct {
+	st   *Statz
+	once sync.Once
+	body []byte
+}
+
 // Server drives one NIC in cycle quanta and brokers all external access to
 // it. Construct with New, serve s.Handler() over HTTP, then either call
 // Start for the background loop or RunBarriers to drive it synchronously.
@@ -128,7 +139,7 @@ type Server struct {
 	opsApplied uint64
 	closed     bool
 
-	snap     atomic.Pointer[Statz]
+	snap     atomic.Pointer[published]
 	barrier  atomic.Uint64 // completed barriers
 	draining atomic.Bool
 	started  atomic.Bool
@@ -349,11 +360,23 @@ func (s *Server) publish() {
 	if !s.wallStart.IsZero() {
 		st.UptimeSeconds = time.Since(s.wallStart).Seconds()
 	}
-	s.snap.Store(st)
+	s.snap.Store(&published{st: st})
 }
 
 // Statz returns the latest published snapshot.
-func (s *Server) Statz() *Statz { return s.snap.Load() }
+func (s *Server) Statz() *Statz { return s.snap.Load().st }
+
+// statzBody returns the latest snapshot's /statz body, encoding it on the
+// snapshot's first read.
+func (s *Server) statzBody() []byte {
+	p := s.snap.Load()
+	p.once.Do(func() {
+		var buf bytes.Buffer
+		encodeJSON(&buf, p.st)
+		p.body = buf.Bytes()
+	})
+	return p.body
+}
 
 // Oplog returns a copy of the applied-operation log.
 func (s *Server) Oplog() []OplogEntry {

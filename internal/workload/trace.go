@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -29,6 +30,13 @@ type TraceRecord struct {
 // traceFields is the column count of the text format.
 const traceFields = 8
 
+// traceFieldNames and traceFieldMax name each column and bound it by the
+// type of the TraceRecord field it fills; WAN is a flag.
+var (
+	traceFieldNames = [traceFields]string{"cycle", "tenant", "class", "op", "key", "valueLen", "wan", "clientNet"}
+	traceFieldMax   = [traceFields]uint64{math.MaxUint64, math.MaxUint16, math.MaxUint8, math.MaxUint8, math.MaxUint64, math.MaxUint32, 1, math.MaxUint8}
+)
+
 // WriteTrace writes records in the repository's plain-text trace format:
 // one record per line,
 //
@@ -53,30 +61,31 @@ func WriteTrace(w io.Writer, records []TraceRecord) error {
 	return bw.Flush()
 }
 
-// ReadTrace parses the text trace format. Records must be sorted by cycle;
-// out-of-order records are an error (replay is strictly chronological).
+// ReadTrace parses the text trace format. Fields are unsigned decimals as
+// strconv.ParseUint reads them, separated by white space; a value that does
+// not fit its field (traceFieldMax) is an error. Records must be sorted by
+// cycle; out-of-order records are an error (replay is strictly
+// chronological).
 func ReadTrace(r io.Reader) ([]TraceRecord, error) {
 	var records []TraceRecord
 	sc := bufio.NewScanner(r)
 	line := 0
 	lastCycle := uint64(0)
+	var vals [traceFields]uint64
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		ok, err := parseTraceLine(sc.Bytes(), line, &vals)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
-		parts := strings.Fields(text)
-		if len(parts) != traceFields {
-			return nil, fmt.Errorf("workload: trace line %d has %d fields, want %d", line, len(parts), traceFields)
-		}
-		vals := make([]uint64, traceFields)
-		for i, p := range parts {
-			v, err := strconv.ParseUint(p, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("workload: trace line %d field %d: %w", line, i+1, err)
+		for i, v := range vals {
+			if v > traceFieldMax[i] {
+				return nil, fmt.Errorf("workload: trace line %d field %d: %s %d out of range [0, %d]",
+					line, i+1, traceFieldNames[i], v, traceFieldMax[i])
 			}
-			vals[i] = v
 		}
 		rec := TraceRecord{
 			Cycle:     vals[0],
@@ -101,6 +110,74 @@ func ReadTrace(r io.Reader) ([]TraceRecord, error) {
 		return nil, err
 	}
 	return records, nil
+}
+
+// parseTraceLine parses one line's fields into vals; it reports false for
+// a blank or comment line. A line of ASCII white space and decimals below
+// 2^64 is read in place, in one pass. Any other line (a byte >= 0x80, a
+// field that is not such a decimal, a wrong field count) goes through
+// parseTraceText, which words the error.
+func parseTraceLine(b []byte, line int, vals *[traceFields]uint64) (bool, error) {
+	const cutoff = math.MaxUint64/10 + 1
+	n := 0
+	for i := 0; i < len(b); {
+		if isASCIISpace(b[i]) {
+			i++
+			continue
+		}
+		if n == 0 && b[i] == '#' {
+			return false, nil
+		}
+		if n == traceFields {
+			return parseTraceText(string(b), line, vals)
+		}
+		var v uint64
+		for ; i < len(b) && !isASCIISpace(b[i]); i++ {
+			d := b[i] - '0'
+			if d > 9 || v >= cutoff {
+				return parseTraceText(string(b), line, vals)
+			}
+			w := v * 10
+			if v = w + uint64(d); v < w {
+				return parseTraceText(string(b), line, vals)
+			}
+		}
+		vals[n] = v
+		n++
+	}
+	switch n {
+	case 0:
+		return false, nil
+	case traceFields:
+		return true, nil
+	}
+	return parseTraceText(string(b), line, vals)
+}
+
+// parseTraceText is parseTraceLine for any text, through strings.Fields
+// and strconv.ParseUint.
+func parseTraceText(text string, line int, vals *[traceFields]uint64) (bool, error) {
+	text = strings.TrimSpace(text)
+	if text == "" || strings.HasPrefix(text, "#") {
+		return false, nil
+	}
+	parts := strings.Fields(text)
+	if len(parts) != traceFields {
+		return false, fmt.Errorf("workload: trace line %d has %d fields, want %d", line, len(parts), traceFields)
+	}
+	for i, p := range parts {
+		v, err := strconv.ParseUint(p, 10, 64)
+		if err != nil {
+			return false, fmt.Errorf("workload: trace line %d field %d: %w", line, i+1, err)
+		}
+		vals[i] = v
+	}
+	return true, nil
+}
+
+// isASCIISpace is unicode.IsSpace for bytes below 0x80.
+func isASCIISpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
 }
 
 // TraceSource replays a recorded trace as an engine.Source, rebuilding the

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -42,10 +43,88 @@ func TestTraceReadRejectsMalformed(t *testing.T) {
 		"non-numeric":  "1 2 3 x 5 6 7 8\n",
 		"bad op":       "1 2 0 9 5 6 0 0\n",
 		"out of order": "100 1 1 1 0 0 0 0\n50 1 1 1 0 0 0 0\n",
+		// Every field but the key is out of range; a parser that truncated
+		// would read tenant 1, class 0, GET, value length 1, WAN, net 44.
+		"out of range": "100 65537 256 257 5 4294967297 7 300\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadTrace(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+	_, err := ReadTrace(strings.NewReader("# header\n" + cases["out of range"]))
+	if err == nil || !strings.Contains(err.Error(), "line 2 field 2: tenant 65537 out of range") {
+		t.Errorf("out of range: error %v does not name line 2 field 2", err)
+	}
+}
+
+// TestTraceReadFieldRanges: each field takes values up to the maximum of
+// its TraceRecord type (WAN: 0 or 1) and rejects the next one, naming the
+// line and field.
+func TestTraceReadFieldRanges(t *testing.T) {
+	max := []string{"18446744073709551615", "65535", "255", "4", "18446744073709551615", "4294967295", "1", "255"}
+	over := []string{"18446744073709551616", "65536", "256", "256", "18446744073709551616", "4294967296", "2", "256"}
+	base := []string{"0", "1", "1", "1", "0", "0", "0", "0"}
+	for i := range base {
+		fields := append([]string(nil), base...)
+		fields[i] = max[i]
+		recs, err := ReadTrace(strings.NewReader(strings.Join(fields, " ") + "\n"))
+		if err != nil || len(recs) != 1 {
+			t.Errorf("field %d at %s: %v, %v", i+1, max[i], recs, err)
+		}
+		fields[i] = over[i]
+		_, err = ReadTrace(strings.NewReader(strings.Join(fields, "\t") + "\n"))
+		if want := fmt.Sprintf("trace line 1 field %d: ", i+1); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("field %d at %s: error %v, want one naming %q", i+1, over[i], err, want)
+		}
+	}
+}
+
+// traceBatch renders n records of mixed tenants, ops and WAN flags.
+func traceBatch(tb testing.TB, n int) []byte {
+	recs := make([]TraceRecord, n)
+	for i := range recs {
+		recs[i] = TraceRecord{Cycle: uint64(i) * 97, Tenant: uint16(1 + i%3), Class: packet.ClassLatency,
+			Op: packet.KVSGet + packet.KVSOp(i%2)*2, Key: uint64(i) * 7919, ValueLen: 512, WAN: i%5 == 0, ClientNet: 2}
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, recs); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestTraceReadAllocs: parsing is in place, so a batch costs the scanner,
+// its buffer, and the record slice's growth — not objects per line.
+func TestTraceReadAllocs(t *testing.T) {
+	for _, c := range []struct {
+		records int
+		max     float64
+	}{{512, 16}, {4096, 20}} {
+		batch := traceBatch(t, c.records)
+		var rd bytes.Reader
+		allocs := testing.AllocsPerRun(20, func() {
+			rd.Reset(batch)
+			if got, err := ReadTrace(&rd); err != nil || len(got) != c.records {
+				t.Fatalf("ReadTrace: %d records, %v", len(got), err)
+			}
+		})
+		if allocs > c.max {
+			t.Errorf("%d records: %.0f allocations, want at most %.0f", c.records, allocs, c.max)
+		}
+	}
+}
+
+// BenchmarkReadTrace parses one 512-record batch, the size a serve-ingest
+// client posts.
+func BenchmarkReadTrace(b *testing.B) {
+	batch := traceBatch(b, 512)
+	var rd bytes.Reader
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(batch)
+		if _, err := ReadTrace(&rd); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
