@@ -28,10 +28,9 @@ type EthernetMAC struct {
 	traceSeq uint64
 	outs     outBuf
 
-	rx, tx       uint64
-	rxBits       uint64
-	txBits       uint64
-	rxStallCount uint64
+	rx, tx uint64
+	rxBits uint64
+	txBits uint64
 }
 
 // NewEthernetMAC builds a MAC. src may be nil (TX-only port); sink may be
@@ -101,7 +100,6 @@ func (m *EthernetMAC) Generate(ctx *Ctx) []Out {
 		}
 		bits := wireBits(m.waiting)
 		if !m.spend(bits) {
-			m.rxStallCount++
 			return m.outs
 		}
 		m.rx++

@@ -81,7 +81,9 @@ func (t *RMTTile) Idle() bool {
 // calls it only when the fabric pokes the tile about arrivals.
 func (t *RMTTile) EnableEventSleep() { t.eventOK = true }
 
-// EndCycle implements sim.EventAware.
+// EndCycle implements sim.EventAware. A tile that sleeps with an empty
+// outbox keeps its pipeline shifting; the slept shifts are applied in one
+// Skip on wake or in SyncTo.
 func (t *RMTTile) EndCycle(cycle uint64) uint64 {
 	if t.eventOK {
 		if w := t.nextWake(cycle); w > cycle+1 {
@@ -93,23 +95,41 @@ func (t *RMTTile) EndCycle(cycle uint64) uint64 {
 }
 
 // nextWake: a blocked outbox freezes the whole pipeline, so the tile can
-// sleep until the fabric credit pokes it, deferring one stall per cycle;
-// anything else in flight advances every cycle.
+// sleep until the fabric credit pokes it, deferring one stall per cycle.
+// With the outbox and the queue empty, the pipeline's shifts change
+// nothing until its next exit, so the tile sleeps until that cycle.
 func (t *RMTTile) nextWake(cycle uint64) uint64 {
-	if t.canDrain() || t.outLen() == 0 && !t.Idle() || t.fab.HasEjectable(t.cfg.Node) {
+	if t.canDrain() || t.fab.HasEjectable(t.cfg.Node) {
 		return cycle + 1
+	}
+	if t.outLen() > 0 {
+		return sim.WakeNever
+	}
+	if t.queue.Len() > 0 {
+		return cycle + 1
+	}
+	if n, ok := t.pipe.UntilExit(); ok {
+		return cycle + n
 	}
 	return sim.WakeNever
 }
 
-// SyncTo implements sim.EventAware: deferred stall cycles are applied
-// through the given cycle.
-func (t *RMTTile) SyncTo(cycle uint64) { t.syncTo(cycle) }
+// SyncTo implements sim.EventAware: deferred stall cycles and pipeline
+// shifts are applied through the given cycle.
+func (t *RMTTile) SyncTo(cycle uint64) { t.catchUp(t.syncTo(cycle)) }
+
+// catchUp applies n slept cycles of pipeline shifts. Only a blocked
+// outbox, which the port's stall accrual records, freezes the pipeline.
+func (t *RMTTile) catchUp(n uint64) {
+	if n > 0 && !t.sleepStall {
+		t.pipe.Skip(n)
+	}
+}
 
 // Tick implements sim.Ticker.
 func (t *RMTTile) Tick(cycle uint64) {
 	if t.sleeping {
-		t.wakeUp(cycle)
+		t.catchUp(t.wakeUp(cycle))
 	}
 	// 1. Drain the outbox; a blocked outbox freezes the pipeline.
 	if !t.drain(cycle) {

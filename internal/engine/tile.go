@@ -145,13 +145,18 @@ type Tile struct {
 	dropSeen    uint64
 	corruptSeen uint64
 
+	// pace is the token bucket of a generating engine (nil for others).
+	pace *pacer
+
 	// Sleep state beyond the port's (see EndCycle): wake and clk let
 	// control-plane mutators (SetFault, Reset) force a tick and stamp
-	// traces while the tile sleeps, and sleepBusy is the busy accrual rate
-	// captured at the sleep decision, deferred like the port's stalls.
-	wake      sim.Poker
-	clk       *sim.Clock
-	sleepBusy bool
+	// traces while the tile sleeps; sleepBusy and sleepRefill are the busy
+	// accrual and the bucket refill captured at the sleep decision,
+	// deferred like the port's stalls.
+	wake        sim.Poker
+	clk         *sim.Clock
+	sleepBusy   bool
+	sleepRefill bool
 }
 
 // tenantSlot is one entry of a tile's tally table; seen marks a tenant
@@ -169,13 +174,17 @@ type delayedOut struct {
 // NewTile builds a tile around an engine. The tile's address must already
 // be bound to its node in the route table.
 func NewTile(cfg TileConfig, eng Engine, fab noc.Fabric, routes *RouteTable, rng *sim.RNG) *Tile {
-	return &Tile{
+	t := &Tile{
 		port: newPort(eng.Name(), cfg, fab, routes, sched.RankLSTF),
 		eng:  eng,
 		ctx:  Ctx{RNG: rng, Addr: cfg.Addr},
 		// Delay-list churn is per-message; regrowing it is allocator noise.
 		pending: make([]delayedOut, 0, 8),
 	}
+	if p, ok := eng.(interface{ pace() *pacer }); ok {
+		t.pace = p.pace()
+	}
+	return t
 }
 
 // UsePool hands the tile, and through its Ctx the engine, the NIC's
@@ -252,15 +261,18 @@ func (t *Tile) EnableEventSleep(wake sim.Poker, clk *sim.Clock) {
 // EndCycle implements sim.EventAware: after each ticked cycle the tile
 // declares the next cycle it must run. Sleeping is sound because every
 // state change below is self-scheduled (service completion, delayed
-// emissions, engine arrivals) or arrives with a poke (fabric deliveries
-// and credits via the mesh node waker, control-plane mutations via the
-// tile's own waker); the per-cycle busy/stall counters a sleeping tile
-// would have accrued are captured as rates and applied by SyncTo.
+// emissions, engine arrivals, a paced message's payable cycle) or arrives
+// with a poke (fabric deliveries and credits via the mesh node waker,
+// control-plane mutations via the tile's own waker); the per-cycle
+// busy/stall counters and bucket refills a sleeping tile would have made
+// are captured as rates and applied by SyncTo. A wedged tile never calls
+// Generate, so its bucket does not refill.
 func (t *Tile) EndCycle(cycle uint64) uint64 {
 	if t.eventOK {
 		if w := t.nextWake(cycle); w > cycle+1 {
 			t.sleep(cycle)
 			t.sleepBusy = t.cur != nil && !t.fault.Wedged
+			t.sleepRefill = t.pace != nil && !t.fault.Wedged
 			return w
 		}
 	}
@@ -268,11 +280,12 @@ func (t *Tile) EndCycle(cycle uint64) uint64 {
 }
 
 // nextWake computes the earliest cycle at which a tick could change
-// anything. A blocked outbox or a mid-service engine does not pin the
-// tile awake: stalls and busy cycles accrue in bulk and the completion
-// cycle is known. A wedged tile is frozen by construction — generation and
-// service are gated off and its queue is never popped — so only its
-// outbox and delay list can wake it.
+// anything. A blocked outbox, a mid-service engine or a refilling token
+// bucket does not pin the tile awake: stalls, busy cycles and refills
+// accrue in bulk, and the completion and payable cycles are known. A
+// wedged tile is frozen by construction — generation and service are
+// gated off and its queue is never popped — so only its outbox and delay
+// list can wake it.
 func (t *Tile) nextWake(cycle uint64) uint64 {
 	wake := uint64(sim.WakeNever)
 	if t.canDrain() {
@@ -289,6 +302,9 @@ func (t *Tile) nextWake(cycle uint64) uint64 {
 			return cycle + 1
 		}
 	}
+	if t.fab.HasEjectable(t.cfg.Node) {
+		return cycle + 1
+	}
 	for _, d := range t.pending {
 		if d.due < wake {
 			wake = d.due
@@ -301,29 +317,30 @@ func (t *Tile) nextWake(cycle uint64) uint64 {
 			}
 		}
 	}
-	if t.fab.HasEjectable(t.cfg.Node) {
-		return cycle + 1
-	}
 	return wake
 }
 
-// SyncTo implements sim.EventAware: it applies the bulk per-cycle counters
-// a sleeping tile deferred, through the given cycle, using the rates
+// SyncTo implements sim.EventAware: it applies the bulk per-cycle work a
+// sleeping tile deferred, through the given cycle, using the rates
 // captured at the sleep decision.
-func (t *Tile) SyncTo(cycle uint64) { t.accrueBusy(t.syncTo(cycle)) }
+func (t *Tile) SyncTo(cycle uint64) { t.catchUp(t.syncTo(cycle)) }
 
-// accrueBusy charges n slept cycles of service at the captured rate.
-func (t *Tile) accrueBusy(n uint64) {
+// catchUp applies n slept cycles of service and bucket refills at the
+// captured rates.
+func (t *Tile) catchUp(n uint64) {
 	if t.sleepBusy {
 		t.stats.BusyCycles += n
 		t.busyLeft -= n
+	}
+	if t.sleepRefill {
+		t.pace.replay(n)
 	}
 }
 
 // Tick implements sim.Ticker.
 func (t *Tile) Tick(cycle uint64) {
 	if t.sleeping {
-		t.accrueBusy(t.wakeUp(cycle))
+		t.catchUp(t.wakeUp(cycle))
 	}
 	t.ctx.Now = cycle
 

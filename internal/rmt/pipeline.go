@@ -366,6 +366,35 @@ func (p *Pipeline) Tick() (Result, bool) {
 	return out.res, true
 }
 
+// UntilExit returns how many Ticks from now the message nearest the exit
+// leaves the pipeline: the n-th Tick returns it. ok is false when the
+// pipeline is empty.
+func (p *Pipeline) UntilExit() (n uint64, ok bool) {
+	last := len(p.slots) - 1
+	for i := last; i >= 0; i-- {
+		if p.slots[i].full {
+			return uint64(last - i + 1), true
+		}
+	}
+	return 0, false
+}
+
+// Skip advances the pipeline n cycles in which nothing exits: the same
+// state as n Tick calls that each return nothing. It panics if n would
+// pass an exit; a caller sleeps through at most UntilExit()-1 cycles.
+func (p *Pipeline) Skip(n uint64) {
+	if e, ok := p.UntilExit(); ok && n >= e {
+		panic(fmt.Sprintf("rmt: Pipeline.Skip(%d) passes an exit %d cycles away", n, e))
+	}
+	if n >= uint64(len(p.slots)) {
+		clear(p.slots)
+		return
+	}
+	k := int(n)
+	copy(p.slots[k:], p.slots[:len(p.slots)-k])
+	clear(p.slots[:k])
+}
+
 // Stats returns (processed, dropped, parse errors).
 func (p *Pipeline) Stats() (processed, dropped, parseErrors uint64) {
 	return p.done, p.dropped, p.errs

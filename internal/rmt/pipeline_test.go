@@ -1,6 +1,8 @@
 package rmt
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/panic-nic/panic/internal/packet"
@@ -210,5 +212,70 @@ func TestStatefulLoadBalancing(t *testing.T) {
 func TestMatchKindString(t *testing.T) {
 	if MatchExact.String() != "exact" || MatchLPM.String() != "lpm" || MatchTernary.String() != "ternary" {
 		t.Error("MatchKind strings wrong")
+	}
+}
+
+// TestPipelineSkipMatchesTicks checks the sleep path of the timed pipeline
+// over random slot occupancies, drops included: UntilExit names the Tick
+// on which the next message leaves, Skip(n) leaves the pipeline exactly
+// as n Ticks that return nothing do, and a Skip that would pass an exit
+// panics.
+func TestPipelineSkipMatchesTicks(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	clone := func(p *Pipeline) *Pipeline {
+		c := *p
+		c.slots = append([]pipeSlot(nil), p.slots...)
+		return &c
+	}
+	for trial := 0; trial < 300; trial++ {
+		p := NewPipeline(steeringProgram(), 1+rng.Intn(3), 1+rng.Intn(2))
+		steps := uint64(rng.Intn(12))
+		for cycle := uint64(0); cycle < steps; cycle++ {
+			p.Tick()
+			if rng.Intn(3) > 0 {
+				m := kvsGetMsg(1, cycle)
+				if rng.Intn(4) == 0 {
+					m = &packet.Message{Pkt: &packet.Packet{Buf: []byte{1, 2, 3}}}
+				}
+				p.Accept(m, cycle)
+			}
+		}
+		exit, ok := p.UntilExit()
+		if !ok {
+			if p.Occupancy() != 0 {
+				t.Fatalf("trial %d: no exit reported with %d messages in flight", trial, p.Occupancy())
+			}
+			exit = uint64(p.Latency()) + 3 // an empty pipeline skips any distance
+		}
+		for n := uint64(0); n < exit; n++ {
+			skipped, ticked := clone(p), clone(p)
+			skipped.Skip(n)
+			for i := uint64(0); i < n; i++ {
+				if res, ok := ticked.Tick(); ok || res.Msg != nil {
+					t.Fatalf("trial %d: Tick %d of %d returned a message before the exit UntilExit named", trial, i+1, n)
+				}
+			}
+			if !reflect.DeepEqual(skipped, ticked) {
+				t.Fatalf("trial %d: Skip(%d) differs from %d empty Ticks", trial, n, n)
+			}
+		}
+		if !ok {
+			continue
+		}
+		ticked := clone(p)
+		for i := uint64(1); i < exit; i++ {
+			ticked.Tick()
+		}
+		if res, _ := ticked.Tick(); res.Msg == nil {
+			t.Fatalf("trial %d: nothing left on Tick %d, which UntilExit named", trial, exit)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("trial %d: Skip(%d) passed the exit without a panic", trial, exit)
+				}
+			}()
+			clone(p).Skip(exit)
+		}()
 	}
 }
