@@ -16,9 +16,10 @@
 // Checked tokens, all inside backticks:
 //
 //   - A single-word token containing a "/" (or ending in ".md") is a path
-//     and must exist relative to the repo root. Wildcards ("..."), URLs,
-//     placeholders ("<file>") and subtest names ("TestX/case") are
-//     skipped.
+//     and must exist relative to the repo root. A line number
+//     ("file.go:12") or an exported symbol ("math/big.Rat") after it is
+//     dropped first. Wildcards ("..."), URLs, placeholders ("<file>") and
+//     subtest names ("TestX/case") are skipped.
 //   - A token starting with "-", or any "-flag" word inside a token whose
 //     first word names a command in cmd/, must match a flag.X("name", ...)
 //     declaration in that command's sources (or any command's, for bare
@@ -58,6 +59,9 @@ var (
 	backtickRe = regexp.MustCompile("`([^`]+)`")
 	flagDeclRe = regexp.MustCompile(`flag\.[A-Za-z0-9]+\(\s*"([^"]+)"`)
 	flagWordRe = regexp.MustCompile(`^-[a-z][a-z0-9-]*$`)
+	// pathRefRe matches the line number or exported symbol that may
+	// follow a path.
+	pathRefRe = regexp.MustCompile(`(:[0-9]+|\.[A-Z][A-Za-z0-9_]*)$`)
 	// shellFlagRe is a flag word on a shell command line, where Go's flag
 	// package also accepts "--name" and "-name=value".
 	shellFlagRe = regexp.MustCompile(`^--?([a-z][a-z0-9-]*)(=.*)?$`)
@@ -324,10 +328,11 @@ func checkToken(root, tok string, cmdFlags map[string]map[string]bool, allFlags 
 			!strings.Contains(w, "...") && !strings.Contains(w, "://") &&
 			!strings.ContainsAny(w, "<>*|$")
 		if isPath {
-			if _, err := os.Stat(filepath.Join(root, w)); err != nil {
+			p := pathRefRe.ReplaceAllString(w, "")
+			if _, err := os.Stat(filepath.Join(root, p)); err != nil {
 				// Go standard-library packages (`container/heap`, ...) read
 				// like repo paths; resolve them against GOROOT/src.
-				if _, gerr := os.Stat(filepath.Join(runtime.GOROOT(), "src", w)); gerr != nil {
+				if _, gerr := os.Stat(filepath.Join(runtime.GOROOT(), "src", p)); gerr != nil {
 					problems = append(problems, fmt.Sprintf("path `%s` does not exist", w))
 				}
 			}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -46,6 +48,31 @@ func TestCheckTokenSubtestName(t *testing.T) {
 		"internal/nope/flowcache.go":               "path `internal/nope/flowcache.go` does not exist",
 		"TestMissing.md":                           "path `TestMissing.md` does not exist",
 		"TestDocs/missing.md":                      "path `TestDocs/missing.md` does not exist",
+	} {
+		got := strings.Join(checkToken(root, tok, nil, nil), "\n")
+		if got != want {
+			t.Errorf("checkToken(%q) = %q, want %q", tok, got, want)
+		}
+	}
+}
+
+// TestCheckTokenPathReference: a line number or an exported symbol after
+// a path names a place in it; the path itself must still exist.
+func TestCheckTokenPathReference(t *testing.T) {
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, "internal/core"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "internal/core/nic.go"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for tok, want := range map[string]string{
+		"internal/core/nic.go:448": "",
+		"internal/core.NIC":        "",
+		"math/big.Rat":             "",
+		"internal/core/gone.go:12": "path `internal/core/gone.go:12` does not exist",
+		"internal/gone.NIC":        "path `internal/gone.NIC` does not exist",
+		"math/nope.Rat":            "path `math/nope.Rat` does not exist",
 	} {
 		got := strings.Join(checkToken(root, tok, nil, nil), "\n")
 		if got != want {

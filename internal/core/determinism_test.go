@@ -77,15 +77,14 @@ var detConfigs = []struct {
 	vary func(*Config, *fault.Plan)
 }{
 	{name: "canonical"},
-	// 100 Gbps at 500 MHz refills a bucket by exactly 200 bits a cycle,
-	// so only rates that are not whole numbers of bits per cycle can show
-	// a sleeping generator's replayed refills drifting from the per-cycle
-	// float sums: 5 Gbps ports and 256 Gbps PCIe at 450 MHz. At 5 Gbps,
-	// port 0's offered load keeps its frames waiting on the bucket, so a
-	// refill that drifts by a rounding error moves a payable cycle. eth0
-	// is wedged mid-run while its bucket refills; replaying refills over
-	// the wedged cycles, or summing a sleep's refills in one product, each
-	// diverge from the reference here.
+	// 100 Gbps at 500 MHz refills a bucket by exactly 200 bits a cycle;
+	// this configuration runs rates that are not whole numbers of bits
+	// per cycle, 5 Gbps ports and 256 Gbps PCIe at 450 MHz, which the
+	// integer bucket counts exactly in units of 1/FreqHz bit. At 5 Gbps,
+	// port 0's offered load keeps its frames waiting on the bucket, so
+	// every payable cycle a sleeping generator reports is exercised. eth0
+	// is wedged mid-run while its bucket refills; refilling over the
+	// wedged cycles diverges from the reference here.
 	{name: "fractional-rates", vary: func(cfg *Config, plan *fault.Plan) {
 		cfg.FreqHz = 450e6
 		cfg.LineRateGbps = 5

@@ -445,7 +445,7 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 		lsoTile.DropSink = dropSink
 	}
 	if len(cfg.RateLimits) > 0 {
-		n.RateLim = engine.NewRateLimiterEngine(engine.RateLimiterConfig{FreqHz: cfg.FreqHz, BurstBytes: 16 * 1024})
+		n.RateLim = engine.NewRateLimiterEngine(cfg.FreqHz)
 		for tenant, gbps := range cfg.RateLimits {
 			n.RateLim.SetLimit(tenant, gbps)
 		}

@@ -19,7 +19,7 @@ func TestEngineNames(t *testing.T) {
 		"kvscache":  NewKVSCacheEngine(KVSCacheConfig{Capacity: 1, RDMAAddr: 1}),
 		"rdma":      NewRDMAEngine(RDMAConfig{DMAAddr: 1}),
 		"tcp-lso":   NewLSOEngine(LSOConfig{MSS: 1, BytesPerCycle: 1}),
-		"ratelimit": NewRateLimiterEngine(RateLimiterConfig{FreqHz: 1e9}),
+		"ratelimit": NewRateLimiterEngine(1e9),
 		"compress":  NewCompressionEngine(1, 0.5),
 		"checksum":  NewChecksumEngine(1),
 		"regex":     NewRegexEngine(1, 0.1),

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/panic-nic/panic/internal/packet"
 )
@@ -52,14 +51,14 @@ func NewEthernetMAC(cfg MACConfig, src Source, sink Sink) *EthernetMAC {
 func (m *EthernetMAC) Name() string { return fmt.Sprintf("eth%d", m.cfg.Port) }
 
 // wireBits returns the wire occupancy of a message including preamble/IFG.
-func wireBits(msg *packet.Message) float64 {
-	return float64((msg.WireLen() + packet.WireOverheadBytes) * 8)
+func wireBits(msg *packet.Message) int64 {
+	return int64((msg.WireLen() + packet.WireOverheadBytes) * 8)
 }
 
 // ServiceCycles implements Engine: TX serialization time at line rate
 // (the rate the RX pacer refills at).
 func (m *EthernetMAC) ServiceCycles(msg *packet.Message) uint64 {
-	return uint64(math.Ceil(wireBits(msg) / m.perCycle))
+	return uint64((m.units(wireBits(msg)) + m.rate - 1) / m.rate)
 }
 
 // Process implements Engine: transmit. The chain shim never leaves the
@@ -78,7 +77,7 @@ func (m *EthernetMAC) Generate(ctx *Ctx) []Out {
 	if m.src == nil {
 		return nil
 	}
-	m.refill()
+	m.refill(1)
 	m.outs = m.outs[:0]
 	for {
 		if m.waiting == nil {

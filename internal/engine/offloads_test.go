@@ -556,9 +556,9 @@ func TestEngineConfigValidation(t *testing.T) {
 		"lso mss":           func() { NewLSOEngine(LSOConfig{MSS: 0, BytesPerCycle: 8}) },
 		"lso rate":          func() { NewLSOEngine(LSOConfig{MSS: 1460, BytesPerCycle: 0}) },
 		"lso rate nan":      func() { NewLSOEngine(LSOConfig{MSS: 1460, BytesPerCycle: nan}) },
-		"ratelimit freq":    func() { NewRateLimiterEngine(RateLimiterConfig{FreqHz: 0}) },
-		"ratelimit nan":     func() { NewRateLimiterEngine(RateLimiterConfig{FreqHz: nan}) },
-		"ratelimit setnan":  func() { NewRateLimiterEngine(RateLimiterConfig{FreqHz: 1e9}).SetLimit(1, nan) },
+		"ratelimit freq":    func() { NewRateLimiterEngine(0) },
+		"ratelimit nan":     func() { NewRateLimiterEngine(nan) },
+		"ratelimit setnan":  func() { NewRateLimiterEngine(1e9).SetLimit(1, nan) },
 		"kvs addr":          func() { NewKVSCacheEngine(KVSCacheConfig{Capacity: 1}) },
 		"rdma addr":         func() { NewRDMAEngine(RDMAConfig{}) },
 		"pcie count":        func() { NewPCIeEngine(PCIeConfig{CoalesceCount: 0}) },

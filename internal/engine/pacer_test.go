@@ -61,7 +61,8 @@ func poissonArrivals(seed uint64, meanGap float64, horizon, jumbo uint64) []arri
 	}
 }
 
-// Non-whole bits-per-cycle rates: 40 Gbps and 63 Gbps at 450 MHz.
+// The rig's rates at 450 MHz: 40 Gbps is 88 8/9 bits per cycle, not a
+// whole number; 63 Gbps is 140.
 const (
 	exactFreqHz   = 450e6
 	exactMACGbps  = 40
@@ -117,21 +118,21 @@ func TestPacerPayableMatchesGenerate(t *testing.T) {
 // every tick it runs.
 type pacedTick struct {
 	*Tile
-	tokens map[uint64]uint64 // cycle -> float bits of the bucket
+	tokens map[uint64]int64 // cycle -> the bucket
 	// replays counts wakes that caught up refills of a partial bucket,
 	// waitWakes the ones among them with a frame waiting.
 	replays, waitWakes int
 }
 
 func (p *pacedTick) Tick(cycle uint64) {
-	if p.sleeping && p.sleepRefill && p.pace.tokens < p.pace.maxTokens && cycle > p.syncedThrough {
+	if p.sleeping && p.sleepRefill && p.pace.tokens < p.pace.max && cycle > p.syncedThrough {
 		p.replays++
 		if p.pace.waiting != nil {
 			p.waitWakes++
 		}
 	}
 	p.Tile.Tick(cycle)
-	p.tokens[cycle] = math.Float64bits(p.pace.tokens)
+	p.tokens[cycle] = p.pace.tokens
 }
 
 // delivery is one frame as the collector saw it.
@@ -144,7 +145,7 @@ type pacedRun struct {
 	mac, tx    *pacedTick
 	rmt        *RMTTile
 	deliveries []delivery
-	final      [2]uint64 // bucket bits of the MAC and the TX DMA engine at the end
+	final      [2]int64 // buckets of the MAC and the TX DMA engine at the end
 }
 
 // runPaced builds a MAC at 40 Gbps and a TX DMA engine at 63 Gbps, both
@@ -169,7 +170,7 @@ func runPaced(t *testing.T, reference bool) pacedRun {
 		r.routes.Bind(addr, node)
 		tile := NewTile(TileConfig{Addr: addr, Node: node, QueueCap: 16, Policy: sched.Backpressure}, eng, r.mesh, r.routes, r.rng.Fork())
 		tile.UsePool(pool)
-		pt := &pacedTick{Tile: tile, tokens: make(map[uint64]uint64)}
+		pt := &pacedTick{Tile: tile, tokens: make(map[uint64]int64)}
 		r.k.Register(pt)
 		poke := r.k.PokerFor(pt)
 		r.mesh.SetNodeWaker(node, poke)
@@ -189,7 +190,7 @@ func runPaced(t *testing.T, reference bool) pacedRun {
 
 	wedge := func(tile *pacedTick, at, lift uint64) {
 		r.k.At(at, func() {
-			if reference && tile.pace.tokens >= tile.pace.maxTokens {
+			if reference && tile.pace.tokens >= tile.pace.max {
 				t.Errorf("%s: bucket full when wedged at %d; the wedge must land in a refill", tile.Name(), at)
 			}
 			tile.SetFault(FaultState{Wedged: true})
@@ -202,13 +203,13 @@ func runPaced(t *testing.T, reference bool) pacedRun {
 		r.k.UseReference()
 	}
 	r.k.Run(horizon)
-	run.final = [2]uint64{math.Float64bits(run.mac.pace.tokens), math.Float64bits(run.tx.pace.tokens)}
+	run.final = [2]int64{run.mac.pace.tokens, run.tx.pace.tokens}
 	return run
 }
 
 // TestPacedTilesSleepExactly runs the rig on the reference stepper and
 // with sleeping tiles: every frame must be injected and delivered on the
-// same cycles, and the bucket must hold the same float bits after every
+// same cycles, and the bucket must hold the same tokens after every
 // tick the sleeping tile runs, the replayed refills of partial buckets,
 // waiting frames and the wedge included.
 func TestPacedTilesSleepExactly(t *testing.T) {
@@ -229,10 +230,9 @@ func TestPacedTilesSleepExactly(t *testing.T) {
 		name     string
 		ref, got *pacedTick
 	}{{"mac", ref.mac, got.mac}, {"txdma", ref.tx, got.tx}} {
-		for c, bits := range p.got.tokens {
-			if want := p.ref.tokens[c]; bits != want {
-				t.Errorf("%s cycle %d: bucket %v after the tick, reference %v", p.name, c,
-					math.Float64frombits(bits), math.Float64frombits(want))
+		for c, tokens := range p.got.tokens {
+			if want := p.ref.tokens[c]; tokens != want {
+				t.Errorf("%s cycle %d: bucket %d after the tick, reference %d", p.name, c, tokens, want)
 			}
 		}
 		if len(p.got.tokens)*2 > len(p.ref.tokens) {

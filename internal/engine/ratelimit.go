@@ -7,13 +7,8 @@ import (
 	"github.com/panic-nic/panic/internal/packet"
 )
 
-// RateLimiterConfig parameterizes the per-tenant rate-limiting engine.
-type RateLimiterConfig struct {
-	// FreqHz is the NIC clock, for converting Gbps to bits/cycle.
-	FreqHz float64
-	// BurstBytes is each tenant's token-bucket depth.
-	BurstBytes int
-}
+// rateLimitBurstBytes is each tenant's token-bucket depth.
+const rateLimitBurstBytes = 16 * 1024
 
 // RateLimiterEngine enforces per-tenant token-bucket rate limits on the
 // NIC — the SENIC row of the paper's Table 1 ("Infrastructure, Inline,
@@ -23,120 +18,96 @@ type RateLimiterConfig struct {
 // variable-service-time behaviour PANIC's self-contained engines permit
 // and RMT pipelines cannot host.
 type RateLimiterEngine struct {
-	cfg    RateLimiterConfig
-	limits map[uint16]float64 // tenant -> bits/cycle
-	bucket map[uint16]*tokenBucket
+	freqHz float64
+	limits map[uint16]*limit
 	outs   outBuf
 
 	conformed, delayed uint64
 }
 
-type tokenBucket struct {
-	tokens      float64
-	perCycle    float64
-	maxTokens   float64
-	lastRefresh uint64
+// limit is a tenant's bucket and the cycle it was last refilled to.
+type limit struct {
+	bucket
+	last uint64
 }
 
-// NewRateLimiterEngine builds the engine.
-func NewRateLimiterEngine(cfg RateLimiterConfig) *RateLimiterEngine {
-	requirePositive("rate limiter clock freq Hz", cfg.FreqHz)
-	if cfg.BurstBytes < 1 {
-		cfg.BurstBytes = 16 * 1024
-	}
-	return &RateLimiterEngine{
-		cfg:    cfg,
-		limits: make(map[uint16]float64),
-		bucket: make(map[uint16]*tokenBucket),
-	}
+// NewRateLimiterEngine builds the engine for a NIC clocked at freqHz.
+func NewRateLimiterEngine(freqHz float64) *RateLimiterEngine {
+	requirePositive("rate limiter clock freq Hz", freqHz)
+	return &RateLimiterEngine{freqHz: freqHz, limits: make(map[uint16]*limit)}
 }
 
-// SetLimit installs a tenant's rate limit in Gbps (0 removes it).
+// SetLimit installs a tenant's rate limit in Gbps with a full bucket (0
+// removes it).
 func (e *RateLimiterEngine) SetLimit(tenant uint16, gbps float64) {
 	if math.IsNaN(gbps) || math.IsInf(gbps, 0) {
 		panic(fmt.Sprintf("engine: rate limit %v Gbps for tenant %d", gbps, tenant))
 	}
 	if gbps <= 0 {
 		delete(e.limits, tenant)
-		delete(e.bucket, tenant)
 		return
 	}
-	e.limits[tenant] = gbps * 1e9 / e.cfg.FreqHz
-	delete(e.bucket, tenant)
+	l := &limit{bucket: newBucket(gbps*1e9, e.freqHz, rateLimitBurstBytes*8, 0)}
+	l.tokens = l.max
+	e.limits[tenant] = l
 }
 
 // Name implements Engine.
 func (e *RateLimiterEngine) Name() string { return "ratelimit" }
 
-func (e *RateLimiterEngine) bucketFor(tenant uint16, now uint64) *tokenBucket {
-	b := e.bucket[tenant]
-	if b == nil {
-		perCycle, ok := e.limits[tenant]
-		if !ok {
-			return nil // unlimited
-		}
-		b = &tokenBucket{
-			tokens:      float64(e.cfg.BurstBytes * 8),
-			perCycle:    perCycle,
-			maxTokens:   float64(e.cfg.BurstBytes * 8),
-			lastRefresh: now,
-		}
-		e.bucket[tenant] = b
+// limitAt returns the tenant's limit refilled through now, nil if the
+// tenant is unlimited.
+func (e *RateLimiterEngine) limitAt(tenant uint16, now uint64) *limit {
+	l := e.limits[tenant]
+	if l != nil && now > l.last {
+		l.refill(now - l.last)
+		l.last = now
 	}
-	b.refresh(now)
-	return b
+	return l
 }
 
-func (b *tokenBucket) refresh(now uint64) {
-	if now > b.lastRefresh {
-		b.tokens += float64(now-b.lastRefresh) * b.perCycle
-		if b.tokens > b.maxTokens {
-			b.tokens = b.maxTokens
-		}
-		b.lastRefresh = now
+// quote classifies a message against its tenant's limit l (nil for
+// none). A conforming message, one the bucket covers, passes in one
+// cycle; any other waits 1 + ⌊(bits−tokens)/rate⌋ cycles, until the
+// bucket holds more than its bits.
+func quote(l *limit, msg *packet.Message) (svc uint64, conforming bool) {
+	if l == nil {
+		return 1, true
 	}
+	short := l.units(int64(msg.WireLen()*8)) - l.tokens
+	if short <= 0 {
+		return 1, true
+	}
+	return 1 + uint64(short/l.rate), false
 }
 
 // ServiceCycles implements Engine with the bucket's last-known state; the
 // tile uses the precise ServiceCyclesAt instead.
 func (e *RateLimiterEngine) ServiceCycles(msg *packet.Message) uint64 {
-	b := e.bucket[msg.Tenant]
-	bits := float64(msg.WireLen() * 8)
-	if b == nil || b.tokens >= bits {
-		return 1
-	}
-	return 1 + uint64((bits-b.tokens)/b.perCycle)
+	svc, _ := quote(e.limits[msg.Tenant], msg)
+	return svc
 }
 
-// ServiceCyclesAt implements TimedEngine: refresh the tenant's bucket,
-// classify, and quote the shaping delay. A conforming message passes in
-// one cycle; a non-conforming one occupies the engine until its tokens
-// accumulate (one shaping queue; per-tenant fan-out would use one engine
-// instance per shaping class).
+// ServiceCyclesAt implements TimedEngine: refill the tenant's bucket,
+// classify, and quote the shaping delay. A non-conforming message
+// occupies the engine until its tokens accumulate (one shaping queue;
+// per-tenant fan-out would use one engine instance per shaping class).
 func (e *RateLimiterEngine) ServiceCyclesAt(ctx *Ctx, msg *packet.Message) uint64 {
-	b := e.bucketFor(msg.Tenant, ctx.Now)
-	if b == nil {
+	svc, conforming := quote(e.limitAt(msg.Tenant, ctx.Now), msg)
+	if conforming {
 		e.conformed++
-		return 1
+	} else {
+		e.delayed++
 	}
-	bits := float64(msg.WireLen() * 8)
-	if b.tokens >= bits {
-		e.conformed++
-		return 1
-	}
-	e.delayed++
-	return 1 + uint64((bits-b.tokens)/b.perCycle)
+	return svc
 }
 
-// Process implements Engine: charge the bucket (refreshed to the end of
+// Process implements Engine: charge the bucket (refilled to the end of
 // the shaping wait, so the accrued tokens cover the shortfall) and
-// forward.
+// forward. A message bigger than the burst empties the bucket.
 func (e *RateLimiterEngine) Process(ctx *Ctx, msg *packet.Message) []Out {
-	if b := e.bucketFor(msg.Tenant, ctx.Now); b != nil {
-		b.tokens -= float64(msg.WireLen() * 8)
-		if b.tokens < 0 {
-			b.tokens = 0
-		}
+	if l := e.limitAt(msg.Tenant, ctx.Now); l != nil {
+		l.tokens = max(0, l.tokens-l.units(int64(msg.WireLen()*8)))
 	}
 	return e.outs.one(Out{Msg: msg})
 }

@@ -120,10 +120,10 @@ func TestLSOValidation(t *testing.T) {
 
 func TestRateLimiterShapesTenant(t *testing.T) {
 	// Tenant 1 limited to 8 Gbps at 500 MHz = 16 bits/cycle. Full-rate
-	// arrivals of 1000B (8000-bit) messages should drain at one per ~500
-	// cycles once the burst is spent.
+	// arrivals of 1018-byte (8144-bit) messages should drain at one per
+	// ~509 cycles once the 16 KiB burst is spent.
 	r := newRig(3, 1)
-	rl := NewRateLimiterEngine(RateLimiterConfig{FreqHz: 500e6, BurstBytes: 2000})
+	rl := NewRateLimiterEngine(500e6)
 	rl.SetLimit(1, 8)
 	collector := NewCollectorEngine("sink", 1, nil)
 	r.place(1, 0, 0, rl)
@@ -134,7 +134,7 @@ func TestRateLimiterShapesTenant(t *testing.T) {
 	src := r.mesh.NodeAt(1, 0)
 	dst := r.mesh.NodeAt(0, 0)
 	r.k.Register(sim.TickFunc(func(uint64) {
-		if sent < 40 && r.mesh.CanInject(src, dst) {
+		if sent < 60 && r.mesh.CanInject(src, dst) {
 			m := &packet.Message{ID: uint64(sent), Tenant: 1, Pkt: &packet.Packet{PayloadLen: 1000}}
 			m.Pkt.Layers = []packet.Layer{&packet.Ethernet{EtherType: 0x9999}}
 			m.Pkt.Serialize()
@@ -145,11 +145,11 @@ func TestRateLimiterShapesTenant(t *testing.T) {
 		}
 	}))
 	r.k.Run(10_000)
-	// 10k cycles at 16 bits/cycle = 160k bits = 20 messages plus the
-	// initial 2 KB burst (2 messages): ~22.
+	// 10k cycles at 16 bits/cycle = 160k bits = 19.6 messages plus the
+	// initial 16 KiB burst (16.1 messages): ~36.
 	got := collector.Count()
-	if got < 18 || got > 26 {
-		t.Errorf("shaped tenant delivered %d messages in 10k cycles, want ~22", got)
+	if got < 32 || got > 40 {
+		t.Errorf("shaped tenant delivered %d messages in 10k cycles, want ~36", got)
 	}
 	conformed, delayed := rl.Counts()
 	if delayed == 0 {
@@ -163,7 +163,7 @@ func TestRateLimiterShapesTenant(t *testing.T) {
 }
 
 func TestRateLimiterUnlimitedTenantPasses(t *testing.T) {
-	rl := NewRateLimiterEngine(RateLimiterConfig{FreqHz: 500e6})
+	rl := NewRateLimiterEngine(500e6)
 	m := kvsGet(1, 7, 1)
 	if svc := rl.ServiceCycles(m); svc != 1 {
 		t.Errorf("unlimited tenant service = %d", svc)
@@ -182,12 +182,17 @@ func TestRateLimiterUnlimitedTenantPasses(t *testing.T) {
 }
 
 func TestRateLimiterSetAndClearLimit(t *testing.T) {
-	rl := NewRateLimiterEngine(RateLimiterConfig{FreqHz: 500e6, BurstBytes: 100})
+	rl := NewRateLimiterEngine(500e6)
 	rl.SetLimit(3, 1)
-	m := kvsGet(1, 3, 1)
-	rl.ServiceCyclesAt(&Ctx{Now: 0}, m)
-	rl.Process(&Ctx{Now: 0}, m) // burns the 100-byte burst
-	if svc := rl.ServiceCycles(kvsGet(2, 3, 1)); svc <= 1 {
+	// 282 58-byte GETs fit the 16 KiB burst; the 283rd must wait.
+	for id := uint64(0); id < 282; id++ {
+		m := kvsGet(id, 3, 1)
+		if svc := rl.ServiceCyclesAt(&Ctx{Now: 0}, m); svc != 1 {
+			t.Fatalf("GET %d within the burst: service = %d", id, svc)
+		}
+		rl.Process(&Ctx{Now: 0}, m)
+	}
+	if svc := rl.ServiceCycles(kvsGet(282, 3, 1)); svc <= 1 {
 		t.Errorf("limited tenant after burst service = %d, want > 1", svc)
 	}
 	rl.SetLimit(3, 0) // clear

@@ -145,7 +145,8 @@ type Tile struct {
 	dropSeen    uint64
 	corruptSeen uint64
 
-	// pace is the token bucket of a generating engine (nil for others).
+	// pace is the token bucket of a generating engine with a source (nil
+	// for others).
 	pace *pacer
 
 	// Sleep state beyond the port's (see EndCycle): wake and clk let
@@ -333,7 +334,7 @@ func (t *Tile) catchUp(n uint64) {
 		t.busyLeft -= n
 	}
 	if t.sleepRefill {
-		t.pace.replay(n)
+		t.pace.refill(n)
 	}
 }
 

@@ -40,7 +40,7 @@ func (t *TxDMAEngine) Generate(ctx *Ctx) []Out {
 	if t.src == nil {
 		return nil
 	}
-	t.refill()
+	t.refill(1)
 	t.outs = t.outs[:0]
 	for {
 		if t.waiting == nil {
@@ -49,7 +49,7 @@ func (t *TxDMAEngine) Generate(ctx *Ctx) []Out {
 				return t.outs
 			}
 		}
-		if !t.spend(float64(t.waiting.WireLen() * 8)) {
+		if !t.spend(int64(t.waiting.WireLen() * 8)) {
 			return t.outs
 		}
 		t.fetched++
