@@ -19,41 +19,46 @@ import (
 // tenant's p99 (µs) under FIFO, LSTF with moderate bulk slack, and
 // effectively-strict-priority slack.
 func BenchmarkSchedulerIsolation(b *testing.B) {
-	run := func(rank sched.RankFunc, slackBulk uint32) float64 {
-		cfg := core.DefaultConfig()
-		cfg.Rank = rank
-		cfg.PCIeGbps = 16
-		cfg.DMAJitter = 100
-		cfg.QueueCap = 128
-		if slackBulk > 0 {
-			cfg.Program.SlackBulk = slackBulk
-		}
-		mix := workload.NewIsolationMix(cfg.FreqHz, 1, 20, 1500, 42)
-		nic := core.NewNIC(cfg, []engine.Source{mix})
-		nic.Run(1_000_000)
-		return nic.HostLat.Tenant(1).P99() / freq * 1e6
+	for _, v := range []struct {
+		name      string
+		rank      sched.RankFunc
+		slackBulk uint32
+	}{
+		{"fifo", sched.RankFIFO, 0},
+		{"lstf-40us-bulk-slack", nil, 0},
+		{"lstf-strict", nil, strictBulkSlack},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			var p99 float64
+			for i := 0; i < b.N; i++ {
+				p99 = measureSchedulerIsolation(v.rank, v.slackBulk)
+			}
+			b.ReportMetric(p99, "latency_p99_us")
+		})
 	}
-	b.Run("fifo", func(b *testing.B) {
-		var p99 float64
-		for i := 0; i < b.N; i++ {
-			p99 = run(sched.RankFIFO, 0)
-		}
-		b.ReportMetric(p99, "latency_p99_us")
-	})
-	b.Run("lstf-40us-bulk-slack", func(b *testing.B) {
-		var p99 float64
-		for i := 0; i < b.N; i++ {
-			p99 = run(nil, 0)
-		}
-		b.ReportMetric(p99, "latency_p99_us")
-	})
-	b.Run("lstf-strict", func(b *testing.B) {
-		var p99 float64
-		for i := 0; i < b.N; i++ {
-			p99 = run(nil, 50_000_000)
-		}
-		b.ReportMetric(p99, "latency_p99_us")
-	})
+}
+
+// strictBulkSlack is a bulk slack no latency message ever reaches, so
+// LSTF acts as strict priority.
+const strictBulkSlack = 50_000_000
+
+// measureSchedulerIsolation runs a 1 Gbps latency tenant beside a 20 Gbps
+// bulk tenant over a 16 Gbps host link and returns the latency tenant's
+// p99 host-delivery latency (µs). A nil rank is LSTF; a zero slackBulk
+// keeps the program's default bulk slack (40 µs).
+func measureSchedulerIsolation(rank sched.RankFunc, slackBulk uint32) float64 {
+	cfg := core.DefaultConfig()
+	cfg.Rank = rank
+	cfg.PCIeGbps = 16
+	cfg.DMAJitter = 100
+	cfg.QueueCap = 128
+	if slackBulk > 0 {
+		cfg.Program.SlackBulk = slackBulk
+	}
+	mix := workload.NewIsolationMix(cfg.FreqHz, 1, 20, 1500, 42)
+	nic := core.NewNIC(cfg, []engine.Source{mix})
+	nic.Run(1_000_000)
+	return us(nic.HostLat.Tenant(1).P99())
 }
 
 // BenchmarkTenantIsolation — the multi-tenant acceptance experiment: a
@@ -63,26 +68,44 @@ func BenchmarkSchedulerIsolation(b *testing.B) {
 // solo baseline) under FIFO admission, plain LSTF, and weighted LSTF at
 // equal weights with per-tenant deficit credits. The matching correctness
 // bound (weighted LSTF <= 2x) is TestTenantIsolationVictimP99Bounded in
-// internal/core.
+// internal/core; TestPaperVerdicts holds these runs to it too.
 func BenchmarkTenantIsolation(b *testing.B) {
-	type variant struct {
-		name     string
-		rank     sched.RankFunc
-		weights  map[uint16]uint64
-		aggClass packet.Class
+	for _, v := range isolationVariants {
+		b.Run(v.name, func(b *testing.B) {
+			var solo, cont float64
+			for i := 0; i < b.N; i++ {
+				solo, cont = measureTenantIsolation(v)
+			}
+			b.ReportMetric(solo, "solo_p99_us")
+			b.ReportMetric(cont, "contended_p99_us")
+			b.ReportMetric(cont/solo, "p99_inflation_x")
+		})
 	}
-	equal := map[uint16]uint64{1: 1, 2: 1}
-	variants := []variant{
-		{"fifo", sched.RankFIFO, nil, packet.ClassBulk},
-		{"lstf", nil, nil, packet.ClassBulk},
-		// A slack-gaming aggressor declares itself latency class, so plain
-		// LSTF ranks it level with the victim; only the per-tenant rate
-		// credits can tell them apart.
-		{"lstf-gamed-slack", nil, nil, packet.ClassLatency},
-		{"wlstf-1to1", nil, equal, packet.ClassBulk},
-		{"wlstf-1to1-gamed-slack", nil, equal, packet.ClassLatency},
-	}
-	run := func(v variant, aggressor bool) float64 {
+}
+
+// isolationVariant is one scheduler set-up of BenchmarkTenantIsolation.
+type isolationVariant struct {
+	name     string
+	rank     sched.RankFunc
+	weights  map[uint16]uint64
+	aggClass packet.Class
+}
+
+var isolationVariants = []isolationVariant{
+	{"fifo", sched.RankFIFO, nil, packet.ClassBulk},
+	{"lstf", nil, nil, packet.ClassBulk},
+	// A slack-gaming aggressor declares itself latency class, so plain
+	// LSTF ranks it level with the victim; only the per-tenant rate
+	// credits can tell them apart.
+	{"lstf-gamed-slack", nil, nil, packet.ClassLatency},
+	{"wlstf-1to1", nil, map[uint16]uint64{1: 1, 2: 1}, packet.ClassBulk},
+	{"wlstf-1to1-gamed-slack", nil, map[uint16]uint64{1: 1, 2: 1}, packet.ClassLatency},
+}
+
+// measureTenantIsolation returns the victim's p99 host-delivery latency
+// (µs) alone and beside the aggressor, under one scheduler variant.
+func measureTenantIsolation(v isolationVariant) (solo, contended float64) {
+	run := func(aggressor bool) float64 {
 		cfg := core.DefaultConfig()
 		cfg.Rank = v.rank
 		cfg.PCIeGbps = 16
@@ -91,33 +114,15 @@ func BenchmarkTenantIsolation(b *testing.B) {
 		cfg.Tenants = []uint16{1, 2}
 		cfg.TenantWeights = v.weights
 		cfg.TenantQuantumBytes = 128
-		var src engine.Source
+		specs := []workload.TenantSpec{workload.VictimSpec(1)}
 		if aggressor {
-			src = workload.NewTenantMix(cfg.FreqHz, []workload.TenantSpec{
-				workload.VictimSpec(1),
-				{Tenant: 2, Class: v.aggClass, RateGbps: 24, Bulk: true, FrameBytes: 512},
-			}, 21)
-		} else {
-			src = workload.NewTenantMix(cfg.FreqHz, []workload.TenantSpec{workload.VictimSpec(1)}, 21)
+			specs = append(specs, workload.TenantSpec{Tenant: 2, Class: v.aggClass, RateGbps: 24, Bulk: true, FrameBytes: 512})
 		}
-		nic := core.NewNIC(cfg, []engine.Source{src})
-		defer nic.Close()
+		nic := core.NewNIC(cfg, []engine.Source{workload.NewTenantMix(cfg.FreqHz, specs, 21)})
 		nic.Run(300_000)
-		return nic.HostLat.Tenant(1).P99()
+		return us(nic.HostLat.Tenant(1).P99())
 	}
-	for _, v := range variants {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			var solo, cont float64
-			for i := 0; i < b.N; i++ {
-				solo = run(v, false)
-				cont = run(v, true)
-			}
-			b.ReportMetric(solo/freq*1e6, "solo_p99_us")
-			b.ReportMetric(cont/freq*1e6, "contended_p99_us")
-			b.ReportMetric(cont/solo, "p99_inflation_x")
-		})
-	}
+	return run(false), run(true)
 }
 
 // BenchmarkRMTPerHopVsLightweight — §4.2/§3.1.2: if the heavyweight RMT

@@ -1,8 +1,8 @@
 package bench
 
 // Benchmarks for the open questions of the paper's §6: flow control
-// (virtual channels), engine placement, and descriptor-vs-full-packet
-// switching.
+// (virtual channels), engine placement, descriptor-vs-full-packet
+// switching, and DoS shedding.
 
 import (
 	"strconv"
@@ -222,4 +222,67 @@ func measureChainThroughput(msgBytes, touches int, descriptors bool) float64 {
 	bld.Kernel.Run(window)
 	ms := float64(window) / freq * 1e3
 	return float64(sink.Count()) / 1e3 / ms
+}
+
+// BenchmarkDoSShedding — §6: "What is the best way to ... ensure that other
+// messages (e.g., packets from a DOS attack) are dropped as needed?" A
+// 2 Gbps latency-sensitive victim shares a 24 Gbps host link with a
+// 40 Gbps GET flood, under no defense, a SENIC-style per-tenant rate limit
+// on the attacker, and an ACL drop rule in the RMT pipeline. Reports the
+// victim's host-delivery latency and both tenants' served requests.
+func BenchmarkDoSShedding(b *testing.B) {
+	for _, defense := range []string{"none", "ratelimit", "acl"} {
+		b.Run(defense, func(b *testing.B) {
+			var r dosResult
+			for i := 0; i < b.N; i++ {
+				r = measureDoS(defense)
+			}
+			b.ReportMetric(r.victimP50us, "victim_p50_us")
+			b.ReportMetric(r.victimP99us, "victim_p99_us")
+			b.ReportMetric(float64(r.victimServed), "victim_served")
+			b.ReportMetric(float64(r.attackerServed), "attacker_served")
+			b.ReportMetric(float64(r.drops), "drops")
+		})
+	}
+}
+
+type dosResult struct {
+	victimP50us, victimP99us     float64
+	victimServed, attackerServed int
+	drops                        uint64
+}
+
+// measureDoS runs the DoS scenario for 1M cycles under defense ("none",
+// "ratelimit" or "acl").
+func measureDoS(defense string) dosResult {
+	cfg := core.DefaultConfig()
+	cfg.PCIeGbps = 24 // a modest host link, so the flood hurts
+	victim := workload.NewKVSStream(workload.KVSTenantConfig{
+		Tenant: 1, Class: packet.ClassLatency,
+		RateGbps: 2, FreqHz: cfg.FreqHz, Poisson: true,
+		Keys: 512, GetRatio: 0.9, ValueBytes: 256, Seed: 5,
+	})
+	// Tenant 66 floods GETs from the client network 10.99.0.0/16.
+	attacker := workload.NewKVSStream(workload.KVSTenantConfig{
+		Tenant: 66, Class: packet.ClassBulk,
+		RateGbps: 40, FreqHz: cfg.FreqHz, Poisson: true,
+		Keys: 1 << 20, GetRatio: 1.0, ValueBytes: 64,
+		ClientNet: 99, Seed: 6,
+	})
+	if defense == "ratelimit" {
+		cfg.RateLimits = map[uint16]float64{66: 1}
+	}
+	nic := core.NewNIC(cfg, []engine.Source{workload.NewMerge(victim, attacker)})
+	if defense == "acl" {
+		core.InstallDropRule(nic.Program, 10<<24|99<<16, 16, 100)
+	}
+	nic.Run(1_000_000)
+	v := nic.HostLat.Tenant(1)
+	return dosResult{
+		victimP50us:    us(v.P50()),
+		victimP99us:    us(v.P99()),
+		victimServed:   v.Count(),
+		attackerServed: nic.HostLat.Tenant(66).Count(),
+		drops:          nic.Drops.Value() + nic.RMTStats().Dropped,
+	}
 }

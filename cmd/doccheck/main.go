@@ -32,6 +32,15 @@
 // pipeline or command list is split at |, ||, &&, & and ; so each command
 // is checked against its own flags.
 //
+// A backticked test name — a single word starting with Test, Benchmark or
+// Fuzz — must be declared by a func in some _test.go file of the
+// repository. For a subtest ("TestX/case") the part before the first "/"
+// is checked, and a trailing "*" matches any declared name with that
+// prefix. Planning documents name tests still to be written, so the rule
+// covers only the documents that describe the current program: README.md,
+// DESIGN.md, OBSERVABILITY.md, EXPERIMENTS.md, ROBUSTNESS.md and
+// SERVICE.md.
+//
 // The check also runs in reverse for the main simulator binary: every
 // flag cmd/panicsim declares must appear backticked somewhere in
 // README.md, so adding a flag without documenting it fails CI the same
@@ -69,6 +78,15 @@ var (
 	cmdPathRe   = regexp.MustCompile(`^(?:\./)?cmd/([a-z0-9]+)/?$`)
 	routeDeclRe = regexp.MustCompile(`\{method:\s*"([A-Z]+)",\s*pattern:\s*"([^"]+)"`)
 	routeDocRe  = regexp.MustCompile("^###+ `([A-Z]+ /[^`]*)`")
+	testNameRe  = regexp.MustCompile(`^((?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*)(\*?)(/.*)?$`)
+	testDeclRe  = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)\(`)
+
+	// testNameDocs describe the current program, so every test they name
+	// must exist; the planning documents may name tests yet to be written.
+	testNameDocs = map[string]bool{
+		"README.md": true, "DESIGN.md": true, "OBSERVABILITY.md": true,
+		"EXPERIMENTS.md": true, "ROBUSTNESS.md": true, "SERVICE.md": true,
+	}
 
 	// goToolFlags are flags of the go tool itself (`go test -race`, ...)
 	// that legitimately appear backticked in the docs but are not declared
@@ -90,6 +108,11 @@ func main() {
 	}
 
 	cmdFlags, err := collectFlags(*root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+		os.Exit(1)
+	}
+	tests, err := collectTests(*root)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 		os.Exit(1)
@@ -124,7 +147,11 @@ func main() {
 						}
 					}
 				}
-				for _, problem := range checkToken(*root, m[1], cmdFlags, allFlags) {
+				problems := checkToken(*root, m[1], cmdFlags, allFlags)
+				if testNameDocs[md] {
+					problems = append(problems, checkTestName(m[1], tests)...)
+				}
+				for _, problem := range problems {
 					fmt.Fprintf(os.Stderr, "%s:%d: %s\n", md, i+1, problem)
 					bad++
 				}
@@ -306,6 +333,53 @@ func collectFlags(root string) (map[string]map[string]bool, error) {
 		out[e.Name()] = set
 	}
 	return out, nil
+}
+
+// collectTests returns the names of the Test, Benchmark and Fuzz funcs
+// declared in the repository's _test.go files, skipping hidden
+// directories such as .git.
+func collectTests(root string) (map[string]bool, error) {
+	out := make(map[string]bool)
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testDeclRe.FindAllStringSubmatch(string(data), -1) {
+			out[m[1]] = true
+		}
+		return nil
+	})
+	return out, err
+}
+
+// checkTestName reports a backticked test name that no _test.go declares.
+func checkTestName(tok string, tests map[string]bool) []string {
+	m := testNameRe.FindStringSubmatch(tok)
+	if m == nil {
+		return nil
+	}
+	if m[2] == "" {
+		if tests[m[1]] {
+			return nil
+		}
+	} else {
+		for name := range tests {
+			if strings.HasPrefix(name, m[1]) {
+				return nil
+			}
+		}
+	}
+	return []string{fmt.Sprintf("test `%s` is not declared in any _test.go", tok)}
 }
 
 // checkToken validates one backticked token and returns the problems found.

@@ -80,3 +80,43 @@ func TestCheckTokenPathReference(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckTestName: a backticked Test, Benchmark or Fuzz name must be
+// declared in a _test.go outside hidden directories; a subtest checks its
+// top-level name, and a trailing "*" matches a declared prefix.
+func TestCheckTestName(t *testing.T) {
+	root := t.TempDir()
+	for path, src := range map[string]string{
+		"x/a_test.go":       "package x\n\nfunc TestPaperVerdicts(t *testing.T) {}\n\nfunc BenchmarkFig2aPipelineHOL(b *testing.B) {}\n",
+		"x/a.go":            "package x\n\nfunc TestInNonTestFile() {}\n",
+		".hidden/b_test.go": "package y\n\nfunc TestHidden(t *testing.T) {}\n",
+	} {
+		if err := os.MkdirAll(filepath.Join(root, filepath.Dir(path)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, path), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tests, err := collectTests(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tok, want := range map[string]string{
+		"TestPaperVerdicts":        "",
+		"TestPaperVerdicts/Table3": "",
+		"BenchmarkFig2a*":          "",
+		"Testing":                  "",
+		"go test -run TestNope":    "",
+		"TestPanicEndToEnd":        "test `TestPanicEndToEnd` is not declared in any _test.go",
+		"TestNope/case":            "test `TestNope/case` is not declared in any _test.go",
+		"FuzzNope*":                "test `FuzzNope*` is not declared in any _test.go",
+		"TestInNonTestFile":        "test `TestInNonTestFile` is not declared in any _test.go",
+		"TestHidden":               "test `TestHidden` is not declared in any _test.go",
+	} {
+		got := strings.Join(checkTestName(tok, tests), "\n")
+		if got != want {
+			t.Errorf("checkTestName(%q) = %q, want %q", tok, got, want)
+		}
+	}
+}

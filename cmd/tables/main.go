@@ -1,12 +1,13 @@
 // Command tables regenerates the paper's Tables 1, 2, and 3.
 //
 // Tables 2 and 3 are printed from the closed-form models in
-// internal/analytic; -measure additionally validates Table 3 against the
-// flit-level mesh simulator (slow: several seconds per row).
+// internal/analytic. The simulated columns (the RMT pipelines' measured
+// packet rate, the flit-level mesh's saturation) are measured by the root
+// package's benchmarks and held to the paper by TestPaperVerdicts.
 //
 // Usage:
 //
-//	tables [-table 1|2|3|all] [-measure] [-warmup N] [-window N]
+//	tables [-table 1|2|3|all]
 package main
 
 import (
@@ -16,16 +17,11 @@ import (
 
 	"github.com/panic-nic/panic/internal/analytic"
 	"github.com/panic-nic/panic/internal/core"
-	"github.com/panic-nic/panic/internal/noc"
 	"github.com/panic-nic/panic/internal/stats"
 )
 
 func main() {
 	table := flag.String("table", "all", "which table to print: 1, 2, 3, or all")
-	measure := flag.Bool("measure", false, "also measure Table 3 with the flit-level simulator")
-	warmup := flag.Uint64("warmup", 2000, "simulator warmup cycles (with -measure)")
-	window := flag.Uint64("window", 20000, "simulator measurement cycles (with -measure)")
-	seed := flag.Uint64("seed", 1, "simulator seed (with -measure)")
 	flag.Parse()
 
 	switch *table {
@@ -34,13 +30,13 @@ func main() {
 	case "2":
 		printTable2()
 	case "3":
-		printTable3(*measure, *warmup, *window, *seed)
+		printTable3()
 	case "all":
 		printTable1()
 		fmt.Println()
 		printTable2()
 		fmt.Println()
-		printTable3(*measure, *warmup, *window, *seed)
+		printTable3()
 	default:
 		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
 		os.Exit(2)
@@ -66,16 +62,12 @@ func printTable2() {
 	fmt.Print(t.String())
 }
 
-func printTable3(measure bool, warmup, window, seed uint64) {
+func printTable3() {
 	fmt.Println("Table 3: on-chip mesh throughput and sustainable chain length")
-	header := []string{"Line-rate", "Freq", "Bit Width", "Topo", "Bisec BW", "Capacity", "Chain Len"}
-	if measure {
-		header = append(header, "Sim Gbps", "Sim Chain")
-	}
-	t := stats.NewTable(header...)
+	t := stats.NewTable("Line-rate", "Freq", "Bit Width", "Topo", "Bisec BW", "Capacity", "Chain Len")
 	for _, r := range analytic.Table3() {
 		p := r.Params
-		row := []any{
+		t.AddRow(
 			fmt.Sprintf("%.0fGbps x%d", p.LineRateGbps, p.Ports),
 			fmt.Sprintf("%.0fMHz", p.FreqHz/1e6),
 			p.WidthBits,
@@ -83,23 +75,7 @@ func printTable3(measure bool, warmup, window, seed uint64) {
 			fmt.Sprintf("%.0fGbps", r.BisectionGbps),
 			fmt.Sprintf("%.0fGbps", r.CapacityGbps),
 			fmt.Sprintf("%.2f", r.ChainLen),
-		}
-		if measure {
-			cfg := noc.DefaultMeshConfig()
-			cfg.Width, cfg.Height, cfg.FlitWidthBits = p.K, p.K, p.WidthBits
-			point := noc.MeasureSaturation(noc.NewMesh(cfg), p.FreqHz, 64, warmup, window, seed)
-			simChain := point.DeliveredGbps/p.AggregateLineGbps() - analytic.OverheadTraversals
-			row = append(row,
-				fmt.Sprintf("%.0f", point.DeliveredGbps),
-				fmt.Sprintf("%.2f", simChain),
-			)
-		}
-		t.AddRow(row...)
+		)
 	}
 	fmt.Print(t.String())
-	if measure {
-		fmt.Println("\nSim columns: measured uniform-random saturation (single-VC wormhole,")
-		fmt.Println("XY routing) and the chain length it sustains after the 4 overhead")
-		fmt.Println("traversals; the paper's Capacity column is channel-capacity arithmetic.")
-	}
 }

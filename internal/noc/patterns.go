@@ -46,23 +46,6 @@ func PatternNeighbor(_ *sim.RNG, src, _, width, _ int) int {
 	return y*width + (x+1)%width
 }
 
-// PatternByName resolves a pattern from its configuration name; hotspot
-// uses a 30% hot fraction. Unknown names return nil.
-func PatternByName(name string) Pattern {
-	switch name {
-	case "uniform":
-		return PatternUniform
-	case "hotspot":
-		return PatternHotspot(0.3)
-	case "transpose":
-		return PatternTranspose
-	case "neighbor":
-		return PatternNeighbor
-	default:
-		return nil
-	}
-}
-
 // MeasurePattern measures delivered throughput and latency under an
 // arbitrary traffic pattern at the given offered load (1.0 = saturation
 // probing). The mesh dimensions are needed by coordinate-based patterns.
@@ -73,6 +56,3 @@ func MeasurePattern(m *Mesh, pattern Pattern, freqHz float64, msgBytes int, load
 	c := m.Config()
 	return measure(m, pattern, c.Width, c.Height, freqHz, msgBytes, load, warmup, window, seed)
 }
-
-// PatternNames lists the built-in pattern names.
-func PatternNames() []string { return []string{"uniform", "hotspot", "transpose", "neighbor"} }

@@ -33,17 +33,6 @@ func TestPatternDestinations(t *testing.T) {
 	}
 }
 
-func TestPatternByName(t *testing.T) {
-	for _, name := range PatternNames() {
-		if PatternByName(name) == nil {
-			t.Errorf("PatternByName(%q) = nil", name)
-		}
-	}
-	if PatternByName("bogus") != nil {
-		t.Error("unknown pattern resolved")
-	}
-}
-
 // TestPatternThroughputOrdering: locality beats uniform beats adversarial
 // patterns — the canonical NoC result, and the reason engine placement
 // matters (§6).
@@ -51,14 +40,14 @@ func TestPatternThroughputOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pattern sweep is slow")
 	}
-	measure := func(name string) float64 {
+	measure := func(pattern Pattern) float64 {
 		m := NewMesh(DefaultMeshConfig())
-		return MeasurePattern(m, PatternByName(name), 500e6, 64, 1.0, 2000, 8000, 5).DeliveredGbps
+		return MeasurePattern(m, pattern, 500e6, 64, 1.0, 2000, 8000, 5).DeliveredGbps
 	}
-	neighbor := measure("neighbor")
-	uniform := measure("uniform")
-	hotspot := measure("hotspot")
-	transpose := measure("transpose")
+	neighbor := measure(PatternNeighbor)
+	uniform := measure(PatternUniform)
+	hotspot := measure(PatternHotspot(0.3))
+	transpose := measure(PatternTranspose)
 	if !(neighbor > uniform) {
 		t.Errorf("neighbor (%.0f) not above uniform (%.0f)", neighbor, uniform)
 	}

@@ -1,58 +1,12 @@
 package noc
 
-import (
-	"testing"
-
-	"github.com/panic-nic/panic/internal/analytic"
-)
+import "testing"
 
 // table3Mesh builds the mesh for one Table 3 configuration.
 func table3Mesh(k, widthBits int) *Mesh {
 	cfg := DefaultMeshConfig()
 	cfg.Width, cfg.Height, cfg.FlitWidthBits = k, k, widthBits
 	return NewMesh(cfg)
-}
-
-// TestSaturationShapeMatchesTable3 checks that measured uniform-random
-// saturation throughput follows the analytic model's shape across the
-// paper's Table 3 configurations: it scales up with mesh size and channel
-// width in the predicted ratios, and lands in the band expected for
-// single-VC wormhole routing (roughly 40–100% of the single-axis
-// bisection bound).
-func TestSaturationShapeMatchesTable3(t *testing.T) {
-	if testing.Short() {
-		t.Skip("saturation sweep is slow")
-	}
-	const freq = 500e6
-	measure := func(k, w int) float64 {
-		return MeasureSaturation(table3Mesh(k, w), freq, 64, 2000, 10000, 7).DeliveredGbps
-	}
-	g6x64 := measure(6, 64)
-	g8x64 := measure(8, 64)
-	g6x128 := measure(6, 128)
-
-	for _, c := range []struct {
-		name string
-		k, w int
-		gbps float64
-	}{{"6x6/64", 6, 64, g6x64}, {"8x8/64", 8, 64, g8x64}, {"6x6/128", 6, 128, g6x128}} {
-		bound := analytic.MeshParams{K: c.k, WidthBits: c.w, FreqHz: freq}.UniformBisectionBoundGbps()
-		if c.gbps > bound {
-			t.Errorf("%s: measured %.0f Gbps exceeds theoretical bound %.0f", c.name, c.gbps, bound)
-		}
-		if c.gbps < 0.4*bound {
-			t.Errorf("%s: measured %.0f Gbps below 40%% of bound %.0f", c.name, c.gbps, bound)
-		}
-	}
-	// Shape: 8x8 vs 6x6 capacity ratio is 8/6; allow slack for routing
-	// effects but require clear monotonicity.
-	if g8x64 <= g6x64*1.1 {
-		t.Errorf("8x8 (%.0f) not clearly above 6x6 (%.0f)", g8x64, g6x64)
-	}
-	// Doubling channel width should roughly double throughput.
-	if r := g6x128 / g6x64; r < 1.7 || r > 2.4 {
-		t.Errorf("width doubling ratio = %.2f, want ~2", r)
-	}
 }
 
 // TestLatencyThroughputCurve checks the canonical NoC behaviour: latency is
